@@ -1,11 +1,22 @@
 """Demand-driven extended-period hydraulic simulation.
 
 Each timestep is a quasi-steady snapshot solved with a Newton scheme on the
-nodal head equations (global gradient style): link relations are linearized
-around the current flow iterate, the resulting Laplacian system is solved for
-unknown heads, and flows are updated from the new head differences. Tanks are
-fixed-head nodes within a snapshot; their levels are integrated with explicit
-Euler between snapshots.
+nodal head equations (the global gradient algorithm of Todini & Pilati):
+link relations are linearized around the current flow iterate, the resulting
+Laplacian system is solved for unknown heads, and flows are updated from the
+new head differences. Once the flow change, the junction mass residual and
+the Hazen-Williams residual all pass their tolerances, exactly one more
+Newton step is taken and the iteration stops. Tanks are fixed-head nodes
+within a snapshot; their levels are integrated with explicit Euler between
+snapshots.
+
+Everything that depends only on which links are open and which nodes have a
+fixed head (reachability, the unknown-node numbering, island heads, each
+node's nearest source, the cold-start flow signs, the per-kind link indices
+and the matrix's sparsity pattern) is built by one graph traversal the first
+time that topology is met and cached on the network's layout. Every snapshot
+still cold-starts from that structure, so its result is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +54,7 @@ GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
 GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
 COLD_START_FLOW = 1e-3      # m3/s
-STAGNATION_REL = 1e-13      # extra Newton polish target after convergence
-POLISH_LIMIT = 10
+SPARSE_MIN_UNKNOWNS = 400   # larger systems are solved with scipy's spsolve
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,8 @@ class HydraulicState:
     leak_flow: dict[str, float]  # emitter junction id -> discharge
     iterations: int
     converged: bool
+    mass_residual: float = math.nan    # m3/s, largest junction imbalance
+    energy_residual: float = math.nan  # m, largest pipe headloss-law error
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +196,10 @@ class _Layout:
         # kind codes: 0 pipe, 1 pump, 2 valve
         kinds = []
         r_coef = []
+        pump_coef = []   # fitted (h0, r, n) per link, zeros for non-pumps
         for lid in self.link_ids:
             elem = network.link(lid)
+            fit = (0.0, 0.0, 0.0)
             if lid in network.pipes:
                 kinds.append(0)
                 r_coef.append(HW_COEF * elem.length
@@ -193,21 +207,117 @@ class _Layout:
             elif lid in network.pumps:
                 kinds.append(1)
                 r_coef.append(0.0)
+                fit = fit_pump_curve(network.curves[elem.curve_id])
             else:
                 kinds.append(2)
                 area = math.pi * (elem.diameter / 2.0) ** 2
                 r_coef.append(max(elem.minor_loss_coef / (2.0 * G * area * area),
                                   GRAD_MIN))
+            pump_coef.append(fit)
         self.kind = np.array(kinds, dtype=np.intp)
         self.r_coef = np.array(r_coef)
-        self.pump_fit = {lid: fit_pump_curve(network.curves[network.pumps[lid].curve_id])
-                         for lid in network.pumps}
+        self.pump_coef = np.array(pump_coef).reshape(-1, 3)
         # elevation-like height per node, used for island head assignment
         elev = []
         for nid in self.node_ids:
             node = network.node(nid)
             elev.append(node.head if nid in network.reservoirs else node.elevation)
         self.node_elev = np.array(elev)
+        self.tank_nodes = np.array([self.node_index[t] for t in self.tank_ids],
+                                   dtype=np.intp)
+        self._topologies: dict[tuple[bytes, tuple[int, ...]], _Topology] = {}
+
+    def topology(self, active: np.ndarray, sources: list[int]) -> _Topology:
+        """The cached structure for this open-link mask and fixed-head set."""
+        key = (active.tobytes(), tuple(sources))
+        topo = self._topologies.get(key)
+        if topo is None:
+            topo = self._topologies[key] = _Topology(self, active, sources)
+        return topo
+
+
+class _Topology:
+    """Index structure of the snapshot system for one topology.
+
+    Depends only on the layout, the open-link mask and the sorted fixed-head
+    nodes, so a cached instance is interchangeable with a fresh one.
+    """
+
+    def __init__(self, layout: _Layout, active: np.ndarray, sources: list[int]):
+        n = len(layout.node_ids)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for j in np.flatnonzero(active):
+            a, b = int(layout.link_from[j]), int(layout.link_to[j])
+            adj[a].append(b)
+            adj[b].append(a)
+        # one breadth-first traversal: all sources together first, so each
+        # node they reach records its nearest source and hop count; then every
+        # node still unseen seeds an island of its own
+        root = [-1] * n
+        dist = [0] * n
+        for seed in [sources] + [[v] for v in range(n)]:
+            queue = deque(s for s in seed if root[s] < 0)
+            for s in queue:
+                root[s] = s
+            while queue:
+                u = queue.popleft()
+                for v in sorted(adj[u]):
+                    if root[v] < 0:
+                        root[v], dist[v] = root[u], dist[u] + 1
+                        queue.append(v)
+        root_arr, hops = np.array(root, dtype=np.intp), np.array(dist)
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[sources] = True
+        self.reach = is_fixed[root_arr]
+        self.reached = np.flatnonzero(self.reach)
+        self.nearest_source = root_arr[self.reached]
+        # unreachable islands: one shared head per component (max height), so
+        # zero-flow links stay energy-consistent
+        top: dict[int, float] = {}
+        for src, z in zip(root, layout.node_elev.tolist()):
+            top[src] = max(top.get(src, -math.inf), z)
+        self.island_head = np.where(self.reach, 0.0, [top[src] for src in root])
+
+        self.unknown = np.flatnonzero(self.reach & ~is_fixed)
+        n_u = len(self.unknown)
+        self.u_of_node = np.full(n, -1, dtype=np.intp)
+        self.u_of_node[self.unknown] = np.arange(n_u)
+        self.act_idx = act = np.flatnonzero(active & self.reach[layout.link_from])
+        self.a_from, self.a_to = layout.link_from[act], layout.link_to[act]
+        kind, r = layout.kind[act], layout.r_coef[act]
+        self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)
+                                               for k in range(3))
+        self.r_pipe, self.r_valve = r[self.pipes], r[self.valves]
+        # cold start: flows leave the end nearer a source; pumps run forward
+        self.q0 = np.where((kind == 1) | (hops[self.a_from] <= hops[self.a_to]),
+                           COLD_START_FLOW, -COLD_START_FLOW)
+
+        # each link end at an unknown node: its link, node, the sign of the
+        # link flow into that node, and the node at the far end
+        uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
+        mf, mt = np.flatnonzero(uf >= 0), np.flatnonzero(ut >= 0)
+        self.end_link = np.concatenate([mf, mt])
+        self.end_node = np.concatenate([uf[mf], ut[mt]])
+        self.end_sign = np.concatenate([-np.ones(len(mf)), np.ones(len(mt))])
+        self.end_far = np.concatenate([self.a_to[mf], self.a_from[mt]])
+        self.end_far_fixed = self.u_of_node[self.end_far] < 0
+        # matrix triplets: +c on the diagonal per end, -c off it per link
+        # between two unknowns; entry_slot maps each triplet to its entry in
+        # the row-major (CSR) order of the distinct positions in flat. Python
+        # sorts them: numpy's first sort costs ~0.4 MB of resident memory.
+        both = np.flatnonzero((uf >= 0) & (ut >= 0))
+        rows = np.concatenate([self.end_node, uf[both], ut[both]])
+        cols = np.concatenate([self.end_node, ut[both], uf[both]])
+        self.entry_link = np.concatenate([self.end_link, both, both])
+        self.entry_sign = np.concatenate([np.ones(len(self.end_link)),
+                                          -np.ones(2 * len(both))])
+        entries = rows * n_u + cols
+        self.flat = np.array(sorted(set(entries.tolist())), dtype=np.intp)
+        self.entry_slot = np.searchsorted(self.flat, entries)
+        self.diag_slot = np.searchsorted(self.flat, np.arange(n_u) * (n_u + 1))
+        self.indices = self.flat % max(n_u, 1)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.flat // max(n_u, 1), minlength=n_u))])
 
 
 def _active_mask(layout: _Layout, controls: Controls,
@@ -236,101 +346,42 @@ def _active_mask(layout: _Layout, controls: Controls,
     return active, speed
 
 
-def _reachable(layout: _Layout, active: np.ndarray,
-               source_idx: list[int]) -> np.ndarray:
-    n = len(layout.node_ids)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for j in np.flatnonzero(active):
-        a, b = layout.link_from[j], layout.link_to[j]
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(n, dtype=bool)
-    queue = deque(sorted(source_idx))
-    seen[list(source_idx)] = True
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
+def _link_linearization(topo: _Topology, q: np.ndarray, pump_a: np.ndarray,
+                        pump_b: np.ndarray, pump_n: np.ndarray):
+    """Headloss h(q) and gradient dh/dq per active link, with safe floors.
 
+    A pump adds pump_a - pump_b q^pump_n of head (its fitted curve at the
+    current speed); reverse pump flow meets a steep penalty.
+    """
+    h = np.empty(len(q))
+    g = np.empty(len(q))
 
-def _cold_start(layout: _Layout, active: np.ndarray, source_idx: list[int],
-                source_head: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """BFS initial guess: heads from the nearest source, flows toward demand."""
-    n = len(layout.node_ids)
-    dist = np.full(n, np.inf)
-    head0 = np.zeros(n)
-    queue = deque()
-    for s in sorted(source_idx):
-        dist[s] = 0.0
-        head0[s] = source_head[s]
-        queue.append(s)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for j in np.flatnonzero(active):
-        a, b = layout.link_from[j], layout.link_to[j]
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not np.isfinite(dist[v]):
-                dist[v] = dist[u] + 1
-                head0[v] = head0[u]
-                queue.append(v)
-    q0 = np.zeros(len(layout.link_ids))
-    for j in np.flatnonzero(active):
-        a, b = layout.link_from[j], layout.link_to[j]
-        if layout.kind[j] == 1:
-            q0[j] = COLD_START_FLOW
-        else:
-            q0[j] = COLD_START_FLOW if dist[a] <= dist[b] else -COLD_START_FLOW
-    return q0, head0
+    pipe = topo.pipes
+    qp = q[pipe]
+    absq = np.abs(qp)
+    grad = HW_EXP * topo.r_pipe * np.maximum(absq, Q_LAMINAR) ** (HW_EXP - 1.0)
+    h[pipe] = np.where(absq < Q_LAMINAR, grad * qp,
+                       np.sign(qp) * topo.r_pipe * absq ** HW_EXP)
+    g[pipe] = grad
 
+    valve = topo.valves
+    if valve.size:
+        qv = q[valve]
+        absq = np.abs(qv)
+        grad = 2.0 * topo.r_valve * np.maximum(absq, VALVE_Q_LINEAR)
+        h[valve] = np.where(absq < VALVE_Q_LINEAR, grad * qv,
+                            topo.r_valve * qv * absq)
+        g[valve] = grad
 
-def _link_linearization(layout: _Layout, act_idx: np.ndarray, q: np.ndarray,
-                        speed: np.ndarray):
-    """Headloss h(q) and gradient dh/dq per active link, with safe floors."""
-    h = np.zeros(len(act_idx))
-    g = np.zeros(len(act_idx))
-    kind = layout.kind[act_idx]
-    r = layout.r_coef[act_idx]
-    absq = np.abs(q)
-
-    pipe = kind == 0
-    if pipe.any():
-        rp, qp = r[pipe], absq[pipe]
-        grad = HW_EXP * rp * np.maximum(qp, Q_LAMINAR) ** (HW_EXP - 1.0)
-        lam = qp < Q_LAMINAR
-        hp = np.sign(q[pipe]) * rp * qp ** HW_EXP
-        hp[lam] = (grad * q[pipe])[lam]
-        h[pipe], g[pipe] = hp, grad
-
-    valve = kind == 2
-    if valve.any():
-        rv, qv = r[valve], absq[valve]
-        grad = 2.0 * rv * np.maximum(qv, VALVE_Q_LINEAR)
-        lin = qv < VALVE_Q_LINEAR
-        hv = rv * q[valve] * qv
-        hv[lin] = (grad * q[valve])[lin]
-        h[valve], g[valve] = hv, grad
-
-    for i in np.flatnonzero(kind == 1):
-        lid = layout.link_ids[act_idx[i]]
-        h0, rr, n = layout.pump_fit[lid]
-        w = speed[act_idx[i]]
-        a = w * w * h0
-        b = rr * w ** (2.0 - n)
-        qi = q[i]
-        if qi <= 0.0:
-            h[i] = -a + GRAD_REVERSE * qi
-            g[i] = GRAD_REVERSE
-        else:
-            h[i] = -a + b * qi ** n
-            g[i] = n * b * max(qi, 1e-6) ** (n - 1.0)
+    pump = topo.pumps
+    if pump.size:
+        qu = q[pump]
+        fwd = qu > 0.0
+        h[pump] = -pump_a + np.where(
+            fwd, pump_b * np.maximum(qu, 0.0) ** pump_n, GRAD_REVERSE * qu)
+        g[pump] = np.where(
+            fwd, pump_n * pump_b * np.maximum(qu, 1e-6) ** (pump_n - 1.0),
+            GRAD_REVERSE)
 
     np.maximum(g, GRAD_MIN, out=g)
     return h, g
@@ -408,71 +459,41 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
         emit_k[layout.node_index[jid]] = k
 
     source_idx = sorted(fixed_head)
-    reach = _reachable(layout, active, source_idx)
+    topo = layout.topology(active, source_idx)
 
-    for i in range(n_junc):
-        if not reach[i]:
-            if demand_arr[i] > 0.0:
-                raise DisconnectedDemandError(
-                    f"junction '{layout.junction_ids[i]}' has demand but no open"
-                    " path to a reservoir or tank")
-            if emit_k[i] > 0.0:
-                raise DisconnectedDemandError(
-                    f"leak at '{layout.junction_ids[i]}' has no open path to a"
-                    " reservoir or tank")
+    cut = ~topo.reach[:n_junc] & ((demand_arr[:n_junc] > 0.0)
+                                  | (emit_k[:n_junc] > 0.0))
+    if cut.any():
+        i = int(np.argmax(cut))
+        jid = layout.junction_ids[i]
+        raise DisconnectedDemandError(
+            f"junction '{jid}' has demand but no open path to a reservoir or"
+            " tank" if demand_arr[i] > 0.0 else
+            f"leak at '{jid}' has no open path to a reservoir or tank")
 
-    act_idx = np.flatnonzero(active & reach[layout.link_from])
-    a_from = layout.link_from[act_idx]
-    a_to = layout.link_to[act_idx]
-
-    # unknown-head nodes: reachable and not fixed
-    is_fixed = np.zeros(n_nodes, dtype=bool)
-    is_fixed[source_idx] = True
-    unknown = np.flatnonzero(reach & ~is_fixed)
-    u_of_node = np.full(n_nodes, -1, dtype=np.intp)
-    u_of_node[unknown] = np.arange(len(unknown))
-    n_u = len(unknown)
-
-    head = np.zeros(n_nodes)
-    # unreachable islands: one shared head per component (max height), so
-    # zero-flow links stay energy-consistent
-    if not reach.all():
-        unseen = ~reach
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        for j in np.flatnonzero(active):
-            a, b = layout.link_from[j], layout.link_to[j]
-            adj[a].append(b)
-            adj[b].append(a)
-        visited = np.zeros(n_nodes, dtype=bool)
-        for start in np.flatnonzero(unseen):
-            if visited[start]:
-                continue
-            comp = [start]
-            visited[start] = True
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if unseen[v] and not visited[v]:
-                        visited[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            comp_head = max(layout.node_elev[c] for c in comp)
-            for c in comp:
-                head[c] = comp_head
+    # initial heads: each reached node takes its nearest source's head
+    head = topo.island_head.copy()
+    src_head = np.zeros(n_nodes)
+    src_head[source_idx] = [fixed_head[i] for i in source_idx]
+    head[topo.reached] = src_head[topo.nearest_source]
     for tid in closed_tanks:
         head[layout.node_index[tid]] = net.tanks[tid].elevation + levels[tid]
 
-    q_act, head0 = _cold_start(layout, active & reach[layout.link_from],
-                               source_idx, fixed_head)
-    q = q_act[act_idx]
-    head[list(fixed_head)] = [fixed_head[i] for i in fixed_head]
-    head[unknown] = head0[unknown]
-
-    uf = u_of_node[a_from]
-    ut = u_of_node[a_to]
-    pipes_mask = layout.kind[act_idx] == 0
-    r_pipes = layout.r_coef[act_idx][pipes_mask]
+    unknown, a_from, a_to = topo.unknown, topo.a_from, topo.a_to
+    end_link, end_node, end_sign = topo.end_link, topo.end_node, topo.end_sign
+    n_u = len(unknown)
+    demand_u = demand_arr[unknown]
+    end_far_head = np.where(topo.end_far_fixed, head[topo.end_far], 0.0)
+    emit_nodes = np.flatnonzero(emit_k)
+    emit_nodes = emit_nodes[topo.u_of_node[emit_nodes] >= 0]
+    emit_u, emit_kn = topo.u_of_node[emit_nodes], emit_k[emit_nodes]
+    emit_elev = layout.node_elev[emit_nodes]
+    pump_links = topo.act_idx[topo.pumps]
+    w = speed[pump_links]
+    h0, rr, pump_n = layout.pump_coef[pump_links].T
+    pump_a, pump_b = w * w * h0, rr * w ** (2.0 - pump_n)
+    pipes, r_pipes = topo.pipes, topo.r_pipe
+    q = topo.q0.copy()
 
     lam = settings.damping
     prev_change = math.inf
@@ -484,57 +505,36 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
 
     while iterations < settings.max_iterations:
         iterations += 1
-        h, g = _link_linearization(layout, act_idx, q, speed)
+        h, g = _link_linearization(topo, q, pump_a, pump_b, pump_n)
         c = 1.0 / g
         y = q - h * c
 
-        big_m = np.zeros((n_u, n_u))
-        rhs = -demand_arr[unknown].copy() if n_u else np.zeros(0)
-        diag = np.zeros(n_u)
-
-        mu = uf >= 0
-        mv = ut >= 0
-        np.add.at(diag, uf[mu], c[mu])
-        np.add.at(diag, ut[mv], c[mv])
-        both = mu & mv
-        np.add.at(big_m, (uf[both], ut[both]), -c[both])
-        np.add.at(big_m, (ut[both], uf[both]), -c[both])
-        np.add.at(rhs, uf[mu], -y[mu])
-        np.add.at(rhs, ut[mv], y[mv])
-        fb = mu & ~mv   # from unknown, to fixed
-        np.add.at(rhs, uf[fb], c[fb] * head[a_to[fb]])
-        bf = ~mu & mv
-        np.add.at(rhs, ut[bf], c[bf] * head[a_from[bf]])
+        vals = np.bincount(topo.entry_slot,
+                           weights=c[topo.entry_link] * topo.entry_sign,
+                           minlength=len(topo.flat))
+        rhs = np.bincount(end_node, weights=end_sign * y[end_link]
+                          + c[end_link] * end_far_head, minlength=n_u) - demand_u
 
         # emitters: q_e = k sqrt(max(h_press, 0)), linearized on the diagonal
-        if emit_k.any():
-            for node in np.flatnonzero(emit_k):
-                u = u_of_node[node]
-                if u < 0:
-                    continue
-                k = emit_k[node]
-                press = head[node] - layout.node_elev[node]
-                if press > EMITTER_HMIN:
-                    q0 = k * math.sqrt(press)
-                    ge = k / (2.0 * math.sqrt(press))
-                elif press > 0.0:
-                    ge = k / math.sqrt(EMITTER_HMIN)
-                    q0 = ge * press
-                else:
-                    q0 = 0.0
-                    ge = 0.0
-                diag[u] += ge
-                rhs[u] += ge * head[node] - q0
+        if emit_nodes.size:
+            press = head[emit_nodes] - emit_elev
+            root = np.sqrt(np.maximum(press, EMITTER_HMIN))
+            steep = press > EMITTER_HMIN
+            ge = np.where(steep, emit_kn / (2.0 * root), np.where(
+                press > 0.0, emit_kn / math.sqrt(EMITTER_HMIN), 0.0))
+            vals[topo.diag_slot[emit_u]] += ge
+            rhs[emit_u] += ge * head[emit_nodes] - np.where(
+                steep, emit_kn * root, ge * press)
 
-        if n_u:
-            big_m[np.diag_indices(n_u)] = diag
-            if n_u > 400:
-                from scipy.sparse import csr_matrix
-                from scipy.sparse.linalg import spsolve
-                h_u = spsolve(csr_matrix(big_m), rhs)
-            else:
-                h_u = np.linalg.solve(big_m, rhs)
-            head[unknown] = h_u
+        if n_u > SPARSE_MIN_UNKNOWNS:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.linalg import spsolve
+            head[unknown] = spsolve(csr_matrix(
+                (vals, topo.indices, topo.indptr), shape=(n_u, n_u)), rhs)
+        elif n_u:
+            big_m = np.zeros(n_u * n_u)
+            big_m[topo.flat] = vals
+            head[unknown] = np.linalg.solve(big_m.reshape(n_u, n_u), rhs)
 
         dh = head[a_from] - head[a_to]
         q_new = y + c * dh
@@ -557,41 +557,35 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
         prev_change = change
 
         # residuals with the updated flows and heads
-        balance = np.zeros(n_nodes)
-        np.add.at(balance, a_from, -q)
-        np.add.at(balance, a_to, q)
-        press_u = head[unknown] - layout.node_elev[unknown]
-        exact_emit = emit_k[unknown] * np.sqrt(np.maximum(press_u, 0.0))
-        mass = balance[unknown] - demand_arr[unknown] - exact_emit
+        mass = np.bincount(end_node, weights=end_sign * q[end_link],
+                           minlength=n_u) - demand_u
+        if emit_nodes.size:
+            mass[emit_u] -= emit_kn * np.sqrt(
+                np.maximum(head[emit_nodes] - emit_elev, 0.0))
         mass_res = np.abs(mass).max() if n_u else 0.0
-        if pipes_mask.any():
-            qp = q[pipes_mask]
+        if pipes.size:
+            qp = q[pipes]
             hp_true = np.sign(qp) * r_pipes * np.abs(qp) ** HW_EXP
-            energy_res = np.abs(dh[pipes_mask] - hp_true).max()
+            energy_res = np.abs(dh[pipes] - hp_true).max()
         else:
             energy_res = 0.0
 
-        if converged_at < 0:
-            if rel <= settings.accuracy and mass_res <= MASS_TOL \
-                    and energy_res <= ENERGY_TOL:
-                converged_at = iterations
-                lam = 1.0
-        else:
-            if rel <= STAGNATION_REL or iterations - converged_at >= POLISH_LIMIT:
-                break
+        # stop rule: one full Newton step past the first converged iterate
+        if converged_at >= 0:
+            break
+        if rel <= settings.accuracy and mass_res <= MASS_TOL \
+                and energy_res <= ENERGY_TOL:
+            converged_at = iterations
+            lam = 1.0
 
     if converged_at < 0:
         raise NonConvergenceError(iterations, max(mass_res, energy_res), t)
 
     flow_full = np.zeros(len(layout.link_ids))
-    flow_full[act_idx] = q
-
-    tank_inflow = np.zeros(len(layout.tank_ids))
-    balance = np.zeros(n_nodes)
-    np.add.at(balance, a_from, -q)
-    np.add.at(balance, a_to, q)
-    for i, tid in enumerate(layout.tank_ids):
-        tank_inflow[i] = balance[layout.node_index[tid]]
+    flow_full[topo.act_idx] = q
+    balance = np.bincount(np.concatenate([a_from, a_to]),
+                          weights=np.concatenate([-q, q]), minlength=n_nodes)
+    tank_inflow = balance[layout.tank_nodes]
 
     leak_flow = {}
     for node in np.flatnonzero(emit_k):
@@ -611,7 +605,8 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
         t=t, flow=flow_full, head=head, pressure_head=pressure,
         tank_level=level_arr, actual_demand=demand_out,
         tank_net_inflow=tank_inflow, leak_flow=leak_flow,
-        iterations=iterations, converged=True)
+        iterations=iterations, converged=True,
+        mass_residual=float(mass_res), energy_residual=float(energy_res))
 
 
 # --- extended-period engine --------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the snapshot solver and the extended-period engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from wdnflow.hydraulics import (
     Q_LAMINAR,
     Controls,
     EpsEngine,
+    SPARSE_MIN_UNKNOWNS,
     SolverSettings,
+    _Layout,
     baseline_controls,
     fit_pump_curve,
     hazen_williams_headloss,
@@ -76,6 +79,43 @@ def energy_residuals(network, state):
                                       pipe.roughness)
         residuals[lid] = dh - law
     return residuals
+
+
+def grid_inp(side):
+    """INP text of a side x side looped grid of junctions (ids sort in file
+    order). A reservoir pumps into one corner, a tank floats on the far
+    corner and the edge right of the centre junction is a throttle valve."""
+    def jid(r, c):
+        return f"j{r:03d}{c:03d}"
+    lines = ["[JUNCTIONS]"]
+    for r in range(side):
+        for c in range(side):
+            lines.append(f" {jid(r, c)}  {(r * 7 + c * 3) % 5:.1f}"
+                         f"  {0.05 + 0.01 * ((r + 2 * c) % 7):.2f}  daily")
+    mid = side // 2
+    lines += ["[RESERVOIRS]", " r1  10.0",
+              "[TANKS]", " t1  38.0  4.0  0.5  9.0  40.0",
+              "[PUMPS]", f" pu1  r1  {jid(0, 0)}  HEAD  c1",
+              "[CURVES]", " c1  90.0  38.0",
+              "[VALVES]", f" v1  {jid(mid, mid)}  {jid(mid, mid + 1)}  250  TCV"
+              "  4.0",
+              "[PIPES]", f" pt  {jid(side - 1, side - 1)}  t1  50  400  120"]
+    for r in range(side):
+        for c in range(side):
+            trunk = r == 0 or c == 0
+            if c + 1 < side and (r, c) != (mid, mid):
+                lines.append(f" ph{jid(r, c)}  {jid(r, c)}  {jid(r, c + 1)}"
+                             f"  {120 + 10 * (c % 4)}  {400 if trunk else 250}"
+                             "  110")
+            if r + 1 < side:
+                lines.append(f" pv{jid(r, c)}  {jid(r, c)}  {jid(r + 1, c)}"
+                             f"  {130 + 10 * (r % 3)}  {400 if trunk else 200}"
+                             "  105")
+    lines += ["[PATTERNS]", " daily  0.6  0.5  0.8  1.2  1.4  1.1  0.9  0.7",
+              "[TIMES]", " Duration  24 HOURS", " Hydraulic Timestep  1 HOURS",
+              " Pattern Timestep  3 HOURS",
+              "[OPTIONS]", " Units  LPS", " Headloss  H-W", "[END]"]
+    return "\n".join(lines)
 
 
 class TestHeadlossLaw:
@@ -250,6 +290,108 @@ class TestEmitters:
         inc = incidence(toy9)
         n3 = inc.node_index["n3"]
         assert float(leaky.pressure_head[n3]) < float(clean.pressure_head[n3])
+
+
+class TestStopRuleMargin:
+    """One Newton step past the convergence test leaves residuals far
+    below MASS_TOL and ENERGY_TOL, on both the dense and the sparse solve."""
+
+    MARGIN = 1e-9
+
+    def assert_margin(self, network, engine):
+        states = engine.run().states
+        for state in states:
+            mass = max(abs(r) for r in mass_residuals(network, state).values())
+            energy = energy_residuals(network, state)
+            assert mass <= self.MARGIN, state.t
+            assert max(map(abs, energy.values()), default=0.0) <= self.MARGIN
+            assert state.mass_residual <= MASS_TOL
+            assert state.energy_residual <= ENERGY_TOL
+        return states
+
+    def test_toy9_day_with_emitter(self, toy9):
+        engine = EpsEngine(toy9, duration_s=86400, step_s=300,
+                           emitter_hook=lambda t: {"n3": 1e-4})
+        self.assert_margin(toy9, engine)
+
+    def test_pumpnet_day_with_tank_closures(self, pumpnet):
+        states = self.assert_margin(
+            pumpnet, EpsEngine(pumpnet, duration_s=86400, step_s=300))
+        top = pumpnet.tanks["t1"].max_level
+        assert any(float(s.tank_level[0]) >= top
+                   and float(s.tank_net_inflow[0]) == 0.0 for s in states)
+
+    def test_sparse_grid_day(self):
+        net = parse_inp(grid_inp(22))
+        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
+        self.assert_margin(net, EpsEngine(net))
+
+    def test_sparse_branch_allocates_no_dense_matrix(self):
+        net = parse_inp(grid_inp(24))
+        n_u = len(net.junctions)
+        demands = {j: 1e-4 for j in net.junctions}
+        layout = _Layout(net)
+        solve_snapshot(net, demands, _layout=layout)   # loads scipy
+        tracemalloc.start()
+        try:
+            solve_snapshot(net, demands, _layout=layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_u * n_u / 4
+
+
+class TestTopologyCache:
+    """Solves on a layout whose cache already holds other topologies equal,
+    bit for bit, a solve of the same inputs on a fresh layout."""
+
+    def assert_same_as_fresh(self, network, layout, demands, **kw):
+        shared = solve_snapshot(network, demands, _layout=layout, **kw)
+        fresh = solve_snapshot(network, demands, **kw)
+        assert np.array_equal(shared.flow, fresh.flow)
+        assert np.array_equal(shared.head, fresh.head)
+        return shared
+
+    def test_toy9_pipe_closure_and_back(self, toy9):
+        layout = _Layout(toy9)
+        base = baseline_controls(toy9)
+        closed = Controls(pipe_open={**base.pipe_open, "p10": False},
+                          pump_running=base.pump_running,
+                          pump_speed=base.pump_speed,
+                          valve_open=base.valve_open)
+        demands = {jid: 2e-5 for jid in toy9.junctions}
+        first = self.assert_same_as_fresh(toy9, layout, demands)
+        self.assert_same_as_fresh(toy9, layout, demands, controls=closed)
+        again = self.assert_same_as_fresh(toy9, layout, demands)
+        assert np.array_equal(first.flow, again.flow)
+
+    def test_pumpnet_pump_off_and_tank_closed(self, pumpnet):
+        layout = _Layout(pumpnet)
+        base = baseline_controls(pumpnet)
+        off = Controls(pipe_open=base.pipe_open,
+                       pump_running={"pu1": False},
+                       pump_speed=base.pump_speed,
+                       valve_open=base.valve_open)
+        demands = {"j1": 5e-3, "j2": 3e-3}
+        full = {"t1": pumpnet.tanks["t1"].max_level}
+        self.assert_same_as_fresh(pumpnet, layout, demands)
+        self.assert_same_as_fresh(pumpnet, layout, demands, controls=off)
+        state = self.assert_same_as_fresh(pumpnet, layout, demands,
+                                          tank_levels=full)
+        assert float(state.tank_net_inflow[0]) == 0.0
+
+    def test_grid_valve_closed(self):
+        net = parse_inp(grid_inp(5))
+        layout = _Layout(net)
+        base = baseline_controls(net)
+        shut = Controls(pipe_open=base.pipe_open,
+                        pump_running=base.pump_running,
+                        pump_speed=base.pump_speed, valve_open={"v1": False})
+        demands = {j: 5e-4 for j in net.junctions}
+        self.assert_same_as_fresh(net, layout, demands)
+        state = self.assert_same_as_fresh(net, layout, demands, controls=shut)
+        assert float(state.flow[list(net.link_ids()).index("v1")]) == 0.0
+        self.assert_same_as_fresh(net, layout, demands)
 
 
 class TestControlsAndFailureModes:
