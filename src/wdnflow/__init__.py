@@ -44,7 +44,7 @@ from .uncertainty import (
 )
 from .scada import (
     SensorColumn, SensorPlacement, GroundTruthRecord, ScadaData,
-    extract_readings, RowCorruptor, corrupt,
+    RowReader, extract_readings, RowCorruptor, corrupt,
 )
 from .detection import (
     SensorInterpolationDetector, DetectionResult, EventOutcome, Metrics,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
-from .inp import parse_inp
+from .inp import load_network
 from .network import Network
 
 __all__ = ["data_path", "toy9_path", "series1_path", "pumpnet_path",
@@ -30,18 +30,13 @@ def pumpnet_path() -> str:
     return data_path("pumpnet.inp")
 
 
-def _load(path: str) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        return parse_inp(fh.read())
-
-
 def load_toy9() -> Network:
-    return _load(toy9_path())
+    return load_network(toy9_path())
 
 
 def load_series1() -> Network:
-    return _load(series1_path())
+    return load_network(series1_path())
 
 
 def load_pumpnet() -> Network:
-    return _load(pumpnet_path())
+    return load_network(pumpnet_path())

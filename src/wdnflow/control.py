@@ -19,13 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError, EpisodeFinishedError, InvalidActionError,
-    UnknownSensorRefError,
-)
-from .hydraulics import (
-    G, Controls, EpsEngine, HydraulicState, SolverSettings, solve_snapshot,
-)
+from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
+from .hydraulics import G, Controls, EpsEngine, HydraulicState, SolverSettings
+from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
 
 __all__ = ["Action", "StepOutcome", "ScenarioEnv"]
@@ -67,46 +63,24 @@ class ScenarioEnv:
         self.min_pressure_head = min_pressure_head
         self.pressure_penalty = pressure_penalty
         self.columns = config.sensors.columns()
-        self._column_extractors = self._build_extractors()
+        self._reader = RowReader(self.columns, self.runtime)
+        solve_net = self.runtime.solve_network
+        link_index = {l: i for i, l in enumerate(solve_net.link_ids())}
+        node_index = {n: i for i, n in enumerate(solve_net.node_ids())}
+        # (pump id, link index, suction node, discharge node), in dict order
+        # so the power sum keeps one summation order
+        self._pumps = [(pid, link_index[pid], node_index[pump.from_node],
+                        node_index[pump.to_node])
+                       for pid, pump in solve_net.pumps.items()]
+        self._truth = self.runtime.truth_records()
         self._engine: EpsEngine | None = None
         self._corruptor = None
         self._states: list[HydraulicState] = []
 
     # -------------------------------------------------------------- helpers
 
-    def _build_extractors(self):
-        report = self.runtime.report_network
-        junction_ids = sorted(report.junctions)
-        link_ids = list(report.link_ids())
-        tank_ids = sorted(report.tanks)
-        junction_index = {j: i for i, j in enumerate(junction_ids)}
-        link_index = {l: i for i, l in enumerate(link_ids)}
-        tank_index = {t: i for i, t in enumerate(tank_ids)}
-        extractors = []
-        for col in self.columns:
-            if col.sensor_type == "pressure":
-                if col.element_id not in junction_index:
-                    raise UnknownSensorRefError(
-                        f"pressure sensor '{col.element_id}' is not a junction")
-                i = junction_index[col.element_id]
-                extractors.append(lambda s, i=i: float(s.pressure_head[i]))
-            elif col.sensor_type == "flow":
-                if col.element_id not in link_index:
-                    raise UnknownSensorRefError(
-                        f"flow sensor '{col.element_id}' is not a link")
-                i = link_index[col.element_id]
-                extractors.append(lambda s, i=i: float(s.flow[i]))
-            else:
-                if col.element_id not in tank_index:
-                    raise UnknownSensorRefError(
-                        f"level sensor '{col.element_id}' is not a tank")
-                i = tank_index[col.element_id]
-                extractors.append(lambda s, i=i: float(s.tank_level[i]))
-        return extractors
-
     def _observe(self, state: HydraulicState, corruptor) -> np.ndarray:
-        raw = np.array([fn(state) for fn in self._column_extractors])
-        return corruptor.corrupt_row(state.t, raw)
+        return corruptor.corrupt_row(state.t, self._reader.read(state))
 
     def _blocked_targets(self, t: float) -> set[str]:
         return {e.target_id for e in self.config.actuator_events
@@ -149,16 +123,12 @@ class ScenarioEnv:
     def _reward_terms(self, state: HydraulicState,
                       projected: HydraulicState,
                       controls: Controls) -> tuple[float, float]:
-        solve_net = self.runtime.solve_network
-        link_index = {l: i for i, l in enumerate(solve_net.link_ids())}
-        node_index = {n: i for i, n in enumerate(solve_net.node_ids())}
         power = 0.0
-        for pid, pump in solve_net.pumps.items():
+        for pid, link, suction, discharge in self._pumps:
             if not controls.pump_running.get(pid, True):
                 continue
-            q = float(state.flow[link_index[pid]])
-            gain = float(state.head[node_index[pump.to_node]]
-                         - state.head[node_index[pump.from_node]])
+            q = float(state.flow[link])
+            gain = float(state.head[discharge] - state.head[suction])
             if q > 0.0 and gain > 0.0:
                 power += RHO * G * q * gain / PUMP_EFFICIENCY
         # deficit over the pre-split junctions only, so the reward scale does
@@ -182,12 +152,7 @@ class ScenarioEnv:
         under baseline controls, before any agent action."""
         self._engine = self.runtime.make_engine()
         self._states = []
-        peek = solve_snapshot(
-            self.runtime.solve_network, self._engine.demands_at(0.0),
-            self.runtime.control_hook(0.0), self.runtime.settings,
-            emitters=self.runtime.emitter_hook(0.0),
-            tank_levels=self._engine.tank_levels, t=0.0,
-            _layout=self._engine.layout)
+        peek = self._engine.solve_current()
         peek_corruptor = self.runtime.make_corruptor(self.columns)
         observation = self._observe(self.runtime.project_state(peek),
                                     peek_corruptor)
@@ -216,7 +181,7 @@ class ScenarioEnv:
             "iterations": state.iterations,
             "converged": state.converged,
             "active_events": tuple(
-                rec.event_id for rec in self.runtime.truth_records()
+                rec.event_id for rec in self._truth
                 if rec.start_s <= t < rec.end_s),
             "pump_power_w": power,
             "pressure_deficit_m": deficit,

@@ -647,10 +647,8 @@ class EpsEngine:
             out[jid] = j.base_demand * mult
         return out
 
-    def step_once(self, controls: Controls | None = None) -> HydraulicState:
-        """Solve the snapshot at the current time, then integrate tank levels."""
-        if self.step_index >= self.total_steps:
-            raise IndexError("simulation horizon already reached")
+    def solve_current(self, controls: Controls | None = None) -> HydraulicState:
+        """Solve the snapshot at the current time without advancing."""
         t = float(self.step_index * self.step_s)
         if controls is None:
             controls = self.control_hook(t) if self.control_hook else None
@@ -658,12 +656,18 @@ class EpsEngine:
             controls = self._baseline
         emitters = self.emitter_hook(t) if self.emitter_hook else None
         try:
-            state = solve_snapshot(
+            return solve_snapshot(
                 self.network, self.demands_at(t), controls, self.settings,
                 emitters=emitters, tank_levels=self.tank_levels, t=t,
                 _layout=self.layout)
         except NonConvergenceError as exc:
             raise NonConvergenceError(exc.iterations, exc.residual, t) from None
+
+    def step_once(self, controls: Controls | None = None) -> HydraulicState:
+        """Solve the snapshot at the current time, then integrate tank levels."""
+        if self.step_index >= self.total_steps:
+            raise IndexError("simulation horizon already reached")
+        state = self.solve_current(controls)
         for i, tid in enumerate(self.layout.tank_ids):
             self.tank_levels[tid] = tank_step(
                 self.network.tanks[tid], self.tank_levels[tid],

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
-    DanglingReferenceError,
-    InvalidNetworkError,
     MalformedSectionError,
     UnsupportedOptionError,
     UnsupportedUnitsError,
@@ -34,6 +32,7 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
+    _raise_for_violations,
     validate,
 )
 
@@ -197,16 +196,6 @@ def _parse_times(doc: InpDocument) -> SimOptions:
             doc.warnings.append(
                 f"line {row.line_no}: time setting '{' '.join(row.tokens)}' ignored")
     return SimOptions(**values)
-
-
-def _raise_for_violations(violations) -> None:
-    if not violations:
-        return
-    dangling = [v for v in violations
-                if "does not exist" in v.message or "not defined" in v.message]
-    if dangling:
-        raise DanglingReferenceError("; ".join(str(v) for v in dangling))
-    raise InvalidNetworkError(violations)
 
 
 def parse_inp_report(text: str, warnings: list[str] | None = None

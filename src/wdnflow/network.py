@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .errors import DanglingReferenceError, InvalidNetworkError
+
 __all__ = [
     "Junction", "Reservoir", "Tank", "Pipe", "Pump", "Valve",
     "Pattern", "Curve", "SimOptions", "Network", "Violation",
@@ -312,6 +314,18 @@ def validate(network: Network) -> list[Violation]:
     return out
 
 
+def _raise_for_violations(violations) -> None:
+    """Raise for validate's findings: DanglingReferenceError when any names a
+    missing element, InvalidNetworkError otherwise."""
+    if not violations:
+        return
+    dangling = [v for v in violations
+                if "does not exist" in v.message or "not defined" in v.message]
+    if dangling:
+        raise DanglingReferenceError("; ".join(str(v) for v in dangling))
+    raise InvalidNetworkError(violations)
+
+
 @dataclass(frozen=True)
 class Incidence:
     """Node/link indexing in canonical order plus orientation signs.
@@ -330,16 +344,7 @@ class Incidence:
 
 def incidence(network: Network) -> Incidence:
     """Build the node-link incidence structure; rejects invalid networks."""
-    violations = validate(network)
-    if violations:
-        dangling = [v for v in violations if "does not exist" in v.message
-                    or "not defined" in v.message]
-        if dangling:
-            from .errors import DanglingReferenceError
-            raise DanglingReferenceError("; ".join(str(v) for v in dangling))
-        from .errors import InvalidNetworkError
-        raise InvalidNetworkError(violations)
-
+    _raise_for_violations(validate(network))
     node_ids = tuple(network.node_ids())
     link_ids = tuple(network.link_ids())
     node_index = {nid: i for i, nid in enumerate(node_ids)}

@@ -4,10 +4,14 @@ Column order is a total contract: pressure sensors first, then flow, quality,
 tank level, each group sorted lexicographically by element id. Missing data
 is NaN in memory and an empty field in CSV, never the text "NaN".
 
+Reading and corruption each have a single row-at-a-time implementation:
+RowReader turns one state into one row of true values, and RowCorruptor
+corrupts one row. Batch extraction and batch corruption just sweep them over
+the series, so the control environment reads byte-identical values and sees
+byte-identical draws.
+
 Corruption applies per cell in a fixed order: sensor-noise uncertainty, then
-sensor faults, then communication events. The incremental RowCorruptor is the
-single implementation; batch corruption just sweeps it over the rows, so the
-control environment sees byte-identical draws.
+sensor faults, then communication events.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .uncertainty import SeededStream, SeriesPerturber
 
 __all__ = [
     "SensorColumn", "SensorPlacement", "GroundTruthRecord", "ScadaData",
-    "extract_readings", "RowCorruptor", "corrupt", "to_csv", "from_csv",
-    "truth_to_csv", "truth_from_csv",
+    "RowReader", "extract_readings", "RowCorruptor", "corrupt", "to_csv",
+    "from_csv", "truth_to_csv", "truth_from_csv",
 ]
 
 _UNITS = {"pressure": "m", "flow": "m3/s", "quality": "mg/L", "level": "m"}
@@ -100,6 +104,51 @@ class ScadaData:
         return tuple(c.label for c in self.columns)
 
 
+# sensor type -> (state field, id tuple it indexes, what the element must be)
+_SOURCES = {"pressure": ("pressure_head", "junction_ids", "a junction"),
+            "flow": ("flow", "link_ids", "a link"),
+            "quality": ("node_concentration", "node_ids", "a node"),
+            "level": ("tank_level", "tank_ids", "a tank")}
+
+
+class RowReader:
+    """Reads one state into one row of true sensor values.
+
+    Columns are resolved once against `ids`, anything with the node_ids,
+    link_ids, junction_ids and tank_ids of the states to be read (a
+    StateSeries, or a ScenarioRuntime for its projected states). Quality
+    columns read the quality state passed alongside the hydraulic state.
+    """
+
+    def __init__(self, columns: tuple[SensorColumn, ...], ids,
+                 quality: bool = False):
+        self.width = len(columns)
+        self.groups: list[tuple[str, np.ndarray, np.ndarray]] = []
+        for stype, (attr, id_attr, what) in _SOURCES.items():
+            cols = [c for c, col in enumerate(columns)
+                    if col.sensor_type == stype]
+            if not cols:
+                continue
+            if stype == "quality" and not quality:
+                raise UnknownSensorRefError(
+                    "quality sensors need a quality simulation")
+            index = {e: i for i, e in enumerate(getattr(ids, id_attr))}
+            for c in cols:
+                if columns[c].element_id not in index:
+                    raise UnknownSensorRefError(
+                        f"{stype} sensor '{columns[c].element_id}'"
+                        f" is not {what}")
+            self.groups.append((attr, np.array(cols), np.array(
+                [index[columns[c].element_id] for c in cols])))
+
+    def read(self, state, quality_state=None) -> np.ndarray:
+        row = np.empty(self.width)
+        for attr, cols, idx in self.groups:
+            src = quality_state if attr == "node_concentration" else state
+            row[cols] = getattr(src, attr)[idx]
+        return row
+
+
 def extract_readings(series: StateSeries, placement: SensorPlacement,
                      quality_states=None,
                      ground_truth: tuple[GroundTruthRecord, ...] = ()) -> ScadaData:
@@ -108,44 +157,13 @@ def extract_readings(series: StateSeries, placement: SensorPlacement,
     Pressure sensors must sit on junctions, flow sensors on links, level
     sensors on tanks; quality sensors on any node (requires quality states).
     """
-    junction_index = {j: i for i, j in enumerate(series.junction_ids)}
-    link_index = {l: i for i, l in enumerate(series.link_ids)}
-    node_index = {n: i for i, n in enumerate(series.node_ids)}
-    tank_index = {t: i for i, t in enumerate(series.tank_ids)}
-
     columns = placement.columns()
+    reader = RowReader(columns, series, quality_states is not None)
     times = tuple(s.t for s in series.states)
     values = np.empty((len(times), len(columns)))
-
-    for c, col in enumerate(columns):
-        if col.sensor_type == "pressure":
-            if col.element_id not in junction_index:
-                raise UnknownSensorRefError(
-                    f"pressure sensor '{col.element_id}' is not a junction")
-            i = junction_index[col.element_id]
-            values[:, c] = [s.pressure_head[i] for s in series.states]
-        elif col.sensor_type == "flow":
-            if col.element_id not in link_index:
-                raise UnknownSensorRefError(
-                    f"flow sensor '{col.element_id}' is not a link")
-            i = link_index[col.element_id]
-            values[:, c] = [s.flow[i] for s in series.states]
-        elif col.sensor_type == "quality":
-            if quality_states is None:
-                raise UnknownSensorRefError(
-                    "quality sensors need a quality simulation")
-            if col.element_id not in node_index:
-                raise UnknownSensorRefError(
-                    f"quality sensor '{col.element_id}' is not a node")
-            i = node_index[col.element_id]
-            values[:, c] = [q.node_concentration[i] for q in quality_states]
-        else:
-            if col.element_id not in tank_index:
-                raise UnknownSensorRefError(
-                    f"level sensor '{col.element_id}' is not a tank")
-            i = tank_index[col.element_id]
-            values[:, c] = [s.tank_level[i] for s in series.states]
-
+    for r, state in enumerate(series.states):
+        values[r] = reader.read(
+            state, quality_states[r] if quality_states is not None else None)
     return ScadaData(times=times, columns=columns, values=values,
                      ground_truth=tuple(ground_truth))
 

@@ -517,6 +517,20 @@ class ScenarioRuntime:
         else:
             self.solve_network, self.leak_junctions = self.report_network, {}
         self._junction_to_pipe = {j: p for p, j in self.leak_junctions.items()}
+        # report-network id orders, the layout of every projected state, and
+        # where each of those elements sits in the solve network's arrays
+        report, solve = self.report_network, self.solve_network
+        self.node_ids = tuple(report.node_ids())
+        self.link_ids = tuple(report.link_ids())
+        self.junction_ids = tuple(sorted(report.junctions))
+        self.tank_ids = tuple(sorted(report.tanks))
+
+        def select(solve_ids, ids):
+            index = {e: i for i, e in enumerate(solve_ids)}
+            return np.array([index[e] for e in ids], dtype=np.intp)
+        self._node_sel = select(solve.node_ids(), self.node_ids)
+        self._link_sel = select(solve.link_ids(), self.link_ids)
+        self._junction_sel = select(sorted(solve.junctions), self.junction_ids)
         self._baseline = baseline_controls(self.solve_network)
         self.digest = config_digest(config)
         self.warnings = warnings
@@ -568,51 +582,29 @@ class ScenarioRuntime:
         return tuple(records)
 
     def make_corruptor(self, columns) -> RowCorruptor:
-        noise = [m for m in self.config.uncertainties
-                 if m.target == "sensor_noise"]
         return RowCorruptor(columns, list(self.config.sensor_faults),
                             list(self.config.communication_events),
-                            noise, self.stream)
+                            list(self.config.uncertainties), self.stream)
 
     def project_state(self, state: HydraulicState) -> HydraulicState:
         """Restrict a solved state to the pre-split network's elements."""
         if not self.leak_junctions:
             return state
-        sel = self._selections()
         leak = {self._junction_to_pipe.get(j, j): q
                 for j, q in state.leak_flow.items()}
-        return HydraulicState(
-            t=state.t, flow=state.flow[sel["link"]],
-            head=state.head[sel["node"]],
-            pressure_head=state.pressure_head[sel["junction"]],
-            tank_level=state.tank_level,
-            actual_demand=state.actual_demand[sel["junction"]],
-            tank_net_inflow=state.tank_net_inflow, leak_flow=leak,
-            iterations=state.iterations, converged=state.converged)
-
-    def _selections(self):
-        if not hasattr(self, "_sel"):
-            solve, report = self.solve_network, self.report_network
-            node_index = {n: i for i, n in enumerate(solve.node_ids())}
-            link_index = {l: i for i, l in enumerate(solve.link_ids())}
-            junc_index = {j: i for i, j in enumerate(sorted(solve.junctions))}
-            self._sel = {
-                "node": np.array([node_index[n] for n in report.node_ids()]),
-                "link": np.array([link_index[l] for l in report.link_ids()]),
-                "junction": np.array([junc_index[j]
-                                      for j in sorted(report.junctions)]),
-            }
-        return self._sel
+        return replace(
+            state, flow=state.flow[self._link_sel],
+            head=state.head[self._node_sel],
+            pressure_head=state.pressure_head[self._junction_sel],
+            actual_demand=state.actual_demand[self._junction_sel],
+            leak_flow=leak)
 
     def project_series(self, series: StateSeries) -> StateSeries:
         if not self.leak_junctions:
             return series
-        report = self.report_network
         return StateSeries(
-            node_ids=tuple(report.node_ids()),
-            link_ids=tuple(report.link_ids()),
-            junction_ids=tuple(sorted(report.junctions)),
-            tank_ids=tuple(sorted(report.tanks)),
+            node_ids=self.node_ids, link_ids=self.link_ids,
+            junction_ids=self.junction_ids, tank_ids=self.tank_ids,
             states=tuple(self.project_state(s) for s in series.states),
             config_digest=series.config_digest)
 
@@ -643,9 +635,9 @@ def run_scenario(config: ScenarioConfig,
 
     scada_true = extract_readings(series, config.sensors, quality_states,
                                   ground_truth=runtime.truth_records())
-    noise = [m for m in config.uncertainties if m.target == "sensor_noise"]
-    scada = corrupt(scada_true, list(config.sensor_faults),
-                    list(config.communication_events), noise, runtime.stream)
+    scada = corrupt(scada_true, config.sensor_faults,
+                    config.communication_events, config.uncertainties,
+                    runtime.stream)
 
     hist = Counter(s.iterations for s in solved.states)
     report = RunReport(steps=len(solved.states),

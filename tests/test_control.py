@@ -11,7 +11,7 @@ from wdnflow.control import (
     InvalidActionError,
     ScenarioEnv,
 )
-from wdnflow.events import ActuatorEvent, EventWindow
+from wdnflow.events import ActuatorEvent, EventWindow, LeakageEvent
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import QualitySpec, ScenarioConfig, run_scenario
 from wdnflow.uncertainty import UncertaintyModel
@@ -55,16 +55,23 @@ class TestEpisodeProtocol:
             env.step()
 
     def test_observations_match_batch_rows(self, toy9_config_factory):
-        config = toy9_config_factory(uncertainties=(
-            UncertaintyModel(kind="gauss_abs", target="sensor_noise",
-                             params={"sigma": 0.02}),))
-        batch = run_scenario(config)
-        env = ScenarioEnv(config)
-        preview = env.reset()
-        rows = [env.step().observation for _ in range(env.total_steps)]
-        # the reset preview and the first step both report the t=0 row
-        assert np.array_equal(preview, rows[0])
-        assert np.array_equal(np.vstack(rows), batch.scada.values)
+        noise = (UncertaintyModel(kind="gauss_abs", target="sensor_noise",
+                                  params={"sigma": 0.02}),)
+        # the pumpnet case reads a level column through a leak split
+        leaky_pumpnet = pumpnet_config(
+            leakages=(LeakageEvent(kind="abrupt", link_id="p1",
+                                   diameter=0.01,
+                                   window=EventWindow(1800.0, 5400.0)),),
+            uncertainties=noise)
+        for config in (toy9_config_factory(uncertainties=noise),
+                       leaky_pumpnet):
+            batch = run_scenario(config)
+            env = ScenarioEnv(config)
+            preview = env.reset()
+            rows = [env.step().observation for _ in range(env.total_steps)]
+            # the reset preview and the first step both report the t=0 row
+            assert np.array_equal(preview, rows[0])
+            assert np.array_equal(np.vstack(rows), batch.scada.values)
 
     def test_no_op_episode_reproduces_batch_hydraulics(
             self, toy9_config_factory):

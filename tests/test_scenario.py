@@ -19,6 +19,7 @@ from wdnflow.scada import SensorPlacement, from_csv
 from wdnflow.scenario import (
     QualitySpec,
     ScenarioConfig,
+    build_runtime,
     config_digest,
     config_from_json,
     config_to_json,
@@ -236,6 +237,20 @@ class TestRunScenario:
         assert list(result.series.link_ids) == list(
             run_scenario(toy9_config_factory()).series.link_ids)
         assert any("midpoint" in w for w in result.report.warnings)
+
+    def test_leak_projection_keeps_solver_residuals(
+            self, toy9_config_factory):
+        config = toy9_config_factory(leakages=(
+            LeakageEvent(kind="abrupt", link_id="p3", diameter=0.01,
+                         window=EventWindow(1800.0, 5400.0)),))
+        solved = build_runtime(config).make_engine().run()
+        result = run_scenario(config)
+        for mine, raw in zip(result.series.states, solved.states,
+                             strict=True):
+            assert math.isfinite(mine.mass_residual)
+            assert math.isfinite(mine.energy_residual)
+            assert mine.mass_residual == raw.mass_residual
+            assert mine.energy_residual == raw.energy_residual
 
     def test_leak_increases_supply_flow(self, toy9_config_factory):
         clean = run_scenario(toy9_config_factory())
