@@ -63,15 +63,14 @@ class ScenarioEnv:
         self.min_pressure_head = min_pressure_head
         self.pressure_penalty = pressure_penalty
         self.columns = config.sensors.columns()
-        self._reader = RowReader(self.columns, self.runtime)
-        solve_net = self.runtime.solve_network
-        link_index = {l: i for i, l in enumerate(solve_net.link_ids())}
-        node_index = {n: i for i, n in enumerate(solve_net.node_ids())}
+        self._reader = RowReader(self.columns, self.runtime.report_layout)
+        solve = self.runtime.solve_layout
         # (pump id, link index, suction node, discharge node), in dict order
         # so the power sum keeps one summation order
-        self._pumps = [(pid, link_index[pid], node_index[pump.from_node],
-                        node_index[pump.to_node])
-                       for pid, pump in solve_net.pumps.items()]
+        pumps = list(self.runtime.solve_network.pumps)
+        links = [solve.link_index[pid] for pid in pumps]
+        self._pumps = list(zip(pumps, links, solve.link_from[links].tolist(),
+                               solve.link_to[links].tolist()))
         self._truth = self.runtime.truth_records()
         self._engine: EpsEngine | None = None
         self._corruptor = None

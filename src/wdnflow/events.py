@@ -21,7 +21,8 @@ __all__ = [
     "LeakageEvent", "ActuatorEvent", "SensorFaultEvent", "CommunicationEvent",
     "leak_effective_area", "leak_flow", "leak_emitter_coef",
     "apply_actuator_event", "resolve_controls", "apply_sensor_fault",
-    "winning_event", "split_pipes_for_leaks", "LEAK_JUNCTION_SUFFIX",
+    "winning_index", "winning_event", "split_pipes_for_leaks",
+    "LEAK_JUNCTION_SUFFIX", "LEAK_PIPE_SUFFIX",
 ]
 
 SENSOR_TYPES = ("pressure", "flow", "quality", "level")
@@ -34,7 +35,7 @@ EVENT_REGISTRY: dict[str, tuple[str, ...]] = {
 }
 
 LEAK_JUNCTION_SUFFIX = "__leak"
-_LEAK_PIPE_SUFFIX = "__leakb"
+LEAK_PIPE_SUFFIX = "__leakb"
 
 
 def event_registry() -> dict[str, tuple[str, ...]]:
@@ -203,16 +204,23 @@ def resolve_controls(baseline: Controls, events: list[ActuatorEvent],
     return controls
 
 
-def winning_event(events, t: float):
-    """The single active event that takes precedence at t, or None."""
+def winning_index(events, t: float) -> int | None:
+    """Position of the single active event that takes precedence at t (the
+    latest start, then the latest listed), or None."""
     best = None
     best_key = None
     for i, e in enumerate(events):
         if e.window.contains(t):
             key = (e.window.start_time, i)
             if best_key is None or key > best_key:
-                best, best_key = e, key
+                best, best_key = i, key
     return best
+
+
+def winning_event(events, t: float):
+    """The single active event that takes precedence at t, or None."""
+    i = winning_index(events, t)
+    return None if i is None else events[i]
 
 
 def apply_sensor_fault(reading: float, event: SensorFaultEvent, t: float,
@@ -257,7 +265,7 @@ def split_pipes_for_leaks(network: Network,
             raise UnknownTargetError(f"leak target '{pid}' is not a pipe")
         pipe = pipes[pid]
         jid = pid + LEAK_JUNCTION_SUFFIX
-        bid = pid + _LEAK_PIPE_SUFFIX
+        bid = pid + LEAK_PIPE_SUFFIX
         if jid in node_ids or bid in link_ids:
             raise ConfigError(f"reserved leak id '{jid}' collides with the network")
         elevation = (_node_height(network, pipe.from_node)

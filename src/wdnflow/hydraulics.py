@@ -33,7 +33,9 @@ from .errors import (
     DisconnectedDemandError,
     NonConvergenceError,
 )
-from .network import Curve, Network, Tank, expand_pump_curve, pattern_value
+from .network import (
+    Curve, Network, Tank, expand_pump_curve, incidence, pattern_value,
+)
 
 __all__ = [
     "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ENERGY_TOL",
@@ -175,56 +177,36 @@ def tank_step(tank: Tank, level: float, net_inflow: float, dt: float) -> float:
 # --- snapshot solver ---------------------------------------------------------
 
 class _Layout:
-    """Canonical index maps for one network, shared across snapshots."""
+    """The solver's coefficients over a network's compiled layout, plus the
+    cache of snapshot topologies; shared across snapshots."""
 
     def __init__(self, network: Network):
         self.network = network
-        self.node_ids = tuple(network.node_ids())
-        self.link_ids = tuple(network.link_ids())
-        self.junction_ids = tuple(sorted(network.junctions))
-        self.tank_ids = tuple(sorted(network.tanks))
-        self.reservoir_ids = tuple(sorted(network.reservoirs))
-        self.node_index = {n: i for i, n in enumerate(self.node_ids)}
-        self.n_junctions = len(self.junction_ids)
-
-        self.link_from = np.array(
-            [self.node_index[network.link(l).from_node] for l in self.link_ids],
-            dtype=np.intp)
-        self.link_to = np.array(
-            [self.node_index[network.link(l).to_node] for l in self.link_ids],
-            dtype=np.intp)
-        # kind codes: 0 pipe, 1 pump, 2 valve
-        kinds = []
+        self.inc = inc = incidence(network)
+        groups = (network.pipes, network.pumps, network.valves)
         r_coef = []
         pump_coef = []   # fitted (h0, r, n) per link, zeros for non-pumps
-        for lid in self.link_ids:
-            elem = network.link(lid)
+        for lid, kind in zip(inc.link_ids, inc.link_kind.tolist()):
+            elem = groups[kind][lid]
             fit = (0.0, 0.0, 0.0)
-            if lid in network.pipes:
-                kinds.append(0)
+            if kind == 0:
                 r_coef.append(HW_COEF * elem.length
                               / (elem.roughness ** HW_EXP * elem.diameter ** 4.871))
-            elif lid in network.pumps:
-                kinds.append(1)
+            elif kind == 1:
                 r_coef.append(0.0)
                 fit = fit_pump_curve(network.curves[elem.curve_id])
             else:
-                kinds.append(2)
                 area = math.pi * (elem.diameter / 2.0) ** 2
                 r_coef.append(max(elem.minor_loss_coef / (2.0 * G * area * area),
                                   GRAD_MIN))
             pump_coef.append(fit)
-        self.kind = np.array(kinds, dtype=np.intp)
         self.r_coef = np.array(r_coef)
         self.pump_coef = np.array(pump_coef).reshape(-1, 3)
         # elevation-like height per node, used for island head assignment
-        elev = []
-        for nid in self.node_ids:
-            node = network.node(nid)
-            elev.append(node.head if nid in network.reservoirs else node.elevation)
-        self.node_elev = np.array(elev)
-        self.tank_nodes = np.array([self.node_index[t] for t in self.tank_ids],
-                                   dtype=np.intp)
+        self.node_elev = np.array(
+            [network.junctions[j].elevation for j in inc.junction_ids]
+            + [network.reservoirs[r].head for r in inc.reservoir_ids]
+            + [network.tanks[t].elevation for t in inc.tank_ids])
         self._topologies: dict[tuple[bytes, tuple[int, ...]], _Topology] = {}
 
     def topology(self, active: np.ndarray, sources: list[int]) -> _Topology:
@@ -244,10 +226,11 @@ class _Topology:
     """
 
     def __init__(self, layout: _Layout, active: np.ndarray, sources: list[int]):
-        n = len(layout.node_ids)
+        inc = layout.inc
+        n = len(inc.node_ids)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for j in np.flatnonzero(active):
-            a, b = int(layout.link_from[j]), int(layout.link_to[j])
+        for a, b in zip(inc.link_from[active].tolist(),
+                        inc.link_to[active].tolist()):
             adj[a].append(b)
             adj[b].append(a)
         # one breadth-first traversal: all sources together first, so each
@@ -282,9 +265,9 @@ class _Topology:
         n_u = len(self.unknown)
         self.u_of_node = np.full(n, -1, dtype=np.intp)
         self.u_of_node[self.unknown] = np.arange(n_u)
-        self.act_idx = act = np.flatnonzero(active & self.reach[layout.link_from])
-        self.a_from, self.a_to = layout.link_from[act], layout.link_to[act]
-        kind, r = layout.kind[act], layout.r_coef[act]
+        self.act_idx = act = np.flatnonzero(active & self.reach[inc.link_from])
+        self.a_from, self.a_to = inc.link_from[act], inc.link_to[act]
+        kind, r = inc.link_kind[act], layout.r_coef[act]
         self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)
                                                for k in range(3))
         self.r_pipe, self.r_valve = r[self.pipes], r[self.valves]
@@ -323,11 +306,10 @@ class _Topology:
 def _active_mask(layout: _Layout, controls: Controls,
                  closed_tanks: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
     """Per-link open mask and per-pump effective speed under the controls."""
-    net = layout.network
-    active = np.ones(len(layout.link_ids), dtype=bool)
-    speed = np.zeros(len(layout.link_ids))
-    for j, lid in enumerate(layout.link_ids):
-        k = layout.kind[j]
+    net, inc = layout.network, layout.inc
+    active = np.ones(len(inc.link_ids), dtype=bool)
+    speed = np.zeros(len(inc.link_ids))
+    for j, (lid, k) in enumerate(zip(inc.link_ids, inc.link_kind.tolist())):
         if k == 0:
             active[j] = controls.pipe_open.get(lid, net.pipes[lid].open)
         elif k == 1:
@@ -338,11 +320,8 @@ def _active_mask(layout: _Layout, controls: Controls,
             active[j] = running and w > 0.0
         else:
             active[j] = controls.valve_open.get(lid, net.valves[lid].open)
-    if closed_tanks:
-        for j in range(len(layout.link_ids)):
-            if layout.node_ids[layout.link_from[j]] in closed_tanks \
-                    or layout.node_ids[layout.link_to[j]] in closed_tanks:
-                active[j] = False
+    for node in (inc.node_index[tid] for tid in closed_tanks):
+        active[(inc.link_from == node) | (inc.link_to == node)] = False
     return active, speed
 
 
@@ -405,16 +384,17 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     controls = controls if controls is not None else baseline_controls(network)
     settings = settings or SolverSettings()
     emitters = emitters or {}
-    levels = {tid: network.tanks[tid].init_level for tid in layout.tank_ids}
+    tank_ids = layout.inc.tank_ids
+    levels = {tid: network.tanks[tid].init_level for tid in tank_ids}
     if tank_levels:
         levels.update(tank_levels)
 
     closed_tanks: frozenset[str] = frozenset()
-    for _ in range(len(layout.tank_ids) + 1):
+    for _ in range(len(tank_ids) + 1):
         state = _solve_once(layout, demands, controls, settings, emitters,
                             levels, t, closed_tanks)
         violators = set()
-        for i, tid in enumerate(layout.tank_ids):
+        for i, tid in enumerate(tank_ids):
             if tid in closed_tanks:
                 continue
             tank = network.tanks[tid]
@@ -433,30 +413,30 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
                 settings: SolverSettings, emitters: dict[str, float],
                 levels: dict[str, float], t: float,
                 closed_tanks: frozenset[str]) -> HydraulicState:
-    net = layout.network
-    n_nodes = len(layout.node_ids)
-    n_junc = layout.n_junctions
+    net, inc = layout.network, layout.inc
+    n_nodes = len(inc.node_ids)
+    n_junc = len(inc.junction_ids)
 
     active, speed = _active_mask(layout, controls, closed_tanks)
 
     # fixed-head nodes: reservoirs (pattern-scaled) and open tanks
     fixed_head: dict[int, float] = {}
-    for rid in layout.reservoir_ids:
+    for rid in inc.reservoir_ids:
         res = net.reservoirs[rid]
         mult = pattern_value(net.patterns.get(res.head_pattern_id), t) \
             if res.head_pattern_id else 1.0
-        fixed_head[layout.node_index[rid]] = res.head * mult
-    for tid in layout.tank_ids:
-        idx = layout.node_index[tid]
+        fixed_head[inc.node_index[rid]] = res.head * mult
+    for tid in inc.tank_ids:
+        idx = inc.node_index[tid]
         if tid not in closed_tanks:
             fixed_head[idx] = net.tanks[tid].elevation + levels[tid]
 
     demand_arr = np.zeros(n_nodes)
-    for i, jid in enumerate(layout.junction_ids):
+    for i, jid in enumerate(inc.junction_ids):
         demand_arr[i] = demands.get(jid, 0.0)
     emit_k = np.zeros(n_nodes)
     for jid, k in emitters.items():
-        emit_k[layout.node_index[jid]] = k
+        emit_k[inc.node_index[jid]] = k
 
     source_idx = sorted(fixed_head)
     topo = layout.topology(active, source_idx)
@@ -465,7 +445,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
                                   | (emit_k[:n_junc] > 0.0))
     if cut.any():
         i = int(np.argmax(cut))
-        jid = layout.junction_ids[i]
+        jid = inc.junction_ids[i]
         raise DisconnectedDemandError(
             f"junction '{jid}' has demand but no open path to a reservoir or"
             " tank" if demand_arr[i] > 0.0 else
@@ -477,7 +457,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     src_head[source_idx] = [fixed_head[i] for i in source_idx]
     head[topo.reached] = src_head[topo.nearest_source]
     for tid in closed_tanks:
-        head[layout.node_index[tid]] = net.tanks[tid].elevation + levels[tid]
+        head[inc.node_index[tid]] = net.tanks[tid].elevation + levels[tid]
 
     unknown, a_from, a_to = topo.unknown, topo.a_from, topo.a_to
     end_link, end_node, end_sign = topo.end_link, topo.end_node, topo.end_sign
@@ -581,20 +561,20 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     if converged_at < 0:
         raise NonConvergenceError(iterations, max(mass_res, energy_res), t)
 
-    flow_full = np.zeros(len(layout.link_ids))
+    flow_full = np.zeros(len(inc.link_ids))
     flow_full[topo.act_idx] = q
     balance = np.bincount(np.concatenate([a_from, a_to]),
                           weights=np.concatenate([-q, q]), minlength=n_nodes)
-    tank_inflow = balance[layout.tank_nodes]
+    tank_inflow = balance[n_nodes - len(inc.tank_ids):].copy()  # tanks last
 
     leak_flow = {}
     for node in np.flatnonzero(emit_k):
         press = head[node] - layout.node_elev[node]
-        leak_flow[layout.node_ids[node]] = \
+        leak_flow[inc.node_ids[node]] = \
             emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
 
     pressure = head[:n_junc] - layout.node_elev[:n_junc]
-    level_arr = np.array([levels[tid] for tid in layout.tank_ids])
+    level_arr = np.array([levels[tid] for tid in inc.tank_ids])
 
     for arr in (flow_full, head, pressure, level_arr, tank_inflow):
         arr.flags.writeable = False
@@ -636,11 +616,11 @@ class EpsEngine:
         self._baseline = baseline_controls(network)
         self.step_index = 0
         self.tank_levels = {tid: network.tanks[tid].init_level
-                            for tid in self.layout.tank_ids}
+                            for tid in self.layout.inc.tank_ids}
 
     def demands_at(self, t: float) -> dict[str, float]:
         out = {}
-        for jid in self.layout.junction_ids:
+        for jid in self.layout.inc.junction_ids:
             j = self.network.junctions[jid]
             mult = pattern_value(self.network.patterns.get(j.demand_pattern_id), t) \
                 if j.demand_pattern_id else 1.0
@@ -668,7 +648,7 @@ class EpsEngine:
         if self.step_index >= self.total_steps:
             raise IndexError("simulation horizon already reached")
         state = self.solve_current(controls)
-        for i, tid in enumerate(self.layout.tank_ids):
+        for i, tid in enumerate(self.layout.inc.tank_ids):
             self.tank_levels[tid] = tank_step(
                 self.network.tanks[tid], self.tank_levels[tid],
                 float(state.tank_net_inflow[i]), float(self.step_s))
@@ -677,9 +657,10 @@ class EpsEngine:
 
     def run(self, config_digest: str = "") -> StateSeries:
         states = [self.step_once() for _ in range(self.total_steps)]
+        inc = self.layout.inc
         return StateSeries(
-            node_ids=self.layout.node_ids, link_ids=self.layout.link_ids,
-            junction_ids=self.layout.junction_ids, tank_ids=self.layout.tank_ids,
+            node_ids=inc.node_ids, link_ids=inc.link_ids,
+            junction_ids=inc.junction_ids, tank_ids=inc.tank_ids,
             states=tuple(states), config_digest=config_digest)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import DanglingReferenceError, InvalidNetworkError
 
 __all__ = [
@@ -326,47 +328,63 @@ def _raise_for_violations(violations) -> None:
     raise InvalidNetworkError(violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Incidence:
-    """Node/link indexing in canonical order plus orientation signs.
+    """The compiled layout of one network, shared by every layer.
 
-    For link j from node a to node b, node a carries (j, -1) and node b
-    carries (j, +1); positive flow leaves a and enters b.
+    Nodes run junctions, reservoirs, tanks and links run pipes, pumps,
+    valves, each group sorted by id. Link j runs from node link_from[j] to
+    node link_to[j]; positive flow leaves the from node and enters the to
+    node. link_kind[j] is 0 for a pipe, 1 for a pump and 2 for a valve. The
+    arrays are read-only.
     """
 
     node_ids: tuple[str, ...]
     link_ids: tuple[str, ...]
+    junction_ids: tuple[str, ...]
+    reservoir_ids: tuple[str, ...]
+    tank_ids: tuple[str, ...]
     node_index: dict[str, int]
     link_index: dict[str, int]
-    link_nodes: tuple[tuple[int, int], ...]           # (from_idx, to_idx) per link
-    node_links: tuple[tuple[tuple[int, int], ...], ...]  # per node: (link_idx, sign)
+    link_from: np.ndarray
+    link_to: np.ndarray
+    link_kind: np.ndarray
 
 
 def incidence(network: Network) -> Incidence:
-    """Build the node-link incidence structure; rejects invalid networks."""
+    """Compile the network's layout; rejects invalid networks."""
     _raise_for_violations(validate(network))
-    node_ids = tuple(network.node_ids())
-    link_ids = tuple(network.link_ids())
+    junction_ids = tuple(sorted(network.junctions))
+    reservoir_ids = tuple(sorted(network.reservoirs))
+    tank_ids = tuple(sorted(network.tanks))
+    node_ids = junction_ids + reservoir_ids + tank_ids
     node_index = {nid: i for i, nid in enumerate(node_ids)}
-    link_index = {lid: i for i, lid in enumerate(link_ids)}
 
-    link_nodes = []
-    node_links: list[list[tuple[int, int]]] = [[] for _ in node_ids]
-    for j, lid in enumerate(link_ids):
-        elem = network.link(lid)
-        a = node_index[elem.from_node]
-        b = node_index[elem.to_node]
-        link_nodes.append((a, b))
-        node_links[a].append((j, -1))
-        node_links[b].append((j, +1))
+    link_ids: list[str] = []
+    ends: list[tuple[int, int, int]] = []
+    groups = (network.pipes, network.pumps, network.valves)
+    for kind, group in enumerate(groups):
+        for lid in sorted(group):
+            elem = group[lid]
+            link_ids.append(lid)
+            ends.append((node_index[elem.from_node], node_index[elem.to_node],
+                         kind))
+    link_from, link_to, link_kind = np.array(
+        ends, dtype=np.intp).reshape(-1, 3).T.copy()
+    for arr in (link_from, link_to, link_kind):
+        arr.flags.writeable = False
 
     return Incidence(
         node_ids=node_ids,
-        link_ids=link_ids,
+        link_ids=tuple(link_ids),
+        junction_ids=junction_ids,
+        reservoir_ids=reservoir_ids,
+        tank_ids=tank_ids,
         node_index=node_index,
-        link_index=link_index,
-        link_nodes=tuple(link_nodes),
-        node_links=tuple(tuple(entries) for entries in node_links),
+        link_index={lid: j for j, lid in enumerate(link_ids)},
+        link_from=link_from,
+        link_to=link_to,
+        link_kind=link_kind,
     )
 
 

@@ -2,12 +2,15 @@
 
 Pipes carry ordered plug-flow segments (index 0 at the from-node end); nodes
 mix completely; decay is first order. Pumps and valves hold no volume, so
-water crossing them arrives with the donor node's concentration from the
-previous quality step. Within one hydraulic step the flows are frozen and the
-quality step subdivides it.
+water crossing one carries its donor node's concentration of the same quality
+step; one fed by a junction is taken after every link that feeds that
+junction. Within one hydraulic step the flows are frozen and the quality step
+subdivides it.
 
-The run keeps an exact mass ledger (injected at sources, withdrawn at demands
-and reservoirs, lost to decay) so conservation is checkable from the outside.
+The run keeps an exact mass ledger (injected at sources, withdrawn at demands,
+leaks and reservoirs, lost to decay) so conservation is checkable from the
+outside. It walks the network's compiled layout: once per hydraulic step it
+lists the moving links, and each quality step makes one pass over them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeConcentrationError
 from .hydraulics import StateSeries
-from .network import Network
+from .network import Network, incidence
 
 __all__ = ["QualitySettings", "QualityState", "decay", "simulate_quality",
            "SEGMENT_MERGE_DC"]
@@ -61,11 +64,6 @@ def decay(concentration: float, k: float, dt: float) -> float:
     return concentration * math.exp(-k * dt)
 
 
-def _pipe_volume(network: Network, pid: str) -> float:
-    p = network.pipes[pid]
-    return math.pi * (p.diameter / 2.0) ** 2 * p.length
-
-
 def _merge(segments: list[list[float]]) -> None:
     i = 0
     while i + 1 < len(segments):
@@ -99,11 +97,27 @@ def _peel(segments: list[list[float]], volume: float,
     return mass, removed
 
 
+def _guard(c: float) -> float:
+    if c < -1e-9:
+        raise NegativeConcentrationError(
+            f"negative concentration {c} encountered")
+    return max(c, 0.0)
+
+
 def simulate_quality(series: StateSeries, network: Network,
                      settings: QualitySettings) -> list[QualityState]:
-    """Advect, mix and decay over the series; one QualityState per step."""
+    """Advect, mix and decay over the series; one QualityState per step.
+
+    The series must be solved on `network` itself: for a leak scenario, the
+    leak-split network, whose leak discharge each state withdraws at its
+    junction together with the demand.
+    """
     if not series.states:
         return []
+    inc = incidence(network)
+    if series.node_ids != inc.node_ids or series.link_ids != inc.link_ids:
+        raise ConfigError("the series was not solved on this network: its"
+                          " node or link ids differ from the network's")
     step_s = int(series.step_s) if len(series.states) > 1 \
         else network.options.hydraulic_step_s
     qdt = settings.quality_time_step
@@ -111,178 +125,153 @@ def simulate_quality(series: StateSeries, network: Network,
         raise ConfigError("quality_time_step must divide the hydraulic step")
     n_sub = step_s // qdt
     k_decay = settings.decay_rate_k
-
-    node_ids = list(series.node_ids)
-    node_index = {n: i for i, n in enumerate(node_ids)}
-    junctions = [n for n in node_ids if n in network.junctions]
-    reservoirs = set(network.reservoirs)
-    tanks = {tid: network.tanks[tid] for tid in network.tanks}
-    link_index = {l: i for i, l in enumerate(series.link_ids)}
-    pipe_ids = [l for l in series.link_ids if l in network.pipes]
-    thin_links = [l for l in series.link_ids if l not in network.pipes]
+    factor = math.exp(-k_decay * qdt)
 
     for nid in settings.source_nodes:
-        if nid not in node_index:
+        if nid not in inc.node_index:
             raise ConfigError(f"quality source '{nid}' is not a network node")
+    sources = {inc.node_index[nid]: c
+               for nid, c in settings.source_nodes.items()}
 
-    segments: dict[str, list[list[float]]] = {
-        pid: [[_pipe_volume(network, pid), 0.0]] for pid in pipe_ids}
-    conc = np.zeros(len(node_ids))
-    for nid, c in settings.source_nodes.items():
-        conc[node_index[nid]] = c
-    tank_mass = {tid: 0.0 for tid in tanks}
-    tank_vol = {tid: tanks[tid].area * tanks[tid].init_level for tid in tanks}
+    # node order is junctions, reservoirs, tanks; link order starts with pipes
+    n_junc = len(inc.junction_ids)
+    first_tank = n_junc + len(inc.reservoir_ids)
+    n_pipes = len(network.pipes)
+    pipe_ids = inc.link_ids[:n_pipes]
+    mixing = [i for i in range(n_junc) if i not in sources]
+    segments = [[[math.pi * (pipe.diameter / 2.0) ** 2 * pipe.length, 0.0]]
+                for pipe in map(network.pipes.get, pipe_ids)]
+    conc = [sources.get(i, 0.0) for i in range(len(inc.node_ids))]
+    tanks = [network.tanks[tid] for tid in inc.tank_ids]
+    tank_mass = [0.0] * len(tanks)
+    tank_vol = [tk.area * tk.init_level for tk in tanks]
+
+    def tank_conc(k: int) -> float:
+        return tank_mass[k] / tank_vol[k] if tank_vol[k] > 1e-12 else 0.0
 
     injected = 0.0
     withdrawn = 0.0
     decayed = 0.0
     out: list[QualityState] = []
 
-    def node_source(nid: str) -> float | None:
-        return settings.source_nodes.get(nid)
-
-    def guard(c: float) -> float:
-        if c < -1e-9:
-            raise NegativeConcentrationError(
-                f"negative concentration {c} encountered")
-        return max(c, 0.0)
-
-    for step_idx, state in enumerate(series.states):
-        flows = state.flow
-        junction_demand = {jid: state.actual_demand[i]
-                           for i, jid in enumerate(series.junction_ids)}
-        tank_inflow = {tid: state.tank_net_inflow[i]
-                       for i, tid in enumerate(series.tank_ids)}
+    for state in series.states:
+        # the moving links of this hydraulic step, in link order: (link,
+        # volume per sub-step, upstream node, downstream node, forward)
+        moving = np.flatnonzero(state.flow)
+        q = state.flow[moving]
+        fwd = q > 0.0
+        links = list(zip(
+            moving.tolist(), (np.abs(q) * qdt).tolist(),
+            np.where(fwd, inc.link_from[moving], inc.link_to[moving]).tolist(),
+            np.where(fwd, inc.link_to[moving], inc.link_from[moving]).tolist(),
+            fwd.tolist()))
+        pipes = links[:int(np.searchsorted(moving, n_pipes))]
+        # a pump or valve leaving a junction passes on the junction's mix, so
+        # it waits for every other such link that feeds that junction; a
+        # cycle of them is cut in link order
+        thin = links[len(pipes):]
+        fed = [l for l in thin if l[2] < n_junc]
+        links = pipes + [l for l in thin if l[2] >= n_junc]
+        while fed:
+            feeds = {l[3] for l in fed}
+            links.append(next((l for l in fed if l[2] not in feeds), fed[0]))
+            fed.remove(links[-1])
+        draw = state.actual_demand.copy()
+        for jid, leak in state.leak_flow.items():
+            i = inc.node_index.get(jid)
+            if i is None or i >= n_junc:
+                raise ConfigError(f"leak at '{jid}' is not a junction of the"
+                                  " network")
+            draw[i] += leak
+        draws = [(i, v) for i, v in enumerate((draw * qdt).tolist())
+                 if v > 0.0]
+        tank_dv = (state.tank_net_inflow * qdt).tolist()
 
         for _ in range(n_sub):
             # 1. first-order reaction on all stored water
             if k_decay > 0.0:
-                factor = math.exp(-k_decay * qdt)
-                for segs in segments.values():
+                for segs in segments:
                     for seg in segs:
-                        lost = seg[0] * seg[1] * (1.0 - factor)
-                        decayed += lost
+                        decayed += seg[0] * seg[1] * (1.0 - factor)
                         seg[1] *= factor
-                for tid in tanks:
-                    lost = tank_mass[tid] * (1.0 - factor)
-                    decayed += lost
-                    tank_mass[tid] *= factor
+                for k in range(len(tanks)):
+                    decayed += tank_mass[k] * (1.0 - factor)
+                    tank_mass[k] *= factor
 
-            # 2. collect arrivals at every node
-            inflow_mass = np.zeros(len(node_ids))
-            inflow_vol = np.zeros(len(node_ids))
-            for pid in pipe_ids:
-                q = flows[link_index[pid]]
-                if q == 0.0:
-                    continue
-                pipe = network.pipes[pid]
-                vol = abs(q) * qdt
-                downstream = pipe.to_node if q > 0 else pipe.from_node
-                upstream = pipe.from_node if q > 0 else pipe.to_node
-                mass, removed = _peel(segments[pid], vol, downstream_last=q > 0)
-                short = vol - removed
-                if short > 1e-15:
-                    # parcel passed the whole pipe within one step: the excess
-                    # carries the donor node's previous concentration
-                    mass += short * conc[node_index[upstream]]
-                di = node_index[downstream]
-                inflow_mass[di] += mass
-                inflow_vol[di] += vol
-            for lid in thin_links:
-                q = flows[link_index[lid]]
-                if q == 0.0:
-                    continue
-                elem = network.link(lid)
-                vol = abs(q) * qdt
-                downstream = elem.to_node if q > 0 else elem.from_node
-                upstream = elem.from_node if q > 0 else elem.to_node
-                ui = node_index[upstream]
-                if upstream in tanks:
-                    c_up = tank_mass[upstream] / tank_vol[upstream] \
-                        if tank_vol[upstream] > 1e-12 else 0.0
+            # 2. arrivals: pipes give up their downstream end; pumps and
+            # valves pass on their donor's water
+            inflow_mass = [0.0] * len(conc)
+            inflow_vol = [0.0] * len(conc)
+            for j, vol, up, down, forward in links:
+                if j < n_pipes:
+                    mass, removed = _peel(segments[j], vol, forward)
+                    short = vol - removed
+                    if short > 1e-15:
+                        # parcel passed the whole pipe within one step:
+                        # the excess carries the donor node's previous
+                        # concentration
+                        mass += short * conc[up]
+                elif up >= first_tank:
+                    mass = vol * tank_conc(up - first_tank)
+                    tank_mass[up - first_tank] -= mass
+                elif up >= n_junc:
+                    mass = vol * conc[up]
+                    injected += mass
+                elif up in sources or inflow_vol[up] <= 1e-15:
+                    mass = vol * conc[up]
                 else:
-                    c_up = conc[ui]
-                di = node_index[downstream]
-                inflow_mass[di] += vol * c_up
-                inflow_vol[di] += vol
-                if upstream in tanks:
-                    tank_mass[upstream] -= vol * c_up
-                elif upstream in reservoirs:
-                    injected += vol * c_up
-                else:
-                    # junction donors of thin links are budgeted below via
-                    # their outflow volume; tally the export here
-                    pass
+                    # every arrival at the junction is in: this is its mix
+                    mass = vol * _guard(inflow_mass[up] / inflow_vol[up])
+                inflow_mass[down] += mass
+                inflow_vol[down] += vol
 
-            # 3. junction mixing, sources, withdrawals
-            new_conc = conc.copy()
-            for jid in junctions:
-                i = node_index[jid]
+            # 3. junctions mix and serve demand and leaks; reservoirs absorb
+            # what reaches them; sources and reservoirs hold their value
+            new_conc = conc[:]
+            for i in mixing:
                 if inflow_vol[i] > 1e-15:
-                    new_conc[i] = guard(inflow_mass[i] / inflow_vol[i])
-                src = node_source(jid)
-                if src is not None:
-                    new_conc[i] = src
-                demand_vol = junction_demand.get(jid, 0.0) * qdt
-                if demand_vol > 0.0:
-                    withdrawn += demand_vol * new_conc[i]
-            for rid in reservoirs:
-                i = node_index[rid]
-                withdrawn += inflow_mass[i]    # absorbed by the boundary
-                new_conc[i] = node_source(rid) or 0.0
+                    new_conc[i] = _guard(inflow_mass[i] / inflow_vol[i])
+            for i, vol in draws:
+                withdrawn += vol * new_conc[i]
+            for i in range(n_junc, first_tank):
+                withdrawn += inflow_mass[i]
 
             # 4. tanks: outflow already removed; add arrivals, track volume
-            for tid, tank in tanks.items():
-                i = node_index[tid]
-                tank_mass[tid] += inflow_mass[i]
-                tank_vol[tid] += tank_inflow.get(tid, 0.0) * qdt
-                tank_vol[tid] = max(tank_vol[tid], 0.0)
-                src = node_source(tid)
-                if src is not None:
-                    target = src * tank_vol[tid]
-                    injected += target - tank_mass[tid]
-                    tank_mass[tid] = target
-                new_conc[i] = guard(tank_mass[tid] / tank_vol[tid]) \
-                    if tank_vol[tid] > 1e-12 else 0.0
+            for k, dv in enumerate(tank_dv):
+                i = first_tank + k
+                tank_mass[k] += inflow_mass[i]
+                tank_vol[k] = max(tank_vol[k] + dv, 0.0)
+                if i in sources:
+                    target = sources[i] * tank_vol[k]
+                    injected += target - tank_mass[k]
+                    tank_mass[k] = target
+                new_conc[i] = _guard(tank_conc(k))
 
-            # 5. inject new parcels at upstream ends
-            for pid in pipe_ids:
-                q = flows[link_index[pid]]
-                if q == 0.0:
-                    continue
-                pipe = network.pipes[pid]
-                vol = abs(q) * qdt
-                upstream = pipe.from_node if q > 0 else pipe.to_node
-                ui = node_index[upstream]
-                if upstream in tanks:
-                    c_in = tank_mass[upstream] / tank_vol[upstream] \
-                        if tank_vol[upstream] > 1e-12 else 0.0
-                    tank_mass[upstream] -= vol * c_in
-                elif upstream in reservoirs:
-                    c_in = new_conc[ui]
-                    injected += vol * c_in
+            # 5. inject new parcels at the upstream ends of moving pipes
+            for j, vol, up, down, forward in pipes:
+                if up >= first_tank:
+                    c_in = tank_conc(up - first_tank)
+                    tank_mass[up - first_tank] -= vol * c_in
                 else:
-                    c_in = new_conc[ui]
-                segs = segments[pid]
-                if q > 0:
+                    c_in = new_conc[up]
+                    if up >= n_junc:
+                        injected += vol * c_in
+                segs = segments[j]
+                if forward:
                     segs.insert(0, [vol, c_in])
                 else:
                     segs.append([vol, c_in])
                 _merge(segs)
-
-            # junction outflow budget: mass leaves junctions through parcel
-            # injection at their concentration; hydraulic balance makes the
-            # node massless, so nothing further to tally here
             conc = new_conc
 
-        stored = sum(seg[0] * seg[1] for segs in segments.values() for seg in segs)
-        stored += sum(tank_mass.values())
-        snapshot = {pid: tuple((s[0], s[1]) for s in segments[pid])
-                    for pid in pipe_ids}
-        conc_out = conc.copy()
+        stored = sum(seg[0] * seg[1] for segs in segments for seg in segs)
+        stored += sum(tank_mass)
+        conc_out = np.array(conc)
         conc_out.flags.writeable = False
         out.append(QualityState(
-            t=state.t, node_concentration=conc_out, pipe_segments=snapshot,
+            t=state.t, node_concentration=conc_out,
+            pipe_segments={pid: tuple((s[0], s[1]) for s in segs)
+                           for pid, segs in zip(pipe_ids, segments)},
             stored_mass=stored, injected_mass=injected,
             withdrawn_mass=withdrawn, decayed_mass=decayed))
     return out

@@ -26,7 +26,7 @@ from .events import (
     CommunicationEvent,
     SensorFaultEvent,
     apply_sensor_fault,
-    winning_event,
+    winning_index,
 )
 from .hydraulics import StateSeries
 from .uncertainty import SeededStream, SeriesPerturber
@@ -116,8 +116,9 @@ class RowReader:
 
     Columns are resolved once against `ids`, anything with the node_ids,
     link_ids, junction_ids and tank_ids of the states to be read (a
-    StateSeries, or a ScenarioRuntime for its projected states). Quality
-    columns read the quality state passed alongside the hydraulic state.
+    StateSeries, or the network layout a ScenarioRuntime projects onto).
+    Quality columns read the quality state passed alongside the hydraulic
+    state.
     """
 
     def __init__(self, columns: tuple[SensorColumn, ...], ids,
@@ -183,31 +184,24 @@ class RowCorruptor:
                  noise_models: list, stream: SeededStream):
         self.columns = columns
         label_to_col = {c.label: i for i, c in enumerate(columns)}
-        for e in faults:
-            ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-            if ref not in label_to_col:
-                raise UnknownSensorRefError(
-                    f"sensor fault targets unknown sensor '{ref}'")
-        for e in comms:
-            if e.sensor_ref is not None:
-                ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-                if ref not in label_to_col:
-                    raise UnknownSensorRefError(
-                        f"communication event targets unknown sensor '{ref}'")
-        self.faults_by_col: list[list[tuple[int, SensorFaultEvent]]] = \
-            [[] for _ in columns]
-        for idx, e in enumerate(faults):
-            col = label_to_col[f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"]
-            self.faults_by_col[col].append((idx, e))
-        self.comms_by_col: list[list[tuple[int, CommunicationEvent]]] = \
-            [[] for _ in columns]
-        for idx, e in enumerate(comms):
-            if e.sensor_ref is None:
-                for col in range(len(columns)):
-                    self.comms_by_col[col].append((idx, e))
-            else:
-                col = label_to_col[f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"]
-                self.comms_by_col[col].append((idx, e))
+
+        def by_column(events, what):
+            """Per column: the events aimed at it and their global indices."""
+            cols = [([], []) for _ in columns]
+            for idx, e in enumerate(events):
+                targets = range(len(columns))
+                if e.sensor_ref is not None:
+                    ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
+                    if ref not in label_to_col:
+                        raise UnknownSensorRefError(
+                            f"{what} targets unknown sensor '{ref}'")
+                    targets = [label_to_col[ref]]
+                for col in targets:
+                    cols[col][0].append(e)
+                    cols[col][1].append(idx)
+            return [(tuple(es), tuple(idxs)) for es, idxs in cols]
+        self.faults_by_col = by_column(faults, "sensor fault")
+        self.comms_by_col = by_column(comms, "communication event")
         noise = [m for m in noise_models if m.target == "sensor_noise"]
         self.perturbers = [
             [SeriesPerturber(m, stream.child("noise", mi, col.label))
@@ -224,20 +218,19 @@ class RowCorruptor:
             v = float(out[c])
             for p in self.perturbers[c]:
                 v = p.step(v)
-            faults = [e for _, e in self.faults_by_col[c]]
-            winner = winning_event(faults, t)
-            if winner is not None:
-                idx = next(i for i, e in self.faults_by_col[c] if e is winner)
-                v = apply_sensor_fault(v, winner, t, rng=self.fault_gens[idx])
+            faults, fault_idx = self.faults_by_col[c]
+            w = winning_index(faults, t)
+            if w is not None:
+                v = apply_sensor_fault(v, faults[w], t,
+                                       rng=self.fault_gens[fault_idx[w]])
             post_fault = v
-            comms = [e for _, e in self.comms_by_col[c]]
-            comm = winning_event(comms, t)
-            if comm is not None:
-                idx = next(i for i, e in self.comms_by_col[c] if e is comm)
-                if comm.kind == "data_loss":
+            comms, comm_idx = self.comms_by_col[c]
+            w = winning_index(comms, t)
+            if w is not None:
+                if comms[w].kind == "data_loss":
                     v = math.nan
                 else:
-                    key = (idx, c)
+                    key = (comm_idx[w], c)
                     if key not in self.frozen_value:
                         self.frozen_value[key] = self.last_post_fault[c]
                     v = self.frozen_value[key]

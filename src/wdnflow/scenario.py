@@ -20,19 +20,19 @@ import numpy as np
 
 from .errors import ConfigError
 from .inp import load_network
-from .network import Network
+from .network import Network, incidence
 from .hydraulics import (
     EpsEngine, SolverSettings, StateSeries, HydraulicState, baseline_controls,
 )
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
     SensorFaultEvent, leak_emitter_coef, resolve_controls,
-    split_pipes_for_leaks,
+    LEAK_PIPE_SUFFIX, split_pipes_for_leaks,
 )
 from .uncertainty import (
     SeededStream, UncertaintyModel, apply_parameter_uncertainty, perturb_scalar,
 )
-from .quality import QualitySettings, simulate_quality
+from .quality import QualitySettings, QualityState, simulate_quality
 from .scada import (
     GroundTruthRecord, RowCorruptor, ScadaData, SensorPlacement, corrupt,
     extract_readings,
@@ -517,20 +517,17 @@ class ScenarioRuntime:
         else:
             self.solve_network, self.leak_junctions = self.report_network, {}
         self._junction_to_pipe = {j: p for p, j in self.leak_junctions.items()}
-        # report-network id orders, the layout of every projected state, and
-        # where each of those elements sits in the solve network's arrays
-        report, solve = self.report_network, self.solve_network
-        self.node_ids = tuple(report.node_ids())
-        self.link_ids = tuple(report.link_ids())
-        self.junction_ids = tuple(sorted(report.junctions))
-        self.tank_ids = tuple(sorted(report.tanks))
-
-        def select(solve_ids, ids):
-            index = {e: i for i, e in enumerate(solve_ids)}
-            return np.array([index[e] for e in ids], dtype=np.intp)
-        self._node_sel = select(solve.node_ids(), self.node_ids)
-        self._link_sel = select(solve.link_ids(), self.link_ids)
-        self._junction_sel = select(sorted(solve.junctions), self.junction_ids)
+        # the report layout orders every projected state; the selections say
+        # where each of its elements sits in the solve network's arrays
+        report = self.report_layout = incidence(self.report_network)
+        solve = self.solve_layout = incidence(self.solve_network) \
+            if leak_pipe_ids else report
+        self._node_sel = np.array(
+            [solve.node_index[n] for n in report.node_ids], dtype=np.intp)
+        self._link_sel = np.array(
+            [solve.link_index[l] for l in report.link_ids], dtype=np.intp)
+        # junctions come first in both layouts
+        self._junction_sel = self._node_sel[:len(report.junction_ids)]
         self._baseline = baseline_controls(self.solve_network)
         self.digest = config_digest(config)
         self.warnings = warnings
@@ -602,11 +599,24 @@ class ScenarioRuntime:
     def project_series(self, series: StateSeries) -> StateSeries:
         if not self.leak_junctions:
             return series
+        report = self.report_layout
         return StateSeries(
-            node_ids=self.node_ids, link_ids=self.link_ids,
-            junction_ids=self.junction_ids, tank_ids=self.tank_ids,
+            node_ids=report.node_ids, link_ids=report.link_ids,
+            junction_ids=report.junction_ids, tank_ids=report.tank_ids,
             states=tuple(self.project_state(s) for s in series.states),
             config_digest=series.config_digest)
+
+    def project_quality(self, state: QualityState) -> QualityState:
+        """Restrict a quality state of the solve network to the pre-split
+        network: each split pipe's halves are joined in from-to order."""
+        if not self.leak_junctions:
+            return state
+        conc = state.node_concentration[self._node_sel]
+        conc.flags.writeable = False
+        segments = dict(state.pipe_segments)
+        for pid in self.leak_junctions:
+            segments[pid] += segments.pop(pid + LEAK_PIPE_SUFFIX)
+        return replace(state, node_concentration=conc, pipe_segments=segments)
 
 
 def build_runtime(config: ScenarioConfig,
@@ -619,7 +629,6 @@ def run_scenario(config: ScenarioConfig,
     """Simulate, extract sensor readings, corrupt them, return everything."""
     t0 = time.perf_counter()
     runtime = build_runtime(config, settings)
-    warnings = list(runtime.warnings)
     engine = runtime.make_engine()
     solved = engine.run(config_digest=runtime.digest)
     series = runtime.project_series(solved)
@@ -627,11 +636,8 @@ def run_scenario(config: ScenarioConfig,
     quality_states = None
     qsettings = runtime.quality_settings()
     if qsettings is not None:
-        if runtime.leak_junctions:
-            warnings.append("quality transport ignores leak withdrawals;"
-                            " its mass ledger will not close during leaks")
-        quality_states = simulate_quality(series, runtime.report_network,
-                                          qsettings)
+        quality_states = [runtime.project_quality(q) for q in simulate_quality(
+            solved, runtime.solve_network, qsettings)]
 
     scada_true = extract_readings(series, config.sensors, quality_states,
                                   ground_truth=runtime.truth_records())
@@ -643,7 +649,7 @@ def run_scenario(config: ScenarioConfig,
     report = RunReport(steps=len(solved.states),
                        iterations=dict(sorted(hist.items())),
                        wall_time_s=time.perf_counter() - t0,
-                       warnings=tuple(warnings))
+                       warnings=tuple(runtime.warnings))
     return RunResult(config=config, scada=scada, scada_true=scada_true,
                      series=series, quality_states=quality_states,
                      report=report)

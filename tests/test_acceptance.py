@@ -60,7 +60,7 @@ def _junction_mass_residuals(network, state):
     """Junction imbalance recomputed from raw link flows and served demand."""
     inc = incidence(network)
     inflow = {jid: 0.0 for jid in network.junctions}
-    for k, (from_idx, to_idx) in enumerate(inc.link_nodes):
+    for k, (from_idx, to_idx) in enumerate(zip(inc.link_from, inc.link_to)):
         q = float(state.flow[k])
         from_node, to_node = inc.node_ids[from_idx], inc.node_ids[to_idx]
         if from_node in inflow:

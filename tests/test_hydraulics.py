@@ -46,8 +46,7 @@ def mass_residuals(network, state):
     """
     inc = incidence(network)
     inflow = {jid: 0.0 for jid in network.junctions}
-    for k, lid in enumerate(inc.link_ids):
-        from_idx, to_idx = inc.link_nodes[k]
+    for k, (from_idx, to_idx) in enumerate(zip(inc.link_from, inc.link_to)):
         q = float(state.flow[k])
         from_node, to_node = inc.node_ids[from_idx], inc.node_ids[to_idx]
         if from_node in inflow:

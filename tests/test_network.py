@@ -108,11 +108,17 @@ def test_incidence_layout():
     inc = incidence(net)
     assert inc.node_ids == ("j1", "r1", "t1")      # junctions, reservoirs, tanks
     assert inc.link_ids == ("p1", "p2")
-    f, t = inc.link_nodes[0]
+    assert (inc.junction_ids, inc.reservoir_ids, inc.tank_ids) == (
+        ("j1",), ("r1",), ("t1",))
+    assert list(inc.link_kind) == [0, 0]                # both pipes
+    f, t = inc.link_from[0], inc.link_to[0]
     assert (inc.node_ids[f], inc.node_ids[t]) == ("r1", "j1")
-    # node_links carries orientation signs: -1 leaving via from, +1 arriving
-    signs = {inc.link_ids[li]: s for li, s in inc.node_links[inc.node_index["j1"]]}
-    assert signs == {"p1": 1, "p2": -1}
+    # positive flow leaves a link's from node and enters its to node, so j1
+    # receives p1 and feeds p2
+    j1 = inc.node_index["j1"]
+    assert list(inc.link_to == j1) == [True, False]
+    assert list(inc.link_from == j1) == [False, True]
+    assert not inc.link_from.flags.writeable
 
 
 def test_incidence_raises_on_dangling():

@@ -1,12 +1,14 @@
 """Tests for plug-flow quality transport and its mass ledger."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wdnflow import ConfigError, NegativeConcentrationError, WdnflowError, parse_inp
-from wdnflow.hydraulics import simulate_hydraulics
+from wdnflow.events import split_pipes_for_leaks
+from wdnflow.hydraulics import Controls, baseline_controls, simulate_hydraulics
 from wdnflow.quality import (
     SEGMENT_MERGE_DC,
     QualitySettings,
@@ -23,6 +25,26 @@ TWO_RESERVOIRS = """
 [PIPES]
  p1 r1 j1 500 300 100
  p2 j1 r2 500 300 100
+[OPTIONS]
+ Units CMS
+"""
+
+# two valves in series, listed downstream first: va's donor j2 is fed by vb
+VALVE_CHAIN = """
+[JUNCTIONS]
+ j1  10.0  0.0
+ j2  5.0   0.002
+ j3  0.0   0.003
+ j4  0.0   0.002
+[RESERVOIRS]
+ r1  60.0
+[PIPES]
+ p1  r1  j1  400  200  120
+ p2  j3  j4  300  150  110
+ p3  j1  j4  800  100  100
+[VALVES]
+ va  j2  j3  150  TCV  2.0
+ vb  j1  j2  150  TCV  2.0
 [OPTIONS]
  Units CMS
 """
@@ -147,6 +169,41 @@ class TestMassLedger:
         worst = max(ledger_error(s) for s in states if s.injected_mass > 0)
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("k", [0.0, 1e-4])
+    def test_ledger_closes_through_pump_and_draining_tank(self, pumpnet, k):
+        # the pump draws on the reservoir; while it is parked the tank
+        # drains back through p2 and becomes the donor
+        base = baseline_controls(pumpnet)
+        off = Controls(pipe_open=base.pipe_open, pump_running={"pu1": False},
+                       pump_speed=base.pump_speed, valve_open=base.valve_open)
+        series = simulate_hydraulics(
+            pumpnet, duration_s=86400,
+            control_hook=lambda t: off if 6 * 3600 <= t < 9 * 3600 else None)
+        assert min(float(s.tank_net_inflow[0]) for s in series.states) < 0.0
+        states = simulate_quality(
+            series, pumpnet,
+            QualitySettings(quality_time_step=60, decay_rate_k=k,
+                            source_nodes={"r1": 1.0}))
+        worst = max(ledger_error(s) for s in states if s.injected_mass > 0)
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("k", [0.0, 1e-4])
+    def test_ledger_closes_through_valves_fed_by_junctions(self, k):
+        net = parse_inp(VALVE_CHAIN)
+        series = simulate_hydraulics(net, duration_s=86400,
+                                     hydraulic_step_s=300)
+        va, vb = (series.link_ids.index(v) for v in ("va", "vb"))
+        assert all(s.flow[va] > 0.0 and s.flow[vb] > 0.0
+                   for s in series.states)
+        states = simulate_quality(
+            series, net,
+            QualitySettings(quality_time_step=60, decay_rate_k=k,
+                            source_nodes={"r1": 1.0}))
+        worst = max(ledger_error(s) for s in states if s.injected_mass > 0)
+        assert worst <= 1e-9
+        j4 = series.node_ids.index("j4")
+        assert 0.0 < float(states[-1].node_concentration[j4]) <= 1.0
+
     def test_receiving_reservoir_absorbs_at_boundary(self):
         net = parse_inp(TWO_RESERVOIRS)
         series = simulate_hydraulics(net, duration_s=3600,
@@ -210,3 +267,21 @@ class TestTanks:
         concs = [float(s.node_concentration[t1]) for s in states]
         assert concs[-1] > 0.0
         assert all(b >= a - 1e-12 for a, b in zip(concs, concs[1:]))
+
+
+class TestInputChecks:
+    def test_series_of_another_network_is_rejected(self, toy9):
+        split, _ = split_pipes_for_leaks(toy9, ["p3"])
+        series = simulate_hydraulics(split, duration_s=600)
+        with pytest.raises(ConfigError):
+            simulate_quality(series, toy9,
+                             QualitySettings(source_nodes={"r1": 1.0}))
+
+    def test_leak_off_the_network_junctions_is_rejected(self, toy9):
+        series = simulate_hydraulics(toy9, duration_s=600)
+        # a projected series names a leak by its pipe, not by its junction
+        states = tuple(replace(s, leak_flow={"p3": 1e-3})
+                       for s in series.states)
+        with pytest.raises(ConfigError):
+            simulate_quality(replace(series, states=states), toy9,
+                             QualitySettings(source_nodes={"r1": 1.0}))

@@ -252,6 +252,31 @@ class TestRunScenario:
             assert mine.mass_residual == raw.mass_residual
             assert mine.energy_residual == raw.energy_residual
 
+    def test_quality_ledger_closes_during_leak(self, toy9_config_factory,
+                                              toy9):
+        leak = EventWindow(3600.0, 6 * 3600.0)
+        config = toy9_config_factory(
+            duration_s=6 * 3600,
+            sensors=SensorPlacement(quality_nodes=("n3",)),
+            leakages=(LeakageEvent(kind="abrupt", link_id="p3", diameter=0.01,
+                                   window=leak),),
+            quality=QualitySpec(decay_rate_k=2e-5,
+                                source_nodes=(("r1", 1.0),)))
+        result = run_scenario(config)
+        during = [q for q in result.quality_states if leak.contains(q.t)]
+        assert during
+        for q in during:
+            gap = q.stored_mass + q.withdrawn_mass + q.decayed_mass \
+                - q.injected_mass
+            assert abs(gap) <= 1e-6 * q.injected_mass
+        # projected onto the pre-split network: p3's halves are joined
+        last = result.quality_states[-1]
+        assert len(last.node_concentration) == len(result.series.node_ids)
+        assert list(last.pipe_segments) == sorted(toy9.pipes)
+        p3 = toy9.pipes["p3"]
+        assert sum(v for v, _ in last.pipe_segments["p3"]) == pytest.approx(
+            math.pi * (p3.diameter / 2.0) ** 2 * p3.length, rel=1e-9)
+
     def test_leak_increases_supply_flow(self, toy9_config_factory):
         clean = run_scenario(toy9_config_factory())
         leaky = run_scenario(toy9_config_factory(leakages=(
