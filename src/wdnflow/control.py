@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
-from .hydraulics import G, Controls, EpsEngine, HydraulicState, SolverSettings
+from .hydraulics import G, Controls, EpsEngine, HydraulicState
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
 
@@ -52,13 +52,12 @@ class ScenarioEnv:
     """Sequential interface around one scenario episode."""
 
     def __init__(self, config: ScenarioConfig,
-                 settings: SolverSettings | None = None,
                  min_pressure_head: float = 20.0,
                  pressure_penalty: float = 1.0):
         if config.sensors.quality_nodes:
             raise ConfigError(
                 "quality sensors are not supported in the control environment")
-        self.runtime: ScenarioRuntime = build_runtime(config, settings)
+        self.runtime: ScenarioRuntime = build_runtime(config)
         self.config = config
         self.min_pressure_head = min_pressure_head
         self.pressure_penalty = pressure_penalty

@@ -50,6 +50,10 @@ class EventWindow:
     peak_time: float | None = None
 
     def __post_init__(self):
+        for name in ("start_time", "end_time", "peak_time"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if not 0 <= self.start_time < self.end_time:
             raise ConfigError(
                 f"event window needs 0 <= start < end, got"
@@ -74,6 +78,11 @@ class LeakageEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["leakage"]:
             raise ConfigError(f"unknown leakage kind '{self.kind}'")
+        object.__setattr__(self, "diameter", float(self.diameter))
+        object.__setattr__(self, "discharge_coef", float(self.discharge_coef))
+        if self.area_pattern is not None:
+            object.__setattr__(self, "area_pattern",
+                               tuple(float(v) for v in self.area_pattern))
         if self.diameter <= 0:
             raise ConfigError("leak diameter must be > 0")
         if self.discharge_coef <= 0:
@@ -105,6 +114,7 @@ class ActuatorEvent:
             if isinstance(self.value, bool) or \
                     not isinstance(self.value, (int, float)) or self.value < 0:
                 raise ConfigError("pump_speed value must be a number >= 0")
+            object.__setattr__(self, "value", float(self.value))
         elif not isinstance(self.value, bool):
             raise ConfigError(f"{self.kind} value must be a boolean")
 
@@ -121,6 +131,7 @@ class SensorFaultEvent:
             raise ConfigError(f"unknown sensor fault kind '{self.kind}'")
         if self.sensor_ref[0] not in SENSOR_TYPES:
             raise ConfigError(f"unknown sensor type '{self.sensor_ref[0]}'")
+        object.__setattr__(self, "param", float(self.param))
         if self.kind == "gaussian" and self.param < 0:
             raise ConfigError("gaussian fault sigma must be >= 0")
 

@@ -38,11 +38,11 @@ from .network import (
 )
 
 __all__ = [
-    "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ENERGY_TOL",
-    "EMITTER_HMIN", "SolverSettings", "Controls", "baseline_controls",
-    "HydraulicState", "StateSeries", "hazen_williams_headloss",
-    "fit_pump_curve", "pump_head_gain", "solve_snapshot", "tank_step",
-    "EpsEngine", "simulate_hydraulics",
+    "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ACCURACY",
+    "MAX_ITERATIONS", "ENERGY_TOL", "EMITTER_HMIN", "Controls",
+    "baseline_controls", "HydraulicState", "StateSeries",
+    "hazen_williams_headloss", "fit_pump_curve", "pump_head_gain",
+    "solve_snapshot", "tank_step", "EpsEngine", "simulate_hydraulics",
 ]
 
 G = 9.80665                 # m/s^2
@@ -50,6 +50,8 @@ HW_EXP = 1.852
 HW_COEF = 10.667            # SI Hazen-Williams prefactor
 Q_LAMINAR = 1e-8            # m3/s; below this the headloss law is linearized
 MASS_TOL = 1e-6             # m3/s
+ACCURACY = 1e-3             # relative flow change that counts as converged
+MAX_ITERATIONS = 100        # Newton iterations before NonConvergenceError
 ENERGY_TOL = 1e-6           # m
 EMITTER_HMIN = 1e-6         # m; emitter law linearized below this head
 GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
@@ -57,13 +59,6 @@ GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
 COLD_START_FLOW = 1e-3      # m3/s
 SPARSE_MIN_UNKNOWNS = 400   # larger systems are solved with scipy's spsolve
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    accuracy: float = 1e-3
-    max_iterations: int = 100
-    damping: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -367,8 +362,7 @@ def _link_linearization(topo: _Topology, q: np.ndarray, pump_a: np.ndarray,
 
 
 def solve_snapshot(network: Network, demands: dict[str, float],
-                   controls: Controls | None = None,
-                   settings: SolverSettings | None = None, *,
+                   controls: Controls | None = None, *,
                    emitters: dict[str, float] | None = None,
                    tank_levels: dict[str, float] | None = None,
                    t: float = 0.0,
@@ -382,7 +376,6 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     """
     layout = _layout if _layout is not None else _Layout(network)
     controls = controls if controls is not None else baseline_controls(network)
-    settings = settings or SolverSettings()
     emitters = emitters or {}
     tank_ids = layout.inc.tank_ids
     levels = {tid: network.tanks[tid].init_level for tid in tank_ids}
@@ -391,8 +384,8 @@ def solve_snapshot(network: Network, demands: dict[str, float],
 
     closed_tanks: frozenset[str] = frozenset()
     for _ in range(len(tank_ids) + 1):
-        state = _solve_once(layout, demands, controls, settings, emitters,
-                            levels, t, closed_tanks)
+        state = _solve_once(layout, demands, controls, emitters, levels, t,
+                            closed_tanks)
         violators = set()
         for i, tid in enumerate(tank_ids):
             if tid in closed_tanks:
@@ -410,8 +403,7 @@ def solve_snapshot(network: Network, demands: dict[str, float],
 
 
 def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
-                settings: SolverSettings, emitters: dict[str, float],
-                levels: dict[str, float], t: float,
+                emitters: dict[str, float], levels: dict[str, float], t: float,
                 closed_tanks: frozenset[str]) -> HydraulicState:
     net, inc = layout.network, layout.inc
     n_nodes = len(inc.node_ids)
@@ -475,7 +467,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     pipes, r_pipes = topo.pipes, topo.r_pipe
     q = topo.q0.copy()
 
-    lam = settings.damping
+    lam = 1.0
     prev_change = math.inf
     rises = 0
     converged_at = -1
@@ -483,7 +475,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     mass_res = math.inf
     energy_res = math.inf
 
-    while iterations < settings.max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         h, g = _link_linearization(topo, q, pump_a, pump_b, pump_n)
         c = 1.0 / g
@@ -553,7 +545,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
         # stop rule: one full Newton step past the first converged iterate
         if converged_at >= 0:
             break
-        if rel <= settings.accuracy and mass_res <= MASS_TOL \
+        if rel <= ACCURACY and mass_res <= MASS_TOL \
                 and energy_res <= ENERGY_TOL:
             converged_at = iterations
             lam = 1.0
@@ -598,11 +590,10 @@ class EpsEngine:
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or None.
     """
 
-    def __init__(self, network: Network, settings: SolverSettings | None = None,
-                 duration_s: int | None = None, step_s: int | None = None,
-                 control_hook=None, emitter_hook=None):
+    def __init__(self, network: Network, duration_s: int | None = None,
+                 step_s: int | None = None, control_hook=None,
+                 emitter_hook=None):
         self.network = network
-        self.settings = settings or SolverSettings()
         opt = network.options
         self.duration_s = opt.duration_s if duration_s is None else duration_s
         self.step_s = opt.hydraulic_step_s if step_s is None else step_s
@@ -637,9 +628,8 @@ class EpsEngine:
         emitters = self.emitter_hook(t) if self.emitter_hook else None
         try:
             return solve_snapshot(
-                self.network, self.demands_at(t), controls, self.settings,
-                emitters=emitters, tank_levels=self.tank_levels, t=t,
-                _layout=self.layout)
+                self.network, self.demands_at(t), controls, emitters=emitters,
+                tank_levels=self.tank_levels, t=t, _layout=self.layout)
         except NonConvergenceError as exc:
             raise NonConvergenceError(exc.iterations, exc.residual, t) from None
 
@@ -666,10 +656,9 @@ class EpsEngine:
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,
                         hydraulic_step_s: int | None = None,
-                        settings: SolverSettings | None = None,
                         control_hook=None, emitter_hook=None,
                         config_digest: str = "") -> StateSeries:
     """Run a full extended-period simulation over the network's horizon."""
-    engine = EpsEngine(network, settings, duration_s, hydraulic_step_s,
+    engine = EpsEngine(network, duration_s, hydraulic_step_s,
                        control_hook, emitter_hook)
     return engine.run(config_digest)

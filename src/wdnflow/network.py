@@ -7,7 +7,7 @@ times in s. Roughness is the dimensionless Hazen-Williams C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,11 +147,6 @@ class Network:
 
     def total_base_demand(self) -> float:
         return sum(j.base_demand for j in self.junctions.values())
-
-    def with_pipe(self, pipe: Pipe) -> "Network":
-        pipes = dict(self.pipes)
-        pipes[pipe.id] = pipe
-        return replace(self, pipes=pipes)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,17 @@
 A scenario bundles a network, a simulation horizon, sensor placement, event
 lists, uncertainty models and a seed. Running it produces the true hydraulic
 series, optional quality series, corrupted SCADA readings and ground-truth
-event records. The JSON form is canonical: parsing and re-emitting a config
-is a fixed point, and its digest is stamped onto the result series.
+event records.
+
+`ScenarioConfig` is the one configuration surface of a run. Each rule is
+stated once: the JSON reader checks shapes only (each object's keys against
+a table of JSON type and whether the key is required); every single-field
+value rule lives in the dataclass built from it, and the reader puts the
+object path in front of the ConfigError that dataclass raises; and
+`validate_scenario` makes the cross-field and network checks. The dataclasses
+store numbers as floats (durations as whole seconds), so the JSON form is
+canonical for every config: emitting, parsing and re-emitting is a fixed
+point, and the digest of that form is stamped onto the result series.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .errors import ConfigError
 from .inp import load_network
 from .network import Network, incidence
 from .hydraulics import (
-    EpsEngine, SolverSettings, StateSeries, HydraulicState, baseline_controls,
+    EpsEngine, StateSeries, HydraulicState, baseline_controls,
 )
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
@@ -59,6 +68,21 @@ class QualitySpec:
     decay_rate_k: float = 0.0
     source_nodes: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self):
+        # sorted floats, so the canonical JSON form is a fixed point
+        sources = tuple(sorted((nid, float(c))
+                               for nid, c in self.source_nodes))
+        object.__setattr__(self, "decay_rate_k", float(self.decay_rate_k))
+        object.__setattr__(self, "source_nodes", sources)
+        if self.decay_rate_k < 0:
+            raise ConfigError("decay_rate_k must be >= 0")
+        if len(dict(sources)) != len(sources):
+            raise ConfigError("duplicate ids in source_nodes")
+        for nid, c in sources:
+            if c < 0:
+                raise ConfigError(
+                    f"source concentration at '{nid}' must be >= 0")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -83,185 +107,151 @@ class ScenarioConfig:
         for name in ("duration_s", "hydraulic_time_step_s",
                      "quality_time_step_s"):
             value = getattr(self, name)
-            if value is None:
+            if value is None and name == "quality_time_step_s":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number of seconds")
-            if float(value) != int(value):
-                raise ConfigError(f"{name} must be whole seconds, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or value <= 0 or not float(value).is_integer():
+                raise ConfigError(f"{name} must be a positive whole number of"
+                                  f" seconds, got {value!r}")
             object.__setattr__(self, name, int(value))
 
 
 # ---------------------------------------------------------------- JSON I/O
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "a number": _is_number,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a boolean or a number": lambda v: isinstance(v, bool) or _is_number(v),
+    "an object": lambda v: isinstance(v, dict),
+    "an object of numbers":
+        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings":
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of numbers":
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+_STR = ("a string", True)
+_NUM = ("a number", True)
+_WINDOW = {"start_time_s": _NUM, "end_time_s": _NUM}
+_CONFIG = {"network_path": _STR, "simulation": ("an object", True),
+           "sensors": ("an object", False), "leakages": ("a list", False),
+           "actuator_events": ("a list", False),
+           "sensor_faults": ("a list", False),
+           "communication_events": ("a list", False),
+           "uncertainties": ("a list", False), "seed": ("an integer", True),
+           "outputs": ("an object", False), "quality": ("an object", False)}
+_SIMULATION = {"duration_s": _NUM,
+               "hydraulic_time_step_s": ("a number", False),
+               "quality_time_step_s": ("a number", False)}
+_SENSORS = {key: ("a list of strings", False) for key in (
+    "pressure_nodes", "flow_links", "quality_nodes", "tank_level_tanks")}
+_OUTPUTS = {"scada_csv_path": ("a string", False),
+            "truth_csv_path": ("a string", False)}
+_QUALITY = {"decay_rate_k": ("a number", False),
+            "source_nodes": ("an object of numbers", False)}
+_LEAKAGE = {"kind": _STR, "link_id": _STR, "diameter": _NUM, **_WINDOW,
+            "peak_time_s": ("a number", False),
+            "discharge_coef": ("a number", False),
+            "area_pattern": ("a list of numbers", False)}
+_ACTUATOR = {"kind": _STR, "target_id": _STR,
+             "value": ("a boolean or a number", True), **_WINDOW}
+_FAULT = {"kind": _STR, "sensor_type": _STR, "element_id": _STR,
+          "param": _NUM, **_WINDOW}
+_COMMUNICATION = {"kind": _STR, "sensor_type": ("a string", False),
+                  "element_id": ("a string", False),
+                  "all_sensors": ("a boolean", False), **_WINDOW}
+_UNCERTAINTY = {"kind": _STR, "target": _STR,
+                "params": ("an object of numbers", False),
+                "submodels": ("a list", False)}
+
+
+def _read(obj, path: str, keys: dict, build=dict):
+    """Check a JSON object against its key table, then build from it. A
+    ConfigError the build raises gets the object's path in front."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object")
+        raise ConfigError(f"{path}: expected an object")
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{ctx}: unknown key '{key}'")
-    for key in required:
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown key '{key}'")
+    for key, (kind, required) in keys.items():
         if key not in obj:
-            raise ConfigError(f"{ctx}: missing key '{key}'")
-
-
-def _number(obj: dict, key: str, ctx: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{ctx}: '{key}' must be a number")
-    return float(v)
-
-
-def _int_seconds(value, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{ctx}: expected a whole number of seconds")
-    if float(value) != int(value) or value <= 0:
-        raise ConfigError(f"{ctx}: expected a positive whole number of seconds")
-    return int(value)
-
-
-def _parse_window(obj: dict, ctx: str) -> EventWindow:
-    peak = None
-    if "peak_time_s" in obj:
-        peak = _number(obj, "peak_time_s", ctx)
+            if required:
+                raise ConfigError(f"{path}: missing key '{key}'")
+        elif not _JSON_TYPES[kind](obj[key]):
+            raise ConfigError(f"{path}: '{key}' must be {kind}")
     try:
-        return EventWindow(_number(obj, "start_time_s", ctx),
-                           _number(obj, "end_time_s", ctx), peak)
+        return build(obj)
     except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_leakage(obj: dict, ctx: str) -> LeakageEvent:
-    _require_keys(obj, {"kind", "link_id", "diameter", "start_time_s",
-                        "end_time_s", "peak_time_s", "discharge_coef",
-                        "area_pattern"},
-                  {"kind", "link_id", "diameter", "start_time_s", "end_time_s"},
-                  ctx)
-    window = _parse_window(obj, ctx)
-    pattern = obj.get("area_pattern")
-    try:
-        return LeakageEvent(
-            kind=str(obj["kind"]), link_id=str(obj["link_id"]),
-            diameter=_number(obj, "diameter", ctx), window=window,
-            discharge_coef=_number(obj, "discharge_coef", ctx)
-            if "discharge_coef" in obj else 0.75,
-            area_pattern=tuple(float(v) for v in pattern)
-            if pattern is not None else None)
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+def _window(o: dict) -> EventWindow:
+    return EventWindow(o["start_time_s"], o["end_time_s"],
+                       o.get("peak_time_s"))
 
 
-def _parse_actuator(obj: dict, ctx: str) -> ActuatorEvent:
-    _require_keys(obj, {"kind", "target_id", "value", "start_time_s",
-                        "end_time_s"},
-                  {"kind", "target_id", "value", "start_time_s", "end_time_s"},
-                  ctx)
-    value = obj["value"]
-    if not isinstance(value, bool):
-        value = _number(obj, "value", ctx)
-    try:
-        return ActuatorEvent(kind=str(obj["kind"]),
-                             target_id=str(obj["target_id"]), value=value,
-                             window=_parse_window(obj, ctx))
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+def _leakage(o: dict) -> LeakageEvent:
+    return LeakageEvent(
+        kind=o["kind"], link_id=o["link_id"], diameter=o["diameter"],
+        window=_window(o), **{key: o[key] for key in
+                              ("discharge_coef", "area_pattern") if key in o})
 
 
-def _parse_fault(obj: dict, ctx: str) -> SensorFaultEvent:
-    _require_keys(obj, {"kind", "sensor_type", "element_id", "param",
-                        "start_time_s", "end_time_s"},
-                  {"kind", "sensor_type", "element_id", "param",
-                   "start_time_s", "end_time_s"}, ctx)
-    try:
-        return SensorFaultEvent(
-            kind=str(obj["kind"]),
-            sensor_ref=(str(obj["sensor_type"]), str(obj["element_id"])),
-            param=_number(obj, "param", ctx), window=_parse_window(obj, ctx))
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+def _actuator(o: dict) -> ActuatorEvent:
+    return ActuatorEvent(kind=o["kind"], target_id=o["target_id"],
+                         value=o["value"], window=_window(o))
 
 
-def _parse_comm(obj: dict, ctx: str) -> CommunicationEvent:
-    _require_keys(obj, {"kind", "sensor_type", "element_id", "all_sensors",
-                        "start_time_s", "end_time_s"},
-                  {"kind", "start_time_s", "end_time_s"}, ctx)
+def _fault(o: dict) -> SensorFaultEvent:
+    return SensorFaultEvent(kind=o["kind"],
+                            sensor_ref=(o["sensor_type"], o["element_id"]),
+                            param=o["param"], window=_window(o))
+
+
+def _communication(o: dict) -> CommunicationEvent:
     ref = None
-    if obj.get("all_sensors"):
-        if "sensor_type" in obj or "element_id" in obj:
-            raise ConfigError(f"{ctx}: all_sensors excludes a sensor ref")
+    if o.get("all_sensors"):
+        if "sensor_type" in o or "element_id" in o:
+            raise ConfigError("all_sensors excludes a sensor ref")
+    elif "sensor_type" not in o or "element_id" not in o:
+        raise ConfigError("need sensor_type and element_id, or all_sensors")
     else:
-        if "sensor_type" not in obj or "element_id" not in obj:
-            raise ConfigError(
-                f"{ctx}: need sensor_type and element_id, or all_sensors")
-        ref = (str(obj["sensor_type"]), str(obj["element_id"]))
-    try:
-        return CommunicationEvent(kind=str(obj["kind"]),
-                                  window=_parse_window(obj, ctx),
-                                  sensor_ref=ref)
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+        ref = (o["sensor_type"], o["element_id"])
+    return CommunicationEvent(kind=o["kind"], window=_window(o),
+                              sensor_ref=ref)
 
 
-def _parse_uncertainty(obj: dict, ctx: str) -> UncertaintyModel:
-    _require_keys(obj, {"kind", "target", "params", "submodels"},
-                  {"kind", "target"}, ctx)
-    subs = None
-    if obj.get("submodels"):
-        subs = tuple(_parse_uncertainty(s, f"{ctx}.submodels[{i}]")
-                     for i, s in enumerate(obj["submodels"]))
-    params = None
-    if obj.get("params"):
-        params = {}
-        for name, v in obj["params"].items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{ctx}: param '{name}' must be a number")
-            params[str(name)] = float(v)
-    try:
-        return UncertaintyModel(kind=str(obj["kind"]), target=str(obj["target"]),
-                                params=params, submodels=subs)
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+def _uncertainty(o: dict) -> UncertaintyModel:
+    subs = o.get("submodels")
+    return UncertaintyModel(
+        kind=o["kind"], target=o["target"], params=o.get("params") or None,
+        submodels=tuple(_read(s, f"submodels[{i}]", _UNCERTAINTY, _uncertainty)
+                        for i, s in enumerate(subs)) if subs else None)
 
 
-def _parse_sensors(obj: dict, ctx: str) -> SensorPlacement:
-    _require_keys(obj, {"pressure_nodes", "flow_links", "quality_nodes",
-                        "tank_level_tanks"}, set(), ctx)
-    def ids(key):
-        vals = obj.get(key, [])
-        if not isinstance(vals, list) or \
-                any(not isinstance(v, str) for v in vals):
-            raise ConfigError(f"{ctx}: '{key}' must be a list of ids")
-        return tuple(sorted(vals))
-    try:
-        return SensorPlacement(pressure_nodes=ids("pressure_nodes"),
-                               flow_links=ids("flow_links"),
-                               quality_nodes=ids("quality_nodes"),
-                               tank_level_tanks=ids("tank_level_tanks"))
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+def _sensors(o: dict) -> SensorPlacement:
+    return SensorPlacement(**{k: tuple(sorted(ids)) for k, ids in o.items()})
 
 
-def _parse_quality(obj: dict, ctx: str) -> QualitySpec:
-    _require_keys(obj, {"decay_rate_k", "source_nodes"}, set(), ctx)
-    k = _number(obj, "decay_rate_k", ctx) if "decay_rate_k" in obj else 0.0
-    if k < 0:
-        raise ConfigError(f"{ctx}: decay_rate_k must be >= 0")
-    sources = obj.get("source_nodes", {})
-    if not isinstance(sources, dict):
-        raise ConfigError(f"{ctx}: source_nodes must map node id to mg/L")
-    pairs = []
-    for nid in sorted(sources):
-        v = sources[nid]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-            raise ConfigError(f"{ctx}: source concentration at '{nid}'"
-                              " must be a number >= 0")
-        pairs.append((str(nid), float(v)))
-    return QualitySpec(decay_rate_k=k, source_nodes=tuple(pairs))
+def _quality(o: dict) -> QualitySpec:
+    sources = tuple(o.get("source_nodes", {}).items())
+    return QualitySpec(**{**o, "source_nodes": sources})
 
 
-_TOP_KEYS = {"network_path", "simulation", "sensors", "leakages",
-             "actuator_events", "sensor_faults", "communication_events",
-             "uncertainties", "seed", "outputs", "quality"}
+# ScenarioConfig field -> (key table, builder) of each list of objects
+_LISTS = {"leakages": (_LEAKAGE, _leakage),
+          "actuator_events": (_ACTUATOR, _actuator),
+          "sensor_faults": (_FAULT, _fault),
+          "communication_events": (_COMMUNICATION, _communication),
+          "uncertainties": (_UNCERTAINTY, _uncertainty)}
 
 
 def config_from_json(text: str) -> ScenarioConfig:
@@ -269,49 +259,20 @@ def config_from_json(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
-    _require_keys(doc, _TOP_KEYS, {"network_path", "simulation", "seed"},
-                  "config")
-    sim = doc["simulation"]
-    _require_keys(sim, {"duration_s", "hydraulic_time_step_s",
-                        "quality_time_step_s"}, {"duration_s"}, "simulation")
-    duration = _int_seconds(sim["duration_s"], "simulation.duration_s")
-    step = _int_seconds(sim.get("hydraulic_time_step_s", 300),
-                        "simulation.hydraulic_time_step_s")
-    qstep = None
-    if "quality_time_step_s" in sim:
-        qstep = _int_seconds(sim["quality_time_step_s"],
-                             "simulation.quality_time_step_s")
-    seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-
-    sensors = _parse_sensors(doc.get("sensors", {}), "sensors")
-    leakages = tuple(_parse_leakage(o, f"leakages[{i}]")
-                     for i, o in enumerate(doc.get("leakages", [])))
-    actuators = tuple(_parse_actuator(o, f"actuator_events[{i}]")
-                      for i, o in enumerate(doc.get("actuator_events", [])))
-    faults = tuple(_parse_fault(o, f"sensor_faults[{i}]")
-                   for i, o in enumerate(doc.get("sensor_faults", [])))
-    comms = tuple(_parse_comm(o, f"communication_events[{i}]")
-                  for i, o in enumerate(doc.get("communication_events", [])))
-    unc = tuple(_parse_uncertainty(o, f"uncertainties[{i}]")
-                for i, o in enumerate(doc.get("uncertainties", [])))
-    scada_path = truth_path = None
-    if "outputs" in doc:
-        _require_keys(doc["outputs"], {"scada_csv_path", "truth_csv_path"},
-                      set(), "outputs")
-        scada_path = doc["outputs"].get("scada_csv_path")
-        truth_path = doc["outputs"].get("truth_csv_path")
-    quality = _parse_quality(doc["quality"], "quality") \
-        if "quality" in doc else None
-
-    return ScenarioConfig(
-        network_path=str(doc["network_path"]), duration_s=duration,
-        hydraulic_time_step_s=step, quality_time_step_s=qstep,
-        sensors=sensors, leakages=leakages, actuator_events=actuators,
-        sensor_faults=faults, communication_events=comms, uncertainties=unc,
-        seed=seed, scada_csv_path=scada_path, truth_csv_path=truth_path,
-        quality=quality)
+    _read(doc, "config", _CONFIG)
+    parts = {name: tuple(_read(o, f"{name}[{i}]", keys, build)
+                         for i, o in enumerate(doc.get(name, [])))
+             for name, (keys, build) in _LISTS.items()}
+    parts["sensors"] = _read(doc.get("sensors", {}), "sensors", _SENSORS,
+                             _sensors)
+    parts.update(_read(doc.get("outputs", {}), "outputs", _OUTPUTS))
+    if "quality" in doc:
+        parts["quality"] = _read(doc["quality"], "quality", _QUALITY, _quality)
+    # the simulation keys are ScenarioConfig fields, and the only ones its
+    # own rules check
+    return _read(doc["simulation"], "simulation", _SIMULATION,
+                 lambda sim: ScenarioConfig(network_path=doc["network_path"],
+                                            seed=doc["seed"], **sim, **parts))
 
 
 def _window_json(w: EventWindow) -> dict:
@@ -498,10 +459,8 @@ class ScenarioRuntime:
     """Prepared pieces of a scenario, shared by the batch runner and the
     control environment so both execute identical arithmetic."""
 
-    def __init__(self, config: ScenarioConfig,
-                 settings: SolverSettings | None = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.settings = settings or SolverSettings()
         warnings: list[str] = []
         network = load_network(config.network_path, warnings=warnings)
         validate_scenario(config, network)
@@ -546,8 +505,7 @@ class ScenarioRuntime:
         return coefs or None
 
     def make_engine(self) -> EpsEngine:
-        return EpsEngine(self.solve_network, self.settings,
-                         self.config.duration_s,
+        return EpsEngine(self.solve_network, self.config.duration_s,
                          self.config.hydraulic_time_step_s,
                          self.control_hook, self.emitter_hook)
 
@@ -619,16 +577,14 @@ class ScenarioRuntime:
         return replace(state, node_concentration=conc, pipe_segments=segments)
 
 
-def build_runtime(config: ScenarioConfig,
-                  settings: SolverSettings | None = None) -> ScenarioRuntime:
-    return ScenarioRuntime(config, settings)
+def build_runtime(config: ScenarioConfig) -> ScenarioRuntime:
+    return ScenarioRuntime(config)
 
 
-def run_scenario(config: ScenarioConfig,
-                 settings: SolverSettings | None = None) -> RunResult:
+def run_scenario(config: ScenarioConfig) -> RunResult:
     """Simulate, extract sensor readings, corrupt them, return everything."""
     t0 = time.perf_counter()
-    runtime = build_runtime(config, settings)
+    runtime = build_runtime(config)
     engine = runtime.make_engine()
     solved = engine.run(config_digest=runtime.digest)
     series = runtime.project_series(solved)

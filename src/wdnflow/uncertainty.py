@@ -90,6 +90,9 @@ class UncertaintyModel:
             raise ConfigError(f"unknown uncertainty kind '{self.kind}'")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown uncertainty target '{self.target}'")
+        if self.params is not None:
+            object.__setattr__(self, "params",
+                               {k: float(v) for k, v in self.params.items()})
         params = self.params or {}
         for name in _REQUIRED_PARAMS[self.kind]:
             if name not in params:
@@ -115,7 +118,7 @@ class UncertaintyModel:
             raise ConfigError("percentage fraction must be > -1")
 
     def param(self, name: str) -> float:
-        return float((self.params or {})[name])
+        return (self.params or {})[name]
 
 
 def _perturb_scalar_with(model: UncertaintyModel, value: float,

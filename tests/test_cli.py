@@ -112,6 +112,30 @@ class TestRun:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_malformed_config_exits_2_with_one_error_line(self, tmp_path,
+                                                          capsys):
+        path = write_config(tmp_path, name="bad.json")
+        payload = json.loads(path.read_text())
+        payload["leakages"] = 5
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "leakages" in errors[0]
+        assert "Traceback" not in err
+
+    def test_malformed_config_does_not_stop_parallel_jobs(self, tmp_path):
+        bad = write_config(tmp_path, name="bad.json")
+        payload = json.loads(bad.read_text())
+        payload["leakages"] = 5
+        bad.write_text(json.dumps(payload))
+        good = write_config(tmp_path, name="good.json")
+        code = cli.main(["run", "--jobs", "2", "--config", str(bad),
+                         "--config", str(good)])
+        assert code == 2
+        assert (tmp_path / "good_scada.csv").exists()
+        assert not (tmp_path / "bad_scada.csv").exists()
+
     def test_missing_network_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, network_path="/nonexistent.inp")
         assert cli.main(["run", "--config", str(config)]) == 2

@@ -24,7 +24,6 @@ from wdnflow.hydraulics import (
     Controls,
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
-    SolverSettings,
     _Layout,
     baseline_controls,
     fit_pump_curve,
@@ -416,11 +415,11 @@ class TestControlsAndFailureModes:
         with pytest.raises(DisconnectedDemandError):
             solve_snapshot(toy9, demands, controls=controls)
 
-    def test_iteration_cap_raises(self, toy9):
+    def test_iteration_cap_raises(self, toy9, monkeypatch):
+        monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 1)
         demands = {jid: 2e-5 for jid in toy9.junctions}
         with pytest.raises(NonConvergenceError) as exc:
-            solve_snapshot(toy9, demands,
-                           settings=SolverSettings(max_iterations=1))
+            solve_snapshot(toy9, demands)
         assert exc.value.iterations == 1
         assert exc.value.residual > 0.0
 

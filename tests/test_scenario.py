@@ -127,6 +127,107 @@ class TestJsonRoundTrip:
         assert loaded.network_path == str(inp)
 
 
+_DROP = object()
+
+
+def _put(payload, keys, value):
+    """Set (or drop, for _DROP) the entry at a key path of a JSON payload."""
+    *parents, last = keys
+    for k in parents:
+        payload = payload[k]
+    if value is _DROP:
+        del payload[last]
+    else:
+        payload[last] = value
+
+
+_PUMP_SPEED = {"kind": "pump_speed", "target_id": "pu1", "value": "fast",
+               "start_time_s": 0, "end_time_s": 60}
+_VALVE_PEAK = {"kind": "valve_state", "target_id": "v1", "value": False,
+               "start_time_s": 0, "end_time_s": 60, "peak_time_s": 30}
+_BAD_SUBMODEL = {"kind": "compound", "target": "sensor_noise", "submodels": [
+    {"kind": "gauss_abs", "target": "sensor_noise", "params": {"sigma": 0.1}},
+    {"kind": "gauss_abs", "target": "sensor_noise", "params": {"sigma": "x"}}]}
+
+
+class TestMalformedJson:
+    """Every malformed shape, and every value rule reached through JSON,
+    raises ConfigError naming the object path and the key."""
+
+    @pytest.mark.parametrize("keys, value, path, key", [
+        (("leakages",), 5, "config", "leakages"),
+        (("leakages", 0, "area_pattern"), ["x"], "leakages[0]",
+         "area_pattern"),
+        (("uncertainties", 0, "params"), [1], "uncertainties[0]", "params"),
+        (("uncertainties", 0, "submodels"), 3, "uncertainties[0]",
+         "submodels"),
+        (("outputs",), {"scada_csv_path": 5}, "outputs", "scada_csv_path"),
+        (("network_path",), 5, "config", "network_path"),
+        (("leakages", 0, "kind"), 5, "leakages[0]", "kind"),
+        (("leakages", 0, "diameter"), "big", "leakages[0]", "diameter"),
+        (("seed",), 1.5, "config", "seed"),
+        (("seed",), True, "config", "seed"),
+        (("communication_events", 0, "all_sensors"), "yes",
+         "communication_events[0]", "all_sensors"),
+        (("simulation",), [], "config", "simulation"),
+        (("uncertainties",), {}, "config", "uncertainties"),
+        (("sensors", "pressure_nodes"), [1], "sensors", "pressure_nodes"),
+        (("quality", "source_nodes"), {"r1": "x"}, "quality", "source_nodes"),
+        (("actuator_events",), [_PUMP_SPEED], "actuator_events[0]", "value"),
+        (("actuator_events",), [_VALVE_PEAK], "actuator_events[0]",
+         "peak_time_s"),
+        (("sensor_faults", 0, "peak_time_s"), 100, "sensor_faults[0]",
+         "peak_time_s"),
+        (("uncertainties", 0), _BAD_SUBMODEL, "uncertainties[0]: submodels[1]",
+         "params"),
+        (("leakages", 0, "diameter"), _DROP, "leakages[0]", "diameter"),
+        (("leakages", 0, "diameter"), -1, "leakages[0]", "diameter"),
+        (("quality", "decay_rate_k"), -1, "quality", "decay_rate_k"),
+        (("simulation", "duration_s"), 0, "simulation", "duration_s"),
+        (("simulation", "hydraulic_time_step_s"), 1.5, "simulation",
+         "hydraulic_time_step_s"),
+    ])
+    def test_rejected_with_path_and_key(self, toy9_config_factory, keys, value,
+                                        path, key):
+        payload = json.loads(config_to_json(full_config(toy9_config_factory)))
+        _put(payload, keys, value)
+        with pytest.raises(ConfigError) as exc:
+            config_from_json(json.dumps(payload))
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ") and key in message, message
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("name, value", [
+        ("duration_s", 0), ("duration_s", -3600),
+        ("hydraulic_time_step_s", 0), ("hydraulic_time_step_s", -300),
+        ("quality_time_step_s", 0), ("quality_time_step_s", -60),
+    ])
+    def test_durations_and_steps_must_be_positive(self, toy9_config_factory,
+                                                  name, value):
+        with pytest.raises(ConfigError, match=name):
+            toy9_config_factory(**{name: value})
+
+    def test_int_valued_config_is_a_fixed_point(self, toy9_config_factory,
+                                                tmp_path):
+        config = toy9_config_factory(
+            leakages=(LeakageEvent(kind="incipient", link_id="p3", diameter=1,
+                                   window=EventWindow(600, 6000, 3600)),),
+            sensor_faults=(SensorFaultEvent(kind="offset",
+                                            sensor_ref=("pressure", "n2"),
+                                            param=2,
+                                            window=EventWindow(0, 3600)),),
+            uncertainties=(UncertaintyModel(kind="gauss_abs",
+                                            target="sensor_noise",
+                                            params={"sigma": 1}),),
+            quality=QualitySpec(decay_rate_k=0, source_nodes=(("r1", 1),)))
+        once = config_to_json(config)
+        assert config_to_json(config_from_json(once)) == once
+        path = tmp_path / "scenario.json"
+        save_config(config, str(path))
+        assert config_digest(load_config(str(path))) == config_digest(config)
+
+
 class TestValidation:
     def test_accepts_well_formed_config(self, toy9, toy9_config_factory):
         validate_scenario(full_config(toy9_config_factory), toy9)
