@@ -54,9 +54,9 @@ class EventWindow:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, float(value))
-        if not 0 <= self.start_time < self.end_time:
+        if not 0 <= self.start_time < self.end_time < math.inf:
             raise ConfigError(
-                f"event window needs 0 <= start < end, got"
+                f"event window needs 0 <= start < end < inf, got"
                 f" [{self.start_time}, {self.end_time})")
         if self.peak_time is not None and \
                 not self.start_time <= self.peak_time <= self.end_time:
@@ -83,10 +83,10 @@ class LeakageEvent:
         if self.area_pattern is not None:
             object.__setattr__(self, "area_pattern",
                                tuple(float(v) for v in self.area_pattern))
-        if self.diameter <= 0:
-            raise ConfigError("leak diameter must be > 0")
-        if self.discharge_coef <= 0:
-            raise ConfigError("discharge coefficient must be > 0")
+        if not 0 < self.diameter < math.inf:
+            raise ConfigError("leak diameter must be finite and > 0")
+        if not 0 < self.discharge_coef < math.inf:
+            raise ConfigError("discharge coefficient must be finite and > 0")
         if self.kind == "incipient" and self.window.peak_time is None:
             raise ConfigError("incipient leakage needs a peak_time")
         if self.kind == "pattern":
@@ -112,8 +112,10 @@ class ActuatorEvent:
             raise ConfigError(f"unknown actuator event kind '{self.kind}'")
         if self.kind == "pump_speed":
             if isinstance(self.value, bool) or \
-                    not isinstance(self.value, (int, float)) or self.value < 0:
-                raise ConfigError("pump_speed value must be a number >= 0")
+                    not isinstance(self.value, (int, float)) or \
+                    not 0 <= self.value < math.inf:
+                raise ConfigError("pump_speed value must be a finite number"
+                                  " >= 0")
             object.__setattr__(self, "value", float(self.value))
         elif not isinstance(self.value, bool):
             raise ConfigError(f"{self.kind} value must be a boolean")
@@ -132,6 +134,8 @@ class SensorFaultEvent:
         if self.sensor_ref[0] not in SENSOR_TYPES:
             raise ConfigError(f"unknown sensor type '{self.sensor_ref[0]}'")
         object.__setattr__(self, "param", float(self.param))
+        if not math.isfinite(self.param):
+            raise ConfigError("sensor fault param must be finite")
         if self.kind == "gaussian" and self.param < 0:
             raise ConfigError("gaussian fault sigma must be >= 0")
 

@@ -14,9 +14,15 @@ Everything that depends only on which links are open and which nodes have a
 fixed head (reachability, the unknown-node numbering, island heads, each
 node's nearest source, the cold-start flow signs, the per-kind link indices
 and the matrix's sparsity pattern) is built by one graph traversal the first
-time that topology is met and cached on the network's layout. Every snapshot
-still cold-starts from that structure, so its result is a pure function of
-its inputs.
+time that topology is met and cached on the network's layout. At that point
+the topology also solves its reference snapshot once, from static data only:
+base demands on reached junctions, no emitters, tanks at their initial
+levels, reservoir heads at t = 0 and each pump at its network speed. Every
+snapshot of the topology starts Newton from the reference flows, scaled by
+its total demand over the reference's; it falls back to the cold start
+(small flows leaving the nearer source) when either total is zero or the
+reference does not converge. The start is a function of the topology alone,
+never of earlier snapshots, so each result is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -296,6 +302,47 @@ class _Topology:
         self.indices = self.flat % max(n_u, 1)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(self.flat // max(n_u, 1), minlength=n_u))])
+        self.ref_flow, self.ref_demand = self._reference(layout)
+
+    def initial_head(self, fixed_head: dict[int, float]) -> np.ndarray:
+        """Island heads, and each reached node at its nearest source's head."""
+        head = self.island_head.copy()
+        src_head = np.zeros(len(head))
+        src_head[list(fixed_head)] = list(fixed_head.values())
+        head[self.reached] = src_head[self.nearest_source]
+        return head
+
+    def _reference(self, layout: _Layout) -> tuple[np.ndarray | None, float]:
+        """Flows and total demand of this topology's static snapshot: base
+        demands, no emitters, tanks at their initial levels, reservoir heads
+        at t = 0 and each pump at its network speed (1.0 where that is 0).
+        (None, 0.0) when nothing is demanded or the solve does not converge."""
+        net, inc = layout.network, layout.inc
+        demand = np.zeros(len(inc.node_ids))
+        demand[:len(inc.junction_ids)] = [net.junctions[jid].base_demand
+                                          for jid in inc.junction_ids]
+        total = float(demand[self.unknown].sum())
+        if total == 0.0:
+            return None, 0.0
+        levels = {tid: net.tanks[tid].init_level for tid in inc.tank_ids}
+        speed = np.zeros(len(inc.link_ids))
+        for j in self.act_idx[self.pumps].tolist():
+            speed[j] = net.pumps[inc.link_ids[j]].speed or 1.0
+        head = self.initial_head(
+            _fixed_heads(layout, levels, 0.0, frozenset()))
+        try:
+            q = _newton(layout, self, head, demand, np.zeros(len(head)), speed,
+                        self.q0, 0.0)[0]
+        except NonConvergenceError:
+            return None, 0.0
+        return q, total
+
+    def start(self, demand_arr: np.ndarray) -> np.ndarray:
+        """Newton's starting flows: the reference flows scaled by the total
+        demand over the reference's, else the cold start."""
+        ratio = demand_arr[self.unknown].sum() / self.ref_demand \
+            if self.ref_demand else 0.0
+        return self.ref_flow * ratio if ratio > 0.0 else self.q0
 
 
 def _active_mask(layout: _Layout, controls: Controls,
@@ -402,6 +449,23 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     return state
 
 
+def _fixed_heads(layout: _Layout, levels: dict[str, float], t: float,
+                 closed_tanks: frozenset[str]) -> dict[int, float]:
+    """Head per fixed-head node: reservoirs (pattern-scaled) and open tanks."""
+    net, inc = layout.network, layout.inc
+    fixed_head: dict[int, float] = {}
+    for rid in inc.reservoir_ids:
+        res = net.reservoirs[rid]
+        mult = pattern_value(net.patterns.get(res.head_pattern_id), t) \
+            if res.head_pattern_id else 1.0
+        fixed_head[inc.node_index[rid]] = res.head * mult
+    for tid in inc.tank_ids:
+        if tid not in closed_tanks:
+            fixed_head[inc.node_index[tid]] = \
+                net.tanks[tid].elevation + levels[tid]
+    return fixed_head
+
+
 def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
                 emitters: dict[str, float], levels: dict[str, float], t: float,
                 closed_tanks: frozenset[str]) -> HydraulicState:
@@ -410,18 +474,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     n_junc = len(inc.junction_ids)
 
     active, speed = _active_mask(layout, controls, closed_tanks)
-
-    # fixed-head nodes: reservoirs (pattern-scaled) and open tanks
-    fixed_head: dict[int, float] = {}
-    for rid in inc.reservoir_ids:
-        res = net.reservoirs[rid]
-        mult = pattern_value(net.patterns.get(res.head_pattern_id), t) \
-            if res.head_pattern_id else 1.0
-        fixed_head[inc.node_index[rid]] = res.head * mult
-    for tid in inc.tank_ids:
-        idx = inc.node_index[tid]
-        if tid not in closed_tanks:
-            fixed_head[idx] = net.tanks[tid].elevation + levels[tid]
+    fixed_head = _fixed_heads(layout, levels, t, closed_tanks)
 
     demand_arr = np.zeros(n_nodes)
     for i, jid in enumerate(inc.junction_ids):
@@ -430,8 +483,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     for jid, k in emitters.items():
         emit_k[inc.node_index[jid]] = k
 
-    source_idx = sorted(fixed_head)
-    topo = layout.topology(active, source_idx)
+    topo = layout.topology(active, sorted(fixed_head))
 
     cut = ~topo.reach[:n_junc] & ((demand_arr[:n_junc] > 0.0)
                                   | (emit_k[:n_junc] > 0.0))
@@ -443,14 +495,48 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
             " tank" if demand_arr[i] > 0.0 else
             f"leak at '{jid}' has no open path to a reservoir or tank")
 
-    # initial heads: each reached node takes its nearest source's head
-    head = topo.island_head.copy()
-    src_head = np.zeros(n_nodes)
-    src_head[source_idx] = [fixed_head[i] for i in source_idx]
-    head[topo.reached] = src_head[topo.nearest_source]
+    head = topo.initial_head(fixed_head)
     for tid in closed_tanks:
         head[inc.node_index[tid]] = net.tanks[tid].elevation + levels[tid]
+    q, iterations, mass_res, energy_res = _newton(
+        layout, topo, head, demand_arr, emit_k, speed,
+        topo.start(demand_arr), t)
 
+    a_from, a_to = topo.a_from, topo.a_to
+    flow_full = np.zeros(len(inc.link_ids))
+    flow_full[topo.act_idx] = q
+    balance = np.bincount(np.concatenate([a_from, a_to]),
+                          weights=np.concatenate([-q, q]), minlength=n_nodes)
+    tank_inflow = balance[n_nodes - len(inc.tank_ids):].copy()  # tanks last
+
+    leak_flow = {}
+    for node in np.flatnonzero(emit_k):
+        press = head[node] - layout.node_elev[node]
+        leak_flow[inc.node_ids[node]] = \
+            emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
+
+    pressure = head[:n_junc] - layout.node_elev[:n_junc]
+    level_arr = np.array([levels[tid] for tid in inc.tank_ids])
+
+    for arr in (flow_full, head, pressure, level_arr, tank_inflow):
+        arr.flags.writeable = False
+    demand_out = demand_arr[:n_junc].copy()
+    demand_out.flags.writeable = False
+
+    return HydraulicState(
+        t=t, flow=flow_full, head=head, pressure_head=pressure,
+        tank_level=level_arr, actual_demand=demand_out,
+        tank_net_inflow=tank_inflow, leak_flow=leak_flow,
+        iterations=iterations, converged=True,
+        mass_residual=float(mass_res), energy_residual=float(energy_res))
+
+
+def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
+            demand_arr: np.ndarray, emit_k: np.ndarray, speed: np.ndarray,
+            q: np.ndarray, t: float) -> tuple[np.ndarray, int, float, float]:
+    """Newton iteration from flows q; solves the unknown heads in place and
+    returns the active-link flows, the iteration count and the final mass
+    and energy residuals."""
     unknown, a_from, a_to = topo.unknown, topo.a_from, topo.a_to
     end_link, end_node, end_sign = topo.end_link, topo.end_node, topo.end_sign
     n_u = len(unknown)
@@ -465,7 +551,6 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
     h0, rr, pump_n = layout.pump_coef[pump_links].T
     pump_a, pump_b = w * w * h0, rr * w ** (2.0 - pump_n)
     pipes, r_pipes = topo.pipes, topo.r_pipe
-    q = topo.q0.copy()
 
     lam = 1.0
     prev_change = math.inf
@@ -552,33 +637,7 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
 
     if converged_at < 0:
         raise NonConvergenceError(iterations, max(mass_res, energy_res), t)
-
-    flow_full = np.zeros(len(inc.link_ids))
-    flow_full[topo.act_idx] = q
-    balance = np.bincount(np.concatenate([a_from, a_to]),
-                          weights=np.concatenate([-q, q]), minlength=n_nodes)
-    tank_inflow = balance[n_nodes - len(inc.tank_ids):].copy()  # tanks last
-
-    leak_flow = {}
-    for node in np.flatnonzero(emit_k):
-        press = head[node] - layout.node_elev[node]
-        leak_flow[inc.node_ids[node]] = \
-            emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
-
-    pressure = head[:n_junc] - layout.node_elev[:n_junc]
-    level_arr = np.array([levels[tid] for tid in inc.tank_ids])
-
-    for arr in (flow_full, head, pressure, level_arr, tank_inflow):
-        arr.flags.writeable = False
-    demand_out = demand_arr[:n_junc].copy()
-    demand_out.flags.writeable = False
-
-    return HydraulicState(
-        t=t, flow=flow_full, head=head, pressure_head=pressure,
-        tank_level=level_arr, actual_demand=demand_out,
-        tank_net_inflow=tank_inflow, leak_flow=leak_flow,
-        iterations=iterations, converged=True,
-        mass_residual=float(mass_res), energy_residual=float(energy_res))
+    return q, iterations, mass_res, energy_res
 
 
 # --- extended-period engine --------------------------------------------------

@@ -231,11 +231,13 @@ def validate(network: Network) -> list[Violation]:
                           f"head pattern '{r.head_pattern_id}' not defined"))
 
     for tk in network.tanks.values():
-        if tk.diameter <= 0:
-            add(Violation("tank", tk.id, "diameter must be > 0"))
-        if not (0 <= tk.min_level <= tk.init_level <= tk.max_level):
+        if not _check_finite(tk.elevation):
+            add(Violation("tank", tk.id, "elevation not finite"))
+        if not 0 < tk.diameter < math.inf:
+            add(Violation("tank", tk.id, "diameter must be finite and > 0"))
+        if not (0 <= tk.min_level <= tk.init_level <= tk.max_level < math.inf):
             add(Violation("tank", tk.id,
-                          "levels must satisfy 0 <= min <= init <= max"))
+                          "levels must satisfy 0 <= min <= init <= max < inf"))
 
     def endpoints_ok(kind, elem):
         ok = True
@@ -248,34 +250,33 @@ def validate(network: Network) -> list[Violation]:
 
     for p in network.pipes.values():
         endpoints_ok("pipe", p)
-        if p.length <= 0:
-            add(Violation("pipe", p.id, "length must be > 0"))
-        if p.diameter <= 0:
-            add(Violation("pipe", p.id, "diameter must be > 0"))
-        if p.roughness <= 0:
-            add(Violation("pipe", p.id, "roughness must be > 0"))
+        for name in ("length", "diameter", "roughness"):
+            if not 0 < getattr(p, name) < math.inf:
+                add(Violation("pipe", p.id, f"{name} must be finite and > 0"))
 
     for pu in network.pumps.values():
         endpoints_ok("pump", pu)
         if pu.curve_id not in network.curves:
             add(Violation("pump", pu.id, f"curve '{pu.curve_id}' not defined"))
-        if pu.speed < 0:
-            add(Violation("pump", pu.id, "speed must be >= 0"))
+        if not 0 <= pu.speed < math.inf:
+            add(Violation("pump", pu.id, "speed must be finite and >= 0"))
 
     for v in network.valves.values():
         endpoints_ok("valve", v)
-        if v.diameter <= 0:
-            add(Violation("valve", v.id, "diameter must be > 0"))
-        if v.minor_loss_coef < 0:
-            add(Violation("valve", v.id, "minor_loss_coef must be >= 0"))
+        if not 0 < v.diameter < math.inf:
+            add(Violation("valve", v.id, "diameter must be finite and > 0"))
+        if not 0 <= v.minor_loss_coef < math.inf:
+            add(Violation("valve", v.id,
+                          "minor_loss_coef must be finite and >= 0"))
 
     for pat in network.patterns.values():
         if not pat.multipliers:
             add(Violation("pattern", pat.id, "must have at least one multiplier"))
-        elif any(m < 0 for m in pat.multipliers):
-            add(Violation("pattern", pat.id, "multipliers must be >= 0"))
-        if pat.step <= 0:
-            add(Violation("pattern", pat.id, "step must be > 0"))
+        elif not all(0 <= m < math.inf for m in pat.multipliers):
+            add(Violation("pattern", pat.id,
+                          "multipliers must be finite and >= 0"))
+        if not 0 < pat.step < math.inf:
+            add(Violation("pattern", pat.id, "step must be finite and > 0"))
 
     for c in network.curves.values():
         if not c.points:
@@ -283,6 +284,8 @@ def validate(network: Network) -> list[Violation]:
             continue
         flows = [q for q, _ in c.points]
         heads = [h for _, h in c.points]
+        if not all(map(math.isfinite, flows + heads)):
+            add(Violation("curve", c.id, "points must be finite"))
         if any(b <= a for a, b in zip(flows, flows[1:])):
             add(Violation("curve", c.id, "flows must be strictly increasing"))
         if any(b > a for a, b in zip(heads, heads[1:])):

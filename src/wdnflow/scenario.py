@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from collections import Counter
@@ -74,14 +75,14 @@ class QualitySpec:
                                for nid, c in self.source_nodes))
         object.__setattr__(self, "decay_rate_k", float(self.decay_rate_k))
         object.__setattr__(self, "source_nodes", sources)
-        if self.decay_rate_k < 0:
-            raise ConfigError("decay_rate_k must be >= 0")
+        if not 0 <= self.decay_rate_k < math.inf:
+            raise ConfigError("decay_rate_k must be finite and >= 0")
         if len(dict(sources)) != len(sources):
             raise ConfigError("duplicate ids in source_nodes")
         for nid, c in sources:
-            if c < 0:
-                raise ConfigError(
-                    f"source concentration at '{nid}' must be >= 0")
+            if not 0 <= c < math.inf:
+                raise ConfigError(f"source concentration at '{nid}' must be"
+                                  " finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,13 @@ _LISTS = {"leakages": (_LEAKAGE, _leakage),
           "uncertainties": (_UNCERTAINTY, _uncertainty)}
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"invalid JSON: {name} is not a number")
+
+
 def config_from_json(text: str) -> ScenarioConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     _read(doc, "config", _CONFIG)

@@ -94,6 +94,9 @@ class UncertaintyModel:
             object.__setattr__(self, "params",
                                {k: float(v) for k, v in self.params.items()})
         params = self.params or {}
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{self.kind} param '{name}' must be finite")
         for name in _REQUIRED_PARAMS[self.kind]:
             if name not in params:
                 raise ConfigError(f"{self.kind} uncertainty needs param '{name}'")

@@ -1,0 +1,148 @@
+"""NaN and ±Infinity are rejected where configs and networks enter."""
+
+import json
+import math
+from dataclasses import replace
+
+import pytest
+
+from wdnflow import ConfigError, InvalidNetworkError, bundled
+from wdnflow.events import (
+    ActuatorEvent, EventWindow, LeakageEvent, SensorFaultEvent,
+)
+from wdnflow.network import (
+    Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, Tank, Valve,
+    incidence, validate,
+)
+from wdnflow.scada import SensorPlacement
+from wdnflow.scenario import (
+    QualitySpec, ScenarioConfig, config_from_json, config_to_json,
+)
+from wdnflow.uncertainty import UncertaintyModel
+
+NAN, INF = math.nan, math.inf
+WINDOW = EventWindow(0.0, 3600.0)
+
+
+def network():
+    """A reservoir pumps into j1; a valve feeds j2, which fills a tank."""
+    return Network(
+        junctions={"j1": Junction("j1", 5.0, 0.01, "daily"),
+                   "j2": Junction("j2", 4.0, 0.02)},
+        reservoirs={"r1": Reservoir("r1", 10.0)},
+        tanks={"t1": Tank("t1", 30.0, 4.0, 2.0, 0.5, 8.0)},
+        pipes={"p1": Pipe("p1", "j2", "t1", 100.0, 0.2, 110.0)},
+        pumps={"pu1": Pump("pu1", "r1", "j1", "c1")},
+        valves={"v1": Valve("v1", "j1", "j2", 0.25, 4.0)},
+        patterns={"daily": Pattern("daily", (0.8, 1.2))},
+        curves={"c1": Curve("c1", ((0.05, 40.0),))})
+
+
+def with_element(group, eid, **fields):
+    net = network()
+    elems = getattr(net, group)
+    changed = replace(elems[eid], **fields)
+    return replace(net, **{group: {**elems, eid: changed}})
+
+
+def config(name, value, build):
+    return pytest.param(lambda: build(value), ConfigError, "finite|inf",
+                        id=f"{name}={value}")
+
+
+def element(group, eid, name, value):
+    """incidence() validates, so it raises for a bad element field."""
+    return pytest.param(
+        lambda: incidence(with_element(group, eid, **{name: value})),
+        InvalidNetworkError, f"'{eid}'", id=f"{group}.{name}={value}")
+
+
+def json_constant(listing, key, constant):
+    """A toy9 config read from JSON in which one number is a bare JSON
+    constant."""
+    def make():
+        cfg = ScenarioConfig(
+            network_path=bundled.toy9_path(), duration_s=86400,
+            sensors=SensorPlacement(pressure_nodes=("n1",)),
+            leakages=(leak(link_id="p3"),),
+            sensor_faults=(SensorFaultEvent("offset", ("pressure", "n1"), 1.0,
+                                            WINDOW),))
+        doc = json.loads(config_to_json(cfg))
+        doc[listing][0][key] = "@"
+        return config_from_json(json.dumps(doc).replace('"@"', constant))
+    return pytest.param(make, ConfigError, "is not a number",
+                        id=f"json.{listing}.{key}={constant}")
+
+
+def leak(**fields):
+    return LeakageEvent(**{"kind": "abrupt", "link_id": "p1",
+                           "diameter": 0.01, "window": WINDOW, **fields})
+
+
+def uncertainty(kind, target, **params):
+    return UncertaintyModel(kind, target, params)
+
+
+CASES = [
+    config("leak.diameter", NAN, lambda v: leak(diameter=v)),
+    config("leak.diameter", INF, lambda v: leak(diameter=v)),
+    config("leak.discharge_coef", NAN, lambda v: leak(discharge_coef=v)),
+    config("leak.discharge_coef", INF, lambda v: leak(discharge_coef=v)),
+    config("window.end_time", INF, lambda v: EventWindow(0.0, v)),
+    config("pump_speed", NAN,
+           lambda v: ActuatorEvent("pump_speed", "pu1", v, WINDOW)),
+    config("pump_speed", INF,
+           lambda v: ActuatorEvent("pump_speed", "pu1", v, WINDOW)),
+    config("gaussian.param", NAN,
+           lambda v: SensorFaultEvent("gaussian", ("pressure", "j1"), v,
+                                      WINDOW)),
+    config("offset.param", -INF,
+           lambda v: SensorFaultEvent("offset", ("pressure", "j1"), v,
+                                      WINDOW)),
+    config("gauss_abs.sigma", NAN,
+           lambda v: uncertainty("gauss_abs", "sensor_noise", sigma=v)),
+    config("uniform_rel.amplitude", INF,
+           lambda v: uncertainty("uniform_rel", "pipe_length", amplitude=v)),
+    config("sinusoidal.period", NAN,
+           lambda v: uncertainty("sinusoidal", "sensor_noise", amplitude=0.1,
+                                 period=v)),
+    config("regime_shift.mean_dwell", NAN,
+           lambda v: uncertainty("regime_shift", "sensor_noise",
+                                 amplitude=0.1, mean_dwell=v)),
+    config("percentage.fraction", NAN,
+           lambda v: uncertainty("percentage", "pipe_roughness", fraction=v)),
+    config("quality.decay_rate_k", NAN, lambda v: QualitySpec(decay_rate_k=v)),
+    config("quality.decay_rate_k", INF, lambda v: QualitySpec(decay_rate_k=v)),
+    config("quality.source", NAN,
+           lambda v: QualitySpec(source_nodes=(("r1", v),))),
+    config("quality.source", INF,
+           lambda v: QualitySpec(source_nodes=(("r1", v),))),
+] + [element(*case) for case in (
+    ("pipes", "p1", "length", NAN), ("pipes", "p1", "length", INF),
+    ("pipes", "p1", "diameter", NAN), ("pipes", "p1", "diameter", INF),
+    ("pipes", "p1", "roughness", NAN), ("pipes", "p1", "roughness", INF),
+    ("tanks", "t1", "diameter", NAN), ("tanks", "t1", "diameter", INF),
+    ("tanks", "t1", "elevation", NAN), ("tanks", "t1", "max_level", INF),
+    ("valves", "v1", "diameter", NAN), ("valves", "v1", "diameter", INF),
+    ("valves", "v1", "minor_loss_coef", NAN),
+    ("valves", "v1", "minor_loss_coef", INF),
+    ("pumps", "pu1", "speed", NAN), ("pumps", "pu1", "speed", INF),
+    ("patterns", "daily", "step", NAN), ("patterns", "daily", "step", INF),
+    ("patterns", "daily", "multipliers", (1.0, NAN)),
+    ("patterns", "daily", "multipliers", (INF, 1.0)),
+    ("curves", "c1", "points", ((NAN, 40.0),)),
+)] + [
+    json_constant("leakages", "diameter", "NaN"),
+    json_constant("leakages", "diameter", "Infinity"),
+    json_constant("sensor_faults", "param", "-Infinity"),
+]
+
+
+class TestNonFiniteValues:
+    def test_reference_network_is_valid(self):
+        assert validate(network()) == []
+
+    @pytest.mark.parametrize("make, error, match", CASES)
+    def test_rejected(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()

@@ -1,7 +1,11 @@
 """Tests for the snapshot solver and the extended-period engine."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,9 @@ from wdnflow.hydraulics import (
     solve_snapshot,
     tank_step,
 )
-from wdnflow.network import Curve
+from wdnflow.network import (
+    Curve, Junction, Network, Pattern, Pipe, Reservoir,
+)
 
 
 def mass_residuals(network, state):
@@ -390,6 +396,154 @@ class TestTopologyCache:
         state = self.assert_same_as_fresh(net, layout, demands, controls=shut)
         assert float(state.flow[list(net.link_ids()).index("v1")]) == 0.0
         self.assert_same_as_fresh(net, layout, demands)
+
+
+def run_recording_inputs(engine):
+    """Step an engine to its horizon; keep each snapshot's inputs as the
+    engine sees them (t, demands, controls, emitters, tank levels)."""
+    inputs, states = [], []
+    while engine.step_index < engine.total_steps:
+        t = float(engine.step_index * engine.step_s)
+        inputs.append((
+            t, engine.demands_at(t),
+            engine.control_hook(t) if engine.control_hook else None,
+            engine.emitter_hook(t) if engine.emitter_hook else None,
+            dict(engine.tank_levels)))
+        states.append(engine.step_once())
+    return inputs, states
+
+
+class TestSnapshotPurity:
+    """A snapshot solved alone, on a fresh layout, equals the same snapshot
+    inside an EPS run bit for bit: the Newton start depends on the topology
+    only, never on the snapshots solved before."""
+
+    def assert_pure(self, network, engine, picks):
+        inputs, states = run_recording_inputs(engine)
+        for i in picks(states):
+            t, demands, controls, emitters, levels = inputs[i]
+            alone = solve_snapshot(network, demands, controls,
+                                   emitters=emitters, tank_levels=levels, t=t)
+            assert np.array_equal(alone.head, states[i].head), t
+            assert np.array_equal(alone.flow, states[i].flow), t
+        return states
+
+    def test_toy9_day_with_leak(self, toy9):
+        engine = EpsEngine(toy9, duration_s=86400, step_s=300,
+                           emitter_hook=lambda t: {"n3": 2e-4}
+                           if 6 * 3600 <= t < 18 * 3600 else None)
+        self.assert_pure(toy9, engine, lambda s: range(0, len(s), 23))
+
+    def test_pumpnet_day_with_tank_closure(self, pumpnet):
+        top = pumpnet.tanks["t1"].max_level
+
+        def closed(states):
+            hits = [i for i, s in enumerate(states)
+                    if float(s.tank_level[0]) >= top
+                    and float(s.tank_net_inflow[0]) == 0.0]
+            assert hits
+            return hits[::5] + list(range(0, len(states), 31))
+        self.assert_pure(pumpnet, EpsEngine(pumpnet, duration_s=86400,
+                                            step_s=300), closed)
+
+    def test_grid_with_valve_closed_mid_run(self):
+        net = parse_inp(grid_inp(5))
+        base = baseline_controls(net)
+        shut = Controls(pipe_open=base.pipe_open,
+                        pump_running=base.pump_running,
+                        pump_speed=base.pump_speed, valve_open={"v1": False})
+        engine = EpsEngine(net, control_hook=lambda t: shut
+                           if 8 * 3600 <= t < 16 * 3600 else None)
+        states = self.assert_pure(net, engine, lambda s: range(len(s)))
+        valve = list(net.link_ids()).index("v1")
+        assert float(states[10].flow[valve]) == 0.0
+        assert float(states[4].flow[valve]) != 0.0
+
+
+def zero_pattern_network(base_demand):
+    """r1 feeds j1 and j2 in series; j3 hangs off j2 on the closed pipe p3.
+    j3's demand pattern is zero for the first hour, then one."""
+    return Network(
+        junctions={"j1": Junction("j1", 5.0, base_demand),
+                   "j2": Junction("j2", 4.0, base_demand),
+                   "j3": Junction("j3", 3.0, 0.01, "late")},
+        reservoirs={"r1": Reservoir("r1", 40.0)},
+        pipes={"p1": Pipe("p1", "r1", "j1", 300.0, 0.2, 110.0),
+               "p2": Pipe("p2", "j1", "j2", 200.0, 0.15, 110.0),
+               "p3": Pipe("p3", "j2", "j3", 100.0, 0.1, 110.0, open=False)},
+        patterns={"late": Pattern("late", (0.0, 1.0))})
+
+
+class TestReferenceStart:
+    """Each topology solves one static snapshot once and starts every
+    snapshot from its flows, scaled by total demand; the cold start q0 is
+    the fallback."""
+
+    def test_toy9_day_iteration_budget(self, toy9):
+        series = simulate_hydraulics(toy9, duration_s=86400,
+                                     hydraulic_step_s=300)
+        iters = [s.iterations for s in series.states]
+        assert sum(iters) / len(iters) <= 4.0
+
+    def test_unreached_junction_with_zero_pattern_demand(self):
+        # j3 has a base demand but is cut off; its pattern is zero, so the
+        # snapshot is valid, and the reference must leave j3's demand out
+        net = zero_pattern_network(2e-3)
+        series = simulate_hydraulics(net, duration_s=3600,
+                                     hydraulic_step_s=300)
+        p3 = incidence(net).link_index["p3"]
+        for state in series.states:
+            assert state.converged
+            assert state.mass_residual <= MASS_TOL
+            assert max(map(abs, mass_residuals(net, state).values())) \
+                <= MASS_TOL
+            assert float(state.flow[p3]) == 0.0
+        assert series.states[0].iterations <= 3
+
+    def test_zero_base_demands_fall_back_to_cold_start(self):
+        net = zero_pattern_network(0.0)
+        layout = _Layout(net)
+        state = solve_snapshot(net, {"j1": 1e-3, "j2": 2e-3}, _layout=layout)
+        (topo,) = layout._topologies.values()
+        assert topo.ref_flow is None
+        assert state.converged
+        assert max(map(abs, mass_residuals(net, state).values())) <= MASS_TOL
+
+    def test_unconverged_reference_falls_back_to_cold_start(
+            self, toy9, monkeypatch):
+        demands = {jid: 2e-5 for jid in toy9.junctions}
+        warm = solve_snapshot(toy9, demands)
+        layout = _Layout(toy9)
+        monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergenceError):
+            solve_snapshot(toy9, demands, _layout=layout)
+        monkeypatch.undo()
+        # the cached topology kept no reference, so this solve cold-starts
+        cold = solve_snapshot(toy9, demands, _layout=layout)
+        assert cold.converged and cold.iterations > warm.iterations
+        assert np.abs(cold.head - warm.head).max() <= 1e-6
+
+    def test_dense_run_does_not_import_scipy_linalg(self):
+        """Importing scipy.linalg raised the toy9_twoweek benchmark's
+        peak_rss_mb from 60 to 82 MB, so the dense branch keeps
+        np.linalg.solve and scipy stays a lazy, sparse-branch import."""
+        code = (
+            "import sys\n"
+            "from wdnflow import bundled\n"
+            "from wdnflow.scada import SensorPlacement\n"
+            "from wdnflow.scenario import ScenarioConfig, run_scenario\n"
+            "run_scenario(ScenarioConfig(network_path=bundled.toy9_path(),"
+            " duration_s=7200, sensors=SensorPlacement("
+            "pressure_nodes=('n1',))))\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestControlsAndFailureModes:
