@@ -5,10 +5,20 @@ columns plus an intercept. Thresholds come from the training residuals with a
 safety margin; a time step is suspicious as soon as one sensor deviates more
 than its threshold. Per-sensor thresholds make alarm decisions invariant
 under an affine rescaling of any single sensor applied to both splits.
+
+All p models come from one QR factorization of the centred training matrix
+X_c with its columns scaled to unit norm (Lauritzen 1996): with
+P = (X_c^T X_c)^-1 = R^-1 R^-T, sensor i's weight on sensor j is
+-P_ij / P_ii and its training residuals are (X_c P)_i / P_ii. Prediction is
+then one product X W^T + b, with a zero diagonal in W. When the scaled X_c
+is numerically rank-deficient (the cut-off `np.linalg.lstsq` applies with
+rcond=None) or holds a constant column, every sensor is instead fitted on
+its own by `lstsq`, which gives minimum-norm weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +35,86 @@ __all__ = [
 def _impute(values: np.ndarray, lead_fill: np.ndarray) -> np.ndarray:
     """Forward-fill NaNs per column; leading NaNs take lead_fill."""
     out = np.array(values, dtype=float)
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        missing = np.isnan(col)
-        if not missing.any():
+    missing = np.isnan(out)
+    if not missing.any():
+        return out
+    n, p = out.shape
+    padded = np.vstack([lead_fill, out])
+    # each cell's source is the last present padded row at or above it;
+    # padded row 0 is the fill, which is where a leading gap points
+    source = np.where(missing, 0, np.arange(1, n + 1)[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
+    return padded[source, np.arange(p)]
+
+
+def _column_means(X: np.ndarray) -> np.ndarray:
+    """Mean of each column's present cells; 0.0 for a column with none."""
+    # summed along contiguous rows, a gap-free column's mean is bit-equal to
+    # its own ndarray.mean()
+    rows = X.T.copy()
+    missing = np.isnan(rows)
+    rows[missing] = 0.0
+    counts = X.shape[0] - missing.sum(axis=1)
+    return np.divide(rows.sum(axis=1), counts, out=np.zeros(X.shape[1]),
+                     where=counts > 0)
+
+
+def _reject_infinite(X: np.ndarray, what: str) -> None:
+    bad = np.isinf(X).any(axis=0)
+    if bad.any():
+        raise ValueError(
+            f"{what} column {int(np.argmax(bad))} holds an infinite value")
+
+
+def _fit_factored(X: np.ndarray):
+    """Weights, intercepts and training residuals of all p regressions from
+    one QR factorization, or None when it cannot stand for them. X is
+    centred and scaled in place."""
+    n, p = X.shape
+    if (np.ptp(X, axis=0) == 0.0).any():
+        return None
+    mu = X.mean(axis=0)
+    X -= mu
+    scale = np.linalg.norm(X, axis=0)
+    X /= scale
+    R = np.linalg.qr(X, mode="r")
+    s = np.linalg.svd(R, compute_uv=False)
+    if s[-1] <= np.finfo(float).eps * max(n, p) * s[0]:
+        return None
+    # P of the unit-norm columns; undoing their scale turns -P_ij / P_ii into
+    # weights on raw readings. Q is never formed, and each factor is dropped
+    # once used and scaled in place, so at most two (n, p) arrays are live.
+    Rinv = np.linalg.inv(R)
+    del R
+    P = Rinv @ Rinv.T
+    del Rinv
+    f = scale / np.diag(P)
+    residuals = X @ P
+    residuals *= f
+    weights = P
+    weights *= -f[:, None] / scale
+    np.fill_diagonal(weights, 0.0)
+    return weights, mu - weights @ mu, residuals
+
+
+def _fit_per_column(X: np.ndarray):
+    """One `lstsq` per sensor on the other columns plus an intercept."""
+    n, p = X.shape
+    weights = np.zeros((p, p))
+    intercepts = np.zeros(p)
+    residuals = np.zeros((n, p))
+    for i in range(p):
+        y = X[:, i]
+        if np.ptp(y) == 0.0:
+            # constant column: the mean is already a perfect predictor
+            intercepts[i] = y[0]
             continue
-        last = lead_fill[c]
-        for r in range(col.size):
-            if missing[r]:
-                col[r] = last
-            else:
-                last = col[r]
-    return out
+        A = np.hstack([np.delete(X, i, axis=1), np.ones((n, 1))])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        weights[i, np.arange(p) != i] = coef[:-1]
+        intercepts[i] = coef[-1]
+        residuals[:, i] = y - A @ coef
+    return weights, intercepts, residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +133,14 @@ class SensorInterpolationDetector:
     """Alarm when any sensor strays from its interpolation by the others."""
 
     def __init__(self, margin: float = 0.1, min_threshold: float = 1e-9):
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
+        for name, value in (("margin", margin),
+                            ("min_threshold", min_threshold)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         self.margin = margin
         self.min_threshold = min_threshold
         self.n_sensors: int | None = None
-        self.weights: np.ndarray | None = None      # (p, p-1)
+        self.weights: np.ndarray | None = None      # (p, p), zero diagonal
         self.intercepts: np.ndarray | None = None
         self.thresholds: np.ndarray | None = None
         self.train_means: np.ndarray | None = None
@@ -75,42 +155,18 @@ class SensorInterpolationDetector:
         if n < p + 1:
             raise InsufficientDataError(
                 f"need at least {p + 1} training rows for {p} sensors, got {n}")
-        means = np.zeros(p)
-        for c in range(p):
-            col = X[:, c]
-            good = col[~np.isnan(col)]
-            means[c] = good.mean() if good.size else 0.0
-        X = _impute(X, means)
-
+        _reject_infinite(X, "training")
+        means = _column_means(X)
+        # the factored fit consumes its copy of the readings
+        fitted = (_fit_factored(_impute(X, means))
+                  or _fit_per_column(_impute(X, means)))
         self.n_sensors = p
         self.train_means = means
-        self.weights = np.zeros((p, p - 1))
-        self.intercepts = np.zeros(p)
-        self.thresholds = np.zeros(p)
-        for i in range(p):
-            y = X[:, i]
-            others = np.delete(X, i, axis=1)
-            if np.ptp(y) == 0.0:
-                # constant column: the mean is already a perfect predictor
-                self.intercepts[i] = y[0]
-                res = np.zeros(n)
-            else:
-                A = np.hstack([others, np.ones((n, 1))])
-                coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-                self.weights[i] = coef[:-1]
-                self.intercepts[i] = coef[-1]
-                res = y - A @ coef
-            self.thresholds[i] = max((1.0 + self.margin) * np.abs(res).max(),
-                                     self.min_threshold)
+        self.weights, self.intercepts, residuals = fitted
+        self.thresholds = np.maximum(
+            (1.0 + self.margin) * np.abs(residuals).max(axis=0),
+            self.min_threshold)
         return self
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        p = self.n_sensors
-        pred = np.empty_like(X)
-        for i in range(p):
-            others = np.delete(X, i, axis=1)
-            pred[:, i] = others @ self.weights[i] + self.intercepts[i]
-        return pred
 
     def apply(self, values: np.ndarray,
               times: tuple[float, ...] | None = None) -> DetectionResult:
@@ -121,8 +177,12 @@ class SensorInterpolationDetector:
             got = X.shape[1] if X.ndim == 2 else "?"
             raise ColumnMismatchError(
                 f"detector fitted on {self.n_sensors} sensors, got {got}")
+        _reject_infinite(X, "applied")
         X = _impute(X, self.train_means)
-        residuals = X - self._predict(X)
+        # X - (X W^T + b) in one (n, p) buffer beside X
+        residuals = X @ self.weights.T
+        residuals += self.intercepts
+        np.subtract(X, residuals, out=residuals)
         flagged = np.abs(residuals) > self.thresholds
         suspicious = tuple(int(i) for i in np.where(flagged.any(axis=1))[0])
         if times is None:

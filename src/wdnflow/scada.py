@@ -250,6 +250,18 @@ def corrupt(scada: ScadaData, faults, comms, noise, stream: SeededStream) -> Sca
                      ground_truth=scada.ground_truth)
 
 
+def _number(token: str, ln_no: int) -> float:
+    """A CSV number; 'nan' and 'inf' parse as floats but are rejected, so a
+    gap can only be written as an empty SCADA cell."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ConfigError(f"line {ln_no}: non-numeric value '{token}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {ln_no}: non-finite value '{token}'")
+    return value
+
+
 def _fmt(x: float) -> str:
     return "" if math.isnan(x) else repr(float(x))
 
@@ -286,11 +298,9 @@ def from_csv(text: str) -> ScadaData:
         if len(cells) != len(header):
             raise ConfigError(
                 f"line {ln_no}: expected {len(header)} fields, got {len(cells)}")
-        try:
-            times.append(float(cells[0]))
-            rows.append([math.nan if c == "" else float(c) for c in cells[1:]])
-        except ValueError:
-            raise ConfigError(f"line {ln_no}: non-numeric value") from None
+        times.append(_number(cells[0], ln_no))
+        rows.append([math.nan if c == "" else _number(c, ln_no)
+                     for c in cells[1:]])
     values = np.array(rows) if rows else np.empty((0, len(columns)))
     return ScadaData(times=tuple(times), columns=tuple(columns), values=values)
 
@@ -312,9 +322,7 @@ def truth_from_csv(text: str) -> tuple[GroundTruthRecord, ...]:
         cells = line.split(",")
         if len(cells) != 4:
             raise ConfigError(f"line {ln_no}: expected 4 fields")
-        try:
-            out.append(GroundTruthRecord(cells[0], cells[1],
-                                         float(cells[2]), float(cells[3])))
-        except ValueError:
-            raise ConfigError(f"line {ln_no}: bad time value") from None
+        out.append(GroundTruthRecord(cells[0], cells[1],
+                                     _number(cells[2], ln_no),
+                                     _number(cells[3], ln_no)))
     return tuple(out)

@@ -210,6 +210,16 @@ class TestDetect:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["detect", str(tmp_path / "nope.csv")]) == 2
 
+    def test_infinite_reading_exits_2(self, tmp_path, capsys):
+        # an inf cell once reached the detector's fit, where LAPACK never
+        # returned; the reader now stops it at its line
+        rows = [f"{300.0 * i},{1.0 + i % 3},{2.0 + i % 5}" for i in range(20)]
+        rows[12] = "3600.0,inf,2.0"
+        path = tmp_path / "scada.csv"
+        path.write_text("time_s,pressure:n1,flow:p1\n" + "\n".join(rows) + "\n")
+        assert cli.main(["detect", str(path)]) == 2
+        assert "line 14: non-finite value 'inf'" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_summary_lines(self, capsys):

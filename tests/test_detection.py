@@ -1,8 +1,15 @@
 """Tests for the sensor cross-prediction detector and its metrics."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from wdnflow import detection
 from wdnflow.detection import (
     ColumnMismatchError,
     DetectionResult,
@@ -26,6 +33,241 @@ def linear_panel(n, rng, noise=0.0):
     if noise:
         data = data + rng.normal(0.0, noise, data.shape)
     return data
+
+
+# --- the per-sensor fit as it was before the one-factorization fit, kept as
+# the oracle for the factored fit and its lstsq fallback
+
+def reference_impute(values, lead_fill):
+    out = np.array(values, dtype=float)
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        missing = np.isnan(col)
+        if not missing.any():
+            continue
+        last = lead_fill[c]
+        for r in range(col.size):
+            if missing[r]:
+                col[r] = last
+            else:
+                last = col[r]
+    return out
+
+
+def reference_means(X):
+    means = np.zeros(X.shape[1])
+    for c in range(X.shape[1]):
+        col = X[:, c]
+        good = col[~np.isnan(col)]
+        means[c] = good.mean() if good.size else 0.0
+    return means
+
+
+class ReferenceDetector:
+    """One `np.linalg.lstsq` per sensor on all other columns plus an
+    intercept; the mean predicts a constant column."""
+
+    def __init__(self, values, margin=0.1, min_threshold=1e-9):
+        X = np.asarray(values, dtype=float)
+        n, p = X.shape
+        self.means = reference_means(X)
+        X = reference_impute(X, self.means)
+        self.weights = np.zeros((p, p - 1))
+        self.intercepts = np.zeros(p)
+        self.thresholds = np.zeros(p)
+        for i in range(p):
+            y = X[:, i]
+            others = np.delete(X, i, axis=1)
+            if np.ptp(y) == 0.0:
+                self.intercepts[i] = y[0]
+                res = np.zeros(n)
+            else:
+                A = np.hstack([others, np.ones((n, 1))])
+                coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+                self.weights[i] = coef[:-1]
+                self.intercepts[i] = coef[-1]
+                res = y - A @ coef
+            self.thresholds[i] = max((1.0 + margin) * np.abs(res).max(),
+                                     min_threshold)
+
+    def apply(self, values):
+        X = reference_impute(values, self.means)
+        pred = np.empty_like(X)
+        for i in range(X.shape[1]):
+            others = np.delete(X, i, axis=1)
+            pred[:, i] = others @ self.weights[i] + self.intercepts[i]
+        residuals = X - pred
+        flagged = np.abs(residuals) > self.thresholds
+        return residuals, tuple(int(i) for i in np.where(flagged.any(axis=1))[0])
+
+
+def mixed_panel(n, p, rng, coupling=1.0):
+    """Correlated sensors on scales from 1e-2 to 1e2, like flows beside
+    pressures; a coupling near 0 makes the columns nearly collinear."""
+    latent = rng.normal(size=(n, 3)) @ rng.normal(size=(3, p))
+    data = latent + coupling * rng.normal(size=(n, p))
+    return data * np.logspace(-2, 2, p) + rng.normal(0.0, 50.0, p)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Counts fits that fall back to one lstsq per sensor."""
+    calls = []
+    per_column = detection._fit_per_column
+
+    def spy(X):
+        calls.append(X.shape)
+        return per_column(X)
+
+    monkeypatch.setattr(detection, "_fit_per_column", spy)
+    return calls
+
+
+class TestFactoredFitAgainstReference:
+    def assert_matches(self, train, test):
+        ref = ReferenceDetector(train)
+        detector = SensorInterpolationDetector().fit(train)
+        assert np.allclose(detector.thresholds, ref.thresholds,
+                           rtol=1e-8, atol=0.0)
+        for rows in (train, test):
+            want, want_flags = ref.apply(rows)
+            got = detector.apply(rows)
+            scale = np.abs(want).max()
+            assert np.abs(got.residuals - want).max() <= 1e-8 * scale
+            assert got.suspicious == want_flags
+        return detector
+
+    @pytest.mark.parametrize("seed,n,p", [(0, 40, 6), (1, 120, 30),
+                                          (2, 400, 60)])
+    def test_random_full_rank_panels(self, seed, n, p, lstsq_calls):
+        rng = np.random.default_rng(seed)
+        data = mixed_panel(2 * n, p, rng)
+        test = data[n:].copy()
+        test[n // 2:n // 2 + 5, p // 2] += 5.0 * np.abs(test[:, p // 2]).max()
+        detector = self.assert_matches(data[:n], test)
+        assert lstsq_calls == []
+        assert detector.apply(test).suspicious != ()
+
+    def test_ill_conditioned_panel(self, lstsq_calls):
+        # cond(X_c^T X_c) near grid_detect's 4e13. Much tighter coupling
+        # (1e-4, cond ~6e16) takes the reference itself 1.3e-8 away from
+        # 50-digit thresholds, so it no longer serves as an oracle at 1e-8.
+        rng = np.random.default_rng(7)
+        n, p = 330, 40
+        data = mixed_panel(2 * n, p, rng, coupling=3e-3)
+        train = data[:n]
+        centred = train - train.mean(axis=0)
+        assert np.linalg.cond(centred.T @ centred) >= 1e12
+        test = data[n:].copy()
+        test[100:110, 3] += 1e-3
+        self.assert_matches(train, test)
+        assert lstsq_calls == []
+
+    def test_weights_have_zero_diagonal(self):
+        rng = np.random.default_rng(8)
+        detector = SensorInterpolationDetector().fit(mixed_panel(50, 5, rng))
+        assert detector.weights.shape == (5, 5)
+        assert not np.diag(detector.weights).any()
+
+
+class TestLstsqFallback:
+    """Panels the factorization cannot stand for go through one lstsq per
+    sensor and reproduce the reference fit exactly."""
+
+    def assert_exact(self, train, test, lstsq_calls):
+        ref = ReferenceDetector(train)
+        detector = SensorInterpolationDetector().fit(train)
+        assert lstsq_calls == [train.shape]
+        off_diagonal = ~np.eye(train.shape[1], dtype=bool)
+        assert np.array_equal(detector.weights[off_diagonal].reshape(
+            ref.weights.shape), ref.weights)
+        assert np.array_equal(detector.intercepts, ref.intercepts)
+        assert np.array_equal(detector.thresholds, ref.thresholds)
+        assert np.array_equal(detector.train_means, ref.means)
+        want, want_flags = ref.apply(test)
+        got = detector.apply(test)
+        # the fit is bit-equal; one product X W^T instead of p column-deleted
+        # products only reorders the rounding of the prediction
+        assert np.allclose(got.residuals, want, rtol=0.0,
+                           atol=1e-12 * np.nanmax(np.abs(test)))
+        assert got.suspicious == want_flags
+
+    def panel(self, seed):
+        rng = np.random.default_rng(seed)
+        data = mixed_panel(160, 8, rng)
+        data[120:125, 2] += 50.0
+        return data
+
+    def test_constant_column(self, lstsq_calls):
+        data = self.panel(10)
+        data[:, 5] = 3.25
+        self.assert_exact(data[:80], data[80:], lstsq_calls)
+
+    def test_duplicated_column(self, lstsq_calls):
+        data = self.panel(11)
+        data[:, 6] = data[:, 1]
+        self.assert_exact(data[:80], data[80:], lstsq_calls)
+
+    def test_all_nan_column(self, lstsq_calls):
+        data = self.panel(12)
+        data[:80, 4] = np.nan
+        self.assert_exact(data[:80], data[80:], lstsq_calls)
+
+    def test_exactly_dependent_sensors(self, lstsq_calls):
+        data = linear_panel(200, np.random.default_rng(13))[:, :3]
+        self.assert_exact(data[:100], data[100:], lstsq_calls)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_training_cell_names_column(self, value):
+        data = mixed_panel(30, 4, np.random.default_rng(14))
+        data[7, 2] = value
+        with pytest.raises(ValueError, match="column 2"):
+            SensorInterpolationDetector().fit(data)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_applied_cell_names_column(self, value):
+        data = mixed_panel(30, 4, np.random.default_rng(15))
+        detector = SensorInterpolationDetector().fit(data)
+        test = data[:5].copy()
+        test[1, 3] = value
+        with pytest.raises(ValueError, match="column 3"):
+            detector.apply(test)
+
+    @pytest.mark.parametrize("name", ["margin", "min_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_margin_and_floor_must_be_finite_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SensorInterpolationDetector(**{name: value})
+
+    def test_zero_margin_and_floor_allowed(self):
+        detector = SensorInterpolationDetector(margin=0.0, min_threshold=0.0)
+        detector.fit(np.array([[1.0], [2.0], [3.0]]))
+        assert detector.thresholds == pytest.approx([1.0])
+
+
+def test_fit_and_apply_import_no_scipy():
+    """scipy.linalg raised the benchmark's peak_rss_mb by 36 %; the detector
+    stays on numpy alone."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wdnflow.detection import SensorInterpolationDetector\n"
+        "X = np.random.default_rng(0).normal(size=(40, 6))\n"
+        "X[3, 1] = np.nan\n"
+        "SensorInterpolationDetector().fit(X[:30]).apply(X[30:])\n"
+        "X[:, 2] = 1.0\n"
+        "SensorInterpolationDetector().fit(X[:30]).apply(X[30:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 class TestFitting:
@@ -149,6 +391,44 @@ class TestImputation:
         assert np.isfinite(detector.thresholds).all()
 
 
+class TestVectorizedImputation:
+    def masked(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(50, 9))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        values[:6, 1] = np.nan          # leading gap
+        values[-7:, 2] = np.nan         # trailing gap
+        values[:3, 3] = np.nan
+        values[-3:, 3] = np.nan         # both
+        values[:, 4] = np.nan           # no reading at all
+        values[:, 5] = rng.normal(size=50)      # no gap
+        return values
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forward_fill_is_byte_identical_to_loop(self, seed):
+        values = self.masked(seed)
+        lead = np.random.default_rng(seed + 100).normal(size=9)
+        got = detection._impute(values, lead)
+        assert got.tobytes() == reference_impute(values, lead).tobytes()
+        assert got.flags.writeable and got is not values
+
+    def test_gap_free_matrix_is_copied(self):
+        values = np.arange(6.0).reshape(3, 2)
+        got = detection._impute(values, np.zeros(2))
+        assert got.tobytes() == values.tobytes() and got is not values
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_column_means_without_warnings(self, seed):
+        values = self.masked(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detection._column_means(values)
+        want = reference_means(values)
+        assert got[4] == 0.0
+        assert got[5] == want[5]         # gap-free: bit-equal
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
 class TestAffineInvariance:
     def test_alarm_decisions_survive_sensor_rescaling(self):
         # changing a sensor's units or offset rescales its residuals and
@@ -164,6 +444,23 @@ class TestAffineInvariance:
         scaled[:, 2] = 7.5 * scaled[:, 2] - 40.0
         detector2 = SensorInterpolationDetector().fit(scaled[:200])
         rescaled = detector2.apply(scaled[200:])
+        assert rescaled.suspicious == baseline.suspicious
+
+    def test_factored_fit_survives_sensor_rescaling(self, lstsq_calls):
+        # the same property on a full-rank panel, which the one-factorization
+        # fit handles (linear_panel above takes the lstsq fallback)
+        rng = np.random.default_rng(6)
+        data = mixed_panel(400, 12, rng, coupling=0.05)
+        anomalous = data.copy()
+        anomalous[250:260, 4] += 0.5 * np.abs(data[:, 4] - data[:, 4].mean()).max()
+        baseline = SensorInterpolationDetector().fit(data[:200]).apply(
+            anomalous[200:])
+        scaled = anomalous.copy()
+        scaled[:, 4] = 1e3 * scaled[:, 4] - 40.0
+        rescaled = SensorInterpolationDetector().fit(scaled[:200]).apply(
+            scaled[200:])
+        assert lstsq_calls == []
+        assert set(range(50, 60)) <= set(baseline.suspicious)
         assert rescaled.suspicious == baseline.suspicious
 
 

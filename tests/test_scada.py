@@ -249,6 +249,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             from_csv("time_s,badlabel\n0,1.0\n")
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "NaN",
+                                       "Infinity", " +inf"])
+    def test_non_finite_token_rejected_with_line(self, token):
+        text = f"time_s,pressure:n1,flow:p1\n0.0,1.0,2.0\n300.0,{token},2.0\n"
+        with pytest.raises(ConfigError, match="line 3: non-finite"):
+            from_csv(text)
+        with pytest.raises(ConfigError, match="line 2: non-finite"):
+            from_csv(f"time_s,pressure:n1\n{token},1.0\n")
+
+    def test_empty_cell_still_means_missing(self):
+        back = from_csv("time_s,pressure:n1,flow:p1\n0.0,,2.0\n")
+        assert math.isnan(back.values[0, 0])
+        assert back.values[0, 1] == 2.0
+
 
 class TestTruthCsv:
     def test_round_trip(self):
@@ -263,6 +277,14 @@ class TestTruthCsv:
 
     def test_empty_round_trip(self):
         assert truth_from_csv(truth_to_csv(())) == ()
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_time_rejected_with_line(self, token):
+        text = ("event_id,kind,start_s,end_s\n"
+                "leakage_0,abrupt,0.0,600.0\n"
+                f"leakage_1,abrupt,600.0,{token}\n")
+        with pytest.raises(ConfigError, match="line 3: non-finite"):
+            truth_from_csv(text)
 
     def test_header_is_stable(self):
         assert truth_to_csv(()).startswith("event_id,kind,start_s,end_s")
