@@ -57,6 +57,10 @@ class ScenarioEnv:
         if config.sensors.quality_nodes:
             raise ConfigError(
                 "quality sensors are not supported in the control environment")
+        if not math.isfinite(min_pressure_head):
+            raise ConfigError("min_pressure_head must be finite")
+        if not 0 <= pressure_penalty < math.inf:
+            raise ConfigError("pressure_penalty must be finite and >= 0")
         self.runtime: ScenarioRuntime = build_runtime(config)
         self.config = config
         self.min_pressure_head = min_pressure_head
@@ -148,7 +152,9 @@ class ScenarioEnv:
     def reset(self) -> np.ndarray:
         """Start a fresh episode; returns the corrupted observation at t=0
         under baseline controls, before any agent action."""
-        self._engine = self.runtime.make_engine()
+        if self._engine is None:
+            self._engine = self.runtime.make_engine()
+        self._engine.reset()
         self._states = []
         peek = self._engine.solve_current()
         peek_corruptor = self.runtime.make_corruptor(self.columns)

@@ -13,23 +13,23 @@ snapshots.
 Everything that depends only on which links are open and which nodes have a
 fixed head (reachability, the unknown-node numbering, island heads, each
 node's nearest source, the cold-start flow signs, the per-kind link indices
-and the matrix's sparsity pattern) is built by one graph traversal the first
-time that topology is met and cached on the network's layout. At that point
-the topology also solves its reference snapshot once, from static data only:
-base demands on reached junctions, no emitters, tanks at their initial
+and the matrix's sparsity pattern) is built by the network module's one graph
+traversal the first time that topology is met, and cached on the engine's
+layout; `EpsEngine.reset` rewinds an engine and keeps that cache. At that
+point the topology also solves its reference snapshot once, from static data
+only: base demands on reached junctions, no emitters, tanks at their initial
 levels, reservoir heads at t = 0 and each pump at its network speed. Every
-snapshot of the topology starts Newton from the reference flows, scaled by
-its total demand over the reference's; it falls back to the cold start
-(small flows leaving the nearer source) when either total is zero or the
-reference does not converge. The start is a function of the topology alone,
-never of earlier snapshots, so each result is a pure function of its inputs.
+snapshot of the topology starts Newton from the reference flows, scaled by its
+total demand over the reference's; it falls back to the cold start (small
+flows leaving the nearer source) when either total is zero or the reference
+does not converge. The start is a function of the topology alone, never of
+earlier snapshots, so each result is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,8 @@ from .errors import (
     NonConvergenceError,
 )
 from .network import (
-    Curve, Network, Tank, expand_pump_curve, incidence, pattern_value,
+    Curve, Network, Tank, _traverse, expand_pump_curve, incidence,
+    pattern_value,
 )
 
 __all__ = [
@@ -229,27 +230,9 @@ class _Topology:
     def __init__(self, layout: _Layout, active: np.ndarray, sources: list[int]):
         inc = layout.inc
         n = len(inc.node_ids)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in zip(inc.link_from[active].tolist(),
-                        inc.link_to[active].tolist()):
-            adj[a].append(b)
-            adj[b].append(a)
-        # one breadth-first traversal: all sources together first, so each
-        # node they reach records its nearest source and hop count; then every
-        # node still unseen seeds an island of its own
-        root = [-1] * n
-        dist = [0] * n
-        for seed in [sources] + [[v] for v in range(n)]:
-            queue = deque(s for s in seed if root[s] < 0)
-            for s in queue:
-                root[s] = s
-            while queue:
-                u = queue.popleft()
-                for v in sorted(adj[u]):
-                    if root[v] < 0:
-                        root[v], dist[v] = root[u], dist[u] + 1
-                        queue.append(v)
-        root_arr, hops = np.array(root, dtype=np.intp), np.array(dist)
+        root, hops = _traverse(n, zip(inc.link_from[active].tolist(),
+                                      inc.link_to[active].tolist()), sources)
+        root_arr, hops = np.array(root, dtype=np.intp), np.array(hops)
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[sources] = True
         self.reach = is_fixed[root_arr]
@@ -664,8 +647,13 @@ class EpsEngine:
         self.emitter_hook = emitter_hook
         self.layout = _Layout(network)
         self._baseline = baseline_controls(network)
+        self.reset()
+
+    def reset(self) -> None:
+        """Rewind to t = 0 with every tank at its initial level; the layout
+        keeps its topologies, so a rerun repeats no reference solve."""
         self.step_index = 0
-        self.tank_levels = {tid: network.tanks[tid].init_level
+        self.tank_levels = {tid: self.network.tanks[tid].init_level
                             for tid in self.layout.inc.tank_ids}
 
     def demands_at(self, t: float) -> dict[str, float]:

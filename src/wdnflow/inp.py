@@ -14,6 +14,7 @@ clock form; bare numbers are rejected rather than guessed at.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -32,7 +33,7 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
-    _raise_for_violations,
+    incidence,
     validate,
 )
 
@@ -198,10 +199,26 @@ def _parse_times(doc: InpDocument) -> SimOptions:
     return SimOptions(**values)
 
 
-def parse_inp_report(text: str, warnings: list[str] | None = None
-                     ) -> tuple[Network, list]:
-    """Like parse_inp, but returns (network, violations) instead of raising
-    on semantic violations. Syntax errors still raise."""
+def _rows(doc: InpDocument, section: str, lengths, usage: str,
+          duplicate: str | None = None):
+    """Yield (first token, row) for a section's rows after the checks they
+    share: the token count is in `lengths`, else `usage` is the error; and
+    where `duplicate` is given, the first token is new, else `duplicate`
+    names it."""
+    seen: set[str] = set()
+    for row in doc.sections.get(section, []):
+        if len(row.tokens) not in lengths:
+            raise MalformedSectionError(usage, row.line_no)
+        if duplicate is not None:
+            if row.tokens[0] in seen:
+                raise MalformedSectionError(duplicate.format(row.tokens[0]),
+                                            row.line_no)
+            seen.add(row.tokens[0])
+        yield row.tokens[0], row
+
+
+def _parse(text: str, warnings: list[str] | None) -> Network:
+    """The network an INP text declares, not yet validated."""
     doc = tokenize_inp(text)
     flow_scale = _parse_options(doc)
     options = _parse_times(doc)
@@ -209,11 +226,8 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
     title = "\n".join(" ".join(r.tokens) for r in doc.sections.get("[TITLE]", []))
 
     patterns: dict[str, Pattern] = {}
-    for row in doc.sections.get("[PATTERNS]", []):
-        if len(row.tokens) < 2:
-            raise MalformedSectionError("pattern row needs id and multipliers",
-                                        row.line_no)
-        pid = row.tokens[0]
+    for pid, row in _rows(doc, "[PATTERNS]", range(2, sys.maxsize),
+                          "pattern row needs id and multipliers"):
         mults = tuple(_float(t, row.line_no, "pattern multiplier")
                       for t in row.tokens[1:])
         if pid in patterns:
@@ -221,23 +235,16 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
         patterns[pid] = Pattern(pid, mults, float(options.pattern_step_s))
 
     curves: dict[str, Curve] = {}
-    for row in doc.sections.get("[CURVES]", []):
-        if len(row.tokens) != 3:
-            raise MalformedSectionError("curve row is: id flow head", row.line_no)
-        cid = row.tokens[0]
+    for cid, row in _rows(doc, "[CURVES]", (3,), "curve row is: id flow head"):
         point = (_float(row.tokens[1], row.line_no, "curve flow") * flow_scale,
                  _float(row.tokens[2], row.line_no, "curve head"))
         points = curves[cid].points + (point,) if cid in curves else (point,)
         curves[cid] = Curve(cid, points)
 
     junctions: dict[str, Junction] = {}
-    for row in doc.sections.get("[JUNCTIONS]", []):
-        if not 2 <= len(row.tokens) <= 4:
-            raise MalformedSectionError(
-                "junction row is: id elevation [demand] [pattern]", row.line_no)
-        jid = row.tokens[0]
-        if jid in junctions:
-            raise MalformedSectionError(f"duplicate junction id '{jid}'", row.line_no)
+    for jid, row in _rows(doc, "[JUNCTIONS]", range(2, 5),
+                          "junction row is: id elevation [demand] [pattern]",
+                          "duplicate junction id '{}'"):
         elevation = _float(row.tokens[1], row.line_no, "junction elevation")
         demand = 0.0
         if len(row.tokens) >= 3:
@@ -245,45 +252,29 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
         pattern_id = row.tokens[3] if len(row.tokens) == 4 else None
         junctions[jid] = Junction(jid, elevation, demand, pattern_id)
 
-    demand_rows_seen: set[str] = set()
-    for row in doc.sections.get("[DEMANDS]", []):
-        if not 2 <= len(row.tokens) <= 3:
-            raise MalformedSectionError(
-                "demand row is: junction demand [pattern]", row.line_no)
-        jid = row.tokens[0]
+    # a repeated junction passed the unknown-junction check on its first row
+    for jid, row in _rows(doc, "[DEMANDS]", range(2, 4),
+                          "demand row is: junction demand [pattern]",
+                          "multiple demand rows for junction '{}' not supported"):
         if jid not in junctions:
             raise MalformedSectionError(
                 f"demand row references unknown junction '{jid}'", row.line_no)
-        if jid in demand_rows_seen:
-            raise MalformedSectionError(
-                f"multiple demand rows for junction '{jid}' not supported",
-                row.line_no)
-        demand_rows_seen.add(jid)
         demand = _float(row.tokens[1], row.line_no, "demand") * flow_scale
         pattern_id = row.tokens[2] if len(row.tokens) == 3 else None
         junctions[jid] = Junction(jid, junctions[jid].elevation, demand, pattern_id)
 
     reservoirs: dict[str, Reservoir] = {}
-    for row in doc.sections.get("[RESERVOIRS]", []):
-        if not 2 <= len(row.tokens) <= 3:
-            raise MalformedSectionError(
-                "reservoir row is: id head [pattern]", row.line_no)
-        rid = row.tokens[0]
-        if rid in reservoirs:
-            raise MalformedSectionError(f"duplicate reservoir id '{rid}'", row.line_no)
+    for rid, row in _rows(doc, "[RESERVOIRS]", range(2, 4),
+                          "reservoir row is: id head [pattern]",
+                          "duplicate reservoir id '{}'"):
         head = _float(row.tokens[1], row.line_no, "reservoir head")
         pattern_id = row.tokens[2] if len(row.tokens) == 3 else None
         reservoirs[rid] = Reservoir(rid, head, pattern_id)
 
     tanks: dict[str, Tank] = {}
-    for row in doc.sections.get("[TANKS]", []):
-        if not 6 <= len(row.tokens) <= 7:
-            raise MalformedSectionError(
-                "tank row is: id elevation init_level min_level max_level diameter"
-                " [min_volume]", row.line_no)
-        tid = row.tokens[0]
-        if tid in tanks:
-            raise MalformedSectionError(f"duplicate tank id '{tid}'", row.line_no)
+    for tid, row in _rows(doc, "[TANKS]", range(6, 8),
+                          "tank row is: id elevation init_level min_level max_level"
+                          " diameter [min_volume]", "duplicate tank id '{}'"):
         nums = [_float(t, row.line_no, "tank value") for t in row.tokens[1:7]]
         if len(row.tokens) == 7:
             doc.warnings.append(f"line {row.line_no}: tank minimum volume ignored")
@@ -291,14 +282,9 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
                           min_level=nums[2], max_level=nums[3], diameter=nums[4])
 
     pipes: dict[str, Pipe] = {}
-    for row in doc.sections.get("[PIPES]", []):
-        if not 6 <= len(row.tokens) <= 8:
-            raise MalformedSectionError(
-                "pipe row is: id from to length diameter_mm roughness"
-                " [minor_loss] [status]", row.line_no)
-        pid = row.tokens[0]
-        if pid in pipes:
-            raise MalformedSectionError(f"duplicate pipe id '{pid}'", row.line_no)
+    for pid, row in _rows(doc, "[PIPES]", range(6, 9),
+                          "pipe row is: id from to length diameter_mm roughness"
+                          " [minor_loss] [status]", "duplicate pipe id '{}'"):
         length = _float(row.tokens[3], row.line_no, "pipe length")
         diameter = _float(row.tokens[4], row.line_no, "pipe diameter") / 1000.0
         roughness = _float(row.tokens[5], row.line_no, "pipe roughness")
@@ -320,13 +306,9 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
                           length, diameter, roughness, open_)
 
     pumps: dict[str, Pump] = {}
-    for row in doc.sections.get("[PUMPS]", []):
-        if len(row.tokens) not in (5, 7):
-            raise MalformedSectionError(
-                "pump row is: id from to HEAD curve_id [SPEED value]", row.line_no)
-        uid = row.tokens[0]
-        if uid in pumps:
-            raise MalformedSectionError(f"duplicate pump id '{uid}'", row.line_no)
+    for uid, row in _rows(doc, "[PUMPS]", (5, 7),
+                          "pump row is: id from to HEAD curve_id [SPEED value]",
+                          "duplicate pump id '{}'"):
         if row.tokens[3].upper() != "HEAD":
             raise MalformedSectionError(
                 "only HEAD-curve pumps supported", row.line_no)
@@ -342,13 +324,9 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
                           curve_id=row.tokens[4], speed=speed)
 
     valves: dict[str, Valve] = {}
-    for row in doc.sections.get("[VALVES]", []):
-        if len(row.tokens) not in (6, 7):
-            raise MalformedSectionError(
-                "valve row is: id from to diameter_mm TCV loss_coef", row.line_no)
-        vid = row.tokens[0]
-        if vid in valves:
-            raise MalformedSectionError(f"duplicate valve id '{vid}'", row.line_no)
+    for vid, row in _rows(doc, "[VALVES]", (6, 7),
+                          "valve row is: id from to diameter_mm TCV loss_coef",
+                          "duplicate valve id '{}'"):
         if row.tokens[4].upper() != "TCV":
             raise MalformedSectionError(
                 f"only TCV valves supported, got '{row.tokens[4]}'", row.line_no)
@@ -361,19 +339,26 @@ def parse_inp_report(text: str, warnings: list[str] | None = None
         valves[vid] = Valve(vid, row.tokens[1], row.tokens[2],
                             diameter=diameter, minor_loss_coef=coef)
 
-    network = Network(junctions=junctions, reservoirs=reservoirs, tanks=tanks,
-                      pipes=pipes, pumps=pumps, valves=valves,
-                      patterns=patterns, curves=curves,
-                      options=options, title=title)
     if warnings is not None:
         warnings.extend(doc.warnings)
+    return Network(junctions=junctions, reservoirs=reservoirs, tanks=tanks,
+                   pipes=pipes, pumps=pumps, valves=valves,
+                   patterns=patterns, curves=curves,
+                   options=options, title=title)
+
+
+def parse_inp_report(text: str, warnings: list[str] | None = None
+                     ) -> tuple[Network, list]:
+    """Like parse_inp, but returns (network, violations) instead of raising
+    on semantic violations. Syntax errors still raise."""
+    network = _parse(text, warnings)
     return network, validate(network)
 
 
 def parse_inp(text: str, warnings: list[str] | None = None) -> Network:
     """Parse INP text; collects non-fatal notes into `warnings` when given."""
-    network, violations = parse_inp_report(text, warnings)
-    _raise_for_violations(violations)
+    network = _parse(text, warnings)
+    incidence(network)
     return network
 
 
@@ -384,7 +369,7 @@ def _fmt(x: float) -> str:
 
 def write_inp(network: Network) -> str:
     """Serialize to INP text (CMS units); parse_inp recovers an equal network."""
-    _raise_for_violations(validate(network))
+    incidence(network)
     opt = network.options
     out: list[str] = []
     w = out.append

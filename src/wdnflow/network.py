@@ -2,11 +2,16 @@
 
 All quantities are strict SI: lengths and heads in m, flows in m3/s,
 times in s. Roughness is the dimensionless Hazen-Williams C.
+
+`incidence` compiles a network into the layout every layer shares, and
+validates it, once per Network object. `_traverse` is the one graph
+traversal: `validate` and the solver's topologies both walk the graph by it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,30 +244,27 @@ def validate(network: Network) -> list[Violation]:
             add(Violation("tank", tk.id,
                           "levels must satisfy 0 <= min <= init <= max < inf"))
 
-    def endpoints_ok(kind, elem):
-        ok = True
+    def check_endpoints(kind, elem):
         for attr in ("from_node", "to_node"):
             ref = getattr(elem, attr)
             if ref not in node_ids:
                 add(Violation(kind, elem.id, f"{attr} '{ref}' does not exist"))
-                ok = False
-        return ok
 
     for p in network.pipes.values():
-        endpoints_ok("pipe", p)
+        check_endpoints("pipe", p)
         for name in ("length", "diameter", "roughness"):
             if not 0 < getattr(p, name) < math.inf:
                 add(Violation("pipe", p.id, f"{name} must be finite and > 0"))
 
     for pu in network.pumps.values():
-        endpoints_ok("pump", pu)
+        check_endpoints("pump", pu)
         if pu.curve_id not in network.curves:
             add(Violation("pump", pu.id, f"curve '{pu.curve_id}' not defined"))
         if not 0 <= pu.speed < math.inf:
             add(Violation("pump", pu.id, "speed must be finite and >= 0"))
 
     for v in network.valves.values():
-        endpoints_ok("valve", v)
+        check_endpoints("valve", v)
         if not 0 < v.diameter < math.inf:
             add(Violation("valve", v.id, "diameter must be finite and > 0"))
         if not 0 <= v.minor_loss_coef < math.inf:
@@ -295,35 +297,41 @@ def validate(network: Network) -> list[Violation]:
     if not sources:
         add(Violation("network", "", "no head source (reservoir or tank)"))
     elif not out:
-        # Reachability only meaningful once the graph is closed.
-        adjacent: dict[str, list[str]] = {nid: [] for nid in node_ids}
-        for elem in network.links():
-            adjacent[elem.from_node].append(elem.to_node)
-            adjacent[elem.to_node].append(elem.from_node)
-        seen = set(sources)
-        stack = list(sources)
-        while stack:
-            for nxt in adjacent[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        # reachability is only meaningful once the graph is closed
+        index = {nid: i for i, nid in enumerate(network.node_ids())}
+        src = sorted(index[nid] for nid in sources)
+        root, _ = _traverse(len(index), [(index[l.from_node], index[l.to_node])
+                                         for l in network.links()], src)
         for j in network.junctions.values():
-            if j.base_demand > 0 and j.id not in seen:
+            if j.base_demand > 0 and root[index[j.id]] not in src:
                 add(Violation("junction", j.id, "demand node unreachable from any head source"))
 
     return out
 
 
-def _raise_for_violations(violations) -> None:
-    """Raise for validate's findings: DanglingReferenceError when any names a
-    missing element, InvalidNetworkError otherwise."""
-    if not violations:
-        return
-    dangling = [v for v in violations
-                if "does not exist" in v.message or "not defined" in v.message]
-    if dangling:
-        raise DanglingReferenceError("; ".join(str(v) for v in dangling))
-    raise InvalidNetworkError(violations)
+def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
+    """The one graph traversal: breadth first over nodes 0..n-1, each edge
+    (a, b) walked both ways. All sources start together, so every node they
+    reach gets its nearest source as root and its hop count from it; then
+    each node still unseen starts an island of its own, rooted at its
+    smallest node. Returns (root, hops) per node."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = [-1] * n
+    hops = [0] * n
+    for seed in [sources] + [[v] for v in range(n)]:
+        queue = deque(s for s in seed if root[s] < 0)
+        for s in queue:
+            root[s] = s
+        while queue:
+            u = queue.popleft()
+            for v in sorted(adj[u]):
+                if root[v] < 0:
+                    root[v], hops[v] = root[u], hops[u] + 1
+                    queue.append(v)
+    return root, hops
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +358,20 @@ class Incidence:
 
 
 def incidence(network: Network) -> Incidence:
-    """Compile the network's layout; rejects invalid networks."""
-    _raise_for_violations(validate(network))
+    """The network's compiled layout, built and validated once per Network
+    object and kept on it (networks are copy-on-modify, so it cannot go
+    stale). Raises DanglingReferenceError when a violation names a missing
+    element, InvalidNetworkError for any other."""
+    compiled = network.__dict__.get("_incidence")
+    if compiled is not None:
+        return compiled
+    violations = validate(network)
+    dangling = [v for v in violations
+                if "does not exist" in v.message or "not defined" in v.message]
+    if dangling:
+        raise DanglingReferenceError("; ".join(str(v) for v in dangling))
+    if violations:
+        raise InvalidNetworkError(violations)
     junction_ids = tuple(sorted(network.junctions))
     reservoir_ids = tuple(sorted(network.reservoirs))
     tank_ids = tuple(sorted(network.tanks))
@@ -372,7 +392,7 @@ def incidence(network: Network) -> Incidence:
     for arr in (link_from, link_to, link_kind):
         arr.flags.writeable = False
 
-    return Incidence(
+    compiled = Incidence(
         node_ids=node_ids,
         link_ids=tuple(link_ids),
         junction_ids=junction_ids,
@@ -384,6 +404,8 @@ def incidence(network: Network) -> Incidence:
         link_to=link_to,
         link_kind=link_kind,
     )
+    object.__setattr__(network, "_incidence", compiled)
+    return compiled
 
 
 def _close(a: float, b: float, rtol: float) -> bool:

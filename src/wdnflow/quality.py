@@ -37,13 +37,23 @@ class QualitySettings:
     source_nodes: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.quality_time_step <= 0:
-            raise ConfigError("quality_time_step must be > 0")
-        if self.decay_rate_k < 0:
-            raise ConfigError("decay_rate_k must be >= 0")
+        object.__setattr__(self, "quality_time_step", _whole_seconds(
+            "quality_time_step", self.quality_time_step))
+        if not 0 <= self.decay_rate_k < math.inf:
+            raise ConfigError("decay_rate_k must be finite and >= 0")
         for node, conc in self.source_nodes.items():
-            if conc < 0:
-                raise ConfigError(f"source concentration at '{node}' must be >= 0")
+            if not 0 <= conc < math.inf:
+                raise ConfigError(f"source concentration at '{node}' must be"
+                                  " finite and >= 0")
+
+
+def _whole_seconds(name: str, value) -> int:
+    """A duration as int seconds: a positive whole number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value <= 0 or not float(value).is_integer():
+        raise ConfigError(f"{name} must be a positive whole number of"
+                          f" seconds, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

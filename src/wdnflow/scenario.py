@@ -42,7 +42,9 @@ from .events import (
 from .uncertainty import (
     SeededStream, UncertaintyModel, apply_parameter_uncertainty, perturb_scalar,
 )
-from .quality import QualitySettings, QualityState, simulate_quality
+from .quality import (
+    QualitySettings, QualityState, _whole_seconds, simulate_quality,
+)
 from .scada import (
     GroundTruthRecord, RowCorruptor, ScadaData, SensorPlacement, corrupt,
     extract_readings,
@@ -59,7 +61,7 @@ __all__ = [
 def to_seconds(days: float = 0, hours: float = 0, minutes: float = 0,
                seconds: float = 0) -> int:
     total = days * 86400 + hours * 3600 + minutes * 60 + seconds
-    if total != int(total):
+    if not math.isfinite(total) or total != int(total):
         raise ConfigError(f"{total} s is not a whole number of seconds")
     return int(total)
 
@@ -110,11 +112,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is None and name == "quality_time_step_s":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or value <= 0 or not float(value).is_integer():
-                raise ConfigError(f"{name} must be a positive whole number of"
-                                  f" seconds, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_seconds(name, value))
 
 
 # ---------------------------------------------------------------- JSON I/O
@@ -484,8 +482,7 @@ class ScenarioRuntime:
         # the report layout orders every projected state; the selections say
         # where each of its elements sits in the solve network's arrays
         report = self.report_layout = incidence(self.report_network)
-        solve = self.solve_layout = incidence(self.solve_network) \
-            if leak_pipe_ids else report
+        solve = self.solve_layout = incidence(self.solve_network)
         self._node_sel = np.array(
             [solve.node_index[n] for n in report.node_ids], dtype=np.intp)
         self._link_sel = np.array(

@@ -1,4 +1,5 @@
-"""NaN and ±Infinity are rejected where configs and networks enter."""
+"""NaN, ±Infinity and other out-of-range values are rejected where configs
+and networks enter."""
 
 import json
 import math
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from wdnflow import ConfigError, InvalidNetworkError, bundled
+from wdnflow.control import ScenarioEnv
 from wdnflow.events import (
     ActuatorEvent, EventWindow, LeakageEvent, SensorFaultEvent,
 )
@@ -14,9 +16,10 @@ from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, Tank, Valve,
     incidence, validate,
 )
+from wdnflow.quality import QualitySettings
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import (
-    QualitySpec, ScenarioConfig, config_from_json, config_to_json,
+    QualitySpec, ScenarioConfig, config_from_json, config_to_json, to_seconds,
 )
 from wdnflow.uncertainty import UncertaintyModel
 
@@ -83,6 +86,16 @@ def uncertainty(kind, target, **params):
     return UncertaintyModel(kind, target, params)
 
 
+def env(**kwargs):
+    config = ScenarioConfig(network_path=bundled.toy9_path(), duration_s=3600,
+                            sensors=SensorPlacement(pressure_nodes=("n1",)))
+    return ScenarioEnv(config, **kwargs)
+
+
+def whole_seconds(name, make):
+    return pytest.param(make, ConfigError, "whole number", id=name)
+
+
 CASES = [
     config("leak.diameter", NAN, lambda v: leak(diameter=v)),
     config("leak.diameter", INF, lambda v: leak(diameter=v)),
@@ -117,6 +130,20 @@ CASES = [
            lambda v: QualitySpec(source_nodes=(("r1", v),))),
     config("quality.source", INF,
            lambda v: QualitySpec(source_nodes=(("r1", v),))),
+    config("settings.decay_rate_k", NAN,
+           lambda v: QualitySettings(decay_rate_k=v)),
+    config("settings.source", NAN,
+           lambda v: QualitySettings(source_nodes={"r1": v})),
+    whole_seconds("settings.quality_time_step=7.5",
+                  lambda: QualitySettings(quality_time_step=7.5)),
+    whole_seconds("settings.quality_time_step=True",
+                  lambda: QualitySettings(quality_time_step=True)),
+    config("env.min_pressure_head", NAN,
+           lambda v: env(min_pressure_head=v)),
+    config("env.pressure_penalty", NAN, lambda v: env(pressure_penalty=v)),
+    config("env.pressure_penalty", -1.0, lambda v: env(pressure_penalty=v)),
+    whole_seconds("to_seconds=nan", lambda: to_seconds(seconds=NAN)),
+    whole_seconds("to_seconds=inf", lambda: to_seconds(seconds=INF)),
 ] + [element(*case) for case in (
     ("pipes", "p1", "length", NAN), ("pipes", "p1", "length", INF),
     ("pipes", "p1", "diameter", NAN), ("pipes", "p1", "diameter", INF),

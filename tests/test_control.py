@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wdnflow import ConfigError, bundled
+from wdnflow import ConfigError, bundled, hydraulics
 from wdnflow.control import (
     NO_OP,
     Action,
@@ -223,3 +223,58 @@ class TestEnvLimits:
             quality=QualitySpec(source_nodes=(("r1", 1.0),)))
         with pytest.raises(ConfigError):
             ScenarioEnv(config)
+
+
+class TestEngineReuse:
+    """reset() rewinds the env's one engine, so later episodes reuse its
+    layout, its topologies and their reference solves."""
+
+    STATE_ARRAYS = ("flow", "head", "pressure_head", "tank_level",
+                    "actual_demand")
+
+    def env(self):
+        return ScenarioEnv(pumpnet_config(
+            leakages=(LeakageEvent(kind="abrupt", link_id="p1",
+                                   diameter=0.01,
+                                   window=EventWindow(1800.0, 5400.0)),),
+            uncertainties=(UncertaintyModel(kind="gauss_abs",
+                                            target="sensor_noise",
+                                            params={"sigma": 0.02}),)))
+
+    def episode(self, env):
+        """Observations, rewards and history of one episode whose pump
+        changes speed and stops for two steps."""
+        observations, rewards = [env.reset()], []
+        for k in range(env.total_steps):
+            action = Action(pump_speeds={"pu1": 0.9 if k % 3 else 1.0},
+                            pump_states={"pu1": k not in (4, 5)})
+            outcome = env.step(action)
+            observations.append(outcome.observation)
+            rewards.append(outcome.reward)
+        return np.vstack(observations), rewards, env.state_history()
+
+    def test_three_episodes_are_identical(self):
+        env = self.env()
+        observations, rewards, history = self.episode(env)
+        for _ in range(2):
+            again = self.episode(env)
+            assert np.array_equal(again[0], observations)
+            assert again[1] == rewards
+            assert len(again[2]) == len(history)
+            for mine, first in zip(again[2], history):
+                for name in self.STATE_ARRAYS:
+                    assert np.array_equal(getattr(mine, name),
+                                          getattr(first, name))
+                assert mine.leak_flow == first.leak_flow
+
+    def test_later_resets_build_no_layout_or_topology(self, monkeypatch):
+        env = self.env()
+        self.episode(env)
+        built = []
+        for cls in (hydraulics._Layout, hydraulics._Topology):
+            def spy(obj, *args, _init=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _init(obj, *args)
+            monkeypatch.setattr(cls, "__init__", spy)
+        self.episode(env)
+        assert built == []

@@ -265,3 +265,66 @@ def test_tank_min_volume_warns_and_parses(pumpnet):
     net = parse_inp(text, warnings=warnings)
     assert net.tanks["t1"].diameter == pytest.approx(20.0)
     assert any("minimum volume" in w for w in warnings)
+
+
+# section -> (a well-formed row, rows with too few and too many tokens, the
+# token-count message, the message for a repeated first token or None)
+ROW_RULES = {
+    "[PATTERNS]": ("pat 1.0", ("pat",),
+                   "pattern row needs id and multipliers", None),
+    "[CURVES]": ("c1 0 10", ("c1 0", "c1 0 10 1"),
+                 "curve row is: id flow head", None),
+    "[JUNCTIONS]": ("j1 1", ("j1", "j1 1 0 pat x"),
+                    "junction row is: id elevation [demand] [pattern]",
+                    "duplicate junction id 'j1'"),
+    "[DEMANDS]": ("j1 0.1", ("j1", "j1 0.1 pat x"),
+                  "demand row is: junction demand [pattern]",
+                  "multiple demand rows for junction 'j1' not supported"),
+    "[RESERVOIRS]": ("r1 50", ("r1", "r1 50 pat x"),
+                     "reservoir row is: id head [pattern]",
+                     "duplicate reservoir id 'r1'"),
+    "[TANKS]": ("t1 10 1 0 2 5", ("t1 10 1 0 2", "t1 10 1 0 2 5 0 x"),
+                "tank row is: id elevation init_level min_level max_level"
+                " diameter [min_volume]", "duplicate tank id 't1'"),
+    "[PIPES]": ("p1 a b 100 200 120",
+                ("p1 a b 100 200", "p1 a b 100 200 120 0 OPEN x"),
+                "pipe row is: id from to length diameter_mm roughness"
+                " [minor_loss] [status]", "duplicate pipe id 'p1'"),
+    "[PUMPS]": ("u1 a b HEAD c1", ("u1 a b HEAD", "u1 a b HEAD c1 SPEED"),
+                "pump row is: id from to HEAD curve_id [SPEED value]",
+                "duplicate pump id 'u1'"),
+    "[VALVES]": ("v1 a b 200 TCV 0.5",
+                 ("v1 a b 200 TCV", "v1 a b 200 TCV 0.5 0 x"),
+                 "valve row is: id from to diameter_mm TCV loss_coef",
+                 "duplicate valve id 'v1'"),
+}
+
+
+def section_text(section, *rows):
+    """The section holding `rows`; [DEMANDS] follows a junction j1."""
+    head = "[JUNCTIONS]\n j1 1\n" if section == "[DEMANDS]" else ""
+    return head + section + "\n" + "".join(f" {row}\n" for row in rows)
+
+
+def last_row_error(text) -> tuple[str, str]:
+    """The parse error of `text`, and the prefix naming its last line, the
+    row at fault."""
+    with pytest.raises(MalformedSectionError) as e:
+        parse_inp(text)
+    return str(e.value), f"line {len(text.splitlines())}: "
+
+
+@pytest.mark.parametrize("section", ROW_RULES)
+def test_row_token_count_message(section):
+    good, bad_rows, usage, _ = ROW_RULES[section]
+    for bad in bad_rows:
+        error, prefix = last_row_error(section_text(section, good, bad))
+        assert error == prefix + usage
+
+
+@pytest.mark.parametrize("section", [s for s, rule in ROW_RULES.items()
+                                     if rule[3] is not None])
+def test_repeated_row_id_message(section):
+    good, _, _, duplicate = ROW_RULES[section]
+    error, prefix = last_row_error(section_text(section, good, good))
+    assert error == prefix + duplicate

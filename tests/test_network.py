@@ -1,10 +1,15 @@
-import pytest
+from dataclasses import replace
 
-from wdnflow.errors import DanglingReferenceError
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wdnflow.network
+from wdnflow.errors import DanglingReferenceError, InvalidNetworkError
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, SimOptions,
-    Tank, Valve, expand_pump_curve, incidence, networks_close, pattern_value,
-    validate,
+    Tank, Valve, _traverse, expand_pump_curve, incidence, networks_close,
+    pattern_value, validate,
 )
 
 
@@ -127,6 +132,28 @@ def test_incidence_raises_on_dangling():
         incidence(net)
 
 
+def test_incidence_compiled_once_per_network(monkeypatch):
+    validated = []
+    validate_ = wdnflow.network.validate
+    monkeypatch.setattr(wdnflow.network, "validate",
+                        lambda net: validated.append(net) or validate_(net))
+    net = tiny_net()
+    assert incidence(net) is incidence(net)
+    assert validated == [net]
+    # dataclasses.replace makes a new network, compiled afresh
+    p1 = net.pipes["p1"]
+    longer = replace(net, pipes={"p1": replace(p1, length=200.0)})
+    assert incidence(longer) is not incidence(net)
+    assert len(validated) == 2
+    # a failed compile is not kept: the invalid network raises every time
+    for bad, error in ((replace(p1, to_node="nope"), DanglingReferenceError),
+                       (replace(p1, length=-1.0), InvalidNetworkError)):
+        broken = replace(net, pipes={"p1": bad})
+        for _ in range(2):
+            with pytest.raises(error):
+                incidence(broken)
+
+
 def test_networks_close():
     a = tiny_net()
     b = tiny_net(pipes={"p1": Pipe("p1", "r1", "j1", 100.0 * (1 + 1e-12),
@@ -147,3 +174,71 @@ def test_node_and_link_orders(toy9):
     assert toy9.node_ids()[-1] == "r1"
     assert toy9.link_ids() == ["p1", "p10", "p2", "p3", "p4", "p5", "p6",
                                "p7", "p8", "p9"]
+
+
+# --- the one graph traversal, against networkx --------------------------------
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+
+
+@st.composite
+def graphs(draw):
+    """Up to 16 nodes, random edges (self-loops and repeats included) and up
+    to three sources."""
+    n = draw(st.integers(1, 16))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    sources = sorted(draw(st.sets(node, max_size=3)))
+    return n, edges, sources
+
+
+def nx_graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+@ORACLE
+@given(graphs())
+def test_traverse_matches_networkx(graph):
+    n, edges, sources = graph
+    root, hops = _traverse(n, edges, sources)
+    g = nx_graph(n, edges)
+    reached = {v for s in sources for v in nx.node_connected_component(g, s)}
+    assert {v for v in range(n) if root[v] in sources} == reached
+    dist = nx.multi_source_dijkstra_path_length(g, sources) if sources else {}
+    for v in reached:
+        assert hops[v] == dist[v]
+        assert root[v] in sources
+        assert nx.shortest_path_length(g, root[v], v) == hops[v]
+    for island in nx.connected_components(g):
+        if not island & reached:
+            assert {root[v] for v in island} == {min(island)}
+
+
+@ORACLE
+@given(graphs(), st.data())
+def test_validate_unreachable_matches_networkx(graph, data):
+    n, edges, sources = graph
+    sources = sources or [0]
+    tanks = set(data.draw(st.sets(st.sampled_from(sources))))
+    demand = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    name = [f"n{i:02d}" for i in range(n)]
+    net = Network(
+        junctions={name[i]: Junction(name[i], 0.0, 0.01 if demand[i] else 0.0)
+                   for i in range(n) if i not in sources},
+        reservoirs={name[i]: Reservoir(name[i], 50.0)
+                    for i in sources if i not in tanks},
+        tanks={name[i]: Tank(name[i], 10.0, 5.0, 1.0, 0.0, 2.0)
+               for i in tanks},
+        pipes={f"p{j}": Pipe(f"p{j}", name[a], name[b], 100.0, 0.2, 100.0)
+               for j, (a, b) in enumerate(edges)})
+    g = nx_graph(n, edges)
+    reached = {v for s in sources for v in nx.node_connected_component(g, s)}
+    cut = {name[i] for i in range(n)
+           if i not in sources and demand[i] and i not in reached}
+    violations = validate(net)
+    assert all("unreachable" in v.message for v in violations)
+    assert {v.element_id for v in violations} == cut

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+import wdnflow.inp
+import wdnflow.network
 from wdnflow import ConfigError, bundled
 from wdnflow.events import (
     ActuatorEvent,
@@ -279,6 +281,38 @@ class TestValidation:
             validate_scenario(config, toy9)
         assert "multiple" in str(exc.value)
         assert "ghost" in str(exc.value)
+
+
+class TestCompileOnce:
+    """run_scenario validates each network it makes once: the parsed one,
+    the one with perturbed pipes, and the leak-split one."""
+
+    LEAK = (LeakageEvent(kind="abrupt", link_id="p3", diameter=0.01,
+                         window=EventWindow(1800.0, 5400.0)),)
+    PIPE_NOISE = (UncertaintyModel(kind="gauss_rel", target="pipe_roughness",
+                                   params={"sigma": 0.05}),)
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, 1),
+        ({"leakages": LEAK}, 2),
+        ({"leakages": LEAK, "uncertainties": PIPE_NOISE}, 3),
+        ({"leakages": LEAK, "quality": QualitySpec(
+            source_nodes=(("r1", 1.0),))}, 2),
+    ], ids=["plain", "leak", "leak+pipe-noise", "leak+quality"])
+    def test_validations_per_run(self, toy9_config_factory, monkeypatch,
+                                 overrides, expected):
+        validated = []
+        validate = wdnflow.network.validate
+
+        def spy(network):
+            validated.append(network)
+            return validate(network)
+
+        monkeypatch.setattr(wdnflow.network, "validate", spy)
+        monkeypatch.setattr(wdnflow.inp, "validate", spy)
+        run_scenario(toy9_config_factory(**overrides))
+        assert len(validated) == expected
+        assert len({id(net) for net in validated}) == expected
 
 
 class TestRunScenario:
