@@ -39,7 +39,7 @@ from .events import (
 )
 from .uncertainty import (
     UNCERTAINTY_KINDS, uncertainty_registry, SeededStream, UncertaintyModel,
-    perturb_scalar, perturb_series, SeriesPerturber,
+    perturb_scalar, perturb_series,
     apply_parameter_uncertainty,
 )
 from .scada import (

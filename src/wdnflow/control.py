@@ -82,7 +82,7 @@ class ScenarioEnv:
     # -------------------------------------------------------------- helpers
 
     def _observe(self, state: HydraulicState, corruptor) -> np.ndarray:
-        return corruptor.corrupt_row(state.t, self._reader.read(state))
+        return corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
     def _blocked_targets(self, t: float) -> set[str]:
         return {e.target_id for e in self.config.actuator_events
@@ -157,10 +157,13 @@ class ScenarioEnv:
         self._engine.reset()
         self._states = []
         peek = self._engine.solve_current()
-        peek_corruptor = self.runtime.make_corruptor(self.columns)
+        # the preview corrupts row 0 alone; the episode starts over at row 0
+        times = [float(k * self.config.hydraulic_time_step_s)
+                 for k in range(self.total_steps)]
         observation = self._observe(self.runtime.project_state(peek),
-                                    peek_corruptor)
-        self._corruptor = self.runtime.make_corruptor(self.columns)
+                                    self.runtime.make_corruptor(
+                                        self.columns, times[:1]))
+        self._corruptor = self.runtime.make_corruptor(self.columns, times)
         return observation
 
     def step(self, action: Action | None = None) -> StepOutcome:

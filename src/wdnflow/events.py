@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError, UnknownTargetError
 from .hydraulics import G, Controls
 from .network import Junction, Network, Pipe
@@ -20,8 +22,9 @@ __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
     "LeakageEvent", "ActuatorEvent", "SensorFaultEvent", "CommunicationEvent",
     "leak_effective_area", "leak_flow", "leak_emitter_coef",
-    "apply_actuator_event", "resolve_controls", "apply_sensor_fault",
-    "winning_index", "winning_event", "split_pipes_for_leaks",
+    "apply_actuator_event", "precedence", "resolve_controls",
+    "winning_event", "faulted_readings", "apply_sensor_fault",
+    "split_pipes_for_leaks",
     "LEAK_JUNCTION_SUFFIX", "LEAK_PIPE_SUFFIX",
 ]
 
@@ -62,8 +65,9 @@ class EventWindow:
                 not self.start_time <= self.peak_time <= self.end_time:
             raise ConfigError("peak_time must lie inside the window")
 
-    def contains(self, t: float) -> bool:
-        return self.start_time <= t < self.end_time
+    def contains(self, t):
+        """Whether t lies in the window; elementwise for an array of times."""
+        return (self.start_time <= t) & (t < self.end_time)
 
 
 @dataclass(frozen=True)
@@ -208,34 +212,40 @@ def apply_actuator_event(controls: Controls, event: ActuatorEvent,
     return replace(controls, valve_open=opens)
 
 
+def precedence(events) -> list[int]:
+    """Indices of the events from lowest to highest precedence: the later
+    start wins, then the later listed."""
+    return sorted(range(len(events)),
+                  key=lambda i: (events[i].window.start_time, i))
+
+
 def resolve_controls(baseline: Controls, events: list[ActuatorEvent],
                      t: float) -> Controls:
     """Apply active actuator events over the baseline in precedence order."""
-    order = sorted(range(len(events)),
-                   key=lambda i: (events[i].window.start_time, i))
     controls = baseline
-    for i in order:
+    for i in precedence(events):
         controls = apply_actuator_event(controls, events[i], t)
     return controls
 
 
-def winning_index(events, t: float) -> int | None:
-    """Position of the single active event that takes precedence at t (the
-    latest start, then the latest listed), or None."""
-    best = None
-    best_key = None
-    for i, e in enumerate(events):
-        if e.window.contains(t):
-            key = (e.window.start_time, i)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-    return best
-
-
 def winning_event(events, t: float):
     """The single active event that takes precedence at t, or None."""
-    i = winning_index(events, t)
-    return None if i is None else events[i]
+    active = [i for i in precedence(events) if events[i].window.contains(t)]
+    return events[active[-1]] if active else None
+
+
+def faulted_readings(readings, event: SensorFaultEvent, times, noise):
+    """In-window readings at their times under the fault; `noise` holds a
+    gaussian fault's draws, one per reading."""
+    if event.kind == "offset":
+        return readings + event.param
+    if event.kind == "drift":
+        return readings + event.param * (times - event.window.start_time) / 3600.0
+    if event.kind == "gaussian":
+        return readings + noise
+    if event.kind == "gain":
+        return readings * event.param
+    return np.zeros_like(readings)   # stuck_zero
 
 
 def apply_sensor_fault(reading: float, event: SensorFaultEvent, t: float,
@@ -243,17 +253,10 @@ def apply_sensor_fault(reading: float, event: SensorFaultEvent, t: float,
     """Faulted reading; the true value passes through outside the window."""
     if not event.window.contains(t):
         return reading
-    if event.kind == "offset":
-        return reading + event.param
-    if event.kind == "drift":
-        return reading + event.param * (t - event.window.start_time) / 3600.0
-    if event.kind == "gaussian":
-        if rng is None:
-            raise ConfigError("gaussian fault needs a random generator")
-        return reading + rng.normal(0.0, event.param)
-    if event.kind == "gain":
-        return reading * event.param
-    return 0.0   # stuck_zero
+    if event.kind == "gaussian" and rng is None:
+        raise ConfigError("gaussian fault needs a random generator")
+    noise = rng.normal(0.0, event.param) if event.kind == "gaussian" else None
+    return float(faulted_readings(reading, event, t, noise))
 
 
 def _node_height(network: Network, node_id: str) -> float:

@@ -4,20 +4,18 @@ Column order is a total contract: pressure sensors first, then flow, quality,
 tank level, each group sorted lexicographically by element id. Missing data
 is NaN in memory and an empty field in CSV, never the text "NaN".
 
-Reading and corruption each have a single row-at-a-time implementation:
-RowReader turns one state into one row of true values, and RowCorruptor
-corrupts one row. Batch extraction and batch corruption just sweep them over
-the series, so the control environment reads byte-identical values and sees
-byte-identical draws.
-
-Corruption applies per cell in a fixed order: sensor-noise uncertainty, then
-sensor faults, then communication events.
+RowReader turns one state into one row of true values; batch extraction
+sweeps it over the series. RowCorruptor plans a horizon's corruption once,
+then corrupts the next rows in order: sensor-noise uncertainty, then sensor
+faults, then communication events. Batch corruption passes the whole series
+in one call and the control environment one row per step, so both read
+byte-identical values and see byte-identical draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,11 +23,11 @@ from .errors import ConfigError, UnknownSensorRefError
 from .events import (
     CommunicationEvent,
     SensorFaultEvent,
-    apply_sensor_fault,
-    winning_index,
+    faulted_readings,
+    precedence,
 )
 from .hydraulics import StateSeries
-from .uncertainty import SeededStream, SeriesPerturber
+from .uncertainty import SeededStream, apply_draws, noise_draws
 
 __all__ = [
     "SensorColumn", "SensorPlacement", "GroundTruthRecord", "ScadaData",
@@ -170,84 +168,88 @@ def extract_readings(series: StateSeries, placement: SensorPlacement,
 
 
 class RowCorruptor:
-    """Applies noise, faults and communication events one row at a time.
-
-    Draw sequences are value-independent, so rows corrupted incrementally
-    match a batch sweep bit for bit. For freeze events the held value is the
-    post-fault value seen at the last step before the freeze window opens;
-    a freeze with no prior step yields missing values.
+    """Noise, then sensor faults, then communication events, over the rows
+    of one horizon. What does not depend on the readings is planned once
+    from the times: each column's noise draws, the fault and communication
+    event that win each cell, and the row whose post-fault value each cell
+    shows (its own; for a freeze, the row before the freeze first won the
+    column; or none, a gap). corrupt_next then corrupts the next rows.
     """
 
-    def __init__(self, columns: tuple[SensorColumn, ...],
+    def __init__(self, columns: tuple[SensorColumn, ...], times,
                  faults: list[SensorFaultEvent],
                  comms: list[CommunicationEvent],
                  noise_models: list, stream: SeededStream):
-        self.columns = columns
+        self.times = np.asarray(times, dtype=float)
+        n, width = len(self.times), len(columns)
         label_to_col = {c.label: i for i, c in enumerate(columns)}
 
-        def by_column(events, what):
-            """Per column: the events aimed at it and their global indices."""
-            cols = [([], []) for _ in columns]
-            for idx, e in enumerate(events):
-                targets = range(len(columns))
-                if e.sensor_ref is not None:
-                    ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-                    if ref not in label_to_col:
-                        raise UnknownSensorRefError(
-                            f"{what} targets unknown sensor '{ref}'")
-                    targets = [label_to_col[ref]]
-                for col in targets:
-                    cols[col][0].append(e)
-                    cols[col][1].append(idx)
-            return [(tuple(es), tuple(idxs)) for es, idxs in cols]
-        self.faults_by_col = by_column(faults, "sensor fault")
-        self.comms_by_col = by_column(comms, "communication event")
-        noise = [m for m in noise_models if m.target == "sensor_noise"]
-        self.perturbers = [
-            [SeriesPerturber(m, stream.child("noise", mi, col.label))
-             for mi, m in enumerate(noise)]
-            for col in columns]
-        self.fault_gens = {idx: stream.generator("fault", idx)
-                           for idx, _ in enumerate(faults)}
-        self.last_post_fault = [math.nan] * len(columns)
-        self.frozen_value: dict[tuple[int, int], float] = {}
+        def winners(events, what):
+            """Each event's column, and the event that wins each cell."""
+            cols = []
+            for e in events:
+                ref = e.sensor_ref and f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
+                if ref is not None and ref not in label_to_col:
+                    raise UnknownSensorRefError(
+                        f"{what} targets unknown sensor '{ref}'")
+                cols.append(slice(None) if ref is None else label_to_col[ref])
+            win = np.full((n, width), -1)
+            for i in precedence(events):     # the last one written wins
+                win[events[i].window.contains(self.times), cols[i]] = i
+            return cols, win
 
-    def corrupt_row(self, t: float, row: np.ndarray) -> np.ndarray:
-        out = np.array(row, dtype=float)
-        for c in range(len(self.columns)):
-            v = float(out[c])
-            for p in self.perturbers[c]:
-                v = p.step(v)
-            faults, fault_idx = self.faults_by_col[c]
-            w = winning_index(faults, t)
-            if w is not None:
-                v = apply_sensor_fault(v, faults[w], t,
-                                       rng=self.fault_gens[fault_idx[w]])
-            post_fault = v
-            comms, comm_idx = self.comms_by_col[c]
-            w = winning_index(comms, t)
-            if w is not None:
-                if comms[w].kind == "data_loss":
-                    v = math.nan
-                else:
-                    key = (comm_idx[w], c)
-                    if key not in self.frozen_value:
-                        self.frozen_value[key] = self.last_post_fault[c]
-                    v = self.frozen_value[key]
-            self.last_post_fault[c] = post_fault
-            out[c] = v
+        # per fault: its column, the rows it wins and a gaussian's draws there
+        fault_cols, fault_win = winners(faults, "sensor fault")
+        self.faults = []
+        for i, (e, col) in enumerate(zip(faults, fault_cols)):
+            rows = np.flatnonzero(fault_win[:, col] == i)
+            draws = np.zeros(len(rows)) if e.kind != "gaussian" else \
+                stream.generator("fault", i).normal(0.0, e.param, len(rows))
+            self.faults.append((e, col, rows, draws))
+
+        _, comm_win = winners(comms, "communication event")
+        self.source = np.where(comm_win < 0, np.arange(n)[:, None], -1)
+        for i, e in enumerate(comms):
+            if e.kind == "freeze" and n:     # argmax needs a row
+                wins = comm_win == i
+                self.source = np.where(wins, wins.argmax(axis=0) - 1,
+                                       self.source)
+
+        # per noise step: whether it multiplies, and its (n, width) draws
+        self.noise = []
+        sensor_noise = [m for m in noise_models if m.target == "sensor_noise"]
+        for mi, m in enumerate(sensor_noise):
+            per_col = [noise_draws(m, stream.child("noise", mi, c.label), n)
+                       for c in columns]
+            self.noise += [(steps[0][0], np.column_stack([d for _, d in steps]))
+                           for steps in zip(*per_col)]
+        self.post_fault = np.empty((n, width))
+        self.next_row = 0
+
+    def corrupt_next(self, rows) -> np.ndarray:
+        """The next len(rows) rows of the horizon, corrupted."""
+        a, b = self.next_row, self.next_row + len(rows)
+        if b > len(self.times):
+            raise ConfigError("rows past the end of the corruptor's horizon")
+        self.next_row = b
+        post = self.post_fault[a:b]
+        post[:] = apply_draws([(m, d[a:b]) for m, d in self.noise], rows)
+        for e, col, won, draws in self.faults:
+            lo, hi = np.searchsorted(won, (a, b))
+            r = won[lo:hi]
+            post[r - a, col] = faulted_readings(post[r - a, col], e,
+                                                self.times[r], draws[lo:hi])
+        src = self.source[a:b]
+        out = self.post_fault[np.maximum(src, 0), np.arange(post.shape[1])]
+        out[src < 0] = math.nan
         return out
 
 
 def corrupt(scada: ScadaData, faults, comms, noise, stream: SeededStream) -> ScadaData:
     """New ScadaData with measurement corruption applied; truth is untouched."""
-    corruptor = RowCorruptor(scada.columns, list(faults), list(comms),
-                             list(noise), stream)
-    rows = [corruptor.corrupt_row(t, scada.values[i])
-            for i, t in enumerate(scada.times)]
-    values = np.array(rows) if rows else scada.values.copy()
-    return ScadaData(times=scada.times, columns=scada.columns, values=values,
-                     ground_truth=scada.ground_truth)
+    corruptor = RowCorruptor(scada.columns, scada.times, tuple(faults),
+                             tuple(comms), tuple(noise), stream)
+    return replace(scada, values=corruptor.corrupt_next(scada.values))
 
 
 def _number(token: str, ln_no: int) -> float:
@@ -285,6 +287,8 @@ def from_csv(text: str) -> ScadaData:
         raise ConfigError("SCADA CSV must start with a time_s column")
     columns = []
     for label in header[1:]:
+        if header.count(label) > 1:
+            raise ConfigError(f"duplicate column label '{label}'")
         if ":" not in label:
             raise ConfigError(f"malformed column label '{label}'")
         stype, eid = label.split(":", 1)
@@ -298,7 +302,11 @@ def from_csv(text: str) -> ScadaData:
         if len(cells) != len(header):
             raise ConfigError(
                 f"line {ln_no}: expected {len(header)} fields, got {len(cells)}")
-        times.append(_number(cells[0], ln_no))
+        t = _number(cells[0], ln_no)
+        if times and t <= times[-1]:
+            raise ConfigError(f"line {ln_no}: time {cells[0]} does not"
+                              f" follow {times[-1]!r}")
+        times.append(t)
         rows.append([math.nan if c == "" else _number(c, ln_no)
                      for c in cells[1:]])
     values = np.array(rows) if rows else np.empty((0, len(columns)))
@@ -322,7 +330,9 @@ def truth_from_csv(text: str) -> tuple[GroundTruthRecord, ...]:
         cells = line.split(",")
         if len(cells) != 4:
             raise ConfigError(f"line {ln_no}: expected 4 fields")
-        out.append(GroundTruthRecord(cells[0], cells[1],
-                                     _number(cells[2], ln_no),
-                                     _number(cells[3], ln_no)))
+        start, end = _number(cells[2], ln_no), _number(cells[3], ln_no)
+        if end <= start:
+            raise ConfigError(f"line {ln_no}: end_s {cells[3]} is not after"
+                              f" start_s {cells[2]}")
+        out.append(GroundTruthRecord(cells[0], cells[1], start, end))
     return tuple(out)

@@ -538,8 +538,8 @@ class ScenarioRuntime:
                     e.window.end_time))
         return tuple(records)
 
-    def make_corruptor(self, columns) -> RowCorruptor:
-        return RowCorruptor(columns, list(self.config.sensor_faults),
+    def make_corruptor(self, columns, times) -> RowCorruptor:
+        return RowCorruptor(columns, times, list(self.config.sensor_faults),
                             list(self.config.communication_events),
                             list(self.config.uncertainties), self.stream)
 

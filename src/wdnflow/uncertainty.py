@@ -2,9 +2,12 @@
 
 Parameter targets (pipe_length, pipe_diameter, pipe_roughness, decay_rate)
 are perturbed once when a scenario is built, yielding a "twin" network;
-sensor_noise targets are applied to every extracted reading. All randomness
-flows through SeededStream so that identical (seed, path) pairs always yield
-identical draws, no matter in what order scenario pieces execute.
+sensor_noise targets are applied to every extracted reading. Each kind is
+written once, as its draws for n samples (noise_draws): factors or offsets
+that do not depend on the values. perturb_series applies them, and
+perturb_scalar is the same at n = 1. All randomness flows through
+SeededStream so that identical (seed, path) pairs always yield identical
+draws, no matter in what order scenario pieces execute.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .network import Network
 
 __all__ = [
     "UNCERTAINTY_KINDS", "PARAMETER_TARGETS", "TARGETS", "uncertainty_registry",
-    "SeededStream", "UncertaintyModel", "perturb_scalar", "SeriesPerturber",
-    "perturb_series", "apply_parameter_uncertainty",
+    "SeededStream", "UncertaintyModel", "noise_draws", "apply_draws",
+    "perturb_scalar", "perturb_series", "apply_parameter_uncertainty",
 ]
 
 UNCERTAINTY_KINDS = (
@@ -31,6 +34,7 @@ UNCERTAINTY_KINDS = (
 )
 _SCALAR_KINDS = ("gauss_abs", "gauss_rel", "uniform_abs", "uniform_rel",
                  "trunc_gauss_abs", "percentage")
+_FACTOR_KINDS = ("gauss_rel", "uniform_rel", "percentage")
 PARAMETER_TARGETS = ("pipe_length", "pipe_diameter", "pipe_roughness",
                      "decay_rate")
 TARGETS = PARAMETER_TARGETS + ("sensor_noise",)
@@ -124,107 +128,88 @@ class UncertaintyModel:
         return (self.params or {})[name]
 
 
-def _perturb_scalar_with(model: UncertaintyModel, value: float,
-                         gen: np.random.Generator) -> float:
-    if model.kind == "gauss_abs":
-        return value + gen.normal(0.0, model.param("sigma"))
-    if model.kind == "gauss_rel":
-        return value * (1.0 + gen.normal(0.0, model.param("sigma")))
-    if model.kind == "uniform_abs":
-        a = model.param("amplitude")
-        return value + gen.uniform(-a, a)
-    if model.kind == "uniform_rel":
-        r = model.param("amplitude")
-        return value * (1.0 + gen.uniform(-r, r))
-    if model.kind == "trunc_gauss_abs":
-        sigma = model.param("sigma")
-        draw = gen.normal(0.0, sigma)
-        while abs(draw) > 3.0 * sigma:
-            draw = gen.normal(0.0, sigma)
-        return value + draw
-    if model.kind == "percentage":
-        return value * (1.0 + model.param("fraction"))
-    raise ConfigError(f"'{model.kind}' applies to series, not scalars")
+def _kind_draws(model: UncertaintyModel, gen: np.random.Generator,
+                n: int) -> np.ndarray:
+    """n draws of one non-compound kind: factors for the _FACTOR_KINDS,
+    offsets for the others. The sample index plays the role of time."""
+    kind, p = model.kind, model.param
+    if kind == "percentage":
+        return np.full(n, 1.0 + p("fraction"))
+    if kind == "sinusoidal":
+        phase = gen.uniform(0.0, 2.0 * math.pi)
+        return np.array([p("amplitude") * math.sin(
+            2.0 * math.pi * i / p("period") + phase) for i in range(n)],
+            dtype=float)
+    if kind == "spike":
+        # a hit test and a gen.uniform(1.0, 10.0) magnitude for every sample;
+        # a miss adds -0.0, which leaves any reading (-0.0 too) as it was
+        hit, unit = gen.random((n, 2)).T
+        return np.where(hit < p("probability"),
+                        (1.0 + 9.0 * unit) * p("amplitude"), -0.0)
+    if kind in ("gauss_abs", "gauss_rel", "random_walk"):
+        draws = gen.normal(0.0, p("sigma"), n)
+    elif kind in ("uniform_abs", "uniform_rel"):
+        draws = gen.uniform(-p("amplitude"), p("amplitude"), n)
+    elif kind == "trunc_gauss_abs":
+        draws = np.empty(n)
+        for i in range(n):
+            draws[i] = gen.normal(0.0, p("sigma"))
+            while abs(draws[i]) > 3.0 * p("sigma"):
+                draws[i] = gen.normal(0.0, p("sigma"))
+    else:   # regime_shift: a uniform level held for exponential dwells
+        a, tau = p("amplitude"), p("mean_dwell")
+        level, next_switch = gen.uniform(-a, a), gen.exponential(tau)
+        draws = np.empty(n)
+        for i in range(n):
+            while i >= next_switch:
+                level = gen.uniform(-a, a)
+                next_switch += gen.exponential(tau)
+            draws[i] = level
+    if kind == "random_walk":
+        return np.cumsum(draws)
+    return 1.0 + draws if kind in _FACTOR_KINDS else draws
+
+
+def noise_draws(model: UncertaintyModel, stream: SeededStream,
+                n: int) -> list[tuple[bool, np.ndarray]]:
+    """The model's draws for n samples, as (multiplies, draws) steps applied
+    in order. They do not depend on the values perturbed. A compound model
+    chains its submodels' draws, each from its own ("sub", i) substream."""
+    if model.kind == "compound":
+        return [step for i, sub in enumerate(model.submodels)
+                for step in noise_draws(sub, stream.child("sub", i), n)]
+    return [(model.kind in _FACTOR_KINDS,
+             _kind_draws(model, stream.generator(), n))]
+
+
+def apply_draws(steps: list[tuple[bool, np.ndarray]], values) -> np.ndarray:
+    """Values with noise_draws steps applied; draws index the first axis."""
+    values = np.asarray(values, dtype=float)
+    for multiplies, draws in steps:
+        values = values * draws if multiplies else values + draws
+    return values
+
+
+def perturb_series(model: UncertaintyModel, values, stream: SeededStream) -> np.ndarray:
+    """Perturb a whole series; sinusoidal period and regime_shift dwell are
+    in samples."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ConfigError("cannot perturb an empty series")
+    return apply_draws(noise_draws(model, stream, len(values)), values)
 
 
 def perturb_scalar(model: UncertaintyModel, value: float,
                    stream: SeededStream) -> float:
-    """One perturbed draw; physical targets are clamped to stay positive."""
-    if model.kind == "compound":
-        out = value
-        for i, sub in enumerate(model.submodels):
-            out = _perturb_scalar_with(sub, out, stream.generator("sub", i))
-    else:
-        out = _perturb_scalar_with(model, value, stream.generator())
+    """perturb_series of one sample, for the kinds that need no series;
+    physical targets are clamped to stay positive."""
+    for m in model.submodels or (model,):
+        if m.kind not in _SCALAR_KINDS:
+            raise ConfigError(f"'{m.kind}' applies to series, not scalars")
+    out = float(perturb_series(model, [value], stream)[0])
     if model.target in PARAMETER_TARGETS:
         out = max(out, _POSITIVITY_FLOOR)
     return out
-
-
-class SeriesPerturber:
-    """Stateful per-sample application of one uncertainty model.
-
-    Batch (perturb_series) and incremental (SCADA row-by-row) consumers share
-    this class, so both orderings see identical draws. The sample index plays
-    the role of time; sinusoidal period and regime_shift dwell are in samples.
-    """
-
-    def __init__(self, model: UncertaintyModel, stream: SeededStream):
-        self.model = model
-        if model.kind == "compound":
-            self.subs = [SeriesPerturber(sub, stream.child("sub", i))
-                         for i, sub in enumerate(model.submodels)]
-            return
-        self.gen = stream.generator()
-        self.index = 0
-        if model.kind == "random_walk":
-            self.acc = 0.0
-        elif model.kind == "sinusoidal":
-            self.phase = self.gen.uniform(0.0, 2.0 * math.pi)
-        elif model.kind == "regime_shift":
-            a = model.param("amplitude")
-            self.offset = self.gen.uniform(-a, a)
-            self.next_switch = self.gen.exponential(model.param("mean_dwell"))
-
-    def step(self, value: float) -> float:
-        model = self.model
-        if model.kind == "compound":
-            for sub in self.subs:
-                value = sub.step(value)
-            return value
-        i = self.index
-        self.index += 1
-        if model.kind in _SCALAR_KINDS:
-            return _perturb_scalar_with(model, value, self.gen)
-        if model.kind == "random_walk":
-            self.acc += self.gen.normal(0.0, model.param("sigma"))
-            return value + self.acc
-        if model.kind == "sinusoidal":
-            amp = model.param("amplitude")
-            period = model.param("period")
-            return value + amp * math.sin(2.0 * math.pi * i / period + self.phase)
-        if model.kind == "regime_shift":
-            a = model.param("amplitude")
-            tau = model.param("mean_dwell")
-            while i >= self.next_switch:
-                self.offset = self.gen.uniform(-a, a)
-                self.next_switch += self.gen.exponential(tau)
-            return value + self.offset
-        # spike: both draws happen every step so the stream stays aligned
-        hit = self.gen.random()
-        magnitude = self.gen.uniform(1.0, 10.0)
-        if hit < model.param("probability"):
-            return value + magnitude * model.param("amplitude")
-        return value
-
-
-def perturb_series(model: UncertaintyModel, values, stream: SeededStream) -> np.ndarray:
-    """Perturb a whole series sample by sample."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ConfigError("cannot perturb an empty series")
-    perturber = SeriesPerturber(model, stream)
-    return np.array([perturber.step(float(v)) for v in values])
 
 
 def apply_parameter_uncertainty(network: Network, models,

@@ -220,6 +220,24 @@ class TestDetect:
         assert cli.main(["detect", str(path)]) == 2
         assert "line 14: non-finite value 'inf'" in capsys.readouterr().err
 
+    def test_reversed_truth_window_exits_2(self, scada_csv, tmp_path, capsys):
+        # a reversed window was once scored as an undetected event whose
+        # alarms all counted as false positives
+        truth = tmp_path / "truth.csv"
+        truth.write_text("event_id,kind,start_s,end_s\n"
+                         "leakage_0,abrupt,150000.0,120000.0\n")
+        assert cli.main(["detect", str(scada_csv), "--truth",
+                         str(truth)]) == 2
+        assert "line 2: end_s" in capsys.readouterr().err
+
+    def test_unordered_times_exit_2(self, tmp_path, capsys):
+        rows = [f"{300.0 * i},{1.0 + i % 3},{2.0 + i % 5}" for i in range(20)]
+        rows[12] = "0.0,1.0,2.0"
+        path = tmp_path / "scada.csv"
+        path.write_text("time_s,pressure:n1,flow:p1\n" + "\n".join(rows) + "\n")
+        assert cli.main(["detect", str(path)]) == 2
+        assert "line 14: time" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_summary_lines(self, capsys):

@@ -11,7 +11,13 @@ from wdnflow.control import (
     InvalidActionError,
     ScenarioEnv,
 )
-from wdnflow.events import ActuatorEvent, EventWindow, LeakageEvent
+from wdnflow.events import (
+    ActuatorEvent,
+    CommunicationEvent,
+    EventWindow,
+    LeakageEvent,
+    SensorFaultEvent,
+)
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import QualitySpec, ScenarioConfig, run_scenario
 from wdnflow.uncertainty import UncertaintyModel
@@ -63,15 +69,34 @@ class TestEpisodeProtocol:
                                    diameter=0.01,
                                    window=EventWindow(1800.0, 5400.0)),),
             uncertainties=noise)
+        # noise that needs a series, faults, a freeze and an outage
+        corrupted = toy9_config_factory(
+            uncertainties=(
+                UncertaintyModel(kind="random_walk", target="sensor_noise",
+                                 params={"sigma": 0.01}),
+                UncertaintyModel(kind="gauss_rel", target="sensor_noise",
+                                 params={"sigma": 0.005})),
+            sensor_faults=(
+                SensorFaultEvent(kind="gaussian", sensor_ref=("pressure", "n2"),
+                                 param=0.3, window=EventWindow(900.0, 4500.0)),
+                SensorFaultEvent(kind="drift", sensor_ref=("flow", "p1"),
+                                 param=0.5, window=EventWindow(1200.0, 6000.0))),
+            communication_events=(
+                CommunicationEvent(kind="freeze",
+                                   window=EventWindow(1800.0, 3600.0),
+                                   sensor_ref=("pressure", "n2")),
+                CommunicationEvent(kind="data_loss",
+                                   window=EventWindow(4800.0, 5700.0))))
         for config in (toy9_config_factory(uncertainties=noise),
-                       leaky_pumpnet):
+                       leaky_pumpnet, corrupted):
             batch = run_scenario(config)
             env = ScenarioEnv(config)
             preview = env.reset()
             rows = [env.step().observation for _ in range(env.total_steps)]
             # the reset preview and the first step both report the t=0 row
             assert np.array_equal(preview, rows[0])
-            assert np.array_equal(np.vstack(rows), batch.scada.values)
+            # bit for bit, so gaps (NaN) and signed zeros count too
+            assert np.vstack(rows).tobytes() == batch.scada.values.tobytes()
 
     def test_no_op_episode_reproduces_batch_hydraulics(
             self, toy9_config_factory):

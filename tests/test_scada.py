@@ -208,10 +208,10 @@ class TestCorruption:
                                   window=EventWindow(1500.0, 2400.0),
                                   sensor_ref=("pressure", "n1"))
         batch = corrupt(scada, [fault], [comm], noise, self.stream())
-        stepper = RowCorruptor(scada.columns, [fault], [comm], noise,
-                               self.stream())
-        rows = [stepper.corrupt_row(t, scada.values[i])
-                for i, t in enumerate(scada.times)]
+        stepper = RowCorruptor(scada.columns, scada.times, [fault], [comm],
+                               noise, self.stream())
+        rows = [stepper.corrupt_next(scada.values[i:i + 1])
+                for i in range(len(scada.times))]
         assert np.array_equal(batch.values, np.vstack(rows))
 
 
@@ -258,6 +258,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="line 2: non-finite"):
             from_csv(f"time_s,pressure:n1\n{token},1.0\n")
 
+    def test_duplicate_label_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="duplicate column label"
+                                              " 'pressure:n1'"):
+            from_csv("time_s,pressure:n1,flow:p1,pressure:n1\n0.0,1,2,3\n")
+
+    @pytest.mark.parametrize("second", ["0.0", "-300.0"])
+    def test_times_must_strictly_increase(self, second):
+        text = f"time_s,pressure:n1\n0.0,1.0\n300.0,1.0\n{second},1.0\n"
+        with pytest.raises(ConfigError, match="line 4: time"):
+            from_csv(text)
+
     def test_empty_cell_still_means_missing(self):
         back = from_csv("time_s,pressure:n1,flow:p1\n0.0,,2.0\n")
         assert math.isnan(back.values[0, 0])
@@ -284,6 +295,14 @@ class TestTruthCsv:
                 "leakage_0,abrupt,0.0,600.0\n"
                 f"leakage_1,abrupt,600.0,{token}\n")
         with pytest.raises(ConfigError, match="line 3: non-finite"):
+            truth_from_csv(text)
+
+    @pytest.mark.parametrize("end", ["600.0", "0.0"])
+    def test_window_must_end_after_start(self, end):
+        text = ("event_id,kind,start_s,end_s\n"
+                "leakage_0,abrupt,0.0,600.0\n"
+                f"leakage_1,abrupt,600.0,{end}\n")
+        with pytest.raises(ConfigError, match="line 3: end_s"):
             truth_from_csv(text)
 
     def test_header_is_stable(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestJsonRoundTrip:
     def test_relative_network_path_resolves_against_config_dir(
             self, tmp_path):
         inp = tmp_path / "net.inp"
-        inp.write_text(open(bundled.toy9_path()).read())
+        inp.write_text(Path(bundled.toy9_path()).read_text())
         payload = {
             "network_path": "net.inp",
             "simulation": {"duration_s": 3600,
@@ -429,8 +430,10 @@ class TestRunScenario:
                                             params={"sigma": 0.05}),))
         first = write_outputs(run_scenario(config), str(tmp_path / "a"))
         second = write_outputs(run_scenario(config), str(tmp_path / "b"))
-        assert open(first["scada"]).read() == open(second["scada"]).read()
-        assert open(first["truth"]).read() == open(second["truth"]).read()
+        assert Path(first["scada"]).read_text() == \
+            Path(second["scada"]).read_text()
+        assert Path(first["truth"]).read_text() == \
+            Path(second["truth"]).read_text()
 
     def test_seed_changes_noise_not_truth(self, toy9_config_factory):
         noise = (UncertaintyModel(kind="gauss_abs", target="sensor_noise",
@@ -467,7 +470,7 @@ class TestWriteOutputs:
         paths = write_outputs(run_scenario(config), str(tmp_path))
         assert paths["scada"] == str(tmp_path / "runs" / "scada.csv")
         assert os.path.exists(paths["scada"])
-        loaded = from_csv(open(paths["scada"]).read())
+        loaded = from_csv(Path(paths["scada"]).read_text())
         assert loaded.values.shape == (24, 10)
 
     def test_absolute_paths_win(self, toy9_config_factory, tmp_path):

@@ -9,7 +9,6 @@ from wdnflow import ConfigError, networks_close
 from wdnflow.uncertainty import (
     PARAMETER_TARGETS,
     SeededStream,
-    SeriesPerturber,
     UncertaintyModel,
     apply_parameter_uncertainty,
     perturb_scalar,
@@ -161,21 +160,6 @@ class TestScalarKinds:
 class TestSeriesKinds:
     def stream(self):
         return SeededStream(99).child("series")
-
-    def test_batch_equals_incremental(self):
-        values = np.linspace(0.0, 5.0, 40)
-        for kind, params in [
-            ("gauss_abs", {"sigma": 0.2}),
-            ("random_walk", {"sigma": 0.1}),
-            ("sinusoidal", {"amplitude": 1.0, "period": 12.0}),
-            ("regime_shift", {"amplitude": 0.5, "mean_dwell": 8.0}),
-            ("spike", {"probability": 0.2, "amplitude": 2.0}),
-        ]:
-            m = model(kind, **params)
-            batch = perturb_series(m, values, self.stream())
-            stepper = SeriesPerturber(m, self.stream())
-            manual = np.array([stepper.step(v) for v in values])
-            assert np.array_equal(batch, manual), kind
 
     def test_draws_do_not_depend_on_values(self):
         # additive kinds must add the same offsets to any input series,
