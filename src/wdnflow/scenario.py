@@ -575,7 +575,10 @@ class ScenarioRuntime:
         conc.flags.writeable = False
         segments = dict(state.pipe_segments)
         for pid in self.leak_junctions:
-            segments[pid] += segments.pop(pid + LEAK_PIPE_SUFFIX)
+            joined = np.concatenate(
+                (segments[pid], segments.pop(pid + LEAK_PIPE_SUFFIX)))
+            joined.flags.writeable = False
+            segments[pid] = joined
         return replace(state, node_concentration=conc, pipe_segments=segments)
 
 

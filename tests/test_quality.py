@@ -2,11 +2,15 @@
 
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wdnflow import ConfigError, NegativeConcentrationError, WdnflowError, parse_inp
+from wdnflow import (
+    ConfigError, NegativeConcentrationError, WdnflowError, bundled, parse_inp,
+)
 from wdnflow.events import split_pipes_for_leaks
 from wdnflow.hydraulics import Controls, baseline_controls, simulate_hydraulics
 from wdnflow.quality import (
@@ -242,6 +246,22 @@ class TestSegments:
             QualitySettings(quality_time_step=60, source_nodes={"r1": 1.0}))
         assert len(states[-1].pipe_segments["p1"]) <= 12
 
+    def test_merging_is_judged_on_true_concentrations(self, series1):
+        # steady flow from a steady source: the pipe holds the same water
+        # every hour, so its segments must repeat while decay takes the
+        # stored values' scale down to exp(-1.2) over two weeks
+        series = simulate_hydraulics(series1, duration_s=14 * 86400,
+                                     hydraulic_step_s=3600)
+        states = simulate_quality(
+            series, series1,
+            QualitySettings(quality_time_step=60, decay_rate_k=1e-6,
+                            source_nodes={"r1": 1.0}))
+        first = states[1].pipe_segments["p1"]
+        assert len(first) > 1
+        for s in states[2:]:
+            np.testing.assert_allclose(s.pipe_segments["p1"], first,
+                                       rtol=1e-9, atol=0.0)
+
     def test_merge_threshold_is_small(self):
         assert 0.0 < SEGMENT_MERGE_DC <= 1e-3
 
@@ -267,6 +287,70 @@ class TestTanks:
         concs = [float(s.node_concentration[t1]) for s in states]
         assert concs[-1] > 0.0
         assert all(b >= a - 1e-12 for a, b in zip(concs, concs[1:]))
+
+
+class TestLazyDecay:
+    def test_fast_decay_over_long_steps_does_not_underflow(self, toy9):
+        # 3600 one-second steps at k = 1/s take the decay factor to e^-3600
+        # within one hydraulic step, far below the smallest double
+        series = simulate_hydraulics(toy9, duration_s=7200,
+                                     hydraulic_step_s=3600)
+        states = simulate_quality(
+            series, toy9,
+            QualitySettings(quality_time_step=1, decay_rate_k=1.0,
+                            source_nodes={"r1": 1.0}))
+        assert len(states) == 2
+        assert max(ledger_error(s) for s in states) <= 1e-9
+        for s in states:
+            assert 0.0 <= s.node_concentration.min()
+            assert s.node_concentration.max() <= 1.0
+            for segs in s.pipe_segments.values():
+                assert np.all((0.0 <= segs[:, 1]) & (segs[:, 1] <= 1.0))
+
+
+@cache
+def property_series(name: str, step_s: int):
+    network = {"toy9": bundled.load_toy9, "pumpnet": bundled.load_pumpnet,
+               "valve_chain": lambda: parse_inp(VALVE_CHAIN)}[name]()
+    return network, simulate_hydraulics(network, duration_s=6 * 3600,
+                                        hydraulic_step_s=step_s)
+
+
+class TestLedgerProperties:
+    """The ledger and the segment invariants over networks, steps and decay
+    rates. Quality steps stay at or below 60 s, so no parcel of one step is
+    longer than a pipe: pumpnet's shortest pipe residence time is 73 s."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(name=st.sampled_from(["toy9", "pumpnet", "valve_chain"]),
+           step_s=st.sampled_from([300, 600, 900, 1800, 3600]),
+           quality_step=st.sampled_from([5, 10, 15, 20, 30, 60]),
+           k=st.one_of(st.just(0.0), st.floats(0.0, 5e-3)),
+           source=st.floats(0.1, 5.0))
+    @example(name="toy9", step_s=3600, quality_step=1, k=1.0, source=1.0)
+    def test_ledger_closes_and_segments_hold(self, name, step_s, quality_step,
+                                             k, source):
+        network, series = property_series(name, step_s)
+        states = simulate_quality(
+            series, network,
+            QualitySettings(quality_time_step=quality_step, decay_rate_k=k,
+                            source_nodes={"r1": source}))
+        volume = {pid: math.pi * (p.diameter / 2.0) ** 2 * p.length
+                  for pid, p in network.pipes.items()}
+        top = source * (1.0 + 1e-12)
+        for s in states:
+            if s.injected_mass > 0.0:
+                assert ledger_error(s) <= 1e-9
+            assert 0.0 <= s.node_concentration.min()
+            assert s.node_concentration.max() <= top
+            assert sorted(s.pipe_segments) == sorted(volume)
+            for pid, segs in s.pipe_segments.items():
+                assert segs.ndim == 2 and segs.shape[1] == 2
+                assert not segs.flags.writeable
+                assert np.all((0.0 <= segs[:, 1]) & (segs[:, 1] <= top))
+                assert segs[:, 0].sum() == pytest.approx(volume[pid],
+                                                         rel=1e-9)
 
 
 class TestInputChecks:

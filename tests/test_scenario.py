@@ -14,10 +14,12 @@ from wdnflow import ConfigError, bundled
 from wdnflow.events import (
     ActuatorEvent,
     CommunicationEvent,
+    LEAK_PIPE_SUFFIX,
     EventWindow,
     LeakageEvent,
     SensorFaultEvent,
 )
+from wdnflow.quality import simulate_quality
 from wdnflow.scada import SensorPlacement, from_csv
 from wdnflow.scenario import (
     QualitySpec,
@@ -412,6 +414,18 @@ class TestRunScenario:
         p3 = toy9.pipes["p3"]
         assert sum(v for v, _ in last.pipe_segments["p3"]) == pytest.approx(
             math.pi * (p3.diameter / 2.0) ** 2 * p3.length, rel=1e-9)
+        # one read-only array: the from-node half, then the to-node half
+        runtime = build_runtime(config)
+        split = simulate_quality(
+            runtime.make_engine().run(config_digest=runtime.digest),
+            runtime.solve_network, runtime.quality_settings())[-1]
+        joined = last.pipe_segments["p3"]
+        assert isinstance(joined, np.ndarray) and joined.shape[1] == 2
+        assert not joined.flags.writeable
+        halves = (split.pipe_segments["p3"],
+                  split.pipe_segments["p3" + LEAK_PIPE_SUFFIX])
+        assert all(len(h) for h in halves)
+        assert joined.tobytes() == np.concatenate(halves).tobytes()
 
     def test_leak_increases_supply_flow(self, toy9_config_factory):
         clean = run_scenario(toy9_config_factory())
