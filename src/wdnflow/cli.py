@@ -78,24 +78,16 @@ def _run_one(config_path: str, seed: int | None, out_dir: str | None,
         return EXIT_CONFIG, lines
 
 
-def _run_job(payload):
-    return payload[0], _run_one(*payload[1:])
-
-
 def _cmd_run(args) -> int:
-    jobs = [(i, path, args.seed, args.out_dir, args.truth)
-            for i, path in enumerate(args.config)]
-    results: dict[int, tuple[int, list[str]]] = {}
+    jobs = [(path, args.seed, args.out_dir, args.truth)
+            for path in args.config]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for idx, outcome in pool.map(_run_job, jobs):
-                results[idx] = outcome
+            outcomes = list(pool.map(_run_one, *zip(*jobs)))
     else:
-        for payload in jobs:
-            results[payload[0]] = _run_one(*payload[1:])
+        outcomes = [_run_one(*job) for job in jobs]
     code = EXIT_OK
-    for idx in sorted(results):
-        status, lines = results[idx]
+    for status, lines in outcomes:
         stream = sys.stdout if status == EXIT_OK else sys.stderr
         for line in lines:
             print(line, file=stream)

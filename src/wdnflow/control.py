@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
+from .events import actuator_value
 from .hydraulics import G, Controls, EpsEngine, HydraulicState
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
@@ -90,37 +91,32 @@ class ScenarioEnv:
 
     def _merge_action(self, action: Action, t: float) -> Controls:
         controls = self.runtime.control_hook(t)
-        pumps = self.runtime.solve_network.pumps
-        valves = self.runtime.solve_network.valves
+        net = self.runtime.solve_network
         blocked = self._blocked_targets(t)
-        speed = dict(controls.pump_speed)
-        running = dict(controls.pump_running)
-        v_open = dict(controls.valve_open)
-        for pid, omega in action.pump_speeds.items():
-            if pid not in pumps:
-                raise InvalidActionError(f"no pump '{pid}'")
-            if isinstance(omega, bool) or not isinstance(omega, (int, float)) \
-                    or not math.isfinite(omega) or omega < 0:
-                raise InvalidActionError(
-                    f"pump speed for '{pid}' must be a finite number >= 0")
-            if pid not in blocked:
-                speed[pid] = float(omega)
-        for pid, on in action.pump_states.items():
-            if pid not in pumps:
-                raise InvalidActionError(f"no pump '{pid}'")
-            if not isinstance(on, bool):
-                raise InvalidActionError(f"pump state for '{pid}' must be bool")
-            if pid not in blocked:
-                running[pid] = on
-        for vid, is_open in action.valve_states.items():
-            if vid not in valves:
-                raise InvalidActionError(f"no valve '{vid}'")
-            if not isinstance(is_open, bool):
-                raise InvalidActionError(f"valve state for '{vid}' must be bool")
-            if vid not in blocked:
-                v_open[vid] = is_open
-        return Controls(pipe_open=controls.pipe_open, pump_running=running,
-                        pump_speed=speed, valve_open=v_open)
+        merged = {}
+        for kind, values, group, base in (
+                ("pump_speed", action.pump_speeds, net.pumps,
+                 controls.pump_speed),
+                ("pump_state", action.pump_states, net.pumps,
+                 controls.pump_running),
+                ("valve_state", action.valve_states, net.valves,
+                 controls.valve_open)):
+            element = kind.partition("_")[0]
+            merged[kind] = dict(base)
+            for eid, value in values.items():
+                if eid not in group:
+                    raise InvalidActionError(f"no {element} '{eid}'")
+                try:
+                    value = actuator_value(kind, value)
+                except ConfigError as exc:
+                    raise InvalidActionError(
+                        f"{element} '{eid}': {exc}") from None
+                if eid not in blocked:
+                    merged[kind][eid] = value
+        return Controls(pipe_open=controls.pipe_open,
+                        pump_running=merged["pump_state"],
+                        pump_speed=merged["pump_speed"],
+                        valve_open=merged["valve_state"])
 
     def _reward_terms(self, state: HydraulicState,
                       projected: HydraulicState,

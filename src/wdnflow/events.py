@@ -22,9 +22,8 @@ __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
     "LeakageEvent", "ActuatorEvent", "SensorFaultEvent", "CommunicationEvent",
     "leak_effective_area", "leak_flow", "leak_emitter_coef",
-    "apply_actuator_event", "precedence", "resolve_controls",
-    "winning_event", "faulted_readings", "apply_sensor_fault",
-    "split_pipes_for_leaks",
+    "actuator_value", "apply_actuator_event", "precedence",
+    "resolve_controls", "faulted_readings", "split_pipes_for_leaks",
     "LEAK_JUNCTION_SUFFIX", "LEAK_PIPE_SUFFIX",
 ]
 
@@ -114,15 +113,21 @@ class ActuatorEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["actuator"]:
             raise ConfigError(f"unknown actuator event kind '{self.kind}'")
-        if self.kind == "pump_speed":
-            if isinstance(self.value, bool) or \
-                    not isinstance(self.value, (int, float)) or \
-                    not 0 <= self.value < math.inf:
-                raise ConfigError("pump_speed value must be a finite number"
-                                  " >= 0")
-            object.__setattr__(self, "value", float(self.value))
-        elif not isinstance(self.value, bool):
-            raise ConfigError(f"{self.kind} value must be a boolean")
+        object.__setattr__(self, "value",
+                           actuator_value(self.kind, self.value))
+
+
+def actuator_value(kind: str, value) -> bool | float:
+    """The setting of an actuator kind, checked: a pump speed is a finite
+    number >= 0, returned as a float; a pump or valve state is a bool."""
+    if kind == "pump_speed":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value < math.inf:
+            raise ConfigError("pump_speed value must be a finite number >= 0")
+        return float(value)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{kind} value must be a boolean")
+    return value
 
 
 @dataclass(frozen=True)
@@ -228,12 +233,6 @@ def resolve_controls(baseline: Controls, events: list[ActuatorEvent],
     return controls
 
 
-def winning_event(events, t: float):
-    """The single active event that takes precedence at t, or None."""
-    active = [i for i in precedence(events) if events[i].window.contains(t)]
-    return events[active[-1]] if active else None
-
-
 def faulted_readings(readings, event: SensorFaultEvent, times, noise):
     """In-window readings at their times under the fault; `noise` holds a
     gaussian fault's draws, one per reading."""
@@ -246,17 +245,6 @@ def faulted_readings(readings, event: SensorFaultEvent, times, noise):
     if event.kind == "gain":
         return readings * event.param
     return np.zeros_like(readings)   # stuck_zero
-
-
-def apply_sensor_fault(reading: float, event: SensorFaultEvent, t: float,
-                       rng=None) -> float:
-    """Faulted reading; the true value passes through outside the window."""
-    if not event.window.contains(t):
-        return reading
-    if event.kind == "gaussian" and rng is None:
-        raise ConfigError("gaussian fault needs a random generator")
-    noise = rng.normal(0.0, event.param) if event.kind == "gaussian" else None
-    return float(faulted_readings(reading, event, t, noise))
 
 
 def _node_height(network: Network, node_id: str) -> float:

@@ -673,12 +673,9 @@ class EpsEngine:
         if controls is None:
             controls = self._baseline
         emitters = self.emitter_hook(t) if self.emitter_hook else None
-        try:
-            return solve_snapshot(
-                self.network, self.demands_at(t), controls, emitters=emitters,
-                tank_levels=self.tank_levels, t=t, _layout=self.layout)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(exc.iterations, exc.residual, t) from None
+        return solve_snapshot(
+            self.network, self.demands_at(t), controls, emitters=emitters,
+            tank_levels=self.tank_levels, t=t, _layout=self.layout)
 
     def step_once(self, controls: Controls | None = None) -> HydraulicState:
         """Solve the snapshot at the current time, then integrate tank levels."""

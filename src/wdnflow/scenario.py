@@ -77,14 +77,11 @@ class QualitySpec:
                                for nid, c in self.source_nodes))
         object.__setattr__(self, "decay_rate_k", float(self.decay_rate_k))
         object.__setattr__(self, "source_nodes", sources)
-        if not 0 <= self.decay_rate_k < math.inf:
-            raise ConfigError("decay_rate_k must be finite and >= 0")
+        # the value rules are the run settings' own
+        QualitySettings(decay_rate_k=self.decay_rate_k,
+                        source_nodes=dict(sources))
         if len(dict(sources)) != len(sources):
             raise ConfigError("duplicate ids in source_nodes")
-        for nid, c in sources:
-            if not 0 <= c < math.inf:
-                raise ConfigError(f"source concentration at '{nid}' must be"
-                                  " finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for the step/reset control environment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,9 @@ class TestActions:
             env.step(Action(pump_states={"pu1": 0}))
         with pytest.raises(InvalidActionError):
             env.step(Action(pump_speeds={"pu1": True}))
-        with pytest.raises(InvalidActionError):
-            env.step(Action(pump_speeds={"pu1": -0.5}))
+        for speed in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidActionError, match="pump 'pu1'"):
+                env.step(Action(pump_speeds={"pu1": speed}))
 
     def test_actuator_event_blocks_agent_commands(self):
         config = pumpnet_config(actuator_events=(

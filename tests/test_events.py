@@ -15,14 +15,14 @@ from wdnflow.events import (
     LeakageEvent,
     SensorFaultEvent,
     apply_actuator_event,
-    apply_sensor_fault,
     event_registry,
+    faulted_readings,
     leak_effective_area,
     leak_emitter_coef,
     leak_flow,
+    precedence,
     resolve_controls,
     split_pipes_for_leaks,
-    winning_event,
 )
 from wdnflow.hydraulics import G, baseline_controls
 
@@ -123,70 +123,79 @@ class TestPatternLeak:
         assert leak_effective_area(event, 300.0) == pytest.approx(0.25 * full)
 
 
+def winners(events, times):
+    """The event that wins at each time, or -1: events are written in
+    precedence order over their windows, so the last one written wins."""
+    won = np.full(len(times), -1)
+    for i in precedence(events):
+        won[events[i].window.contains(np.asarray(times))] = i
+    return won.tolist()
+
+
 class TestOverlapPrecedence:
     def test_later_start_wins(self):
         early = SensorFaultEvent(kind="offset", sensor_ref=("pressure", "n1"),
                                  param=1.0, window=EventWindow(0.0, 1000.0))
         late = SensorFaultEvent(kind="offset", sensor_ref=("pressure", "n1"),
                                 param=2.0, window=EventWindow(500.0, 800.0))
-        assert winning_event([early, late], 600.0) is late
-        assert winning_event([early, late], 400.0) is early
-        assert winning_event([early, late], 900.0) is early
-        assert winning_event([early, late], 1000.0) is None
+        assert precedence([early, late]) == [0, 1]
+        assert precedence([late, early]) == [1, 0]
+        assert winners([early, late], [600.0, 400.0, 900.0, 1000.0]) == \
+            [1, 0, 0, -1]
 
     def test_equal_start_resolved_by_list_order(self):
         a = SensorFaultEvent(kind="offset", sensor_ref=("pressure", "n1"),
                              param=1.0, window=EventWindow(0.0, 100.0))
         b = SensorFaultEvent(kind="offset", sensor_ref=("pressure", "n1"),
                              param=2.0, window=EventWindow(0.0, 100.0))
-        assert winning_event([a, b], 50.0) is b
-        assert winning_event([b, a], 50.0) is a
+        assert precedence([a, b]) == [0, 1]
+        assert precedence([b, a]) == [0, 1]
+        assert winners([a, b], [50.0]) == [1]
 
 
 class TestSensorFaults:
     def window(self):
         return EventWindow(3600.0, 36000.0)
 
+    def fault(self, event, reading, t, noise=0.0):
+        """One in-window reading at time t under the fault."""
+        (out,) = faulted_readings(np.array([reading]), event, np.array([t]),
+                                  np.array([noise]))
+        return out
+
     def test_offset_adds_constant(self):
         event = SensorFaultEvent(kind="offset", sensor_ref=("flow", "p1"),
                                  param=0.5, window=self.window())
-        assert apply_sensor_fault(10.0, event, 7200.0) == 10.5
+        assert self.fault(event, 10.0, 7200.0) == 10.5
 
     def test_drift_grows_per_elapsed_hour(self):
         event = SensorFaultEvent(kind="drift", sensor_ref=("flow", "p1"),
                                  param=1.1, window=self.window())
         # two hours into the window the added drift is 2 x 1.1
-        assert apply_sensor_fault(10.0, event, 3600.0 + 7200.0) == \
+        assert self.fault(event, 10.0, 3600.0 + 7200.0) == \
             pytest.approx(12.2, rel=1e-12)
-        assert apply_sensor_fault(10.0, event, 3600.0) == pytest.approx(10.0)
+        assert self.fault(event, 10.0, 3600.0) == 10.0
 
     def test_gain_scales(self):
         event = SensorFaultEvent(kind="gain", sensor_ref=("flow", "p1"),
                                  param=1.2, window=self.window())
-        assert apply_sensor_fault(10.0, event, 7200.0) == pytest.approx(12.0)
+        assert self.fault(event, 10.0, 7200.0) == pytest.approx(12.0)
 
     def test_stuck_zero_clamps(self):
         event = SensorFaultEvent(kind="stuck_zero", sensor_ref=("flow", "p1"),
                                  param=0.0, window=self.window())
-        assert apply_sensor_fault(10.0, event, 7200.0) == 0.0
+        assert self.fault(event, 10.0, 7200.0) == 0.0
 
-    def test_gaussian_uses_supplied_rng(self):
+    def test_gaussian_adds_supplied_draws(self):
         event = SensorFaultEvent(kind="gaussian", sensor_ref=("flow", "p1"),
                                  param=0.3, window=self.window())
-        a = apply_sensor_fault(10.0, event, 7200.0,
-                               rng=np.random.default_rng(7))
-        b = apply_sensor_fault(10.0, event, 7200.0,
-                               rng=np.random.default_rng(7))
-        c = apply_sensor_fault(10.0, event, 7200.0,
-                               rng=np.random.default_rng(8))
-        assert a == b
-        assert a != c
-        assert a != 10.0
+        assert self.fault(event, 10.0, 7200.0, noise=0.25) == 10.25
+        assert self.fault(event, 10.0, 7200.0, noise=-0.5) == 9.5
 
     def test_nan_passes_through_untouched(self):
         event = SensorFaultEvent(kind="offset", sensor_ref=("flow", "p1"),
                                  param=0.5, window=self.window())
-        assert math.isnan(apply_sensor_fault(float("nan"), event, 7200.0))
+        assert math.isnan(self.fault(event, float("nan"), 7200.0))
 
 
 class TestActuatorEvents:

@@ -577,6 +577,15 @@ class TestControlsAndFailureModes:
         assert exc.value.iterations == 1
         assert exc.value.residual > 0.0
 
+    def test_engine_names_the_failing_snapshot(self, toy9, monkeypatch):
+        engine = EpsEngine(toy9, duration_s=3600, step_s=300)
+        for _ in range(3):
+            engine.step_once()
+        monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 0)
+        with pytest.raises(NonConvergenceError, match="at t=900s") as exc:
+            engine.step_once()
+        assert exc.value.t == 900.0
+
     def test_reverse_pump_flow_blocked(self):
         # the pump discharges against a 40 m adverse head, far above its
         # 6.65 m shutoff head; flow must stall instead of running backwards

@@ -318,17 +318,17 @@ def property_series(name: str, step_s: int):
 
 class TestLedgerProperties:
     """The ledger and the segment invariants over networks, steps and decay
-    rates. Quality steps stay at or below 60 s, so no parcel of one step is
-    longer than a pipe: pumpnet's shortest pipe residence time is 73 s."""
+    rates."""
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
     @given(name=st.sampled_from(["toy9", "pumpnet", "valve_chain"]),
            step_s=st.sampled_from([300, 600, 900, 1800, 3600]),
-           quality_step=st.sampled_from([5, 10, 15, 20, 30, 60]),
+           quality_step=st.sampled_from([5, 10, 15, 20, 30, 60, 100, 300]),
            k=st.one_of(st.just(0.0), st.floats(0.0, 5e-3)),
            source=st.floats(0.1, 5.0))
     @example(name="toy9", step_s=3600, quality_step=1, k=1.0, source=1.0)
+    @example(name="pumpnet", step_s=300, quality_step=300, k=1e-3, source=1.0)
     def test_ledger_closes_and_segments_hold(self, name, step_s, quality_step,
                                              k, source):
         network, series = property_series(name, step_s)
@@ -351,6 +351,20 @@ class TestLedgerProperties:
                 assert np.all((0.0 <= segs[:, 1]) & (segs[:, 1] <= top))
                 assert segs[:, 0].sum() == pytest.approx(volume[pid],
                                                          rel=1e-9)
+
+    def test_split_step_computes_the_shorter_step(self):
+        """At 300 s quality steps some pumpnet parcel would be between 4 and
+        5 pipe volumes long in every hydraulic step, so each step is split
+        into 5 sub-steps of 60 s: what 60 s quality steps compute."""
+        network, series = property_series("pumpnet", 300)
+        split, short = (simulate_quality(series, network, QualitySettings(
+            quality_time_step=qs, decay_rate_k=1e-3,
+            source_nodes={"r1": 1.0})) for qs in (300, 60))
+        for a, b in zip(split, short, strict=True):
+            np.testing.assert_allclose(a.node_concentration,
+                                       b.node_concentration, rtol=0,
+                                       atol=1e-12)
+            assert a.decayed_mass == pytest.approx(b.decayed_mass, rel=1e-12)
 
 
 class TestInputChecks:
