@@ -63,6 +63,7 @@ def _run_one(config_path: str, seed: int | None, out_dir: str | None,
         written = write_outputs(result, out_dir)
         report = result.report
         lines.append(f"{config_path}: {report.steps} steps"
+                     f" ({report.solves} solved)"
                      f" in {report.wall_time_s:.1f} s")
         for kind in ("scada", "truth"):
             if kind in written:

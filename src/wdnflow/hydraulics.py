@@ -24,13 +24,20 @@ total demand over the reference's; it falls back to the cold start (small
 flows leaving the nearer source) when either total is zero or the reference
 does not converge. The start is a function of the topology alone, never of
 earlier snapshots, so each result is a pure function of its inputs.
+
+The engine uses that purity. Its inputs are planned once per network: a
+snapshot evaluates one multiplier per distinct demand pattern, and each
+distinct control set is resolved to an open-link mask and pump speeds once.
+A snapshot whose exact inputs (demand multipliers, reservoir heads, emitter
+coefficients, tank levels and control set) repeat an earlier one's is served
+from a memo of converged states, so each distinct snapshot is solved once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .network import (
-    Curve, Network, Tank, _traverse, expand_pump_curve, incidence,
+    Curve, Network, Pattern, Tank, _traverse, expand_pump_curve, incidence,
     pattern_value,
 )
 
@@ -209,7 +216,56 @@ class _Layout:
             [network.junctions[j].elevation for j in inc.junction_ids]
             + [network.reservoirs[r].head for r in inc.reservoir_ids]
             + [network.tanks[t].elevation for t in inc.tank_ids])
+        # snapshot inputs: each junction's base demand and the column of its
+        # pattern among the distinct demand patterns (None: multiplier 1)
+        columns: dict[str | None, int] = {}
+        self.demand_col = np.array(
+            [columns.setdefault(network.junctions[jid].demand_pattern_id
+                                or None, len(columns))
+             for jid in inc.junction_ids], dtype=np.intp)
+        self.demand_patterns: list[Pattern | None] = [
+            network.patterns.get(pid) for pid in columns]
+        self.base_demand = np.array(
+            [network.junctions[jid].base_demand for jid in inc.junction_ids])
+        reservoirs = [network.reservoirs[rid] for rid in inc.reservoir_ids]
+        self.res_head = np.array([r.head for r in reservoirs])
+        self.res_patterns = [network.patterns.get(r.head_pattern_id or None)
+                             for r in reservoirs]
+        self.res_nodes = np.array(
+            [inc.node_index[rid] for rid in inc.reservoir_ids], dtype=np.intp)
+        # tanks: fixed-head nodes, whose links are cut while a tank is closed
+        self.tanks = tanks = [network.tanks[tid] for tid in inc.tank_ids]
+        self.tank_nodes = np.array([inc.node_index[tid]
+                                    for tid in inc.tank_ids], dtype=np.intp)
+        self.tank_elev = np.array([tk.elevation for tk in tanks])
+        self.tank_min = np.array([tk.min_level for tk in tanks])
+        self.tank_max = np.array([tk.max_level for tk in tanks])
+        self.tank_links = (inc.link_from == self.tank_nodes[:, None]) \
+            | (inc.link_to == self.tank_nodes[:, None])
         self._topologies: dict[tuple[bytes, tuple[int, ...]], _Topology] = {}
+
+    @staticmethod
+    def multipliers(patterns: list[Pattern | None], t: float) -> np.ndarray:
+        """Each pattern's multiplier at t (1 for None)."""
+        return np.array([pattern_value(p, t) for p in patterns], dtype=float)
+
+    def demand(self, mult: np.ndarray) -> np.ndarray:
+        """Per-node demand: each junction's base demand times its pattern's
+        multiplier in `mult`; zero at fixed-head nodes."""
+        demand = np.zeros(len(self.inc.node_ids))
+        col = self.demand_col
+        demand[:len(col)] = self.base_demand * mult[col]
+        return demand
+
+    def reservoir_heads(self, t: float) -> np.ndarray:
+        return self.res_head * self.multipliers(self.res_patterns, t)
+
+    def emitter_k(self, emitters: dict[str, float]) -> np.ndarray:
+        """Per-node emitter coefficient from junction id -> k."""
+        emit_k = np.zeros(len(self.inc.node_ids))
+        for jid, k in emitters.items():
+            emit_k[self.inc.node_index[jid]] = k
+        return emit_k
 
     def topology(self, active: np.ndarray, sources: list[int]) -> _Topology:
         """The cached structure for this open-link mask and fixed-head set."""
@@ -287,11 +343,12 @@ class _Topology:
             [[0], np.cumsum(np.bincount(self.flat // max(n_u, 1), minlength=n_u))])
         self.ref_flow, self.ref_demand = self._reference(layout)
 
-    def initial_head(self, fixed_head: dict[int, float]) -> np.ndarray:
-        """Island heads, and each reached node at its nearest source's head."""
+    def initial_head(self, nodes: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Island heads, and each reached node at its nearest source's head;
+        the fixed heads are given per node in `nodes`."""
         head = self.island_head.copy()
         src_head = np.zeros(len(head))
-        src_head[list(fixed_head)] = list(fixed_head.values())
+        src_head[nodes] = heads
         head[self.reached] = src_head[self.nearest_source]
         return head
 
@@ -301,18 +358,18 @@ class _Topology:
         at t = 0 and each pump at its network speed (1.0 where that is 0).
         (None, 0.0) when nothing is demanded or the solve does not converge."""
         net, inc = layout.network, layout.inc
-        demand = np.zeros(len(inc.node_ids))
-        demand[:len(inc.junction_ids)] = [net.junctions[jid].base_demand
-                                          for jid in inc.junction_ids]
+        demand = layout.demand(np.ones(len(layout.demand_patterns)))
         total = float(demand[self.unknown].sum())
         if total == 0.0:
             return None, 0.0
-        levels = {tid: net.tanks[tid].init_level for tid in inc.tank_ids}
         speed = np.zeros(len(inc.link_ids))
         for j in self.act_idx[self.pumps].tolist():
             speed[j] = net.pumps[inc.link_ids[j]].speed or 1.0
         head = self.initial_head(
-            _fixed_heads(layout, levels, 0.0, frozenset()))
+            np.concatenate([layout.res_nodes, layout.tank_nodes]),
+            np.concatenate([layout.reservoir_heads(0.0),
+                            layout.tank_elev
+                            + [tk.init_level for tk in layout.tanks]]))
         try:
             q = _newton(layout, self, head, demand, np.zeros(len(head)), speed,
                         self.q0, 0.0)[0]
@@ -328,9 +385,10 @@ class _Topology:
         return self.ref_flow * ratio if ratio > 0.0 else self.q0
 
 
-def _active_mask(layout: _Layout, controls: Controls,
-                 closed_tanks: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link open mask and per-pump effective speed under the controls."""
+def _active_mask(layout: _Layout,
+                 controls: Controls) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link open mask and per-pump effective speed under the controls,
+    before any tank closes; both read-only."""
     net, inc = layout.network, layout.inc
     active = np.ones(len(inc.link_ids), dtype=bool)
     speed = np.zeros(len(inc.link_ids))
@@ -345,8 +403,7 @@ def _active_mask(layout: _Layout, controls: Controls,
             active[j] = running and w > 0.0
         else:
             active[j] = controls.valve_open.get(lid, net.valves[lid].open)
-    for node in (inc.node_index[tid] for tid in closed_tanks):
-        active[(inc.link_from == node) | (inc.link_to == node)] = False
+    active.flags.writeable = speed.flags.writeable = False
     return active, speed
 
 
@@ -406,84 +463,68 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     """
     layout = _layout if _layout is not None else _Layout(network)
     controls = controls if controls is not None else baseline_controls(network)
-    emitters = emitters or {}
-    tank_ids = layout.inc.tank_ids
-    levels = {tid: network.tanks[tid].init_level for tid in tank_ids}
-    if tank_levels:
-        levels.update(tank_levels)
+    inc = layout.inc
+    demand = np.zeros(len(inc.node_ids))
+    demand[:len(inc.junction_ids)] = [demands.get(jid, 0.0)
+                                      for jid in inc.junction_ids]
+    levels = np.array([(tank_levels or {}).get(tid, tk.init_level)
+                       for tid, tk in zip(inc.tank_ids, layout.tanks)],
+                      dtype=float)
+    return _solve(layout, demand, *_active_mask(layout, controls),
+                  layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
+                  levels, t)
 
-    closed_tanks: frozenset[str] = frozenset()
-    for _ in range(len(tank_ids) + 1):
-        state = _solve_once(layout, demands, controls, emitters, levels, t,
-                            closed_tanks)
-        violators = set()
-        for i, tid in enumerate(tank_ids):
-            if tid in closed_tanks:
-                continue
-            tank = network.tanks[tid]
-            level = levels[tid]
-            inflow = state.tank_net_inflow[i]
-            if (level >= tank.max_level and inflow > MASS_TOL) or \
-                    (level <= tank.min_level and inflow < -MASS_TOL):
-                violators.add(tid)
-        if not violators:
+
+def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
+           speed: np.ndarray, res_heads: np.ndarray, emit_k: np.ndarray,
+           levels: np.ndarray, t: float) -> HydraulicState:
+    """The snapshot of these per-node demands and emitter coefficients,
+    open-link mask, pump speeds, reservoir heads and tank levels; a tank at
+    a bound the solution keeps pushing against is closed and the snapshot
+    solved again."""
+    closed = np.zeros(len(levels), dtype=bool)
+    for _ in range(len(levels) + 1):
+        state = _solve_once(layout, demand, active, speed, res_heads, emit_k,
+                            levels, closed, t)
+        inflow = state.tank_net_inflow
+        violators = ~closed & (
+            ((levels >= layout.tank_max) & (inflow > MASS_TOL))
+            | ((levels <= layout.tank_min) & (inflow < -MASS_TOL)))
+        if not violators.any():
             return state
-        closed_tanks = closed_tanks | violators
+        closed = closed | violators
     return state
 
 
-def _fixed_heads(layout: _Layout, levels: dict[str, float], t: float,
-                 closed_tanks: frozenset[str]) -> dict[int, float]:
-    """Head per fixed-head node: reservoirs (pattern-scaled) and open tanks."""
-    net, inc = layout.network, layout.inc
-    fixed_head: dict[int, float] = {}
-    for rid in inc.reservoir_ids:
-        res = net.reservoirs[rid]
-        mult = pattern_value(net.patterns.get(res.head_pattern_id), t) \
-            if res.head_pattern_id else 1.0
-        fixed_head[inc.node_index[rid]] = res.head * mult
-    for tid in inc.tank_ids:
-        if tid not in closed_tanks:
-            fixed_head[inc.node_index[tid]] = \
-                net.tanks[tid].elevation + levels[tid]
-    return fixed_head
-
-
-def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
-                emitters: dict[str, float], levels: dict[str, float], t: float,
-                closed_tanks: frozenset[str]) -> HydraulicState:
-    net, inc = layout.network, layout.inc
+def _solve_once(layout: _Layout, demand: np.ndarray, active: np.ndarray,
+                speed: np.ndarray, res_heads: np.ndarray, emit_k: np.ndarray,
+                levels: np.ndarray, closed: np.ndarray,
+                t: float) -> HydraulicState:
+    inc = layout.inc
     n_nodes = len(inc.node_ids)
     n_junc = len(inc.junction_ids)
 
-    active, speed = _active_mask(layout, controls, closed_tanks)
-    fixed_head = _fixed_heads(layout, levels, t, closed_tanks)
+    if closed.any():
+        active = active & ~layout.tank_links[closed].any(axis=0)
+    tank_head = layout.tank_elev + levels
+    sources = np.concatenate([layout.res_nodes, layout.tank_nodes[~closed]])
+    topo = layout.topology(active, sources.tolist())
 
-    demand_arr = np.zeros(n_nodes)
-    for i, jid in enumerate(inc.junction_ids):
-        demand_arr[i] = demands.get(jid, 0.0)
-    emit_k = np.zeros(n_nodes)
-    for jid, k in emitters.items():
-        emit_k[inc.node_index[jid]] = k
-
-    topo = layout.topology(active, sorted(fixed_head))
-
-    cut = ~topo.reach[:n_junc] & ((demand_arr[:n_junc] > 0.0)
+    cut = ~topo.reach[:n_junc] & ((demand[:n_junc] > 0.0)
                                   | (emit_k[:n_junc] > 0.0))
     if cut.any():
         i = int(np.argmax(cut))
         jid = inc.junction_ids[i]
         raise DisconnectedDemandError(
             f"junction '{jid}' has demand but no open path to a reservoir or"
-            " tank" if demand_arr[i] > 0.0 else
+            " tank" if demand[i] > 0.0 else
             f"leak at '{jid}' has no open path to a reservoir or tank")
 
-    head = topo.initial_head(fixed_head)
-    for tid in closed_tanks:
-        head[inc.node_index[tid]] = net.tanks[tid].elevation + levels[tid]
+    head = topo.initial_head(sources, np.concatenate([res_heads,
+                                                      tank_head[~closed]]))
+    head[layout.tank_nodes[closed]] = tank_head[closed]
     q, iterations, mass_res, energy_res = _newton(
-        layout, topo, head, demand_arr, emit_k, speed,
-        topo.start(demand_arr), t)
+        layout, topo, head, demand, emit_k, speed, topo.start(demand), t)
 
     a_from, a_to = topo.a_from, topo.a_to
     flow_full = np.zeros(len(inc.link_ids))
@@ -499,12 +540,10 @@ def _solve_once(layout: _Layout, demands: dict[str, float], controls: Controls,
             emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
 
     pressure = head[:n_junc] - layout.node_elev[:n_junc]
-    level_arr = np.array([levels[tid] for tid in inc.tank_ids])
-
-    for arr in (flow_full, head, pressure, level_arr, tank_inflow):
+    level_arr = levels.copy()
+    demand_out = demand[:n_junc].copy()
+    for arr in (flow_full, head, pressure, level_arr, tank_inflow, demand_out):
         arr.flags.writeable = False
-    demand_out = demand_arr[:n_junc].copy()
-    demand_out.flags.writeable = False
 
     return HydraulicState(
         t=t, flow=flow_full, head=head, pressure_head=pressure,
@@ -630,6 +669,12 @@ class EpsEngine:
     control environment, so both produce identical arithmetic.
 
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or None.
+
+    Each control set is resolved once and interned by its content. Converged
+    states are kept by their exact inputs, and a snapshot that repeats them
+    gets the kept state's read-only arrays at its own t; `solves` counts the
+    snapshots actually solved. Both outlive `reset`, and the memo holds at
+    most one run's worth of states, dropping the least recently used.
     """
 
     def __init__(self, network: Network, duration_s: int | None = None,
@@ -647,23 +692,35 @@ class EpsEngine:
         self.emitter_hook = emitter_hook
         self.layout = _Layout(network)
         self._baseline = baseline_controls(network)
+        self._control_ids: dict[tuple, int] = {}
+        self._control_sets: list[tuple[np.ndarray, np.ndarray]] = []
+        self._memo: dict[tuple, HydraulicState] = {}
+        self.solves = 0
         self.reset()
 
     def reset(self) -> None:
         """Rewind to t = 0 with every tank at its initial level; the layout
-        keeps its topologies, so a rerun repeats no reference solve."""
+        keeps its topologies and the engine its memo, so a rerun repeats no
+        reference solve and no snapshot solve."""
         self.step_index = 0
         self.tank_levels = {tid: self.network.tanks[tid].init_level
                             for tid in self.layout.inc.tank_ids}
 
     def demands_at(self, t: float) -> dict[str, float]:
-        out = {}
-        for jid in self.layout.inc.junction_ids:
-            j = self.network.junctions[jid]
-            mult = pattern_value(self.network.patterns.get(j.demand_pattern_id), t) \
-                if j.demand_pattern_id else 1.0
-            out[jid] = j.base_demand * mult
-        return out
+        layout = self.layout
+        demand = layout.demand(layout.multipliers(layout.demand_patterns, t))
+        return dict(zip(layout.inc.junction_ids, demand.tolist()))
+
+    def _control_id(self, controls: Controls) -> int:
+        """The interned id of this control set's content."""
+        key = tuple((tuple(d), tuple(d.values())) for d in (
+            controls.pipe_open, controls.pump_running, controls.pump_speed,
+            controls.valve_open))
+        cid = self._control_ids.get(key)
+        if cid is None:
+            cid = self._control_ids[key] = len(self._control_sets)
+            self._control_sets.append(_active_mask(self.layout, controls))
+        return cid
 
     def solve_current(self, controls: Controls | None = None) -> HydraulicState:
         """Solve the snapshot at the current time without advancing."""
@@ -672,10 +729,26 @@ class EpsEngine:
             controls = self.control_hook(t) if self.control_hook else None
         if controls is None:
             controls = self._baseline
-        emitters = self.emitter_hook(t) if self.emitter_hook else None
-        return solve_snapshot(
-            self.network, self.demands_at(t), controls, emitters=emitters,
-            tank_levels=self.tank_levels, t=t, _layout=self.layout)
+        emitters = (self.emitter_hook(t) if self.emitter_hook else None) or {}
+        layout = self.layout
+        mult = layout.multipliers(layout.demand_patterns, t)
+        res_heads = layout.reservoir_heads(t)
+        emit = np.fromiter(emitters.values(), float, len(emitters))
+        levels = np.array([self.tank_levels[tid]
+                           for tid in layout.inc.tank_ids], dtype=float)
+        cid = self._control_id(controls)
+        key = (mult.tobytes(), res_heads.tobytes(), tuple(emitters),
+               emit.tobytes(), levels.tobytes(), cid)
+        state = self._memo.pop(key, None)
+        if state is None:
+            state = _solve(layout, layout.demand(mult),
+                           *self._control_sets[cid], res_heads,
+                           layout.emitter_k(emitters), levels, t)
+            self.solves += 1
+            if len(self._memo) >= max(self.total_steps, 1):
+                del self._memo[next(iter(self._memo))]
+        self._memo[key] = state
+        return replace(state, t=t, leak_flow=dict(state.leak_flow))
 
     def step_once(self, controls: Controls | None = None) -> HydraulicState:
         """Solve the snapshot at the current time, then integrate tank levels."""

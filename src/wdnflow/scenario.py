@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .inp import load_network
 from .network import Network, incidence
 from .hydraulics import (
-    EpsEngine, StateSeries, HydraulicState, baseline_controls,
+    Controls, EpsEngine, StateSeries, HydraulicState, baseline_controls,
 )
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
@@ -443,6 +443,7 @@ class RunReport:
     iterations: dict[int, int]
     wall_time_s: float
     warnings: tuple[str, ...]
+    solves: int     # snapshots solved; the rest repeated a solved one's inputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,12 +488,22 @@ class ScenarioRuntime:
         # junctions come first in both layouts
         self._junction_sel = self._node_sel[:len(report.junction_ids)]
         self._baseline = baseline_controls(self.solve_network)
+        self._controls: dict[tuple[int, ...], Controls] = {}
         self.digest = config_digest(config)
         self.warnings = warnings
 
-    def control_hook(self, t: float):
-        return resolve_controls(self._baseline,
-                                list(self.config.actuator_events), t)
+    def control_hook(self, t: float) -> Controls:
+        """The controls at t: the baseline while no actuator event is
+        active, else resolved once per distinct set of active events."""
+        events = self.config.actuator_events
+        active = tuple(i for i, e in enumerate(events) if e.window.contains(t))
+        if not active:
+            return self._baseline
+        controls = self._controls.get(active)
+        if controls is None:
+            controls = self._controls[active] = resolve_controls(
+                self._baseline, list(events), t)
+        return controls
 
     def emitter_hook(self, t: float):
         coefs: dict[str, float] = {}
@@ -607,7 +618,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     report = RunReport(steps=len(solved.states),
                        iterations=dict(sorted(hist.items())),
                        wall_time_s=time.perf_counter() - t0,
-                       warnings=tuple(runtime.warnings))
+                       warnings=tuple(runtime.warnings),
+                       solves=engine.solves)
     return RunResult(config=config, scada=scada, scada_true=scada_true,
                      series=series, quality_states=quality_states,
                      report=report)

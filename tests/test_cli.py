@@ -52,7 +52,7 @@ class TestRun:
         config = write_config(tmp_path)
         assert cli.main(["run", "--config", str(config)]) == 0
         out = capsys.readouterr().out
-        assert "12 steps" in out
+        assert "12 steps (1 solved)" in out
         scada = tmp_path / "scenario_scada.csv"
         assert scada.exists()
         assert str(scada) in out

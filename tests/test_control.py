@@ -295,6 +295,34 @@ class TestEngineReuse:
                                           getattr(first, name))
                 assert mine.leak_flow == first.leak_flow
 
+    def test_second_episode_reuses_solves_and_matches_batch(self):
+        config = pumpnet_config(
+            leakages=(LeakageEvent(kind="abrupt", link_id="p1",
+                                   diameter=0.01,
+                                   window=EventWindow(1800.0, 5400.0)),),
+            actuator_events=(ActuatorEvent(kind="pump_speed",
+                                           target_id="pu1", value=0.9,
+                                           window=EventWindow(3600.0,
+                                                              4800.0)),))
+        batch = run_scenario(config).series.states
+        env = ScenarioEnv(config)
+        solves = []
+        for _ in range(2):
+            env.reset()
+            while not env.step(NO_OP).done:
+                pass
+            solves.append(env._engine.solves)
+            history = env.state_history()
+            assert len(history) == len(batch)
+            for mine, theirs in zip(history, batch):
+                for name in self.STATE_ARRAYS:
+                    assert getattr(mine, name).tobytes() \
+                        == getattr(theirs, name).tobytes()
+                assert (mine.t, mine.leak_flow, mine.iterations) \
+                    == (theirs.t, theirs.leak_flow, theirs.iterations)
+        # the reset preview and every step of the second episode are hits
+        assert solves == [env.total_steps, env.total_steps]
+
     def test_later_resets_build_no_layout_or_topology(self, monkeypatch):
         env = self.env()
         self.episode(env)

@@ -37,6 +37,7 @@ from wdnflow.hydraulics import (
     solve_snapshot,
     tank_step,
 )
+from wdnflow.events import EventWindow, LeakageEvent, leak_emitter_coef
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Reservoir,
 )
@@ -416,7 +417,12 @@ def run_recording_inputs(engine):
 class TestSnapshotPurity:
     """A snapshot solved alone, on a fresh layout, equals the same snapshot
     inside an EPS run bit for bit: the Newton start depends on the topology
-    only, never on the snapshots solved before."""
+    only, never on the snapshots solved before. The engine serves a
+    snapshot whose inputs repeat from its memo, so this also checks those
+    hits against a fresh solve."""
+
+    STATE_ARRAYS = ("flow", "head", "pressure_head", "tank_level",
+                    "actual_demand", "tank_net_inflow")
 
     def assert_pure(self, network, engine, picks):
         inputs, states = run_recording_inputs(engine)
@@ -424,9 +430,87 @@ class TestSnapshotPurity:
             t, demands, controls, emitters, levels = inputs[i]
             alone = solve_snapshot(network, demands, controls,
                                    emitters=emitters, tank_levels=levels, t=t)
-            assert np.array_equal(alone.head, states[i].head), t
-            assert np.array_equal(alone.flow, states[i].flow), t
+            for name in self.STATE_ARRAYS:
+                assert getattr(alone, name).tobytes() \
+                    == getattr(states[i], name).tobytes(), (t, name)
+            assert states[i].t == t
+            assert states[i].leak_flow == alone.leak_flow, t
+            assert (states[i].iterations, states[i].mass_residual,
+                    states[i].energy_residual) == (
+                alone.iterations, alone.mass_residual,
+                alone.energy_residual), t
         return states
+
+    def assert_hits_are_fresh(self, network, engine):
+        """Every snapshot of a run equals a fresh solve, some were served
+        from the memo, and no served state can alter another."""
+        states = self.assert_pure(network, engine, lambda s: range(len(s)))
+        assert engine.solves < len(states)
+        assert len({id(s.leak_flow) for s in states}) == len(states)
+        for s in states:
+            assert not any(getattr(s, name).flags.writeable
+                           for name in self.STATE_ARRAYS)
+        return states
+
+    def test_control_sets_are_keyed_by_content(self, toy9):
+        # the hook returns one Controls object throughout; closing a pipe in
+        # its dict between steps must give a new control set, not a hit
+        controls = baseline_controls(toy9)
+        engine = EpsEngine(toy9, duration_s=3600, step_s=300,
+                           control_hook=lambda t: controls)
+        p10 = incidence(toy9).link_index["p10"]
+        assert float(engine.step_once().flow[p10]) != 0.0
+        controls.pipe_open["p10"] = False
+        assert float(engine.step_once().flow[p10]) == 0.0
+        assert engine.solves == 2
+
+    def test_reservoir_head_pattern(self):
+        # demands are constant, so only the reservoir head tells the hours
+        # apart; the third hour repeats the first
+        net = Network(
+            junctions={"j1": Junction("j1", 5.0, 2e-3),
+                       "j2": Junction("j2", 4.0, 3e-3)},
+            reservoirs={"r1": Reservoir("r1", 40.0, "lift")},
+            pipes={"p1": Pipe("p1", "r1", "j1", 300.0, 0.2, 110.0),
+                   "p2": Pipe("p2", "j1", "j2", 200.0, 0.15, 110.0)},
+            patterns={"lift": Pattern("lift", (1.0, 1.05, 1.0))})
+        engine = EpsEngine(net, duration_s=3 * 3600, step_s=300)
+        states = self.assert_hits_are_fresh(net, engine)
+        assert engine.solves == 2
+        assert states[12].head[0] > states[0].head[0]
+
+    def test_toy9_two_days_with_incipient_leak(self, toy9):
+        leak = LeakageEvent(kind="incipient", link_id="p3", diameter=0.01,
+                            window=EventWindow(10 * 3600, 40 * 3600,
+                                               peak_time=20 * 3600))
+
+        def emitters(t):
+            k = leak_emitter_coef(leak, t)
+            return {"n3": k} if k > 0.0 else None
+        engine = EpsEngine(toy9, duration_s=2 * 86400, step_s=300,
+                           emitter_hook=emitters)
+        states = self.assert_hits_are_fresh(toy9, engine)
+        # day 2 repeats day 1 only where the leak does not differ
+        assert 24 * 3 < engine.solves < len(states) // 2
+        assert states[30 * 12].leak_flow["n3"] > 0.0
+
+    def test_pumpnet_speed_window_and_full_tank(self, pumpnet):
+        # the faster pump fills the tank by 21 h; from then on the tank sits
+        # closed at its top and every snapshot repeats the first one there
+        base = baseline_controls(pumpnet)
+        fast = Controls(pipe_open=base.pipe_open,
+                        pump_running=base.pump_running,
+                        pump_speed={"pu1": 1.2}, valve_open=base.valve_open)
+        engine = EpsEngine(pumpnet, duration_s=86400, step_s=300,
+                           control_hook=lambda t: fast
+                           if 2 * 3600 <= t < 5 * 3600 else None)
+        states = self.assert_hits_are_fresh(pumpnet, engine)
+        top = pumpnet.tanks["t1"].max_level
+        full = [i for i, s in enumerate(states)
+                if float(s.tank_level[0]) == top
+                and float(s.tank_net_inflow[0]) == 0.0]
+        assert full and full == list(range(full[0], len(states)))
+        assert engine.solves == full[0] + 1
 
     def test_toy9_day_with_leak(self, toy9):
         engine = EpsEngine(toy9, duration_s=86400, step_s=300,
@@ -578,13 +662,29 @@ class TestControlsAndFailureModes:
         assert exc.value.residual > 0.0
 
     def test_engine_names_the_failing_snapshot(self, toy9, monkeypatch):
-        engine = EpsEngine(toy9, duration_s=3600, step_s=300)
+        # hourly steps: t = 10800 s falls in a pattern hour not met before,
+        # so its inputs are new and the snapshot is solved
+        engine = EpsEngine(toy9, duration_s=86400, step_s=3600)
         for _ in range(3):
             engine.step_once()
         monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 0)
-        with pytest.raises(NonConvergenceError, match="at t=900s") as exc:
+        with pytest.raises(NonConvergenceError, match="at t=10800s") as exc:
             engine.step_once()
-        assert exc.value.t == 900.0
+        assert exc.value.t == 10800.0
+
+    def test_engine_serves_a_repeated_snapshot_unsolved(self, toy9,
+                                                       monkeypatch):
+        # 300 s steps inside one pattern hour repeat the inputs of t = 0;
+        # with no iteration allowed, only the memo can answer
+        engine = EpsEngine(toy9, duration_s=3600, step_s=300)
+        first = engine.step_once()
+        monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 0)
+        again = engine.step_once()
+        assert again.t == 300.0 and engine.solves == 1
+        for name in ("flow", "head", "pressure_head", "tank_level",
+                     "actual_demand", "tank_net_inflow"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.iterations == first.iterations
 
     def test_reverse_pump_flow_blocked(self):
         # the pump discharges against a 40 m adverse head, far above its

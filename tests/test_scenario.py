@@ -475,6 +475,16 @@ class TestRunScenario:
         assert sum(result.report.iterations.values()) == 24
         assert all(isinstance(k, int) for k in result.report.iterations)
 
+    def test_report_counts_snapshots_solved(self, toy9_config_factory):
+        # toy9 has no tank and one hourly demand pattern, so a snapshot's
+        # inputs are its hour's multiplier: 18 distinct values in 24 hours
+        result = run_scenario(toy9_config_factory(duration_s=86400))
+        pattern = bundled.load_toy9().patterns["diurnal"].multipliers
+        assert len(pattern) == 24 and len(set(pattern)) == 18
+        assert result.report.steps == 288
+        assert result.report.solves == 18
+        assert sum(result.report.iterations.values()) == 288
+
 
 class TestWriteOutputs:
     def test_relative_paths_land_in_out_dir(self, toy9_config_factory,
