@@ -24,7 +24,7 @@ from .inp import (
     tokenize_inp,
 )
 from .hydraulics import (
-    Controls, baseline_controls, HydraulicState, StateSeries,
+    Controls, HydraulicState, StateSeries,
     hazen_williams_headloss, fit_pump_curve, pump_head_gain, tank_step,
     solve_snapshot, EpsEngine, simulate_hydraulics,
 )

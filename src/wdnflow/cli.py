@@ -133,6 +133,13 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wdnflow",
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the config seed")
     run.add_argument("--out-dir", default=None,
                      help="directory for relative output paths")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_job_count, default=1,
                      help="run configs in this many parallel processes")
     run.add_argument("--truth", action="store_true",
                      help="also write the ground-truth event CSV")

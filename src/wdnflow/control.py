@@ -3,9 +3,11 @@
 The agent observes corrupted SCADA rows and sets pump speeds/states and valve
 states. Each step re-solves the snapshot at the current time under the chosen
 controls, then advances one hydraulic step. Scheduled actuator events take
-priority: while an event window is active, agent commands on that target are
-ignored. With no agent intervention the episode reproduces the batch
-simulation bit for bit, because both run the same engine.
+priority: while an event window is active, every agent command on its target
+is ignored, whatever the command's kind (an event on a pump's state also
+blocks the agent's speed for that pump). With no agent intervention the
+episode reproduces the batch simulation bit for bit, because both run the
+same engine.
 
 Reward per step, in consistent units: minus the pump power proxy
 rho g Q dH / 0.75 (W) minus `pressure_penalty` per meter of pressure-head
@@ -15,12 +17,12 @@ shortfall below `min_pressure_head` summed over junctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
-from .events import actuator_value
+from .events import CONTROL_FIELDS, actuator_value
 from .hydraulics import G, Controls, EpsEngine, HydraulicState
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
@@ -69,11 +71,11 @@ class ScenarioEnv:
         self.columns = config.sensors.columns()
         self._reader = RowReader(self.columns, self.runtime.report_layout)
         solve = self.runtime.solve_layout
-        # (pump id, link index, suction node, discharge node), in dict order
+        # (link index, suction node, discharge node) per pump, in dict order
         # so the power sum keeps one summation order
-        pumps = list(self.runtime.solve_network.pumps)
+        pumps = self.runtime.solve_network.pumps
         links = [solve.link_index[pid] for pid in pumps]
-        self._pumps = list(zip(pumps, links, solve.link_from[links].tolist(),
+        self._pumps = list(zip(links, solve.link_from[links].tolist(),
                                solve.link_to[links].tolist()))
         self._truth = self.runtime.truth_records()
         self._engine: EpsEngine | None = None
@@ -85,24 +87,20 @@ class ScenarioEnv:
     def _observe(self, state: HydraulicState, corruptor) -> np.ndarray:
         return corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
-    def _blocked_targets(self, t: float) -> set[str]:
-        return {e.target_id for e in self.config.actuator_events
-                if e.window.contains(t)}
-
     def _merge_action(self, action: Action, t: float) -> Controls:
-        controls = self.runtime.control_hook(t)
+        """The agent's checked commands under the active events' overrides;
+        a target that an event overrides takes no command of any kind."""
+        events = self.runtime.control_hook(t)
         net = self.runtime.solve_network
-        blocked = self._blocked_targets(t)
+        blocked = {*events.pump_running, *events.pump_speed,
+                   *events.valve_open}
         merged = {}
-        for kind, values, group, base in (
-                ("pump_speed", action.pump_speeds, net.pumps,
-                 controls.pump_speed),
-                ("pump_state", action.pump_states, net.pumps,
-                 controls.pump_running),
-                ("valve_state", action.valve_states, net.valves,
-                 controls.valve_open)):
+        for kind, values in (("pump_speed", action.pump_speeds),
+                             ("pump_state", action.pump_states),
+                             ("valve_state", action.valve_states)):
             element = kind.partition("_")[0]
-            merged[kind] = dict(base)
+            group = net.pumps if element == "pump" else net.valves
+            commands = {}
             for eid, value in values.items():
                 if eid not in group:
                     raise InvalidActionError(f"no {element} '{eid}'")
@@ -112,19 +110,17 @@ class ScenarioEnv:
                     raise InvalidActionError(
                         f"{element} '{eid}': {exc}") from None
                 if eid not in blocked:
-                    merged[kind][eid] = value
-        return Controls(pipe_open=controls.pipe_open,
-                        pump_running=merged["pump_state"],
-                        pump_speed=merged["pump_speed"],
-                        valve_open=merged["valve_state"])
+                    commands[eid] = value
+            name = CONTROL_FIELDS[kind]
+            merged[name] = {**commands, **getattr(events, name)}
+        return replace(events, **merged)
 
     def _reward_terms(self, state: HydraulicState,
-                      projected: HydraulicState,
-                      controls: Controls) -> tuple[float, float]:
+                      projected: HydraulicState) -> tuple[float, float]:
+        # a pump that is not running, or runs at speed 0, is a closed link:
+        # it carries no flow and so draws no power
         power = 0.0
-        for pid, link, suction, discharge in self._pumps:
-            if not controls.pump_running.get(pid, True):
-                continue
+        for link, suction, discharge in self._pumps:
             q = float(state.flow[link])
             gain = float(state.head[discharge] - state.head[suction])
             if q > 0.0 and gain > 0.0:
@@ -171,12 +167,11 @@ class ScenarioEnv:
             action = NO_OP
         t = float(self._engine.step_index
                   * self.config.hydraulic_time_step_s)
-        controls = self._merge_action(action, t)
-        state = self._engine.step_once(controls)
+        state = self._engine.step_once(self._merge_action(action, t))
         projected = self.runtime.project_state(state)
         self._states.append(projected)
         observation = self._observe(projected, self._corruptor)
-        power, deficit = self._reward_terms(state, projected, controls)
+        power, deficit = self._reward_terms(state, projected)
         reward = -power - self.pressure_penalty * deficit
         done = self._engine.step_index == self.total_steps
         info = {

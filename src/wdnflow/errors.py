@@ -75,7 +75,8 @@ class NegativeConcentrationError(WdnflowError):
 # --- events / scada --------------------------------------------------------
 
 class UnknownTargetError(WdnflowError):
-    """An actuator event names an element that does not exist."""
+    """A control override, actuator event or leak names an element that does
+    not exist or is not of the kind it needs."""
 
 
 class UnknownSensorRefError(WdnflowError):

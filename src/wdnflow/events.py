@@ -22,8 +22,9 @@ __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
     "LeakageEvent", "ActuatorEvent", "SensorFaultEvent", "CommunicationEvent",
     "leak_effective_area", "leak_flow", "leak_emitter_coef",
-    "actuator_value", "apply_actuator_event", "precedence",
-    "resolve_controls", "faulted_readings", "split_pipes_for_leaks",
+    "actuator_value", "CONTROL_FIELDS", "apply_actuator_event",
+    "precedence", "resolve_controls", "faulted_readings",
+    "split_pipes_for_leaks",
     "LEAK_JUNCTION_SUFFIX", "LEAK_PIPE_SUFFIX",
 ]
 
@@ -193,28 +194,20 @@ def leak_emitter_coef(event: LeakageEvent, t: float) -> float:
     return event.discharge_coef * leak_effective_area(event, t) * math.sqrt(2.0 * G)
 
 
+# actuator event kind -> the Controls map it overrides
+CONTROL_FIELDS = {"pump_state": "pump_running", "pump_speed": "pump_speed",
+                  "valve_state": "valve_open"}
+
+
 def apply_actuator_event(controls: Controls, event: ActuatorEvent,
                          t: float) -> Controls:
-    """Controls with the event applied when active; unchanged outside its window."""
+    """Controls with the event's override added when active; unchanged
+    outside its window."""
     if not event.window.contains(t):
         return controls
-    if event.kind == "pump_state":
-        if event.target_id not in controls.pump_running:
-            raise UnknownTargetError(f"no pump '{event.target_id}'")
-        running = dict(controls.pump_running)
-        running[event.target_id] = bool(event.value)
-        return replace(controls, pump_running=running)
-    if event.kind == "pump_speed":
-        if event.target_id not in controls.pump_speed:
-            raise UnknownTargetError(f"no pump '{event.target_id}'")
-        speeds = dict(controls.pump_speed)
-        speeds[event.target_id] = float(event.value)
-        return replace(controls, pump_speed=speeds)
-    if event.target_id not in controls.valve_open:
-        raise UnknownTargetError(f"no valve '{event.target_id}'")
-    opens = dict(controls.valve_open)
-    opens[event.target_id] = bool(event.value)
-    return replace(controls, valve_open=opens)
+    name = CONTROL_FIELDS[event.kind]
+    return replace(controls, **{name: {**getattr(controls, name),
+                                       event.target_id: event.value}})
 
 
 def precedence(events) -> list[int]:
@@ -224,10 +217,9 @@ def precedence(events) -> list[int]:
                   key=lambda i: (events[i].window.start_time, i))
 
 
-def resolve_controls(baseline: Controls, events: list[ActuatorEvent],
+def resolve_controls(controls: Controls, events: list[ActuatorEvent],
                      t: float) -> Controls:
-    """Apply active actuator events over the baseline in precedence order."""
-    controls = baseline
+    """Add the active actuator events' overrides in precedence order."""
     for i in precedence(events):
         controls = apply_actuator_event(controls, events[i], t)
     return controls

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,7 @@ from .errors import (
     CurveFitError,
     DisconnectedDemandError,
     NonConvergenceError,
+    UnknownTargetError,
 )
 from .network import (
     Curve, Network, Pattern, Tank, _traverse, expand_pump_curve, incidence,
@@ -54,7 +56,7 @@ from .network import (
 __all__ = [
     "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ACCURACY",
     "MAX_ITERATIONS", "ENERGY_TOL", "EMITTER_HMIN", "Controls",
-    "baseline_controls", "HydraulicState", "StateSeries",
+    "HydraulicState", "StateSeries",
     "hazen_williams_headloss", "fit_pump_curve", "pump_head_gain",
     "solve_snapshot", "tank_step", "EpsEngine", "simulate_hydraulics",
 ]
@@ -77,21 +79,13 @@ SPARSE_MIN_UNKNOWNS = 400   # larger systems are solved with scipy's spsolve
 
 @dataclass(frozen=True)
 class Controls:
-    """Runtime link statuses; ids absent from the maps keep network defaults."""
+    """Overrides of link settings: each map names links of its kind, and a
+    link absent from a map keeps the network's own setting."""
 
     pipe_open: dict[str, bool] = field(default_factory=dict)
     pump_running: dict[str, bool] = field(default_factory=dict)
     pump_speed: dict[str, float] = field(default_factory=dict)
     valve_open: dict[str, bool] = field(default_factory=dict)
-
-
-def baseline_controls(network: Network) -> Controls:
-    return Controls(
-        pipe_open={p.id: p.open for p in network.pipes.values()},
-        pump_running={p.id: p.running for p in network.pumps.values()},
-        pump_speed={p.id: p.speed for p in network.pumps.values()},
-        valve_open={v.id: v.open for v in network.valves.values()},
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +113,8 @@ class StateSeries:
     junction_ids: tuple[str, ...]
     tank_ids: tuple[str, ...]
     states: tuple[HydraulicState, ...]
+    step_s: int                 # hydraulic step between states, s
     config_digest: str = ""
-
-    @property
-    def step_s(self) -> float:
-        if len(self.states) > 1:
-            return self.states[1].t - self.states[0].t
-        return 0.0
 
     def digest(self) -> str:
         """Bitwise fingerprint of every state array, for determinism checks."""
@@ -388,8 +377,17 @@ class _Topology:
 def _active_mask(layout: _Layout,
                  controls: Controls) -> tuple[np.ndarray, np.ndarray]:
     """Per-link open mask and per-pump effective speed under the controls,
-    before any tank closes; both read-only."""
+    before any tank closes; both read-only. An override must name a link of
+    its map's kind."""
     net, inc = layout.network, layout.inc
+    for overrides, group, kind in (
+            (controls.pipe_open, net.pipes, "pipe"),
+            (controls.pump_running, net.pumps, "pump"),
+            (controls.pump_speed, net.pumps, "pump"),
+            (controls.valve_open, net.valves, "valve")):
+        for lid in overrides:
+            if lid not in group:
+                raise UnknownTargetError(f"no {kind} '{lid}'")
     active = np.ones(len(inc.link_ids), dtype=bool)
     speed = np.zeros(len(inc.link_ids))
     for j, (lid, k) in enumerate(zip(inc.link_ids, inc.link_kind.tolist())):
@@ -456,13 +454,13 @@ def solve_snapshot(network: Network, demands: dict[str, float],
                    _layout: _Layout | None = None) -> HydraulicState:
     """Solve one quasi-steady snapshot.
 
-    demands: junction id -> m3/s (already pattern-scaled). emitters: junction
+    demands: junction id -> m3/s (already pattern-scaled). controls: overrides
+    of the network's link settings, none by default. emitters: junction
     id -> orifice coefficient k with discharge q = k sqrt(max(pressure head, 0)).
     Tanks at a level bound that the solution keeps pushing against are closed
     and the snapshot re-solved.
     """
     layout = _layout if _layout is not None else _Layout(network)
-    controls = controls if controls is not None else baseline_controls(network)
     inc = layout.inc
     demand = np.zeros(len(inc.node_ids))
     demand[:len(inc.junction_ids)] = [demands.get(jid, 0.0)
@@ -470,7 +468,8 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     levels = np.array([(tank_levels or {}).get(tid, tk.init_level)
                        for tid, tk in zip(inc.tank_ids, layout.tanks)],
                       dtype=float)
-    return _solve(layout, demand, *_active_mask(layout, controls),
+    mask = _active_mask(layout, controls or Controls())
+    return _solve(layout, demand, *mask,
                   layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
                   levels, t)
 
@@ -669,12 +668,14 @@ class EpsEngine:
     control environment, so both produce identical arithmetic.
 
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or None.
+    No controls means no overrides.
 
     Each control set is resolved once and interned by its content. Converged
     states are kept by their exact inputs, and a snapshot that repeats them
-    gets the kept state's read-only arrays at its own t; `solves` counts the
-    snapshots actually solved. Both outlive `reset`, and the memo holds at
-    most one run's worth of states, dropping the least recently used.
+    gets the kept state's read-only arrays at its own t; `iteration_counts`
+    histograms the Newton iterations of the snapshots actually solved. Both
+    outlive `reset`, and the memo holds at most one run's worth of states,
+    dropping the least recently used.
     """
 
     def __init__(self, network: Network, duration_s: int | None = None,
@@ -691,12 +692,16 @@ class EpsEngine:
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
         self.layout = _Layout(network)
-        self._baseline = baseline_controls(network)
         self._control_ids: dict[tuple, int] = {}
         self._control_sets: list[tuple[np.ndarray, np.ndarray]] = []
         self._memo: dict[tuple, HydraulicState] = {}
-        self.solves = 0
+        self.iteration_counts: Counter[int] = Counter()
         self.reset()
+
+    @property
+    def solves(self) -> int:
+        """Snapshots solved; the rest repeated a solved one's inputs."""
+        return sum(self.iteration_counts.values())
 
     def reset(self) -> None:
         """Rewind to t = 0 with every tank at its initial level; the layout
@@ -718,17 +723,15 @@ class EpsEngine:
             controls.valve_open))
         cid = self._control_ids.get(key)
         if cid is None:
-            cid = self._control_ids[key] = len(self._control_sets)
             self._control_sets.append(_active_mask(self.layout, controls))
+            cid = self._control_ids[key] = len(self._control_sets) - 1
         return cid
 
     def solve_current(self, controls: Controls | None = None) -> HydraulicState:
         """Solve the snapshot at the current time without advancing."""
         t = float(self.step_index * self.step_s)
-        if controls is None:
-            controls = self.control_hook(t) if self.control_hook else None
-        if controls is None:
-            controls = self._baseline
+        if controls is None and self.control_hook:
+            controls = self.control_hook(t)
         emitters = (self.emitter_hook(t) if self.emitter_hook else None) or {}
         layout = self.layout
         mult = layout.multipliers(layout.demand_patterns, t)
@@ -736,7 +739,7 @@ class EpsEngine:
         emit = np.fromiter(emitters.values(), float, len(emitters))
         levels = np.array([self.tank_levels[tid]
                            for tid in layout.inc.tank_ids], dtype=float)
-        cid = self._control_id(controls)
+        cid = self._control_id(controls or Controls())
         key = (mult.tobytes(), res_heads.tobytes(), tuple(emitters),
                emit.tobytes(), levels.tobytes(), cid)
         state = self._memo.pop(key, None)
@@ -744,7 +747,7 @@ class EpsEngine:
             state = _solve(layout, layout.demand(mult),
                            *self._control_sets[cid], res_heads,
                            layout.emitter_k(emitters), levels, t)
-            self.solves += 1
+            self.iteration_counts[state.iterations] += 1
             if len(self._memo) >= max(self.total_steps, 1):
                 del self._memo[next(iter(self._memo))]
         self._memo[key] = state
@@ -768,7 +771,8 @@ class EpsEngine:
         return StateSeries(
             node_ids=inc.node_ids, link_ids=inc.link_ids,
             junction_ids=inc.junction_ids, tank_ids=inc.tank_ids,
-            states=tuple(states), config_digest=config_digest)
+            states=tuple(states), step_s=self.step_s,
+            config_digest=config_digest)
 
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, replace, field
 
 import numpy as np
@@ -31,9 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .inp import load_network
 from .network import Network, incidence
-from .hydraulics import (
-    Controls, EpsEngine, StateSeries, HydraulicState, baseline_controls,
-)
+from .hydraulics import Controls, EpsEngine, StateSeries, HydraulicState
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
     SensorFaultEvent, leak_emitter_coef, resolve_controls,
@@ -440,7 +437,7 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
 @dataclass(frozen=True)
 class RunReport:
     steps: int
-    iterations: dict[int, int]
+    iterations: dict[int, int]     # Newton iterations -> snapshots solved
     wall_time_s: float
     warnings: tuple[str, ...]
     solves: int     # snapshots solved; the rest repeated a solved one's inputs
@@ -487,23 +484,13 @@ class ScenarioRuntime:
             [solve.link_index[l] for l in report.link_ids], dtype=np.intp)
         # junctions come first in both layouts
         self._junction_sel = self._node_sel[:len(report.junction_ids)]
-        self._baseline = baseline_controls(self.solve_network)
-        self._controls: dict[tuple[int, ...], Controls] = {}
         self.digest = config_digest(config)
         self.warnings = warnings
 
     def control_hook(self, t: float) -> Controls:
-        """The controls at t: the baseline while no actuator event is
-        active, else resolved once per distinct set of active events."""
-        events = self.config.actuator_events
-        active = tuple(i for i, e in enumerate(events) if e.window.contains(t))
-        if not active:
-            return self._baseline
-        controls = self._controls.get(active)
-        if controls is None:
-            controls = self._controls[active] = resolve_controls(
-                self._baseline, list(events), t)
-        return controls
+        """The overrides of the actuator events active at t."""
+        return resolve_controls(Controls(), list(self.config.actuator_events),
+                                t)
 
     def emitter_hook(self, t: float):
         coefs: dict[str, float] = {}
@@ -572,7 +559,7 @@ class ScenarioRuntime:
             node_ids=report.node_ids, link_ids=report.link_ids,
             junction_ids=report.junction_ids, tank_ids=report.tank_ids,
             states=tuple(self.project_state(s) for s in series.states),
-            config_digest=series.config_digest)
+            step_s=series.step_s, config_digest=series.config_digest)
 
     def project_quality(self, state: QualityState) -> QualityState:
         """Restrict a quality state of the solve network to the pre-split
@@ -614,7 +601,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     config.communication_events, config.uncertainties,
                     runtime.stream)
 
-    hist = Counter(s.iterations for s in solved.states)
+    hist = engine.iteration_counts
     report = RunReport(steps=len(solved.states),
                        iterations=dict(sorted(hist.items())),
                        wall_time_s=time.perf_counter() - t0,

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from wdnflow import bundled
@@ -18,6 +21,21 @@ def series1():
 @pytest.fixture(scope="session")
 def pumpnet():
     return bundled.load_pumpnet()
+
+
+@pytest.fixture(scope="session")
+def perfbench_module():
+    """Loads a benchmark module from its file under perfbench/, as it is,
+    without putting perfbench on the import path."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", root / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 
 @pytest.fixture

@@ -73,8 +73,7 @@ def simulate_quality(series: StateSeries, network: Network,
     if series.node_ids != inc.node_ids or series.link_ids != inc.link_ids:
         raise ConfigError("the series was not solved on this network: its"
                           " node or link ids differ from the network's")
-    step_s = int(series.step_s) if len(series.states) > 1 \
-        else network.options.hydraulic_step_s
+    step_s = series.step_s
     qdt = settings.quality_time_step
     if step_s % qdt != 0:
         raise ConfigError("quality_time_step must divide the hydraulic step")

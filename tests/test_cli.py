@@ -89,6 +89,15 @@ class TestRun:
         assert (tmp_path / "a" / "scenario_scada.csv").read_text() == \
             (tmp_path / "b" / "scenario_scada.csv").read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(config), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_scada.csv").exists()
+
     def test_parallel_jobs_match_input_order(self, tmp_path, capsys):
         first = write_config(tmp_path, name="one.json")
         second = write_config(tmp_path, name="two.json", seed=5)

@@ -1,11 +1,12 @@
 """Tests for the step/reset control environment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wdnflow import ConfigError, bundled, hydraulics
+from wdnflow import ConfigError, bundled, hydraulics, scenario
 from wdnflow.control import (
     NO_OP,
     Action,
@@ -193,6 +194,21 @@ class TestActions:
         assert outcome.observation[3] > 0.0
 
 
+    def test_pump_state_event_blocks_agent_speed(self):
+        # the event keeps pu1 at its own state, running, until t = 600 s; it
+        # names the pump, so the agent's speed on pu1 waits for its end too
+        config = pumpnet_config(actuator_events=(
+            ActuatorEvent(kind="pump_state", target_id="pu1", value=True,
+                          window=EventWindow(0.0, 600.0)),))
+        env = ScenarioEnv(config)
+        env.reset()
+        free = [env.step(NO_OP).observation[3] for _ in range(3)]
+        env.reset()
+        slow = [env.step(Action(pump_speeds={"pu1": 0.7})).observation[3]
+                for _ in range(3)]
+        assert slow[:2] == free[:2]
+        assert 0.0 < slow[2] < free[2]
+
 class TestReward:
     def test_reward_is_negative_cost(self):
         env = ScenarioEnv(pumpnet_config())
@@ -242,6 +258,22 @@ class TestReward:
         assert outcome.info["pump_power_w"] == pytest.approx(expected,
                                                              rel=1e-9)
 
+
+    def test_no_power_from_a_pump_the_network_parks(self, pumpnet,
+                                                    monkeypatch):
+        # pu1 is not running in the network itself, and no control says
+        # otherwise until the agent starts it
+        pump = replace(pumpnet.pumps["pu1"], running=False)
+        parked = replace(pumpnet, pumps={"pu1": pump})
+        monkeypatch.setattr(scenario, "load_network",
+                            lambda path, warnings: parked)
+        env = ScenarioEnv(pumpnet_config())
+        env.reset()
+        idle = env.step(NO_OP)
+        assert idle.info["pump_power_w"] == 0.0
+        assert idle.observation[3] == 0.0
+        started = env.step(Action(pump_states={"pu1": True}))
+        assert started.info["pump_power_w"] > 0.0
 
 class TestEnvLimits:
     def test_quality_sensors_unsupported(self, toy9_config_factory):

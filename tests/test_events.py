@@ -24,7 +24,7 @@ from wdnflow.events import (
     resolve_controls,
     split_pipes_for_leaks,
 )
-from wdnflow.hydraulics import G, baseline_controls
+from wdnflow.hydraulics import G, Controls, solve_snapshot
 
 
 class TestRegistry:
@@ -199,46 +199,51 @@ class TestSensorFaults:
 
 
 class TestActuatorEvents:
-    def test_pump_state_override(self, pumpnet):
-        base = baseline_controls(pumpnet)
+    """An event adds an override to the controls; the network's own setting
+    stays in the network."""
+
+    def test_pump_state_override(self):
+        base = Controls()
         event = ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
                               window=EventWindow(0.0, 3600.0))
         controls = apply_actuator_event(base, event, 0.0)
-        assert controls.pump_running["pu1"] is False
-        assert base.pump_running["pu1"] is True
+        assert controls.pump_running == {"pu1": False}
+        assert base.pump_running == {}
 
-    def test_pump_speed_override(self, pumpnet):
-        base = baseline_controls(pumpnet)
+    def test_pump_speed_override(self):
         event = ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.8,
                               window=EventWindow(0.0, 3600.0))
-        controls = apply_actuator_event(base, event, 0.0)
-        assert controls.pump_speed["pu1"] == 0.8
+        controls = apply_actuator_event(Controls(), event, 0.0)
+        assert controls.pump_speed == {"pu1": 0.8}
 
-    def test_outside_window_is_a_no_op(self, pumpnet):
-        base = baseline_controls(pumpnet)
+    def test_outside_window_is_a_no_op(self):
+        base = Controls()
         event = ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
                               window=EventWindow(0.0, 3600.0))
-        controls = apply_actuator_event(base, event, 3600.0)
-        assert controls.pump_running["pu1"] is True
+        assert apply_actuator_event(base, event, 3600.0) is base
+        assert base.pump_running == {}
 
     def test_unknown_target_raises(self, pumpnet):
-        base = baseline_controls(pumpnet)
+        # the override is added as given; the solver rejects it, since an
+        # override must name a link of its kind
         event = ActuatorEvent(kind="pump_state", target_id="nope", value=False,
                               window=EventWindow(0.0, 3600.0))
-        with pytest.raises(UnknownTargetError):
-            apply_actuator_event(base, event, 0.0)
+        controls = apply_actuator_event(Controls(), event, 0.0)
+        with pytest.raises(UnknownTargetError, match="no pump 'nope'"):
+            solve_snapshot(pumpnet, {}, controls)
 
-    def test_resolve_controls_applies_only_active_events(self, pumpnet):
-        base = baseline_controls(pumpnet)
+    def test_resolve_controls_applies_only_active_events(self):
         events = [
             ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.5,
                           window=EventWindow(0.0, 1800.0)),
             ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.9,
                           window=EventWindow(1800.0, 3600.0)),
         ]
-        assert resolve_controls(base, events, 0.0).pump_speed["pu1"] == 0.5
-        assert resolve_controls(base, events, 1800.0).pump_speed["pu1"] == 0.9
-        assert resolve_controls(base, events, 3600.0).pump_speed["pu1"] == 1.0
+        assert resolve_controls(Controls(), events, 0.0).pump_speed \
+            == {"pu1": 0.5}
+        assert resolve_controls(Controls(), events, 1800.0).pump_speed \
+            == {"pu1": 0.9}
+        assert resolve_controls(Controls(), events, 3600.0).pump_speed == {}
 
 
 class TestPipeSplitting:

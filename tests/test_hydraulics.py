@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from wdnflow import (
     CurveFitError,
     DisconnectedDemandError,
     NonConvergenceError,
+    UnknownTargetError,
     expand_pump_curve,
     incidence,
     parse_inp,
@@ -29,7 +31,6 @@ from wdnflow.hydraulics import (
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
     _Layout,
-    baseline_controls,
     fit_pump_curve,
     hazen_williams_headloss,
     pump_head_gain,
@@ -359,11 +360,7 @@ class TestTopologyCache:
 
     def test_toy9_pipe_closure_and_back(self, toy9):
         layout = _Layout(toy9)
-        base = baseline_controls(toy9)
-        closed = Controls(pipe_open={**base.pipe_open, "p10": False},
-                          pump_running=base.pump_running,
-                          pump_speed=base.pump_speed,
-                          valve_open=base.valve_open)
+        closed = Controls(pipe_open={"p10": False})
         demands = {jid: 2e-5 for jid in toy9.junctions}
         first = self.assert_same_as_fresh(toy9, layout, demands)
         self.assert_same_as_fresh(toy9, layout, demands, controls=closed)
@@ -372,11 +369,7 @@ class TestTopologyCache:
 
     def test_pumpnet_pump_off_and_tank_closed(self, pumpnet):
         layout = _Layout(pumpnet)
-        base = baseline_controls(pumpnet)
-        off = Controls(pipe_open=base.pipe_open,
-                       pump_running={"pu1": False},
-                       pump_speed=base.pump_speed,
-                       valve_open=base.valve_open)
+        off = Controls(pump_running={"pu1": False})
         demands = {"j1": 5e-3, "j2": 3e-3}
         full = {"t1": pumpnet.tanks["t1"].max_level}
         self.assert_same_as_fresh(pumpnet, layout, demands)
@@ -388,10 +381,7 @@ class TestTopologyCache:
     def test_grid_valve_closed(self):
         net = parse_inp(grid_inp(5))
         layout = _Layout(net)
-        base = baseline_controls(net)
-        shut = Controls(pipe_open=base.pipe_open,
-                        pump_running=base.pump_running,
-                        pump_speed=base.pump_speed, valve_open={"v1": False})
+        shut = Controls(valve_open={"v1": False})
         demands = {j: 5e-4 for j in net.junctions}
         self.assert_same_as_fresh(net, layout, demands)
         state = self.assert_same_as_fresh(net, layout, demands, controls=shut)
@@ -455,7 +445,7 @@ class TestSnapshotPurity:
     def test_control_sets_are_keyed_by_content(self, toy9):
         # the hook returns one Controls object throughout; closing a pipe in
         # its dict between steps must give a new control set, not a hit
-        controls = baseline_controls(toy9)
+        controls = Controls()
         engine = EpsEngine(toy9, duration_s=3600, step_s=300,
                            control_hook=lambda t: controls)
         p10 = incidence(toy9).link_index["p10"]
@@ -497,10 +487,7 @@ class TestSnapshotPurity:
     def test_pumpnet_speed_window_and_full_tank(self, pumpnet):
         # the faster pump fills the tank by 21 h; from then on the tank sits
         # closed at its top and every snapshot repeats the first one there
-        base = baseline_controls(pumpnet)
-        fast = Controls(pipe_open=base.pipe_open,
-                        pump_running=base.pump_running,
-                        pump_speed={"pu1": 1.2}, valve_open=base.valve_open)
+        fast = Controls(pump_speed={"pu1": 1.2})
         engine = EpsEngine(pumpnet, duration_s=86400, step_s=300,
                            control_hook=lambda t: fast
                            if 2 * 3600 <= t < 5 * 3600 else None)
@@ -532,10 +519,7 @@ class TestSnapshotPurity:
 
     def test_grid_with_valve_closed_mid_run(self):
         net = parse_inp(grid_inp(5))
-        base = baseline_controls(net)
-        shut = Controls(pipe_open=base.pipe_open,
-                        pump_running=base.pump_running,
-                        pump_speed=base.pump_speed, valve_open={"v1": False})
+        shut = Controls(valve_open={"v1": False})
         engine = EpsEngine(net, control_hook=lambda t: shut
                            if 8 * 3600 <= t < 16 * 3600 else None)
         states = self.assert_pure(net, engine, lambda s: range(len(s)))
@@ -630,13 +614,96 @@ class TestReferenceStart:
         assert proc.stdout.split() == ["False"]
 
 
+def explicit_controls(network):
+    """Every link's own setting, stated as an override."""
+    return Controls(
+        pipe_open={p.id: p.open for p in network.pipes.values()},
+        pump_running={p.id: p.running for p in network.pumps.values()},
+        pump_speed={p.id: p.speed for p in network.pumps.values()},
+        valve_open={v.id: v.open for v in network.valves.values()})
+
+
+def with_pump(network, **settings):
+    """The network with `settings` on its pump pu1."""
+    pump = replace(network.pumps["pu1"], **settings)
+    return replace(network, pumps={**network.pumps, "pu1": pump})
+
+
+def with_valve_closed(network):
+    """The network with its valve v1 closed."""
+    valve = replace(network.valves["v1"], open=False)
+    return replace(network, valves={**network.valves, "v1": valve})
+
+
+class TestControlsAreOverrides:
+    """No controls and every link's own setting stated explicitly give the
+    same snapshot bit for bit, whatever the network's settings are."""
+
+    @pytest.fixture(params=["toy9", "pumpnet", "pumpnet_parked",
+                            "pumpnet_speed0", "grid", "grid_valve_closed",
+                            "grid_parked_valve_closed"])
+    def network(self, request, toy9, pumpnet, perfbench_module):
+        grid = parse_inp(perfbench_module("netgen").grid_inp(6, 3))
+        return {
+            "toy9": toy9,
+            "pumpnet": pumpnet,
+            "pumpnet_parked": with_pump(pumpnet, running=False),
+            "pumpnet_speed0": with_pump(pumpnet, speed=0.0),
+            "grid": grid,
+            "grid_valve_closed": with_valve_closed(grid),
+            "grid_parked_valve_closed": with_valve_closed(
+                with_pump(grid, running=False)),
+        }[request.param]
+
+    def test_snapshot_is_bitwise_equal(self, network):
+        demands = {jid: j.base_demand for jid, j in network.junctions.items()}
+        implicit = solve_snapshot(network, demands, Controls())
+        explicit = solve_snapshot(network, demands, explicit_controls(network))
+        for name in TestSnapshotPurity.STATE_ARRAYS:
+            assert getattr(implicit, name).tobytes() \
+                == getattr(explicit, name).tobytes(), name
+        assert implicit.iterations == explicit.iterations
+        assert solve_snapshot(network, demands).flow.tobytes() \
+            == implicit.flow.tobytes()
+
+    def test_run_is_bitwise_equal(self, network):
+        full = explicit_controls(network)
+        implicit = simulate_hydraulics(network, duration_s=7200,
+                                       hydraulic_step_s=600)
+        explicit = simulate_hydraulics(network, duration_s=7200,
+                                       hydraulic_step_s=600,
+                                       control_hook=lambda t: full)
+        assert implicit.digest() == explicit.digest()
+
+    @pytest.mark.parametrize("controls, message", [
+        (Controls(pump_running={"nope": False}), "no pump 'nope'"),
+        (Controls(pump_speed={"nope": 0.5}), "no pump 'nope'"),
+        (Controls(pump_speed={"p1": 0.5}), "no pump 'p1'"),
+        (Controls(valve_open={"nope": False}), "no valve 'nope'"),
+        (Controls(valve_open={"p1": False}), "no valve 'p1'"),
+        (Controls(pipe_open={"pu1": False}), "no pipe 'pu1'"),
+    ])
+    def test_override_must_name_a_link_of_its_kind(self, pumpnet, controls,
+                                                   message):
+        with pytest.raises(UnknownTargetError, match=message):
+            solve_snapshot(pumpnet, {"j1": 5e-3}, controls)
+        engine = EpsEngine(pumpnet, duration_s=900, step_s=300)
+        with pytest.raises(UnknownTargetError, match=message):
+            engine.step_once(controls)
+        # a rejected set is not interned: it fails again, and the engine
+        # still steps under valid controls
+        with pytest.raises(UnknownTargetError, match=message):
+            engine.step_once(controls)
+        assert engine.step_once(Controls()).t == 0.0
+        hooked = EpsEngine(pumpnet, duration_s=900, step_s=300,
+                           control_hook=lambda t: controls)
+        with pytest.raises(UnknownTargetError, match=message):
+            hooked.step_once()
+
+
 class TestControlsAndFailureModes:
     def test_closed_pipe_carries_no_flow(self, toy9):
-        base = baseline_controls(toy9)
-        controls = Controls(pipe_open={**base.pipe_open, "p10": False},
-                            pump_running=base.pump_running,
-                            pump_speed=base.pump_speed,
-                            valve_open=base.valve_open)
+        controls = Controls(pipe_open={"p10": False})
         demands = {jid: 2e-5 for jid in toy9.junctions}
         state = solve_snapshot(toy9, demands, controls=controls)
         inc = incidence(toy9)
@@ -644,11 +711,7 @@ class TestControlsAndFailureModes:
         assert state.converged
 
     def test_disconnecting_demand_raises(self, toy9):
-        base = baseline_controls(toy9)
-        controls = Controls(pipe_open={**base.pipe_open, "p1": False},
-                            pump_running=base.pump_running,
-                            pump_speed=base.pump_speed,
-                            valve_open=base.valve_open)
+        controls = Controls(pipe_open={"p1": False})
         demands = {jid: 2e-5 for jid in toy9.junctions}
         with pytest.raises(DisconnectedDemandError):
             solve_snapshot(toy9, demands, controls=controls)
@@ -744,11 +807,7 @@ class TestValves:
  Units CMS
 """
         net = parse_inp(text)
-        base = baseline_controls(net)
-        controls = Controls(pipe_open=base.pipe_open,
-                            pump_running=base.pump_running,
-                            pump_speed=base.pump_speed,
-                            valve_open={"v1": False})
+        controls = Controls(valve_open={"v1": False})
         with pytest.raises(DisconnectedDemandError):
             solve_snapshot(net, {"j1": 0.05}, controls=controls)
 

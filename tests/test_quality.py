@@ -11,14 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 from wdnflow import (
     ConfigError, NegativeConcentrationError, WdnflowError, bundled, parse_inp,
 )
-from wdnflow.events import split_pipes_for_leaks
-from wdnflow.hydraulics import Controls, baseline_controls, simulate_hydraulics
+from wdnflow.events import EventWindow, LeakageEvent, split_pipes_for_leaks
+from wdnflow.hydraulics import Controls, simulate_hydraulics
 from wdnflow.quality import (
     SEGMENT_MERGE_DC,
     QualitySettings,
     decay,
     simulate_quality,
 )
+from wdnflow.scenario import QualitySpec, run_scenario
 
 TWO_RESERVOIRS = """
 [JUNCTIONS]
@@ -177,9 +178,7 @@ class TestMassLedger:
     def test_ledger_closes_through_pump_and_draining_tank(self, pumpnet, k):
         # the pump draws on the reservoir; while it is parked the tank
         # drains back through p2 and becomes the donor
-        base = baseline_controls(pumpnet)
-        off = Controls(pipe_open=base.pipe_open, pump_running={"pu1": False},
-                       pump_speed=base.pump_speed, valve_open=base.valve_open)
+        off = Controls(pump_running={"pu1": False})
         series = simulate_hydraulics(
             pumpnet, duration_s=86400,
             control_hook=lambda t: off if 6 * 3600 <= t < 9 * 3600 else None)
@@ -365,6 +364,38 @@ class TestLedgerProperties:
                                        b.node_concentration, rtol=0,
                                        atol=1e-12)
             assert a.decayed_mass == pytest.approx(b.decayed_mass, rel=1e-12)
+
+
+class TestOneStepRun:
+    """A series of one state still has the run's hydraulic step: the first
+    step of a one-step run equals the first step of a longer run."""
+
+    def run(self, toy9_config_factory, steps, **kw):
+        return run_scenario(toy9_config_factory(
+            duration_s=1800 * steps, hydraulic_time_step_s=1800,
+            quality_time_step_s=60,
+            quality=QualitySpec(source_nodes=(("r1", 1.0),)), **kw))
+
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_first_step_matches_a_longer_run(self, toy9_config_factory,
+                                             leak):
+        # toy9's INP step is 300 s, so a step read from the network would
+        # give the one-step run a sixth of the sub-steps
+        kw = {"leakages": (LeakageEvent(
+            kind="abrupt", link_id="p3", diameter=0.01,
+            window=EventWindow(0.0, 1800.0)),)} if leak else {}
+        one = self.run(toy9_config_factory, 1, **kw)
+        two = self.run(toy9_config_factory, 2, **kw)
+        assert one.series.step_s == two.series.step_s == 1800
+        a, b = one.quality_states[0], two.quality_states[0]
+        assert a.node_concentration.tobytes() == b.node_concentration.tobytes()
+        assert a.pipe_segments.keys() == b.pipe_segments.keys()
+        for pid, segs in a.pipe_segments.items():
+            assert segs.tobytes() == b.pipe_segments[pid].tobytes(), pid
+        assert (a.stored_mass, a.injected_mass, a.withdrawn_mass,
+                a.decayed_mass) == (b.stored_mass, b.injected_mass,
+                                    b.withdrawn_mass, b.decayed_mass)
+        assert a.injected_mass > 0.0
 
 
 class TestInputChecks:

@@ -471,8 +471,10 @@ class TestRunScenario:
         assert q1[-1] > 0.0
 
     def test_report_counts_iterations(self, toy9_config_factory):
+        # one count per snapshot solved, none for those served again
         result = run_scenario(toy9_config_factory())
-        assert sum(result.report.iterations.values()) == 24
+        assert result.report.steps == 24
+        assert sum(result.report.iterations.values()) == result.report.solves
         assert all(isinstance(k, int) for k in result.report.iterations)
 
     def test_report_counts_snapshots_solved(self, toy9_config_factory):
@@ -483,7 +485,7 @@ class TestRunScenario:
         assert len(pattern) == 24 and len(set(pattern)) == 18
         assert result.report.steps == 288
         assert result.report.solves == 18
-        assert sum(result.report.iterations.values()) == 288
+        assert sum(result.report.iterations.values()) == 18
 
 
 class TestWriteOutputs:
