@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, UnknownTargetError
-from .hydraulics import G, Controls
+from .hydraulics import G, Controls, actuator_value
 from .network import Junction, Network, Pipe
 
 __all__ = [
@@ -116,19 +116,6 @@ class ActuatorEvent:
             raise ConfigError(f"unknown actuator event kind '{self.kind}'")
         object.__setattr__(self, "value",
                            actuator_value(self.kind, self.value))
-
-
-def actuator_value(kind: str, value) -> bool | float:
-    """The setting of an actuator kind, checked: a pump speed is a finite
-    number >= 0, returned as a float; a pump or valve state is a bool."""
-    if kind == "pump_speed":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 <= value < math.inf:
-            raise ConfigError("pump_speed value must be a finite number >= 0")
-        return float(value)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{kind} value must be a boolean")
-    return value
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ does not converge. The start is a function of the topology alone, never of
 earlier snapshots, so each result is a pure function of its inputs.
 
 The engine uses that purity. Its inputs are planned once per network: a
-snapshot evaluates one multiplier per distinct demand pattern, and each
-distinct control set is resolved to an open-link mask and pump speeds once.
-A snapshot whose exact inputs (demand multipliers, reservoir heads, emitter
-coefficients, tank levels and control set) repeat an earlier one's is served
-from a memo of converged states, so each distinct snapshot is solved once.
+snapshot evaluates one multiplier per distinct demand pattern, and a control
+set's few overrides are applied to a copy of the links' own settings. A
+snapshot whose exact inputs (demand multipliers, reservoir heads, emitter
+coefficients, tank levels and control overrides) repeat an earlier one's is
+served from a memo of converged states, so each distinct snapshot is solved
+once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CurveFitError,
     DisconnectedDemandError,
     NonConvergenceError,
@@ -56,7 +58,7 @@ from .network import (
 __all__ = [
     "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ACCURACY",
     "MAX_ITERATIONS", "ENERGY_TOL", "EMITTER_HMIN", "Controls",
-    "HydraulicState", "StateSeries",
+    "HydraulicState", "StateSeries", "actuator_value",
     "hazen_williams_headloss", "fit_pump_curve", "pump_head_gain",
     "solve_snapshot", "tank_step", "EpsEngine", "simulate_hydraulics",
 ]
@@ -86,6 +88,38 @@ class Controls:
     pump_running: dict[str, bool] = field(default_factory=dict)
     pump_speed: dict[str, float] = field(default_factory=dict)
     valve_open: dict[str, bool] = field(default_factory=dict)
+
+
+def _finite(value, what: str, minimum: float = -math.inf) -> float:
+    """value as a float, checked to be a finite number (not a bool) that is
+    at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value >= minimum):
+        raise ConfigError(f"{what} must be a finite number"
+                          + (f" >= {minimum:g}" if minimum > -math.inf else ""))
+    return float(value)
+
+
+def _scatter(out: np.ndarray, index: dict[str, int], values: dict,
+             kind: str, what: str, minimum: float = -math.inf) -> np.ndarray:
+    """out with each value at its id's position in index; an id must be a
+    key of index (an element of this kind), a value a finite number."""
+    for eid, value in values.items():
+        i = index.get(eid)
+        if i is None:
+            raise UnknownTargetError(f"no {kind} '{eid}'")
+        out[i] = _finite(value, f"{what} at '{eid}'", minimum)
+    return out
+
+
+def actuator_value(kind: str, value) -> bool | float:
+    """The setting of an actuator kind, checked: a pump speed is a finite
+    number >= 0, returned as a float; a pump or valve state is a bool."""
+    if kind == "pump_speed":
+        return _finite(value, "pump_speed value", 0.0)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{kind} value must be a boolean")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +218,8 @@ class _Layout:
         groups = (network.pipes, network.pumps, network.valves)
         r_coef = []
         pump_coef = []   # fitted (h0, r, n) per link, zeros for non-pumps
+        on = []          # each link's own setting: open, or a running pump
+        speed = []       # each pump's own speed, zero for other links
         for lid, kind in zip(inc.link_ids, inc.link_kind.tolist()):
             elem = groups[kind][lid]
             fit = (0.0, 0.0, 0.0)
@@ -198,8 +234,12 @@ class _Layout:
                 r_coef.append(max(elem.minor_loss_coef / (2.0 * G * area * area),
                                   GRAD_MIN))
             pump_coef.append(fit)
+            on.append(elem.running if kind == 1 else elem.open)
+            speed.append(elem.speed if kind == 1 else 0.0)
         self.r_coef = np.array(r_coef)
         self.pump_coef = np.array(pump_coef).reshape(-1, 3)
+        self.link_on = np.array(on, dtype=bool)
+        self.link_speed = np.array(speed, dtype=float)
         # elevation-like height per node, used for island head assignment
         self.node_elev = np.array(
             [network.junctions[j].elevation for j in inc.junction_ids]
@@ -227,6 +267,9 @@ class _Layout:
         self.tank_nodes = np.array([inc.node_index[tid]
                                     for tid in inc.tank_ids], dtype=np.intp)
         self.tank_elev = np.array([tk.elevation for tk in tanks])
+        self.tank_init = np.array([tk.init_level for tk in tanks], dtype=float)
+        self.tank_index = {tid: i for i, tid in enumerate(inc.tank_ids)}
+        self.junction_index = {j: i for i, j in enumerate(inc.junction_ids)}
         self.tank_min = np.array([tk.min_level for tk in tanks])
         self.tank_max = np.array([tk.max_level for tk in tanks])
         self.tank_links = (inc.link_from == self.tank_nodes[:, None]) \
@@ -250,11 +293,9 @@ class _Layout:
         return self.res_head * self.multipliers(self.res_patterns, t)
 
     def emitter_k(self, emitters: dict[str, float]) -> np.ndarray:
-        """Per-node emitter coefficient from junction id -> k."""
-        emit_k = np.zeros(len(self.inc.node_ids))
-        for jid, k in emitters.items():
-            emit_k[self.inc.node_index[jid]] = k
-        return emit_k
+        """Per-node emitter coefficient from junction id -> k >= 0."""
+        return _scatter(np.zeros(len(self.inc.node_ids)), self.junction_index,
+                        emitters, "junction", "emitter k", 0.0)
 
     def topology(self, active: np.ndarray, sources: list[int]) -> _Topology:
         """The cached structure for this open-link mask and fixed-head set."""
@@ -346,19 +387,15 @@ class _Topology:
         demands, no emitters, tanks at their initial levels, reservoir heads
         at t = 0 and each pump at its network speed (1.0 where that is 0).
         (None, 0.0) when nothing is demanded or the solve does not converge."""
-        net, inc = layout.network, layout.inc
         demand = layout.demand(np.ones(len(layout.demand_patterns)))
         total = float(demand[self.unknown].sum())
         if total == 0.0:
             return None, 0.0
-        speed = np.zeros(len(inc.link_ids))
-        for j in self.act_idx[self.pumps].tolist():
-            speed[j] = net.pumps[inc.link_ids[j]].speed or 1.0
+        speed = np.where(layout.link_speed == 0.0, 1.0, layout.link_speed)
         head = self.initial_head(
             np.concatenate([layout.res_nodes, layout.tank_nodes]),
             np.concatenate([layout.reservoir_heads(0.0),
-                            layout.tank_elev
-                            + [tk.init_level for tk in layout.tanks]]))
+                            layout.tank_elev + layout.tank_init]))
         try:
             q = _newton(layout, self, head, demand, np.zeros(len(head)), speed,
                         self.q0, 0.0)[0]
@@ -377,31 +414,22 @@ class _Topology:
 def _active_mask(layout: _Layout,
                  controls: Controls) -> tuple[np.ndarray, np.ndarray]:
     """Per-link open mask and per-pump effective speed under the controls,
-    before any tank closes; both read-only. An override must name a link of
-    its map's kind."""
-    net, inc = layout.network, layout.inc
-    for overrides, group, kind in (
-            (controls.pipe_open, net.pipes, "pipe"),
-            (controls.pump_running, net.pumps, "pump"),
-            (controls.pump_speed, net.pumps, "pump"),
-            (controls.valve_open, net.valves, "valve")):
-        for lid in overrides:
-            if lid not in group:
-                raise UnknownTargetError(f"no {kind} '{lid}'")
-    active = np.ones(len(inc.link_ids), dtype=bool)
-    speed = np.zeros(len(inc.link_ids))
-    for j, (lid, k) in enumerate(zip(inc.link_ids, inc.link_kind.tolist())):
-        if k == 0:
-            active[j] = controls.pipe_open.get(lid, net.pipes[lid].open)
-        elif k == 1:
-            pump = net.pumps[lid]
-            running = controls.pump_running.get(lid, pump.running)
-            w = controls.pump_speed.get(lid, pump.speed)
-            speed[j] = w if running else 0.0
-            active[j] = running and w > 0.0
-        else:
-            active[j] = controls.valve_open.get(lid, net.valves[lid].open)
-    active.flags.writeable = speed.flags.writeable = False
+    before any tank closes: the links' own settings with the overrides
+    applied. An override must name a link of its map's kind, and its value
+    obey the actuator value rule."""
+    inc = layout.inc
+    on, speed = layout.link_on.copy(), layout.link_speed.copy()
+    for name, kind, kind_name in (
+            ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
+            ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
+        setting = speed if name == "pump_speed" else on
+        for lid, value in getattr(controls, name).items():
+            j = inc.link_index.get(lid)
+            if j is None or inc.link_kind[j] != kind:
+                raise UnknownTargetError(f"no {kind_name} '{lid}'")
+            setting[j] = actuator_value(name, value)
+    speed = np.where(on, speed, 0.0)
+    active = np.where(inc.link_kind == 1, speed > 0.0, on)
     return active, speed
 
 
@@ -457,17 +485,17 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     demands: junction id -> m3/s (already pattern-scaled). controls: overrides
     of the network's link settings, none by default. emitters: junction
     id -> orifice coefficient k with discharge q = k sqrt(max(pressure head, 0)).
-    Tanks at a level bound that the solution keeps pushing against are closed
-    and the snapshot re-solved.
+    tank_levels: tank id -> level, each other tank at its initial level.
+    Every id must name an element of its kind (else UnknownTargetError) and
+    every value be a finite number, k >= 0 (else ConfigError). Tanks at a
+    level bound that the solution keeps pushing against are closed and the
+    snapshot re-solved.
     """
     layout = _layout if _layout is not None else _Layout(network)
-    inc = layout.inc
-    demand = np.zeros(len(inc.node_ids))
-    demand[:len(inc.junction_ids)] = [demands.get(jid, 0.0)
-                                      for jid in inc.junction_ids]
-    levels = np.array([(tank_levels or {}).get(tid, tk.init_level)
-                       for tid, tk in zip(inc.tank_ids, layout.tanks)],
-                      dtype=float)
+    demand = _scatter(np.zeros(len(layout.inc.node_ids)),
+                      layout.junction_index, demands, "junction", "demand")
+    levels = _scatter(layout.tank_init.copy(), layout.tank_index,
+                      tank_levels or {}, "tank", "tank level")
     mask = _active_mask(layout, controls or Controls())
     return _solve(layout, demand, *mask,
                   layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
@@ -670,12 +698,13 @@ class EpsEngine:
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or None.
     No controls means no overrides.
 
-    Each control set is resolved once and interned by its content. Converged
-    states are kept by their exact inputs, and a snapshot that repeats them
-    gets the kept state's read-only arrays at its own t; `iteration_counts`
-    histograms the Newton iterations of the snapshots actually solved. Both
-    outlive `reset`, and the memo holds at most one run's worth of states,
-    dropping the least recently used.
+    Converged states are kept by their exact inputs (the control set by its
+    overrides' content), and a snapshot that repeats them gets the kept
+    state's read-only arrays at its own t; `iteration_counts` histograms the
+    Newton iterations of the snapshots actually solved. Both outlive `reset`,
+    and the memo holds at most one run's worth of states, dropping the least
+    recently used. `tank_levels` holds the current level per tank, in layout
+    order.
     """
 
     def __init__(self, network: Network, duration_s: int | None = None,
@@ -685,15 +714,14 @@ class EpsEngine:
         opt = network.options
         self.duration_s = opt.duration_s if duration_s is None else duration_s
         self.step_s = opt.hydraulic_step_s if step_s is None else step_s
-        if self.step_s <= 0 or self.duration_s % self.step_s != 0:
+        if self.step_s <= 0 or self.duration_s < 0 \
+                or self.duration_s % self.step_s != 0:
             raise ValueError("duration must be a positive multiple of the"
                              " hydraulic time step")
         self.total_steps = self.duration_s // self.step_s
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
         self.layout = _Layout(network)
-        self._control_ids: dict[tuple, int] = {}
-        self._control_sets: list[tuple[np.ndarray, np.ndarray]] = []
         self._memo: dict[tuple, HydraulicState] = {}
         self.iteration_counts: Counter[int] = Counter()
         self.reset()
@@ -708,24 +736,12 @@ class EpsEngine:
         keeps its topologies and the engine its memo, so a rerun repeats no
         reference solve and no snapshot solve."""
         self.step_index = 0
-        self.tank_levels = {tid: self.network.tanks[tid].init_level
-                            for tid in self.layout.inc.tank_ids}
+        self.tank_levels = self.layout.tank_init.copy()
 
     def demands_at(self, t: float) -> dict[str, float]:
         layout = self.layout
         demand = layout.demand(layout.multipliers(layout.demand_patterns, t))
         return dict(zip(layout.inc.junction_ids, demand.tolist()))
-
-    def _control_id(self, controls: Controls) -> int:
-        """The interned id of this control set's content."""
-        key = tuple((tuple(d), tuple(d.values())) for d in (
-            controls.pipe_open, controls.pump_running, controls.pump_speed,
-            controls.valve_open))
-        cid = self._control_ids.get(key)
-        if cid is None:
-            self._control_sets.append(_active_mask(self.layout, controls))
-            cid = self._control_ids[key] = len(self._control_sets) - 1
-        return cid
 
     def solve_current(self, controls: Controls | None = None) -> HydraulicState:
         """Solve the snapshot at the current time without advancing."""
@@ -737,16 +753,20 @@ class EpsEngine:
         mult = layout.multipliers(layout.demand_patterns, t)
         res_heads = layout.reservoir_heads(t)
         emit = np.fromiter(emitters.values(), float, len(emitters))
-        levels = np.array([self.tank_levels[tid]
-                           for tid in layout.inc.tank_ids], dtype=float)
-        cid = self._control_id(controls or Controls())
+        controls = controls or Controls()
+        # the overrides' content; value types too, as 1 == True but only
+        # True is a pump state
+        overrides = tuple((tuple(d), tuple(d.values()),
+                           tuple(map(type, d.values()))) for d in (
+            controls.pipe_open, controls.pump_running, controls.pump_speed,
+            controls.valve_open))
         key = (mult.tobytes(), res_heads.tobytes(), tuple(emitters),
-               emit.tobytes(), levels.tobytes(), cid)
+               emit.tobytes(), self.tank_levels.tobytes(), overrides)
         state = self._memo.pop(key, None)
         if state is None:
             state = _solve(layout, layout.demand(mult),
-                           *self._control_sets[cid], res_heads,
-                           layout.emitter_k(emitters), levels, t)
+                           *_active_mask(layout, controls), res_heads,
+                           layout.emitter_k(emitters), self.tank_levels, t)
             self.iteration_counts[state.iterations] += 1
             if len(self._memo) >= max(self.total_steps, 1):
                 del self._memo[next(iter(self._memo))]
@@ -758,9 +778,9 @@ class EpsEngine:
         if self.step_index >= self.total_steps:
             raise IndexError("simulation horizon already reached")
         state = self.solve_current(controls)
-        for i, tid in enumerate(self.layout.inc.tank_ids):
-            self.tank_levels[tid] = tank_step(
-                self.network.tanks[tid], self.tank_levels[tid],
+        for i, tank in enumerate(self.layout.tanks):
+            self.tank_levels[i] = tank_step(
+                tank, float(self.tank_levels[i]),
                 float(state.tank_net_inflow[i]), float(self.step_s))
         self.step_index += 1
         return state

@@ -327,6 +327,18 @@ class TestEngineReuse:
                                           getattr(first, name))
                 assert mine.leak_flow == first.leak_flow
 
+    def test_alternating_actions_are_served_from_the_memo(self):
+        # a no-op and a slower pump alternate; the no-op's t = 0 snapshot is
+        # reset's preview, and the second episode repeats every input of the
+        # first, so its snapshots all come from the memo
+        env = ScenarioEnv(pumpnet_config())
+        slow = Action(pump_speeds={"pu1": 0.9})
+        for _ in range(2):
+            env.reset()
+            for k in range(env.total_steps):
+                env.step(slow if k % 2 else NO_OP)
+            assert env._engine.solves == 24
+
     def test_second_episode_reuses_solves_and_matches_batch(self):
         config = pumpnet_config(
             leakages=(LeakageEvent(kind="abrupt", link_id="p1",

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wdnflow import (
+    ConfigError,
     CurveFitError,
     DisconnectedDemandError,
     NonConvergenceError,
     UnknownTargetError,
+    WdnflowError,
     expand_pump_curve,
     incidence,
     parse_inp,
@@ -399,7 +402,8 @@ def run_recording_inputs(engine):
             t, engine.demands_at(t),
             engine.control_hook(t) if engine.control_hook else None,
             engine.emitter_hook(t) if engine.emitter_hook else None,
-            dict(engine.tank_levels)))
+            dict(zip(engine.layout.inc.tank_ids,
+                     engine.tank_levels.tolist()))))
         states.append(engine.step_once())
     return inputs, states
 
@@ -690,8 +694,8 @@ class TestControlsAreOverrides:
         engine = EpsEngine(pumpnet, duration_s=900, step_s=300)
         with pytest.raises(UnknownTargetError, match=message):
             engine.step_once(controls)
-        # a rejected set is not interned: it fails again, and the engine
-        # still steps under valid controls
+        # a rejected set leaves no trace in the engine: it fails again, and
+        # the engine still steps under valid controls
         with pytest.raises(UnknownTargetError, match=message):
             engine.step_once(controls)
         assert engine.step_once(Controls()).t == 0.0
@@ -699,6 +703,91 @@ class TestControlsAreOverrides:
                            control_hook=lambda t: controls)
         with pytest.raises(UnknownTargetError, match=message):
             hooked.step_once()
+
+
+JUNK = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, "1e-3", None])
+
+
+class TestSnapshotInputRules:
+    """Every snapshot input names an element of its kind and holds a valid
+    value: override values follow the actuator value rule, demands, emitter
+    coefficients and tank levels are finite numbers, emitters k >= 0."""
+
+    @pytest.mark.parametrize("controls, message", [
+        (Controls(pump_speed={"pu1": math.nan}), "pump_speed value"),
+        (Controls(pump_speed={"pu1": -1.0}), "pump_speed value"),
+        (Controls(pump_speed={"pu1": math.inf}), "pump_speed value"),
+        (Controls(pump_speed={"pu1": True}), "pump_speed value"),
+        (Controls(pump_running={"pu1": "yes"}), "pump_running value"),
+        (Controls(pump_running={"pu1": 0}), "pump_running value"),
+        (Controls(pump_running={"pu1": None}), "pump_running value"),
+        (Controls(pipe_open={"p1": 1}), "pipe_open value"),
+    ])
+    def test_override_values_follow_the_actuator_rule(self, pumpnet, controls,
+                                                      message):
+        with pytest.raises(ConfigError, match=message):
+            solve_snapshot(pumpnet, {"j1": 5e-3}, controls)
+        with pytest.raises(ConfigError, match=message):
+            EpsEngine(pumpnet, duration_s=900, step_s=300).step_once(controls)
+        hooked = EpsEngine(pumpnet, duration_s=900, step_s=300,
+                           control_hook=lambda t: controls)
+        with pytest.raises(ConfigError, match=message):
+            hooked.step_once()
+
+    def test_an_equal_value_of_another_type_is_no_memo_hit(self, pumpnet):
+        # 1 == True, but only True is a pump state
+        engine = EpsEngine(pumpnet, duration_s=900, step_s=300)
+        engine.solve_current(Controls(pump_running={"pu1": True}))
+        with pytest.raises(ConfigError, match="pump_running value"):
+            engine.solve_current(Controls(pump_running={"pu1": 1}))
+
+    @pytest.mark.parametrize("kw, error, message", [
+        (dict(emitters={"t1": 0.01}), UnknownTargetError, "no junction 't1'"),
+        (dict(emitters={"zz": 0.01}), UnknownTargetError, "no junction 'zz'"),
+        (dict(emitters={"j1": -0.01}), ConfigError, "emitter k at 'j1'"),
+        (dict(emitters={"j1": math.nan}), ConfigError, "emitter k at 'j1'"),
+        (dict(demands={"j1": math.nan}), ConfigError, "demand at 'j1'"),
+        (dict(demands={"t1": 1e-3}), UnknownTargetError, "no junction 't1'"),
+        (dict(demands={"zz": 1e-3}), UnknownTargetError, "no junction 'zz'"),
+        (dict(tank_levels={"t1": math.nan}), ConfigError,
+         "tank level at 't1'"),
+        (dict(tank_levels={"j1": 2.0}), UnknownTargetError, "no tank 'j1'"),
+    ])
+    def test_inputs_name_real_elements_and_are_finite(self, pumpnet, kw,
+                                                      error, message):
+        demands = kw.pop("demands", {"j1": 5e-3, "j2": 3e-3})
+        with pytest.raises(error, match=message):
+            solve_snapshot(pumpnet, demands, **kw)
+
+    def test_engine_emitter_must_name_a_junction(self, pumpnet):
+        engine = EpsEngine(pumpnet, duration_s=900, step_s=300,
+                           emitter_hook=lambda t: {"t1": 0.01})
+        with pytest.raises(UnknownTargetError, match="no junction 't1'"):
+            engine.step_once()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_bad_inputs_raise_only_package_errors(self, pumpnet, data):
+        ids = st.sampled_from(sorted(pumpnet.junctions) + sorted(pumpnet.tanks)
+                              + sorted(pumpnet.link_ids()) + ["r1", "zz"])
+
+        def entries(valid, size=3):
+            return data.draw(st.dictionaries(ids, st.one_of(valid, JUNK),
+                                             max_size=size))
+        bools = st.one_of(st.booleans(), st.sampled_from([0, 1, "yes"]))
+        controls = Controls(pipe_open=entries(bools, 2),
+                            pump_running=entries(bools, 2),
+                            pump_speed=entries(st.floats(0.0, 1.5), 2),
+                            valve_open=entries(bools, 2))
+        try:
+            solve_snapshot(pumpnet, entries(st.floats(-2e-3, 1e-2)), controls,
+                           emitters=entries(st.floats(0.0, 1e-3)),
+                           tank_levels=entries(st.floats(0.0, 6.0)))
+        except NonConvergenceError as exc:
+            pytest.fail(f"not rejected up front: {exc}")
+        except WdnflowError:
+            pass
 
 
 class TestControlsAndFailureModes:
@@ -842,8 +931,9 @@ class TestExtendedPeriod:
             assert np.array_equal(a.tank_level, b.tank_level)
 
     def test_duration_must_be_step_multiple(self, toy9):
-        with pytest.raises(ValueError):
-            EpsEngine(toy9, duration_s=1000, step_s=300)
+        for duration_s in (1000, -600):
+            with pytest.raises(ValueError):
+                EpsEngine(toy9, duration_s=duration_s, step_s=300)
 
     def test_rerun_digest_is_stable(self, toy9):
         a = simulate_hydraulics(toy9, duration_s=7200, hydraulic_step_s=300)
