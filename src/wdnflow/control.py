@@ -17,7 +17,7 @@ shortfall below `min_pressure_head` summed over junctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,8 +69,11 @@ class ScenarioEnv:
         self.min_pressure_head = min_pressure_head
         self.pressure_penalty = pressure_penalty
         self.columns = config.sensors.columns()
-        self._reader = RowReader(self.columns, self.runtime.report_layout)
+        # sensors and the pressure deficit read the solved states directly:
+        # each pre-split element keeps its id, and its values, in the solve
+        # network
         solve = self.runtime.solve_layout
+        self._reader = RowReader(self.columns, solve)
         # (link index, suction node, discharge node) per pump, in dict order
         # so the power sum keeps one summation order
         pumps = self.runtime.solve_network.pumps
@@ -80,21 +83,21 @@ class ScenarioEnv:
         self._truth = self.runtime.truth_records()
         self._engine: EpsEngine | None = None
         self._corruptor = None
-        self._states: list[HydraulicState] = []
 
     # -------------------------------------------------------------- helpers
 
     def _observe(self, state: HydraulicState, corruptor) -> np.ndarray:
         return corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
-    def _merge_action(self, action: Action, t: float) -> Controls:
-        """The agent's checked commands under the active events' overrides;
-        a target that an event overrides takes no command of any kind."""
-        events = self.runtime.control_hook(t)
+    def _commands(self, action: Action) -> Controls:
+        """The agent's checked commands, without those on a target that an
+        active event overrides: such a target takes no command of any
+        kind."""
+        events = self._engine.planned_controls()
         net = self.runtime.solve_network
         blocked = {*events.pump_running, *events.pump_speed,
                    *events.valve_open}
-        merged = {}
+        overrides = {}
         for kind, values in (("pump_speed", action.pump_speeds),
                              ("pump_state", action.pump_states),
                              ("valve_state", action.valve_states)):
@@ -111,12 +114,10 @@ class ScenarioEnv:
                         f"{element} '{eid}': {exc}") from None
                 if eid not in blocked:
                     commands[eid] = value
-            name = CONTROL_FIELDS[kind]
-            merged[name] = {**commands, **getattr(events, name)}
-        return replace(events, **merged)
+            overrides[CONTROL_FIELDS[kind]] = commands
+        return Controls(**overrides)
 
-    def _reward_terms(self, state: HydraulicState,
-                      projected: HydraulicState) -> tuple[float, float]:
+    def _reward_terms(self, state: HydraulicState) -> tuple[float, float]:
         # a pump that is not running, or runs at speed 0, is a closed link:
         # it carries no flow and so draws no power
         power = 0.0
@@ -127,8 +128,9 @@ class ScenarioEnv:
                 power += RHO * G * q * gain / PUMP_EFFICIENCY
         # deficit over the pre-split junctions only, so the reward scale does
         # not shift when a leak adds virtual nodes
+        pressure = state.pressure_head[self.runtime.junction_sel]
         deficit = float(np.sum(np.maximum(
-            0.0, self.min_pressure_head - projected.pressure_head)))
+            0.0, self.min_pressure_head - pressure)))
         return power, deficit
 
     # ------------------------------------------------------------------ api
@@ -147,14 +149,12 @@ class ScenarioEnv:
         if self._engine is None:
             self._engine = self.runtime.make_engine()
         self._engine.reset()
-        self._states = []
         peek = self._engine.solve_current()
         # the preview corrupts row 0 alone; the episode starts over at row 0
         times = [float(k * self.config.hydraulic_time_step_s)
                  for k in range(self.total_steps)]
-        observation = self._observe(self.runtime.project_state(peek),
-                                    self.runtime.make_corruptor(
-                                        self.columns, times[:1]))
+        observation = self._observe(peek, self.runtime.make_corruptor(
+            self.columns, times[:1]))
         self._corruptor = self.runtime.make_corruptor(self.columns, times)
         return observation
 
@@ -167,11 +167,9 @@ class ScenarioEnv:
             action = NO_OP
         t = float(self._engine.step_index
                   * self.config.hydraulic_time_step_s)
-        state = self._engine.step_once(self._merge_action(action, t))
-        projected = self.runtime.project_state(state)
-        self._states.append(projected)
-        observation = self._observe(projected, self._corruptor)
-        power, deficit = self._reward_terms(state, projected)
+        state = self._engine.step_once(self._commands(action))
+        observation = self._observe(state, self._corruptor)
+        power, deficit = self._reward_terms(state)
         reward = -power - self.pressure_penalty * deficit
         done = self._engine.step_index == self.total_steps
         info = {
@@ -189,4 +187,6 @@ class ScenarioEnv:
 
     def state_history(self) -> tuple[HydraulicState, ...]:
         """Projected states of the episode so far, batch-layout order."""
-        return tuple(self._states)
+        if self._engine is None:
+            return ()
+        return self.runtime.project_series(self._engine.series()).states

@@ -25,13 +25,15 @@ flows leaving the nearer source) when either total is zero or the reference
 does not converge. The start is a function of the topology alone, never of
 earlier snapshots, so each result is a pure function of its inputs.
 
-The engine uses that purity. Its inputs are planned once per network: a
-snapshot evaluates one multiplier per distinct demand pattern, and a control
-set's few overrides are applied to a copy of the links' own settings. A
-snapshot whose exact inputs (demand multipliers, reservoir heads, emitter
-coefficients, tank levels and control overrides) repeat an earlier one's is
-served from a memo of converged states, so each distinct snapshot is solved
-once.
+The engine uses that purity. It plans a run's whole horizon once: the
+demand multipliers and reservoir heads of every step come from indexing
+each pattern's multipliers, and the emitter coefficients and control set
+from one call of each hook per step. Steps whose planned inputs are bytewise
+equal share an input id. A snapshot whose input id, control overrides and
+tank levels repeat an earlier one's is served from a memo of converged
+states, so each distinct snapshot is solved once. A run's result is a
+`StateSeries` of columns, one row per step, built with one take per field
+from the snapshots it met; its `states` are row views, built on first use.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +55,6 @@ from .errors import (
 )
 from .network import (
     Curve, Network, Pattern, Tank, _traverse, expand_pump_curve, incidence,
-    pattern_value,
 )
 
 __all__ = [
@@ -140,25 +142,99 @@ class HydraulicState:
     energy_residual: float = math.nan  # m, largest pipe headloss-law error
 
 
+# the per-step array fields of a state, and the width each takes from the ids
+_COLUMNS = {"flow": "link_ids", "head": "node_ids",
+            "pressure_head": "junction_ids", "tank_level": "tank_ids",
+            "actual_demand": "junction_ids", "tank_net_inflow": "tank_ids"}
+
+
 @dataclass(frozen=True, eq=False)
 class StateSeries:
+    """A run's snapshots as read-only columns: row k is the hydraulic step
+    at t = k step_s, and each array's columns follow the canonical id
+    orders. `leak_flow` holds the discharge of each emitter in `leak_ids`
+    (a junction, or the pipe it splits once projected), NaN at a step where
+    it has no emitter."""
+
     node_ids: tuple[str, ...]
     link_ids: tuple[str, ...]
     junction_ids: tuple[str, ...]
     tank_ids: tuple[str, ...]
-    states: tuple[HydraulicState, ...]
     step_s: int                 # hydraulic step between states, s
+    flow: np.ndarray            # steps x links
+    head: np.ndarray            # steps x nodes
+    pressure_head: np.ndarray   # steps x junctions
+    tank_level: np.ndarray      # steps x tanks
+    actual_demand: np.ndarray   # steps x junctions
+    tank_net_inflow: np.ndarray  # steps x tanks
+    iterations: np.ndarray      # per step
+    mass_residual: np.ndarray   # per step
+    energy_residual: np.ndarray  # per step
+    leak_ids: tuple[str, ...]
+    leak_flow: np.ndarray       # steps x leak_ids
     config_digest: str = ""
 
+    def __post_init__(self):
+        for name in (*_COLUMNS, "iterations", "mass_residual",
+                     "energy_residual", "leak_flow"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def t(self) -> np.ndarray:
+        """Each row's time, s."""
+        return np.arange(len(self.flow)) * float(self.step_s)
+
+    @classmethod
+    def from_states(cls, states, ids, step_s: int,
+                    config_digest: str = "") -> StateSeries:
+        """The series of the states of consecutive steps from t = 0. ids:
+        anything with the states' node_ids, link_ids, junction_ids and
+        tank_ids (a series or a network layout). A state object met more
+        than once is stacked once and taken per row."""
+        where: dict[HydraulicState, int] = {}
+        rows = [where.setdefault(s, len(where)) for s in states]
+        leak_ids = tuple(dict.fromkeys(j for s in where for j in s.leak_flow))
+
+        def column(values, dtype=float, *width):
+            return np.array(list(values), dtype=dtype).reshape(
+                len(where), *width)[rows]
+        return cls(
+            node_ids=tuple(ids.node_ids), link_ids=tuple(ids.link_ids),
+            junction_ids=tuple(ids.junction_ids), tank_ids=tuple(ids.tank_ids),
+            step_s=step_s,
+            **{name: column((getattr(s, name) for s in where), float,
+                            len(getattr(ids, id_attr)))
+               for name, id_attr in _COLUMNS.items()},
+            **{name: column((getattr(s, name) for s in where), dtype)
+               for name, dtype in (("iterations", np.int64),
+                                   ("mass_residual", float),
+                                   ("energy_residual", float))},
+            leak_ids=leak_ids, leak_flow=column(
+                ([s.leak_flow.get(j, math.nan) for j in leak_ids]
+                 for s in where), float, len(leak_ids)),
+            config_digest=config_digest)
+
+    @cached_property
+    def states(self) -> tuple[HydraulicState, ...]:
+        """One read-only HydraulicState per row, viewing the columns; built
+        on first use."""
+        leaks = [{j: q for j, q in zip(self.leak_ids, row)
+                  if not math.isnan(q)} for row in self.leak_flow.tolist()]
+        columns = [getattr(self, name) for name in _COLUMNS]
+        return tuple(HydraulicState(t, *arrays, leak, it, True, mr, er)
+                     for t, *arrays, leak, it, mr, er in zip(
+                         self.t.tolist(), *columns, leaks,
+                         self.iterations.tolist(), self.mass_residual.tolist(),
+                         self.energy_residual.tolist()))
+
     def digest(self) -> str:
-        """Bitwise fingerprint of every state array, for determinism checks."""
-        h = hashlib.sha256()
-        for s in self.states:
-            h.update(np.float64(s.t).tobytes())
-            for arr in (s.flow, s.head, s.pressure_head, s.tank_level,
-                        s.actual_demand):
-                h.update(arr.tobytes())
-        return h.hexdigest()
+        """Bitwise fingerprint of every state array, for determinism checks:
+        per row, its t, flows, heads, pressure heads, tank levels and
+        demands."""
+        rows = np.hstack([self.t[:, None], self.flow, self.head,
+                          self.pressure_head, self.tank_level,
+                          self.actual_demand])
+        return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def hazen_williams_headloss(flow: float, length: float, diameter: float,
@@ -277,9 +353,16 @@ class _Layout:
         self._topologies: dict[tuple[bytes, tuple[int, ...]], _Topology] = {}
 
     @staticmethod
-    def multipliers(patterns: list[Pattern | None], t: float) -> np.ndarray:
-        """Each pattern's multiplier at t (1 for None)."""
-        return np.array([pattern_value(p, t) for p in patterns], dtype=float)
+    def multipliers(patterns: list[Pattern | None], t) -> np.ndarray:
+        """Each pattern's multiplier at t (1 for None), by the rule of
+        `pattern_value`; at an array of times, one row per time."""
+        t = np.asarray(t, dtype=float)
+        out = np.ones(t.shape + (len(patterns),))
+        for c, p in enumerate(patterns):
+            if p is not None:
+                out[..., c] = np.array(p.multipliers, dtype=float)[
+                    (t // p.step).astype(np.intp) % len(p.multipliers)]
+        return out
 
     def demand(self, mult: np.ndarray) -> np.ndarray:
         """Per-node demand: each junction's base demand times its pattern's
@@ -289,7 +372,9 @@ class _Layout:
         demand[:len(col)] = self.base_demand * mult[col]
         return demand
 
-    def reservoir_heads(self, t: float) -> np.ndarray:
+    def reservoir_heads(self, t) -> np.ndarray:
+        """Each reservoir's head at t; at an array of times, one row per
+        time."""
         return self.res_head * self.multipliers(self.res_patterns, t)
 
     def emitter_k(self, emitters: dict[str, float]) -> np.ndarray:
@@ -411,23 +496,36 @@ class _Topology:
         return self.ref_flow * ratio if ratio > 0.0 else self.q0
 
 
+def _overrides_key(controls: Controls | None) -> tuple:
+    """The overrides' content, () for none: per map its ids, values and the
+    values' types, as 1 == True but only True is a pump state."""
+    maps = () if controls is None else (
+        controls.pipe_open, controls.pump_running, controls.pump_speed,
+        controls.valve_open)
+    if not any(maps):
+        return ()
+    return tuple((tuple(d), tuple(d.values()), tuple(map(type, d.values())))
+                 for d in maps)
+
+
 def _active_mask(layout: _Layout,
-                 controls: Controls) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link open mask and per-pump effective speed under the controls,
-    before any tank closes: the links' own settings with the overrides
-    applied. An override must name a link of its map's kind, and its value
-    obey the actuator value rule."""
+                 *controls: Controls) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link open mask and per-pump effective speed under the control
+    sets, before any tank closes: the links' own settings with each set's
+    overrides applied in turn, so a later set wins. An override must name a
+    link of its map's kind, and its value obey the actuator value rule."""
     inc = layout.inc
     on, speed = layout.link_on.copy(), layout.link_speed.copy()
-    for name, kind, kind_name in (
-            ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
-            ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
-        setting = speed if name == "pump_speed" else on
-        for lid, value in getattr(controls, name).items():
-            j = inc.link_index.get(lid)
-            if j is None or inc.link_kind[j] != kind:
-                raise UnknownTargetError(f"no {kind_name} '{lid}'")
-            setting[j] = actuator_value(name, value)
+    for c in controls:
+        for name, kind, kind_name in (
+                ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
+                ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
+            setting = speed if name == "pump_speed" else on
+            for lid, value in getattr(c, name).items():
+                j = inc.link_index.get(lid)
+                if j is None or inc.link_kind[j] != kind:
+                    raise UnknownTargetError(f"no {kind_name} '{lid}'")
+                setting[j] = actuator_value(name, value)
     speed = np.where(on, speed, 0.0)
     active = np.where(inc.link_kind == 1, speed > 0.0, on)
     return active, speed
@@ -601,13 +699,25 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
     pump_a, pump_b = w * w * h0, rr * w ** (2.0 - pump_n)
     pipes, r_pipes = topo.pipes, topo.r_pipe
 
+    def residuals(dh: np.ndarray) -> tuple[float, float]:
+        """The largest junction mass and pipe headloss-law errors of the
+        current flows and heads."""
+        mass = np.bincount(end_node, weights=end_sign * q[end_link],
+                           minlength=n_u) - demand_u
+        if emit_nodes.size:
+            mass[emit_u] -= emit_kn * np.sqrt(
+                np.maximum(head[emit_nodes] - emit_elev, 0.0))
+        qp = q[pipes]
+        energy = np.abs(dh[pipes]
+                        - np.sign(qp) * r_pipes * np.abs(qp) ** HW_EXP)
+        return (np.abs(mass).max() if n_u else 0.0,
+                energy.max() if pipes.size else 0.0)
+
     lam = 1.0
     prev_change = math.inf
     rises = 0
     converged_at = -1
     iterations = 0
-    mass_res = math.inf
-    energy_res = math.inf
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
@@ -662,30 +772,21 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
             rises = 0
         prev_change = change
 
-        # residuals with the updated flows and heads
-        mass = np.bincount(end_node, weights=end_sign * q[end_link],
-                           minlength=n_u) - demand_u
-        if emit_nodes.size:
-            mass[emit_u] -= emit_kn * np.sqrt(
-                np.maximum(head[emit_nodes] - emit_elev, 0.0))
-        mass_res = np.abs(mass).max() if n_u else 0.0
-        if pipes.size:
-            qp = q[pipes]
-            hp_true = np.sign(qp) * r_pipes * np.abs(qp) ** HW_EXP
-            energy_res = np.abs(dh[pipes] - hp_true).max()
-        else:
-            energy_res = 0.0
-
-        # stop rule: one full Newton step past the first converged iterate
+        # stop rule: one full Newton step past the first converged iterate;
+        # the residuals, with the updated flows and heads, are computed only
+        # where the rule reads them
         if converged_at >= 0:
+            mass_res, energy_res = residuals(dh)
             break
-        if rel <= ACCURACY and mass_res <= MASS_TOL \
-                and energy_res <= ENERGY_TOL:
-            converged_at = iterations
-            lam = 1.0
+        if rel <= ACCURACY:
+            mass_res, energy_res = residuals(dh)
+            if mass_res <= MASS_TOL and energy_res <= ENERGY_TOL:
+                converged_at = iterations
+                lam = 1.0
 
     if converged_at < 0:
-        raise NonConvergenceError(iterations, max(mass_res, energy_res), t)
+        raise NonConvergenceError(
+            iterations, max(residuals(head[a_from] - head[a_to])), t)
     return q, iterations, mass_res, energy_res
 
 
@@ -695,16 +796,21 @@ class EpsEngine:
     """Stepwise extended-period runner shared by batch simulation and the
     control environment, so both produce identical arithmetic.
 
-    control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or None.
-    No controls means no overrides.
+    control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or
+    None. No controls means no overrides. The engine plans its horizon when
+    it is made: the hooks are called once per step, and each pattern's
+    multipliers are indexed for all steps at once. Steps whose inputs are
+    bytewise equal share an input id. `step_once` and `solve_current` may
+    add overrides beneath the step's planned controls; where both name a
+    link, the plan wins.
 
-    Converged states are kept by their exact inputs (the control set by its
-    overrides' content), and a snapshot that repeats them gets the kept
-    state's read-only arrays at its own t; `iteration_counts` histograms the
-    Newton iterations of the snapshots actually solved. Both outlive `reset`,
-    and the memo holds at most one run's worth of states, dropping the least
-    recently used. `tank_levels` holds the current level per tank, in layout
-    order.
+    Converged states are kept by (input id, overrides, tank levels), and a
+    snapshot that repeats them is served the kept state's read-only arrays;
+    `iteration_counts` histograms the Newton iterations of the snapshots
+    actually solved. The plan, the memo and the histogram outlive `reset`.
+    The memo holds the states of one episode (its steps and a preview),
+    dropping the least recently used. `tank_levels` holds the current level
+    per tank, in layout order.
     """
 
     def __init__(self, network: Network, duration_s: int | None = None,
@@ -722,6 +828,7 @@ class EpsEngine:
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
         self.layout = _Layout(network)
+        self._plan()
         self._memo: dict[tuple, HydraulicState] = {}
         self.iteration_counts: Counter[int] = Counter()
         self.reset()
@@ -733,66 +840,101 @@ class EpsEngine:
 
     def reset(self) -> None:
         """Rewind to t = 0 with every tank at its initial level; the layout
-        keeps its topologies and the engine its memo, so a rerun repeats no
-        reference solve and no snapshot solve."""
+        keeps its topologies and the engine its plan and memo, so a rerun
+        repeats no reference solve and no snapshot solve."""
         self.step_index = 0
         self.tank_levels = self.layout.tank_init.copy()
+        self._taken: list[HydraulicState] = []
 
-    def demands_at(self, t: float) -> dict[str, float]:
+    def _plan(self) -> None:
+        """Each step's inputs: demand multipliers, reservoir heads, emitter
+        coefficients at the junctions the hook ever names (in node order)
+        and the control set, plus its input id."""
         layout = self.layout
-        demand = layout.demand(layout.multipliers(layout.demand_patterns, t))
-        return dict(zip(layout.inc.junction_ids, demand.tolist()))
+        times = np.arange(self.total_steps) * float(self.step_s)
+        t = times.tolist()
+        self._mult = layout.multipliers(layout.demand_patterns, times)
+        self._res = layout.reservoir_heads(times)
+        emitters = [self.emitter_hook(x) or {} for x in t] \
+            if self.emitter_hook else [{}] * len(t)
+        self._emit_nodes = np.array(sorted(
+            {layout.junction_index.get(j, -1) for e in emitters for j in e}),
+            dtype=np.intp)
+        self._emit = np.zeros((len(t), len(self._emit_nodes)))
+        for row, e in zip(self._emit, emitters):
+            if e:
+                row[:] = layout.emitter_k(e)[self._emit_nodes]
+        keys = [_overrides_key(self.control_hook(x)) for x in t] \
+            if self.control_hook else [()] * len(t)
+        sets = {key: Controls(*(dict(zip(ids, values))
+                                for ids, values, _ in key))
+                for key in dict.fromkeys(keys)}
+        self._controls = [sets[key] for key in keys]
+        rows = np.hstack([self._mult, self._res, self._emit])
+        ids: dict[tuple, int] = {}
+        self._input = [ids.setdefault((row.tobytes(), key), len(ids))
+                       for row, key in zip(rows, keys)]
 
-    def solve_current(self, controls: Controls | None = None) -> HydraulicState:
-        """Solve the snapshot at the current time without advancing."""
-        t = float(self.step_index * self.step_s)
-        if controls is None and self.control_hook:
-            controls = self.control_hook(t)
-        emitters = (self.emitter_hook(t) if self.emitter_hook else None) or {}
-        layout = self.layout
-        mult = layout.multipliers(layout.demand_patterns, t)
-        res_heads = layout.reservoir_heads(t)
-        emit = np.fromiter(emitters.values(), float, len(emitters))
-        controls = controls or Controls()
-        # the overrides' content; value types too, as 1 == True but only
-        # True is a pump state
-        overrides = tuple((tuple(d), tuple(d.values()),
-                           tuple(map(type, d.values()))) for d in (
-            controls.pipe_open, controls.pump_running, controls.pump_speed,
-            controls.valve_open))
-        key = (mult.tobytes(), res_heads.tobytes(), tuple(emitters),
-               emit.tobytes(), self.tank_levels.tobytes(), overrides)
+    def planned_controls(self) -> Controls:
+        """The control set planned for the current step."""
+        return self._controls[self.step_index]
+
+    def _recall(self, overrides: Controls | None) -> HydraulicState:
+        """The current step's snapshot under its planned inputs, with the
+        overrides beneath its planned controls; solved on a memo miss."""
+        k = self.step_index
+        if k >= self.total_steps:
+            raise IndexError("simulation horizon already reached")
+        key = (self._input[k], _overrides_key(overrides),
+               self.tank_levels.tobytes())
         state = self._memo.pop(key, None)
         if state is None:
-            state = _solve(layout, layout.demand(mult),
-                           *_active_mask(layout, controls), res_heads,
-                           layout.emitter_k(emitters), self.tank_levels, t)
+            layout = self.layout
+            emit_k = np.zeros(len(layout.inc.node_ids))
+            emit_k[self._emit_nodes] = self._emit[k]
+            state = _solve(layout, layout.demand(self._mult[k]),
+                           *_active_mask(layout, overrides or Controls(),
+                                         self._controls[k]),
+                           self._res[k], emit_k, self.tank_levels,
+                           float(k * self.step_s))
             self.iteration_counts[state.iterations] += 1
-            if len(self._memo) >= max(self.total_steps, 1):
+            if len(self._memo) > self.total_steps:
                 del self._memo[next(iter(self._memo))]
         self._memo[key] = state
-        return replace(state, t=t, leak_flow=dict(state.leak_flow))
+        return state
 
-    def step_once(self, controls: Controls | None = None) -> HydraulicState:
-        """Solve the snapshot at the current time, then integrate tank levels."""
-        if self.step_index >= self.total_steps:
-            raise IndexError("simulation horizon already reached")
-        state = self.solve_current(controls)
+    def _advance(self, state: HydraulicState) -> None:
+        """Keep the state as the current step's, integrate the tank levels
+        over the step and move on."""
         for i, tank in enumerate(self.layout.tanks):
             self.tank_levels[i] = tank_step(
                 tank, float(self.tank_levels[i]),
                 float(state.tank_net_inflow[i]), float(self.step_s))
+        self._taken.append(state)
         self.step_index += 1
+
+    def solve_current(self,
+                      overrides: Controls | None = None) -> HydraulicState:
+        """The snapshot at the current time, without advancing."""
+        state = self._recall(overrides)
+        return replace(state, t=float(self.step_index * self.step_s),
+                       leak_flow=dict(state.leak_flow))
+
+    def step_once(self, overrides: Controls | None = None) -> HydraulicState:
+        """The snapshot at the current time; then integrate tank levels."""
+        state = self.solve_current(overrides)
+        self._advance(state)
         return state
 
+    def series(self, config_digest: str = "") -> StateSeries:
+        """The snapshots of the steps taken since the last reset."""
+        return StateSeries.from_states(self._taken, self.layout.inc,
+                                       self.step_s, config_digest)
+
     def run(self, config_digest: str = "") -> StateSeries:
-        states = [self.step_once() for _ in range(self.total_steps)]
-        inc = self.layout.inc
-        return StateSeries(
-            node_ids=inc.node_ids, link_ids=inc.link_ids,
-            junction_ids=inc.junction_ids, tank_ids=inc.tank_ids,
-            states=tuple(states), step_s=self.step_s,
-            config_digest=config_digest)
+        for _ in range(self.total_steps):
+            self._advance(self._recall(None))
+        return self.series(config_digest)
 
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,

@@ -145,7 +145,7 @@ def simulate_quality(series: StateSeries, network: Network,
     leak-split network, whose leak discharge each state withdraws at its
     junction together with the demand.
     """
-    if not series.states:
+    if not len(series.t):
         return []
     inc = incidence(network)
     if series.node_ids != inc.node_ids or series.link_ids != inc.link_ids:
@@ -166,6 +166,17 @@ def simulate_quality(series: StateSeries, network: Network,
 
     # node order is junctions, reservoirs, tanks; link order starts with pipes
     n_junc = len(inc.junction_ids)
+    off = [j for j in series.leak_ids
+           if inc.node_index.get(j, n_junc) >= n_junc]
+    if off:
+        raise ConfigError(f"leak at '{off[0]}' is not a junction of the"
+                          " network")
+    # each junction's withdrawal: its demand and the discharge of its leak,
+    # if it has one that step (where it has none, adding 0.0 at most turns
+    # a -0.0 draw into 0.0, and only positive draws withdraw)
+    withdrawal = series.actual_demand.copy()
+    withdrawal[:, [inc.node_index[j] for j in series.leak_ids]] += \
+        np.nan_to_num(series.leak_flow)
     first_tank = n_junc + len(inc.reservoir_ids)
     n_pipes = len(network.pipes)
     pipe_ids = inc.link_ids[:n_pipes]
@@ -190,11 +201,13 @@ def simulate_quality(series: StateSeries, network: Network,
     decayed = 0.0
     out: list[QualityState] = []
 
-    for state in series.states:
+    for t, flow, draw, tank_inflow in zip(
+            series.t.tolist(), series.flow, withdrawal,
+            series.tank_net_inflow):
         # the moving links of this hydraulic step, in link order: (link,
         # volume per sub-step, upstream node, downstream node, forward)
-        moving = np.flatnonzero(state.flow)
-        q = state.flow[moving]
+        moving = np.flatnonzero(flow)
+        q = flow[moving]
         fwd = q > 0.0
         # m sub-steps of qdt / m each, with m the least that keeps every
         # pipe's parcel within its volume
@@ -220,16 +233,9 @@ def simulate_quality(series: StateSeries, network: Network,
             feeds = {l[3] for l in fed}
             links.append(next((l for l in fed if l[2] not in feeds), fed[0]))
             fed.remove(links[-1])
-        draw = state.actual_demand.copy()
-        for jid, leak in state.leak_flow.items():
-            i = inc.node_index.get(jid)
-            if i is None or i >= n_junc:
-                raise ConfigError(f"leak at '{jid}' is not a junction of the"
-                                  " network")
-            draw[i] += leak
         draws = [(i, v) for i, v in enumerate((draw * dt).tolist())
                  if v > 0.0]
-        tank_dv = (state.tank_net_inflow * dt).tolist()
+        tank_dv = (tank_inflow * dt).tolist()
 
         for _ in range(n_sub * m):
             # 1. first-order reaction on all stored water
@@ -329,7 +335,7 @@ def simulate_quality(series: StateSeries, network: Network,
         conc_out = np.array(conc)
         conc_out.flags.writeable = False
         out.append(QualityState(
-            t=state.t, node_concentration=conc_out,
+            t=t, node_concentration=conc_out,
             pipe_segments=pipe_segments,
             stored_mass=pipe_mass * scale + sum(tank_mass),
             injected_mass=injected,

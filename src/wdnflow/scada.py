@@ -4,8 +4,8 @@ Column order is a total contract: pressure sensors first, then flow, quality,
 tank level, each group sorted lexicographically by element id. Missing data
 is NaN in memory and an empty field in CSV, never the text "NaN".
 
-RowReader turns one state into one row of true values; batch extraction
-sweeps it over the series. RowCorruptor plans a horizon's corruption once,
+RowReader turns one state into one row of true values, or a series into one
+row per step. RowCorruptor plans a horizon's corruption once,
 then corrupts the next rows in order: sensor-noise uncertainty, then sensor
 faults, then communication events. Batch corruption passes the whole series
 in one call and the control environment one row per step, so both read
@@ -110,13 +110,14 @@ _SOURCES = {"pressure": ("pressure_head", "junction_ids", "a junction"),
 
 
 class RowReader:
-    """Reads one state into one row of true sensor values.
+    """Reads true sensor values: one row from a state, or one row per step
+    from a StateSeries, one column gather per sensor type.
 
     Columns are resolved once against `ids`, anything with the node_ids,
-    link_ids, junction_ids and tank_ids of the states to be read (a
-    StateSeries, or the network layout a ScenarioRuntime projects onto).
-    Quality columns read the quality state passed alongside the hydraulic
-    state.
+    link_ids, junction_ids and tank_ids of what is to be read (a StateSeries,
+    or a network layout). Quality columns read the node concentrations
+    passed alongside: one array per state, or per series a steps x nodes
+    array.
     """
 
     def __init__(self, columns: tuple[SensorColumn, ...], ids,
@@ -140,12 +141,13 @@ class RowReader:
             self.groups.append((attr, np.array(cols), np.array(
                 [index[columns[c].element_id] for c in cols])))
 
-    def read(self, state, quality_state=None) -> np.ndarray:
-        row = np.empty(self.width)
+    def read(self, source, concentration=None) -> np.ndarray:
+        out = np.empty(np.shape(source.t) + (self.width,))
         for attr, cols, idx in self.groups:
-            src = quality_state if attr == "node_concentration" else state
-            row[cols] = getattr(src, attr)[idx]
-        return row
+            values = concentration if attr == "node_concentration" \
+                else getattr(source, attr)
+            out[..., cols] = values[..., idx]
+        return out
 
 
 def extract_readings(series: StateSeries, placement: SensorPlacement,
@@ -158,12 +160,11 @@ def extract_readings(series: StateSeries, placement: SensorPlacement,
     """
     columns = placement.columns()
     reader = RowReader(columns, series, quality_states is not None)
-    times = tuple(s.t for s in series.states)
-    values = np.empty((len(times), len(columns)))
-    for r, state in enumerate(series.states):
-        values[r] = reader.read(
-            state, quality_states[r] if quality_states is not None else None)
-    return ScadaData(times=times, columns=columns, values=values,
+    concentration = None if quality_states is None else np.array(
+        [q.node_concentration for q in quality_states]).reshape(
+            len(series.t), len(series.node_ids))
+    return ScadaData(times=tuple(series.t.tolist()), columns=columns,
+                     values=reader.read(series, concentration),
                      ground_truth=tuple(ground_truth))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .inp import load_network
 from .network import Network, incidence
-from .hydraulics import Controls, EpsEngine, StateSeries, HydraulicState
+from .hydraulics import Controls, EpsEngine, StateSeries
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
     SensorFaultEvent, leak_emitter_coef, resolve_controls,
@@ -483,12 +483,14 @@ class ScenarioRuntime:
         self._link_sel = np.array(
             [solve.link_index[l] for l in report.link_ids], dtype=np.intp)
         # junctions come first in both layouts
-        self._junction_sel = self._node_sel[:len(report.junction_ids)]
+        self.junction_sel = self._node_sel[:len(report.junction_ids)]
         self.digest = config_digest(config)
         self.warnings = warnings
 
-    def control_hook(self, t: float) -> Controls:
+    def control_hook(self, t: float) -> Controls | None:
         """The overrides of the actuator events active at t."""
+        if not self.config.actuator_events:
+            return None
         return resolve_controls(Controls(), list(self.config.actuator_events),
                                 t)
 
@@ -538,28 +540,21 @@ class ScenarioRuntime:
                             list(self.config.communication_events),
                             list(self.config.uncertainties), self.stream)
 
-    def project_state(self, state: HydraulicState) -> HydraulicState:
-        """Restrict a solved state to the pre-split network's elements."""
-        if not self.leak_junctions:
-            return state
-        leak = {self._junction_to_pipe.get(j, j): q
-                for j, q in state.leak_flow.items()}
-        return replace(
-            state, flow=state.flow[self._link_sel],
-            head=state.head[self._node_sel],
-            pressure_head=state.pressure_head[self._junction_sel],
-            actual_demand=state.actual_demand[self._junction_sel],
-            leak_flow=leak)
-
     def project_series(self, series: StateSeries) -> StateSeries:
+        """Restrict a solved series to the pre-split network's elements, one
+        column take per field; a leak is reported under its pipe's id."""
         if not self.leak_junctions:
             return series
-        report = self.report_layout
-        return StateSeries(
-            node_ids=report.node_ids, link_ids=report.link_ids,
-            junction_ids=report.junction_ids, tank_ids=report.tank_ids,
-            states=tuple(self.project_state(s) for s in series.states),
-            step_s=series.step_s, config_digest=series.config_digest)
+        report, junctions = self.report_layout, self.junction_sel
+        return replace(
+            series, node_ids=report.node_ids, link_ids=report.link_ids,
+            junction_ids=report.junction_ids,
+            flow=series.flow.take(self._link_sel, axis=1),
+            head=series.head.take(self._node_sel, axis=1),
+            pressure_head=series.pressure_head.take(junctions, axis=1),
+            actual_demand=series.actual_demand.take(junctions, axis=1),
+            leak_ids=tuple(self._junction_to_pipe.get(j, j)
+                           for j in series.leak_ids))
 
     def project_quality(self, state: QualityState) -> QualityState:
         """Restrict a quality state of the solve network to the pre-split
@@ -602,7 +597,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     runtime.stream)
 
     hist = engine.iteration_counts
-    report = RunReport(steps=len(solved.states),
+    report = RunReport(steps=len(solved.t),
                        iterations=dict(sorted(hist.items())),
                        wall_time_s=time.perf_counter() - t0,
                        warnings=tuple(runtime.warnings),

@@ -402,10 +402,8 @@ def test_acceptance_8_control_environment_contract(toy9, toy9_config_factory):
         pass
     reference = simulate_hydraulics(toy9, duration_s=7200,
                                     hydraulic_step_s=300)
-    replayed = StateSeries(
-        node_ids=reference.node_ids, link_ids=reference.link_ids,
-        junction_ids=reference.junction_ids, tank_ids=reference.tank_ids,
-        states=tuple(env.state_history()), step_s=reference.step_s)
+    replayed = StateSeries.from_states(env.state_history(), reference,
+                                       reference.step_s)
     if replayed.digest() != reference.digest():
         problems.append("no-op episode diverged from the batch simulation")
 

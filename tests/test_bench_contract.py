@@ -91,8 +91,5 @@ def test_checks_pass_on_a_pumpnet_episode_with_actions(perfbench_module):
     assert checks.same_states(batch.states, history, first_action + 2) == []
     assert checks.same_states(batch.states, history, first_action + 3) != []
     assert checks.tank_bounds(network, sorted(network.tanks), history) == []
-    episode = StateSeries(
-        node_ids=batch.node_ids, link_ids=batch.link_ids,
-        junction_ids=batch.junction_ids, tank_ids=batch.tank_ids,
-        states=history, step_s=batch.step_s)
+    episode = StateSeries.from_states(history, batch, batch.step_s)
     assert checks.hydraulics(network, episode) == []

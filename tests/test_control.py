@@ -339,6 +339,20 @@ class TestEngineReuse:
                 env.step(slow if k % 2 else NO_OP)
             assert env._engine.solves == 24
 
+    def test_an_episode_opening_with_an_action_stays_in_the_memo(self):
+        # the first action is not a no-op, so an episode meets one snapshot
+        # more than it has steps (reset's preview under no overrides); the
+        # memo keeps them all, and a second episode solves nothing
+        env = ScenarioEnv(pumpnet_config())
+        slow = Action(pump_speeds={"pu1": 0.9})
+        solves = []
+        for _ in range(2):
+            env.reset()
+            for k in range(env.total_steps):
+                env.step(NO_OP if k % 2 else slow)
+            solves.append(env._engine.solves)
+        assert solves == [env.total_steps + 1] * 2
+
     def test_second_episode_reuses_solves_and_matches_batch(self):
         config = pumpnet_config(
             leakages=(LeakageEvent(kind="abrupt", link_id="p1",

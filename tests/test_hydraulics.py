@@ -34,6 +34,7 @@ from wdnflow.hydraulics import (
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
     _Layout,
+    _overrides_key,
     fit_pump_curve,
     hazen_williams_headloss,
     pump_head_gain,
@@ -41,9 +42,12 @@ from wdnflow.hydraulics import (
     solve_snapshot,
     tank_step,
 )
-from wdnflow.events import EventWindow, LeakageEvent, leak_emitter_coef
+from wdnflow.events import (
+    ActuatorEvent, EventWindow, LeakageEvent, leak_emitter_coef,
+    resolve_controls,
+)
 from wdnflow.network import (
-    Curve, Junction, Network, Pattern, Pipe, Reservoir,
+    Curve, Junction, Network, Pattern, Pipe, Reservoir, pattern_value,
 )
 
 
@@ -396,10 +400,13 @@ def run_recording_inputs(engine):
     """Step an engine to its horizon; keep each snapshot's inputs as the
     engine sees them (t, demands, controls, emitters, tank levels)."""
     inputs, states = [], []
+    net = engine.network
     while engine.step_index < engine.total_steps:
         t = float(engine.step_index * engine.step_s)
         inputs.append((
-            t, engine.demands_at(t),
+            t, {jid: j.base_demand * pattern_value(
+                net.patterns.get(j.demand_pattern_id), t)
+                for jid, j in net.junctions.items()},
             engine.control_hook(t) if engine.control_hook else None,
             engine.emitter_hook(t) if engine.emitter_hook else None,
             dict(zip(engine.layout.inc.tank_ids,
@@ -447,16 +454,27 @@ class TestSnapshotPurity:
         return states
 
     def test_control_sets_are_keyed_by_content(self, toy9):
-        # the hook returns one Controls object throughout; closing a pipe in
-        # its dict between steps must give a new control set, not a hit
+        # one Controls object is passed throughout; closing a pipe in its
+        # dict between steps must give a new control set, not a hit
         controls = Controls()
-        engine = EpsEngine(toy9, duration_s=3600, step_s=300,
-                           control_hook=lambda t: controls)
+        engine = EpsEngine(toy9, duration_s=3600, step_s=300)
         p10 = incidence(toy9).link_index["p10"]
-        assert float(engine.step_once().flow[p10]) != 0.0
+        assert float(engine.step_once(controls).flow[p10]) != 0.0
         controls.pipe_open["p10"] = False
-        assert float(engine.step_once().flow[p10]) == 0.0
+        assert float(engine.step_once(controls).flow[p10]) == 0.0
         assert engine.solves == 2
+
+    def test_hooks_are_evaluated_once_per_step_when_planning(self, toy9):
+        # the plan keeps each step's content: editing the object the hook
+        # returned, after the engine is made, changes no step
+        controls, calls = Controls(), []
+        engine = EpsEngine(toy9, duration_s=3600, step_s=300,
+                           control_hook=lambda t: calls.append(t) or controls)
+        first = engine.step_once()
+        controls.pipe_open["p10"] = False
+        assert engine.step_once().flow.tobytes() == first.flow.tobytes()
+        assert calls == [300.0 * k for k in range(12)]
+        assert engine.solves == 1
 
     def test_reservoir_head_pattern(self):
         # demands are constant, so only the reservoir head tells the hours
@@ -530,6 +548,101 @@ class TestSnapshotPurity:
         valve = list(net.link_ids()).index("v1")
         assert float(states[10].flow[valve]) == 0.0
         assert float(states[4].flow[valve]) != 0.0
+
+
+class TestPlannedHorizon:
+    """The engine plans a horizon's inputs once. Each planned row equals,
+    bit for bit, the per-t evaluation: every pattern's multiplier by
+    `pattern_value`, the reservoir heads, and the emitters and controls the
+    hooks return at t. Steps share an input id exactly when their inputs
+    are bytewise equal, so 0.0 and -0.0 stay apart."""
+
+    @staticmethod
+    def assert_plan_is_per_t(engine):
+        layout = engine.layout
+        rows = []
+        for k in range(engine.total_steps):
+            t = float(k * engine.step_s)
+            mult = np.array([pattern_value(p, t)
+                             for p in layout.demand_patterns], dtype=float)
+            lift = np.array([pattern_value(p, t)
+                             for p in layout.res_patterns], dtype=float)
+            assert engine._mult[k].tobytes() == mult.tobytes(), t
+            assert layout.multipliers(layout.demand_patterns, t).tobytes() \
+                == mult.tobytes(), t
+            heads = layout.res_head * lift
+            assert engine._res[k].tobytes() == heads.tobytes(), t
+            emit = np.zeros(len(layout.inc.node_ids))
+            emit[engine._emit_nodes] = engine._emit[k]
+            hooked = engine.emitter_hook(t) if engine.emitter_hook else None
+            assert emit.tobytes() == layout.emitter_k(hooked or {}).tobytes()
+            controls = engine.control_hook(t) if engine.control_hook else None
+            assert _overrides_key(engine._controls[k]) \
+                == _overrides_key(controls)
+            rows.append((mult.tobytes(), heads.tobytes(), emit.tobytes(),
+                         _overrides_key(controls)))
+        pairs = set(zip(engine._input, rows))
+        assert len(pairs) == len(set(engine._input)) == len(set(rows))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_planned_rows_equal_the_per_t_evaluation(self, pumpnet, data):
+        values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+        steps = st.sampled_from([300.0, 450.0, 3600.0]) | st.floats(0.5, 5e3)
+
+        def pattern(pid):
+            return Pattern(pid, tuple(data.draw(st.lists(values, min_size=1,
+                                                         max_size=6))),
+                           data.draw(steps))
+        net = replace(
+            pumpnet, patterns={"d": pattern("d"), "lift": pattern("lift")},
+            junctions={**pumpnet.junctions, "j1": replace(
+                pumpnet.junctions["j1"], demand_pattern_id="d")},
+            reservoirs={"r1": replace(pumpnet.reservoirs["r1"],
+                                      head_pattern_id="lift")})
+        step_s = data.draw(st.sampled_from([60, 300, 900, 3600]))
+        n = data.draw(st.integers(1, 40))
+
+        def window(peak=False):
+            a, b = sorted(data.draw(st.lists(st.integers(0, n), min_size=2,
+                                             max_size=2, unique=True)))
+            mid = data.draw(st.integers(a, b)) * step_s if peak else None
+            return EventWindow(a * step_s, b * step_s, mid)
+        leaks = []
+        for kind in data.draw(st.lists(st.sampled_from(
+                ["abrupt", "incipient", "pattern"]), max_size=3)):
+            leaks.append(LeakageEvent(
+                kind=kind, link_id="p1",
+                diameter=data.draw(st.floats(1e-3, 0.05)),
+                window=window(kind == "incipient"),
+                area_pattern=tuple(data.draw(st.lists(
+                    st.floats(0.0, 1.0), min_size=1, max_size=4)))
+                if kind == "pattern" else None))
+        actuators = [ActuatorEvent(kind=kind, target_id="pu1",
+                                   value=data.draw(st.booleans()) if kind
+                                   == "pump_state" else data.draw(
+                                       st.sampled_from([0.0, 0.8, 1.0])),
+                                   window=window())
+                     for kind in data.draw(st.lists(st.sampled_from(
+                         ["pump_state", "pump_speed"]), max_size=3))]
+
+        def emitters(t):
+            ks = [leak_emitter_coef(e, t) for e in leaks]
+            return {"j2": sum(ks)} if any(ks) else None
+        self.assert_plan_is_per_t(EpsEngine(
+            net, duration_s=n * step_s, step_s=step_s,
+            control_hook=lambda t: resolve_controls(Controls(), actuators, t),
+            emitter_hook=emitters))
+
+    def test_signed_zero_multipliers_get_their_own_input_ids(self, pumpnet):
+        net = replace(
+            pumpnet, patterns={"d": Pattern("d", (0.0, -0.0, 0.0), 300.0)},
+            junctions={**pumpnet.junctions, "j1": replace(
+                pumpnet.junctions["j1"], demand_pattern_id="d")})
+        engine = EpsEngine(net, duration_s=1800, step_s=300)
+        self.assert_plan_is_per_t(engine)
+        assert engine._input == [0, 1, 0, 0, 1, 0]
 
 
 def zero_pattern_network(base_demand):
@@ -760,10 +873,10 @@ class TestSnapshotInputRules:
             solve_snapshot(pumpnet, demands, **kw)
 
     def test_engine_emitter_must_name_a_junction(self, pumpnet):
-        engine = EpsEngine(pumpnet, duration_s=900, step_s=300,
-                           emitter_hook=lambda t: {"t1": 0.01})
+        # the engine plans its horizon when it is made
         with pytest.raises(UnknownTargetError, match="no junction 't1'"):
-            engine.step_once()
+            EpsEngine(pumpnet, duration_s=900, step_s=300,
+                      emitter_hook=lambda t: {"t1": 0.01})
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -811,7 +924,7 @@ class TestControlsAndFailureModes:
         with pytest.raises(NonConvergenceError) as exc:
             solve_snapshot(toy9, demands)
         assert exc.value.iterations == 1
-        assert exc.value.residual > 0.0
+        assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
 
     def test_engine_names_the_failing_snapshot(self, toy9, monkeypatch):
         # hourly steps: t = 10800 s falls in a pattern hour not met before,
@@ -909,15 +1022,17 @@ class TestExtendedPeriod:
         assert [s.t for s in series.states] == [300.0 * i for i in range(12)]
 
     def test_demand_follows_pattern(self, toy9):
-        engine = EpsEngine(toy9)
+        series = simulate_hydraulics(toy9, duration_s=86400 + 7200,
+                                     hydraulic_step_s=3600)
+        n1 = series.junction_ids.index("n1")
         base = toy9.junctions["n1"].base_demand
         pattern = toy9.patterns["diurnal"]
-        assert engine.demands_at(0.0)["n1"] == pytest.approx(
+        assert series.actual_demand[0, n1] == pytest.approx(
             base * pattern.multipliers[0])
-        assert engine.demands_at(7200.0)["n1"] == pytest.approx(
+        assert series.actual_demand[2, n1] == pytest.approx(
             base * pattern.multipliers[2])
         # patterns wrap cyclically past their own horizon
-        assert engine.demands_at(86400.0 + 3600.0)["n1"] == pytest.approx(
+        assert series.actual_demand[25, n1] == pytest.approx(
             base * pattern.multipliers[1])
 
     def test_run_equals_manual_stepping(self, toy9):

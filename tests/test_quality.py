@@ -12,7 +12,7 @@ from wdnflow import (
     ConfigError, NegativeConcentrationError, WdnflowError, bundled, parse_inp,
 )
 from wdnflow.events import EventWindow, LeakageEvent, split_pipes_for_leaks
-from wdnflow.hydraulics import Controls, simulate_hydraulics
+from wdnflow.hydraulics import Controls, StateSeries, simulate_hydraulics
 from wdnflow.quality import (
     SEGMENT_MERGE_DC,
     QualitySettings,
@@ -409,8 +409,8 @@ class TestInputChecks:
     def test_leak_off_the_network_junctions_is_rejected(self, toy9):
         series = simulate_hydraulics(toy9, duration_s=600)
         # a projected series names a leak by its pipe, not by its junction
-        states = tuple(replace(s, leak_flow={"p3": 1e-3})
-                       for s in series.states)
+        states = [replace(s, leak_flow={"p3": 1e-3}) for s in series.states]
         with pytest.raises(ConfigError):
-            simulate_quality(replace(series, states=states), toy9,
+            simulate_quality(StateSeries.from_states(states, series,
+                                                     series.step_s), toy9,
                              QualitySettings(source_nodes={"r1": 1.0}))
