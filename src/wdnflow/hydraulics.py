@@ -192,7 +192,8 @@ class StateSeries:
         tank_ids (a series or a network layout). A state object met more
         than once is stacked once and taken per row."""
         where: dict[HydraulicState, int] = {}
-        rows = [where.setdefault(s, len(where)) for s in states]
+        rows = np.array([where.setdefault(s, len(where)) for s in states],
+                        dtype=np.intp)
         leak_ids = tuple(dict.fromkeys(j for s in where for j in s.leak_flow))
 
         def column(values, dtype=float, *width):
@@ -857,9 +858,9 @@ class EpsEngine:
         self._res = layout.reservoir_heads(times)
         emitters = [self.emitter_hook(x) or {} for x in t] \
             if self.emitter_hook else [{}] * len(t)
-        self._emit_nodes = np.array(sorted(
-            {layout.junction_index.get(j, -1) for e in emitters for j in e}),
-            dtype=np.intp)
+        # the junctions any step names, in node order; emitter_k checks them
+        self._emit_nodes = np.flatnonzero(
+            layout.emitter_k(dict.fromkeys(set().union(*emitters), 1.0)))
         self._emit = np.zeros((len(t), len(self._emit_nodes)))
         for row, e in zip(self._emit, emitters):
             if e:
