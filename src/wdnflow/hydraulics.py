@@ -4,11 +4,17 @@ Each timestep is a quasi-steady snapshot solved with a Newton scheme on the
 nodal head equations (the global gradient algorithm of Todini & Pilati):
 link relations are linearized around the current flow iterate, the resulting
 Laplacian system is solved for unknown heads, and flows are updated from the
-new head differences. Once the flow change, the junction mass residual and
-the Hazen-Williams residual all pass their tolerances, exactly one more
-Newton step is taken and the iteration stops. Tanks are fixed-head nodes
-within a snapshot; their levels are integrated with explicit Euler between
-snapshots.
+new head differences. As in EPANET 2.2, an emitter is one more such link: a
+one-way link from its junction to a virtual reservoir at the junction's
+elevation, with headloss q^2 / k^2 and reverse flow blocked as for a pump.
+The flow change is taken relative to the total link flow, floored at
+FLOW_FLOOR so that a network that barely flows still converges; there is no
+damping. Once the flow change, the junction mass residual and the headloss
+residual of pipes and emitters all pass their tolerances, exactly one more
+Newton step is taken and the iteration stops. A state's leak flow is the
+emitter law k sqrt(pressure head) at the final heads. Tanks are fixed-head
+nodes within a snapshot; their levels are integrated with explicit Euler
+between snapshots.
 
 Everything that depends only on which links are open and which nodes have a
 fixed head (reachability, the unknown-node numbering, island heads, each
@@ -22,8 +28,10 @@ levels, reservoir heads at t = 0 and each pump at its network speed. Every
 snapshot of the topology starts Newton from the reference flows, scaled by its
 total demand over the reference's; it falls back to the cold start (small
 flows leaving the nearer source) when either total is zero or the reference
-does not converge. The start is a function of the topology alone, never of
-earlier snapshots, so each result is a pure function of its inputs.
+does not converge. Each emitter starts at its discharge at the reference
+heads, or at the reference's initial heads where it has no solution. The
+start is a function of the topology alone, never of earlier snapshots, so
+each result is a pure function of its inputs.
 
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
@@ -59,7 +67,7 @@ from .network import (
 
 __all__ = [
     "G", "HW_EXP", "HW_COEF", "Q_LAMINAR", "MASS_TOL", "ACCURACY",
-    "MAX_ITERATIONS", "ENERGY_TOL", "EMITTER_HMIN", "Controls",
+    "MAX_ITERATIONS", "ENERGY_TOL", "Controls",
     "HydraulicState", "StateSeries", "actuator_value",
     "hazen_williams_headloss", "fit_pump_curve", "pump_head_gain",
     "solve_snapshot", "tank_step", "EpsEngine", "simulate_hydraulics",
@@ -71,9 +79,9 @@ HW_COEF = 10.667            # SI Hazen-Williams prefactor
 Q_LAMINAR = 1e-8            # m3/s; below this the headloss law is linearized
 MASS_TOL = 1e-6             # m3/s
 ACCURACY = 1e-3             # relative flow change that counts as converged
+FLOW_FLOOR = 1e-4           # m3/s; floor on the total flow in the flow change
 MAX_ITERATIONS = 100        # Newton iterations before NonConvergenceError
 ENERGY_TOL = 1e-6           # m
-EMITTER_HMIN = 1e-6         # m; emitter law linearized below this head
 GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
 GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
@@ -172,7 +180,6 @@ class StateSeries:
     energy_residual: np.ndarray  # per step
     leak_ids: tuple[str, ...]
     leak_flow: np.ndarray       # steps x leak_ids
-    config_digest: str = ""
 
     def __post_init__(self):
         for name in (*_COLUMNS, "iterations", "mass_residual",
@@ -185,8 +192,7 @@ class StateSeries:
         return np.arange(len(self.flow)) * float(self.step_s)
 
     @classmethod
-    def from_states(cls, states, ids, step_s: int,
-                    config_digest: str = "") -> StateSeries:
+    def from_states(cls, states, ids, step_s: int) -> StateSeries:
         """The series of the states of consecutive steps from t = 0. ids:
         anything with the states' node_ids, link_ids, junction_ids and
         tank_ids (a series or a network layout). A state object met more
@@ -212,8 +218,7 @@ class StateSeries:
                                    ("energy_residual", float))},
             leak_ids=leak_ids, leak_flow=column(
                 ([s.leak_flow.get(j, math.nan) for j in leak_ids]
-                 for s in where), float, len(leak_ids)),
-            config_digest=config_digest)
+                 for s in where), float, len(leak_ids)))
 
     @cached_property
     def states(self) -> tuple[HydraulicState, ...]:
@@ -457,7 +462,7 @@ class _Topology:
         self.indices = self.flat % max(n_u, 1)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(self.flat // max(n_u, 1), minlength=n_u))])
-        self.ref_flow, self.ref_demand = self._reference(layout)
+        self.ref_flow, self.ref_demand, self.ref_head = self._reference(layout)
 
     def initial_head(self, nodes: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Island heads, and each reached node at its nearest source's head;
@@ -468,26 +473,29 @@ class _Topology:
         head[self.reached] = src_head[self.nearest_source]
         return head
 
-    def _reference(self, layout: _Layout) -> tuple[np.ndarray | None, float]:
-        """Flows and total demand of this topology's static snapshot: base
-        demands, no emitters, tanks at their initial levels, reservoir heads
-        at t = 0 and each pump at its network speed (1.0 where that is 0).
-        (None, 0.0) when nothing is demanded or the solve does not converge."""
+    def _reference(self, layout: _Layout
+                   ) -> tuple[np.ndarray | None, float, np.ndarray]:
+        """Flows, total demand and heads of this topology's static snapshot:
+        base demands, no emitters, tanks at their initial levels, reservoir
+        heads at t = 0 and each pump at its network speed (1.0 where that is
+        0). When nothing is demanded or the solve does not converge: None,
+        0.0 and the initial heads."""
         demand = layout.demand(np.ones(len(layout.demand_patterns)))
-        total = float(demand[self.unknown].sum())
-        if total == 0.0:
-            return None, 0.0
         speed = np.where(layout.link_speed == 0.0, 1.0, layout.link_speed)
         head = self.initial_head(
             np.concatenate([layout.res_nodes, layout.tank_nodes]),
             np.concatenate([layout.reservoir_heads(0.0),
                             layout.tank_elev + layout.tank_init]))
+        total = float(demand[self.unknown].sum())
+        if total == 0.0:
+            return None, 0.0, head
+        solved = head.copy()
         try:
-            q = _newton(layout, self, head, demand, np.zeros(len(head)), speed,
-                        self.q0, 0.0)[0]
+            q = _newton(layout, self, solved, demand, np.zeros(len(head)),
+                        speed, self.q0, 0.0)[0]
         except NonConvergenceError:
-            return None, 0.0
-        return q, total
+            return None, 0.0, head
+        return q, total, solved
 
     def start(self, demand_arr: np.ndarray) -> np.ndarray:
         """Newton's starting flows: the reference flows scaled by the total
@@ -690,10 +698,14 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
     n_u = len(unknown)
     demand_u = demand_arr[unknown]
     end_far_head = np.where(topo.end_far_fixed, head[topo.end_far], 0.0)
+    # emitters: one-way links to a reservoir at the junction's elevation,
+    # with headloss q^2 / k^2, starting at their discharge at the reference
     emit_nodes = np.flatnonzero(emit_k)
-    emit_nodes = emit_nodes[topo.u_of_node[emit_nodes] >= 0]
     emit_u, emit_kn = topo.u_of_node[emit_nodes], emit_k[emit_nodes]
-    emit_elev = layout.node_elev[emit_nodes]
+    emit_elev, emit_k2 = layout.node_elev[emit_nodes], emit_kn * emit_kn
+    if emit_nodes.size:
+        qe = emit_kn * np.sqrt(np.maximum(topo.ref_head[emit_nodes]
+                                          - emit_elev, 0.0))
     pump_links = topo.act_idx[topo.pumps]
     w = speed[pump_links]
     h0, rr, pump_n = layout.pump_coef[pump_links].T
@@ -701,25 +713,23 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
     pipes, r_pipes = topo.pipes, topo.r_pipe
 
     def residuals(dh: np.ndarray) -> tuple[float, float]:
-        """The largest junction mass and pipe headloss-law errors of the
-        current flows and heads."""
+        """The largest junction mass and pipe or emitter headloss-law errors
+        of the current flows and heads."""
         mass = np.bincount(end_node, weights=end_sign * q[end_link],
                            minlength=n_u) - demand_u
-        if emit_nodes.size:
-            mass[emit_u] -= emit_kn * np.sqrt(
-                np.maximum(head[emit_nodes] - emit_elev, 0.0))
         qp = q[pipes]
         energy = np.abs(dh[pipes]
                         - np.sign(qp) * r_pipes * np.abs(qp) ** HW_EXP)
-        return (np.abs(mass).max() if n_u else 0.0,
-                energy.max() if pipes.size else 0.0)
+        energy = energy.max() if pipes.size else 0.0
+        if emit_nodes.size:
+            mass[emit_u] -= qe
+            energy = max(energy, np.abs(
+                np.maximum(head[emit_nodes] - emit_elev, 0.0)
+                - np.maximum(qe, 0.0) ** 2 / emit_k2).max())
+        return np.abs(mass).max() if n_u else 0.0, energy
 
-    lam = 1.0
-    prev_change = math.inf
-    rises = 0
-    converged_at = -1
+    passed = False
     iterations = 0
-
     while iterations < MAX_ITERATIONS:
         iterations += 1
         h, g = _link_linearization(topo, q, pump_a, pump_b, pump_n)
@@ -732,16 +742,13 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
         rhs = np.bincount(end_node, weights=end_sign * y[end_link]
                           + c[end_link] * end_far_head, minlength=n_u) - demand_u
 
-        # emitters: q_e = k sqrt(max(h_press, 0)), linearized on the diagonal
         if emit_nodes.size:
-            press = head[emit_nodes] - emit_elev
-            root = np.sqrt(np.maximum(press, EMITTER_HMIN))
-            steep = press > EMITTER_HMIN
-            ge = np.where(steep, emit_kn / (2.0 * root), np.where(
-                press > 0.0, emit_kn / math.sqrt(EMITTER_HMIN), 0.0))
-            vals[topo.diag_slot[emit_u]] += ge
-            rhs[emit_u] += ge * head[emit_nodes] - np.where(
-                steep, emit_kn * root, ge * press)
+            fwd = qe > 0.0
+            ce = 1.0 / np.maximum(np.where(fwd, 2.0 * qe / emit_k2,
+                                           GRAD_REVERSE), GRAD_MIN)
+            ye = qe - ce * np.where(fwd, qe * qe / emit_k2, GRAD_REVERSE * qe)
+            vals[topo.diag_slot[emit_u]] += ce
+            rhs[emit_u] += ce * emit_elev - ye
 
         if n_u > SPARSE_MIN_UNKNOWNS:
             from scipy.sparse import csr_matrix
@@ -755,37 +762,22 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
 
         dh = head[a_from] - head[a_to]
         q_new = y + c * dh
-        if lam < 1.0:
-            q_new = q + lam * (q_new - q)
-
-        change = np.abs(q_new - q).sum()
-        total = max(np.abs(q_new).sum(), 1e-12)
-        rel = change / total
+        if emit_nodes.size:
+            qe = ye + ce * (head[emit_nodes] - emit_elev)
+        rel = np.abs(q_new - q).sum() / max(np.abs(q_new).sum(), FLOW_FLOOR)
         q = q_new
-
-        # oscillation guard: two consecutive rises in the change norm
-        if change > prev_change:
-            rises += 1
-            if rises >= 2 and converged_at < 0:
-                lam = max(lam * 0.5, 0.125)
-                rises = 0
-        else:
-            rises = 0
-        prev_change = change
 
         # stop rule: one full Newton step past the first converged iterate;
         # the residuals, with the updated flows and heads, are computed only
         # where the rule reads them
-        if converged_at >= 0:
+        if passed:
             mass_res, energy_res = residuals(dh)
             break
         if rel <= ACCURACY:
             mass_res, energy_res = residuals(dh)
-            if mass_res <= MASS_TOL and energy_res <= ENERGY_TOL:
-                converged_at = iterations
-                lam = 1.0
+            passed = mass_res <= MASS_TOL and energy_res <= ENERGY_TOL
 
-    if converged_at < 0:
+    if not passed:
         raise NonConvergenceError(
             iterations, max(residuals(head[a_from] - head[a_to])), t)
     return q, iterations, mass_res, energy_res
@@ -927,22 +919,21 @@ class EpsEngine:
         self._advance(state)
         return state
 
-    def series(self, config_digest: str = "") -> StateSeries:
+    def series(self) -> StateSeries:
         """The snapshots of the steps taken since the last reset."""
         return StateSeries.from_states(self._taken, self.layout.inc,
-                                       self.step_s, config_digest)
+                                       self.step_s)
 
-    def run(self, config_digest: str = "") -> StateSeries:
+    def run(self) -> StateSeries:
         for _ in range(self.total_steps):
             self._advance(self._recall(None))
-        return self.series(config_digest)
+        return self.series()
 
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,
                         hydraulic_step_s: int | None = None,
-                        control_hook=None, emitter_hook=None,
-                        config_digest: str = "") -> StateSeries:
+                        control_hook=None, emitter_hook=None) -> StateSeries:
     """Run a full extended-period simulation over the network's horizon."""
     engine = EpsEngine(network, duration_s, hydraulic_step_s,
                        control_hook, emitter_hook)
-    return engine.run(config_digest)
+    return engine.run()

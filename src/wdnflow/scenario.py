@@ -484,7 +484,6 @@ class ScenarioRuntime:
             [solve.link_index[l] for l in report.link_ids], dtype=np.intp)
         # junctions come first in both layouts
         self.junction_sel = self._node_sel[:len(report.junction_ids)]
-        self.digest = config_digest(config)
         self.warnings = warnings
 
     def control_hook(self, t: float) -> Controls | None:
@@ -581,7 +580,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     t0 = time.perf_counter()
     runtime = build_runtime(config)
     engine = runtime.make_engine()
-    solved = engine.run(config_digest=runtime.digest)
+    solved = engine.run()
     series = runtime.project_series(solved)
 
     quality_states = None

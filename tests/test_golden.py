@@ -65,13 +65,13 @@ def sha(text: str) -> str:
 # (scenario, seed) -> sha256 of (SCADA CSV, truth CSV), and series.digest()
 GOLDEN = {
     ("toy9_leaks", 3): (
-        "d85f433225676a675040c1687c7657581dc2691f079510e9cd45fb91364cd210",
+        "83b93868038c76a82b036735a72a4c959ce8909ed7cff5644ce02d5429f77b83",
         "d7a181bd3e9fdfb03bbba70360c22a85429dfd6f8b088e0e6661ef00583e80e1",
-        "a541204f65860486c98ad309925bd1e29135c0669467c4dd02aaa6bd95976b3a"),
+        "4ddeee42faf637b589e584c5bcd7bb0b3aa2e82d25dbb88fb53b917607f52d1b"),
     ("toy9_leaks", 7): (
-        "0b1c3e5033121c3db03b3e80d9343da1f2942a1305dfed431671fe24e5f74fab",
+        "2b6862bedc07fda33ddfd2f7d4f534a01cdab98723c7b4805966de2290bb091c",
         "d7a181bd3e9fdfb03bbba70360c22a85429dfd6f8b088e0e6661ef00583e80e1",
-        "a541204f65860486c98ad309925bd1e29135c0669467c4dd02aaa6bd95976b3a"),
+        "4ddeee42faf637b589e584c5bcd7bb0b3aa2e82d25dbb88fb53b917607f52d1b"),
     ("pumpnet_actuator", 3): (
         "79a6034670bb18ff7bc12fc2317b0e14c28742e022b85ab9241f6ae96581282a",
         "e9d2835cdc957f2de76e85e722b3be1e4d57c1e5f0a2090f8cae04c018a82acd",

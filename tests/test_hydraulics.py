@@ -19,6 +19,7 @@ from wdnflow import (
     NonConvergenceError,
     UnknownTargetError,
     WdnflowError,
+    bundled,
     expand_pump_curve,
     incidence,
     parse_inp,
@@ -49,6 +50,8 @@ from wdnflow.events import (
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Reservoir, pattern_value,
 )
+from wdnflow.scada import SensorPlacement
+from wdnflow.scenario import ScenarioConfig, run_scenario
 
 
 def mass_residuals(network, state):
@@ -262,6 +265,16 @@ class TestSnapshotInvariants:
         state = solve_snapshot(toy9, {jid: 0.0 for jid in toy9.junctions})
         assert np.abs(state.flow).max() <= MASS_TOL
 
+    def test_zero_demand_grid_with_full_tank_is_stagnant(self):
+        # the pump runs against the full tank, so nothing flows; the
+        # relative flow change is taken over a floored total flow, so
+        # round-off around zero flow does not block convergence
+        net = parse_inp(grid_inp(3))
+        state = solve_snapshot(net, {jid: 0.0 for jid in net.junctions},
+                               Controls(pump_running={"pu1": True}),
+                               tank_levels={"t1": 9.0})
+        assert np.abs(state.flow).max() <= MASS_TOL
+
     def test_heads_decrease_away_from_reservoir(self, toy9):
         state = solve_snapshot(toy9, {jid: 2e-5 for jid in toy9.junctions})
         inc = incidence(toy9)
@@ -303,6 +316,99 @@ class TestEmitters:
         inc = incidence(toy9)
         n3 = inc.node_index["n3"]
         assert float(leaky.pressure_head[n3]) < float(clean.pressure_head[n3])
+
+
+def base_demands(network, multiplier=1.0):
+    return {jid: j.base_demand * multiplier
+            for jid, j in network.junctions.items()}
+
+
+def orifice_k(diameter):
+    """Emitter coefficient of a round leak: 0.75 (pi d^2 / 4) sqrt(2 g)."""
+    return 0.75 * math.pi * diameter ** 2 / 4.0 * math.sqrt(2.0 * G)
+
+
+class TestLargeEmitters:
+    """An emitter is a one-way link to a reservoir at its junction's
+    elevation, so leaks of realistic size converge within 15 iterations,
+    and the junction mass balance closes with each leak's discharge
+    k sqrt(pressure head)."""
+
+    MARGIN = 1e-9
+
+    def assert_solves(self, network, emitters):
+        state = solve_snapshot(network, base_demands(network),
+                               emitters=emitters)
+        assert state.iterations <= 15
+        assert max(map(abs, mass_residuals(network, state).values())) \
+            <= self.MARGIN
+        assert all(q > 0.0 for q in state.leak_flow.values())
+        return state
+
+    @pytest.mark.parametrize("diameter", [0.05, 0.1, 0.15, 0.2, 0.3])
+    def test_leak_sizes_at_every_junction(self, toy9, pumpnet, diameter):
+        for network in (toy9, pumpnet):
+            for jid in network.junctions:
+                self.assert_solves(network, {jid: orifice_k(diameter)})
+
+    @pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("name, jid", [("toy9", "n1"), ("pumpnet", "j1")])
+    def test_coefficients_up_to_100(self, request, name, jid, k):
+        self.assert_solves(request.getfixturevalue(name), {jid: k})
+
+    def test_scenario_with_a_large_abrupt_leak(self):
+        result = run_scenario(ScenarioConfig(
+            network_path=bundled.pumpnet_path(), duration_s=6 * 3600,
+            hydraulic_time_step_s=300,
+            sensors=SensorPlacement(pressure_nodes=("j1", "j2")),
+            leakages=(LeakageEvent(kind="abrupt", link_id="p1", diameter=0.2,
+                                   window=EventWindow(3600, 4 * 3600)),)))
+        series = result.series
+        leak = series.leak_flow[:, series.leak_ids.index("p1")]
+        open_ = (series.t >= 3600) & (series.t < 4 * 3600)
+        assert (leak[open_] > 0.0).all() and np.isnan(leak[~open_]).all()
+
+
+class TestRandomSnapshots:
+    """Seeded random snapshots of the bundled networks and small grids:
+    demand multipliers from 0 to 10, random pump speeds and pump and valve
+    states, tanks at a level bound or their initial level, and up to three
+    emitters with k up to 100. Each converges within its tolerances or
+    raises DisconnectedDemandError."""
+
+    def test_every_snapshot_converges_or_is_disconnected(self, toy9, pumpnet):
+        rng = np.random.default_rng(17)
+        solved = leaky = 0
+        for net in [toy9, pumpnet] + [parse_inp(grid_inp(s))
+                                      for s in (3, 4, 5)]:
+            layout = _Layout(net)
+            junctions = sorted(net.junctions)
+            for _ in range(80):
+                controls = Controls(
+                    pump_running={p: bool(rng.integers(2)) for p in net.pumps},
+                    pump_speed={p: float(rng.choice([0.0, 0.5, 1.0, 1.5]))
+                                for p in net.pumps},
+                    valve_open={v: bool(rng.integers(2)) for v in net.valves})
+                levels = {tid: float(rng.choice([t.min_level, t.init_level,
+                                                 t.max_level]))
+                          for tid, t in net.tanks.items()}
+                size = rng.integers(min(4, len(junctions) + 1))
+                emitters = {str(j): float(rng.choice(
+                    [0.0, 10.0 ** rng.uniform(-4.0, 2.0)]))
+                    for j in rng.choice(junctions, size, replace=False)}
+                demands = base_demands(
+                    net, float(rng.choice([0.0, 0.5, 1.0, 3.0, 10.0])))
+                try:
+                    state = solve_snapshot(net, demands, controls,
+                                           emitters=emitters,
+                                           tank_levels=levels, _layout=layout)
+                except DisconnectedDemandError:
+                    continue
+                assert state.mass_residual <= MASS_TOL
+                assert state.energy_residual <= ENERGY_TOL
+                solved += 1
+                leaky += any(q > 0.0 for q in state.leak_flow.values())
+        assert solved > 300 and leaky > 150
 
 
 class TestStopRuleMargin:

@@ -55,7 +55,7 @@ def toy9_leak():
         quality=QualitySpec(decay_rate_k=2e-5, source_nodes=(("r1", 1.0),)),
         seed=3)
     runtime = build_runtime(config)
-    solved = runtime.make_engine().run(config_digest=runtime.digest)
+    solved = runtime.make_engine().run()
     return runtime.solve_network, solved, runtime.quality_settings()
 
 

@@ -417,7 +417,7 @@ class TestRunScenario:
         # one read-only array: the from-node half, then the to-node half
         runtime = build_runtime(config)
         split = simulate_quality(
-            runtime.make_engine().run(config_digest=runtime.digest),
+            runtime.make_engine().run(),
             runtime.solve_network, runtime.quality_settings())[-1]
         joined = last.pipe_segments["p3"]
         assert isinstance(joined, np.ndarray) and joined.shape[1] == 2
