@@ -16,22 +16,32 @@ emitter law k sqrt(pressure head) at the final heads. Tanks are fixed-head
 nodes within a snapshot; their levels are integrated with explicit Euler
 between snapshots.
 
+The head system is symmetric positive definite, so it needs no pivoting.
+Up to SPARSE_MIN_UNKNOWNS unknowns it is solved densely by
+`np.linalg.solve`, whose bits do not depend on the BLAS thread count at that
+size. Larger systems are solved by one call of scipy's SuperLU extension,
+loaded by file path without importing scipy, on a matrix assembled in a
+fill-reducing order: as EPANET does, the unknowns are numbered once per
+topology by multiple minimum degree (Liu 1985) on the sparsity pattern, and
+every solve factors in that natural order without pivoting. A solve that
+meets a singular matrix raises NonConvergenceError.
+
 Everything that depends only on which links are open and which nodes have a
-fixed head (reachability, the unknown-node numbering, island heads, each
-node's nearest source, the cold-start flow signs, the per-kind link indices
-and the matrix's sparsity pattern) is built by the network module's one graph
-traversal the first time that topology is met, and cached on the engine's
-layout; `EpsEngine.reset` rewinds an engine and keeps that cache. At that
-point the topology also solves its reference snapshot once, from static data
-only: base demands on reached junctions, no emitters, tanks at their initial
-levels, reservoir heads at t = 0 and each pump at its network speed. Every
-snapshot of the topology starts Newton from the reference flows, scaled by its
-total demand over the reference's; it falls back to the cold start (small
-flows leaving the nearer source) when either total is zero or the reference
-does not converge. Each emitter starts at its discharge at the reference
-heads, or at the reference's initial heads where it has no solution. The
-start is a function of the topology alone, never of earlier snapshots, so
-each result is a pure function of its inputs.
+fixed head (reachability, the unknown-node numbering and its fill-reducing
+order, island heads, each node's nearest source, the cold-start flow signs,
+the per-kind link indices and the matrix's sparsity pattern) is built by the
+network module's one graph traversal the first time that topology is met,
+and cached on the engine's layout; `EpsEngine.reset` rewinds an engine and
+keeps that cache. At that point the topology also solves its reference
+snapshot once, from static data only: base demands on reached junctions, no
+emitters, tanks at their initial levels, reservoir heads at t = 0 and each
+pump at its network speed. Every snapshot of the topology starts Newton from
+the reference flows, scaled by its total demand over the reference's; it
+falls back to the cold start (small flows leaving the nearer source) when
+either total is zero or the reference does not converge. Each emitter starts
+at its discharge at the reference heads, or at the reference's initial heads
+where it has no solution. The start is a function of the topology alone,
+never of earlier snapshots, so each result is a pure function of its inputs.
 
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
@@ -47,10 +57,14 @@ from the snapshots it met; its `states` are row views, built on first use.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -86,7 +100,15 @@ GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
 GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
 COLD_START_FLOW = 1e-3      # m3/s
-SPARSE_MIN_UNKNOWNS = 400   # larger systems are solved with scipy's spsolve
+SPARSE_MIN_UNKNOWNS = 80    # larger systems are solved by SuperLU, smaller
+                            # ones densely (thread-stable bits up to ~96)
+# SuperLU without pivoting, as the system is SPD: the fill-reducing order is
+# found once per topology, and each solve keeps the order it is assembled in
+_ORDER_OPTIONS = dict(ColPerm="MMD_AT_PLUS_A", SymmetricMode=True,
+                      DiagPivotThresh=0.0)
+_SOLVE_OPTIONS = dict(ColPerm="NATURAL", SymmetricMode=True,
+                      DiagPivotThresh=0.0)
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 
 @dataclass(frozen=True)
@@ -290,6 +312,53 @@ def tank_step(tank: Tank, level: float, net_inflow: float, dt: float) -> float:
 
 # --- snapshot solver ---------------------------------------------------------
 
+@cache
+def _superlu():
+    """scipy's SuperLU extension: the loaded module once scipy.sparse.linalg
+    is imported, else the extension alone, loaded by its file path without
+    importing scipy (which costs more resident memory than the solver)."""
+    module = sys.modules.get(_SUPERLU)
+    if module is not None:
+        return module
+    package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(package, *_SUPERLU.split(".")[1:])
+    path = next((stem + suffix for suffix in EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)), None)
+    if path is None:
+        raise ImportError(f"no SuperLU extension at {stem}.*")
+    spec = importlib.util.spec_from_file_location(_SUPERLU, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _csr_pattern(n: int, entries: np.ndarray):
+    """The distinct positions row * n + col among entries, sorted (row-major,
+    CSR order), with their column indices and row pointers as SuperLU takes
+    them. Python sorts them: numpy's first sort costs ~0.4 MB of resident
+    memory."""
+    flat = np.array(sorted(set(entries.tolist())), dtype=np.intp)
+    indptr = np.cumsum(np.bincount(flat // max(n, 1), minlength=n))
+    return (flat, (flat % max(n, 1)).astype(np.intc),
+            np.concatenate([[0], indptr]).astype(np.intc))
+
+
+def _fill_reducing_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The order of n unknowns, coupled pairwise by (a, b), in which
+    SuperLU's multiple minimum degree on A^T + A factors the system with
+    little fill: position k holds old unknown order[k]. The order depends on
+    the pattern alone, so the values are placeholders of a diagonally
+    dominant SPD matrix."""
+    flat, indices, indptr = _csr_pattern(
+        n, np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
+    lu = _superlu().gstrf(
+        n, len(flat), np.where(flat // n == indices, n + 1.0, -1.0), indices,
+        indptr, csc_construct_func=None, options=_ORDER_OPTIONS)
+    order = np.empty(n, dtype=np.intp)
+    order[lu.perm_c] = np.arange(n)
+    return order
+
+
 class _Layout:
     """The solver's coefficients over a network's compiled layout, plus the
     cache of snapshot topologies; shared across snapshots."""
@@ -428,6 +497,14 @@ class _Topology:
         self.u_of_node[self.unknown] = np.arange(n_u)
         self.act_idx = act = np.flatnonzero(active & self.reach[inc.link_from])
         self.a_from, self.a_to = inc.link_from[act], inc.link_to[act]
+        if n_u > SPARSE_MIN_UNKNOWNS:
+            # number the unknowns in fill-reducing order, so that the matrix
+            # is assembled in the order SuperLU factors it
+            uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
+            both = (uf >= 0) & (ut >= 0)
+            self.unknown = self.unknown[
+                _fill_reducing_order(n_u, uf[both], ut[both])]
+            self.u_of_node[self.unknown] = np.arange(n_u)
         kind, r = inc.link_kind[act], layout.r_coef[act]
         self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)
                                                for k in range(3))
@@ -447,8 +524,7 @@ class _Topology:
         self.end_far_fixed = self.u_of_node[self.end_far] < 0
         # matrix triplets: +c on the diagonal per end, -c off it per link
         # between two unknowns; entry_slot maps each triplet to its entry in
-        # the row-major (CSR) order of the distinct positions in flat. Python
-        # sorts them: numpy's first sort costs ~0.4 MB of resident memory.
+        # the row-major (CSR) order of the distinct positions in flat
         both = np.flatnonzero((uf >= 0) & (ut >= 0))
         rows = np.concatenate([self.end_node, uf[both], ut[both]])
         cols = np.concatenate([self.end_node, ut[both], uf[both]])
@@ -456,12 +532,9 @@ class _Topology:
         self.entry_sign = np.concatenate([np.ones(len(self.end_link)),
                                           -np.ones(2 * len(both))])
         entries = rows * n_u + cols
-        self.flat = np.array(sorted(set(entries.tolist())), dtype=np.intp)
+        self.flat, self.indices, self.indptr = _csr_pattern(n_u, entries)
         self.entry_slot = np.searchsorted(self.flat, entries)
         self.diag_slot = np.searchsorted(self.flat, np.arange(n_u) * (n_u + 1))
-        self.indices = self.flat % max(n_u, 1)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.flat // max(n_u, 1), minlength=n_u))])
         self.ref_flow, self.ref_demand, self.ref_head = self._reference(layout)
 
     def initial_head(self, nodes: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -751,10 +824,13 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
             rhs[emit_u] += ce * emit_elev - ye
 
         if n_u > SPARSE_MIN_UNKNOWNS:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.linalg import spsolve
-            head[unknown] = spsolve(csr_matrix(
-                (vals, topo.indices, topo.indptr), shape=(n_u, n_u)), rhs)
+            x, info = _superlu().gssv(n_u, len(vals), vals, topo.indices,
+                                      topo.indptr, rhs, 0,
+                                      options=_SOLVE_OPTIONS)
+            if info:
+                raise NonConvergenceError(
+                    iterations, max(residuals(head[a_from] - head[a_to])), t)
+            head[unknown] = x
         elif n_u:
             big_m = np.zeros(n_u * n_u)
             big_m[topo.flat] = vals

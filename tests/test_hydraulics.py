@@ -1,5 +1,6 @@
 """Tests for the snapshot solver and the extended-period engine."""
 
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from wdnflow import (
     incidence,
     parse_inp,
 )
+from wdnflow import hydraulics
 from wdnflow.hydraulics import (
     ENERGY_TOL,
     G,
@@ -450,7 +452,7 @@ class TestStopRuleMargin:
         n_u = len(net.junctions)
         demands = {j: 1e-4 for j in net.junctions}
         layout = _Layout(net)
-        solve_snapshot(net, demands, _layout=layout)   # loads scipy
+        solve_snapshot(net, demands, _layout=layout)   # loads SuperLU
         tracemalloc.start()
         try:
             solve_snapshot(net, demands, _layout=layout)
@@ -500,6 +502,21 @@ class TestTopologyCache:
         state = self.assert_same_as_fresh(net, layout, demands, controls=shut)
         assert float(state.flow[list(net.link_ids()).index("v1")]) == 0.0
         self.assert_same_as_fresh(net, layout, demands)
+
+    def test_superlu_grid_pump_off_and_back(self):
+        """Above the cut-over each topology orders its own unknowns."""
+        net = parse_inp(grid_inp(11))
+        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
+        layout = _Layout(net)
+        off = Controls(pump_running={"pu1": False})
+        demands = {j: 5e-4 for j in net.junctions}
+        first = self.assert_same_as_fresh(net, layout, demands)
+        self.assert_same_as_fresh(net, layout, demands, controls=off)
+        self.assert_same_as_fresh(net, layout, demands,
+                                  controls=Controls(valve_open={"v1": False}))
+        again = self.assert_same_as_fresh(net, layout, demands)
+        assert np.array_equal(first.head, again.head)
+        assert len(layout._topologies) == 3
 
 
 def run_recording_inputs(engine):
@@ -817,7 +834,7 @@ class TestReferenceStart:
     def test_dense_run_does_not_import_scipy_linalg(self):
         """Importing scipy.linalg raised the toy9_twoweek benchmark's
         peak_rss_mb from 60 to 82 MB, so the dense branch keeps
-        np.linalg.solve and scipy stays a lazy, sparse-branch import."""
+        np.linalg.solve and imports nothing from scipy."""
         code = (
             "import sys\n"
             "from wdnflow import bundled\n"
@@ -827,14 +844,167 @@ class TestReferenceStart:
             " duration_s=7200, sensors=SensorPlacement("
             "pressure_nodes=('n1',))))\n"
             "print('scipy.linalg' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert run_python(code).split() == ["False"]
+
+
+def run_python(code, *args, **env):
+    """Standard output of `python -c code args` with the package on its
+    path and the extra environment variables env."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=environ, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a day of grid_inp(12) (144 unknowns) at 5-minute steps, then a 5 mm leak
+# for two hours; every junction and every other pipe is metered, and the
+# detector is fitted on the first day and applied to the leak. Prints, as
+# JSON, the output files' digests, the series digest, the alarms and a
+# digest of the detector's weights.
+THREAD_RUN = """
+import hashlib, json, sys
+from wdnflow import parse_inp
+from wdnflow.detection import SensorInterpolationDetector
+from wdnflow.events import EventWindow, LeakageEvent
+from wdnflow.scada import SensorPlacement
+from wdnflow.scenario import ScenarioConfig, run_scenario, write_outputs
+from wdnflow.uncertainty import UncertaintyModel
+path, out = sys.argv[1], sys.argv[2]
+net = parse_inp(open(path).read())
+pipes = sorted(net.pipes)
+result = run_scenario(ScenarioConfig(
+    network_path=path, duration_s=26 * 3600, hydraulic_time_step_s=300,
+    sensors=SensorPlacement(pressure_nodes=tuple(sorted(net.junctions)),
+                            flow_links=tuple(pipes[::2])),
+    leakages=(LeakageEvent(kind="abrupt", link_id=pipes[100],
+                           diameter=0.005,
+                           window=EventWindow(24 * 3600, 26 * 3600)),),
+    uncertainties=(UncertaintyModel(kind="gauss_rel", target="sensor_noise",
+                                    params={"sigma": 0.005}),),
+    seed=5, scada_csv_path=out + "/scada.csv",
+    truth_csv_path=out + "/truth.csv"))
+write_outputs(result)
+values, times = result.scada.values, result.scada.times
+detector = SensorInterpolationDetector().fit(values[:288])
+alarms = detector.apply(values[288:], times=times[288:]).suspicious_times
+print(json.dumps({
+    "scada": hashlib.sha256(open(out + "/scada.csv", "rb").read()).hexdigest(),
+    "truth": hashlib.sha256(open(out + "/truth.csv", "rb").read()).hexdigest(),
+    "series": result.series.digest(), "alarms": alarms,
+    "weights": hashlib.sha256(detector.weights.tobytes()).hexdigest()}))
+"""
+
+
+class TestSolverBackends:
+    """Systems above SPARSE_MIN_UNKNOWNS are solved by SuperLU, loaded
+    without importing scipy, in a fill-reducing order fixed per topology;
+    smaller ones densely. Either way the output bytes do not depend on the
+    BLAS thread count."""
+
+    @pytest.fixture(scope="class")
+    def thread_runs(self, tmp_path_factory):
+        """THREAD_RUN's results at 1 and at 2 OpenBLAS threads."""
+        root = tmp_path_factory.mktemp("threads")
+        path = root / "grid12.inp"
+        path.write_text(grid_inp(12))
+        runs = []
+        for threads in (1, 2):
+            out = root / f"out{threads}"
+            out.mkdir()
+            runs.append(json.loads(run_python(
+                THREAD_RUN, path, out, OPENBLAS_NUM_THREADS=str(threads))))
+        return runs
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, thread_runs):
+        one, two = thread_runs
+        for key in ("scada", "truth", "series"):
+            assert one[key] == two[key], key
+
+    def test_alarms_do_not_depend_on_the_thread_count(self, thread_runs):
+        """The fitted weights may differ in their last bits between thread
+        counts; the alarms are the contract: every step of the leak."""
+        leak = [24 * 3600.0 + 300.0 * k for k in range(24)]
+        assert [run["alarms"] for run in thread_runs] == [leak, leak]
+
+    def test_sparse_run_imports_neither_scipy_linalg(self, tmp_path):
+        path = tmp_path / "grid10.inp"
+        path.write_text(grid_inp(10))
+        code = (
+            "import sys\n"
+            "from wdnflow import hydraulics\n"
+            "from wdnflow.scada import SensorPlacement\n"
+            "from wdnflow.scenario import ScenarioConfig, run_scenario\n"
+            "run_scenario(ScenarioConfig(network_path=sys.argv[1],"
+            " duration_s=7200, sensors=SensorPlacement("
+            "pressure_nodes=('j000000',))))\n"
+            "print(hydraulics._superlu.cache_info().currsize,"
+            " 'scipy.linalg' in sys.modules,"
+            " 'scipy.sparse.linalg' in sys.modules)\n")
+        assert run_python(code, path).split() == ["1", "False", "False"]
+
+    def test_loaded_extension_solves_as_the_imported_one(self, tmp_path):
+        """The extension loaded by its file path and the one scipy imports
+        give the same bytes."""
+        path = tmp_path / "grid10.inp"
+        path.write_text(grid_inp(10))
+        code = (
+            "import sys\n"
+            "from wdnflow import hydraulics, parse_inp\n"
+            "net = parse_inp(open(sys.argv[1]).read())\n"
+            "demands = {j: 1e-3 for j in net.junctions}\n"
+            "def solve():\n"
+            "    state = hydraulics.solve_snapshot(net, demands,"
+            " emitters={'j005005': 0.01})\n"
+            "    return state.head.tobytes() + state.flow.tobytes()\n"
+            "loaded = solve()\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "import scipy.sparse.linalg\n"
+            "hydraulics._superlu.cache_clear()\n"
+            "imported = solve()\n"
+            "print(hydraulics._superlu() is sys.modules["
+            "'scipy.sparse.linalg._dsolve._superlu'], loaded == imported)\n")
+        assert run_python(code, path).split() == ["False", "True", "True"]
+
+    def test_superlu_heads_match_the_dense_solve(self, monkeypatch):
+        net = parse_inp(grid_inp(12))
+        demands = base_demands(net, 1.5)
+        emitters = {"j004007": 0.01, "j010002": 1e-3}
+        sparse = solve_snapshot(net, demands, emitters=emitters)
+        monkeypatch.setattr("wdnflow.hydraulics.SPARSE_MIN_UNKNOWNS", 10**9)
+        dense = solve_snapshot(net, demands, emitters=emitters)
+        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
+        assert np.abs(sparse.head - dense.head).max() <= 1e-9
+        assert sparse.iterations == dense.iterations
+
+    def test_unknowns_are_numbered_in_fill_reducing_order(self):
+        net = parse_inp(grid_inp(10))
+        layout = _Layout(net)
+        solve_snapshot(net, base_demands(net), _layout=layout)
+        (topo,) = layout._topologies.values()
+        n_u = len(topo.unknown)
+        assert n_u > SPARSE_MIN_UNKNOWNS
+        assert sorted(topo.unknown) == list(range(n_u))   # junctions first
+        assert not np.array_equal(topo.unknown, np.arange(n_u))
+        assert np.array_equal(topo.u_of_node[topo.unknown], np.arange(n_u))
+
+    def test_singular_superlu_solve_raises_nonconvergence(self, monkeypatch):
+        superlu = hydraulics._superlu()
+
+        class Singular:
+            gstrf = superlu.gstrf
+
+            @staticmethod
+            def gssv(n, *args, **kw):
+                return np.full(n, np.nan), 1
+        monkeypatch.setattr(hydraulics, "_superlu", Singular)
+        net = parse_inp(grid_inp(10))
+        with pytest.raises(NonConvergenceError):
+            solve_snapshot(net, base_demands(net))
 
 
 def explicit_controls(network):
