@@ -104,6 +104,12 @@ class LeakageEvent:
         return math.pi * (self.diameter / 2.0) ** 2
 
 
+def _no_peak(window: EventWindow, family: str) -> None:
+    """Only a leak ramps to a peak; no other event reads one."""
+    if window.peak_time is not None:
+        raise ConfigError(f"{family} events take no peak_time")
+
+
 @dataclass(frozen=True)
 class ActuatorEvent:
     kind: str
@@ -114,6 +120,7 @@ class ActuatorEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["actuator"]:
             raise ConfigError(f"unknown actuator event kind '{self.kind}'")
+        _no_peak(self.window, "actuator")
         object.__setattr__(self, "value",
                            actuator_value(self.kind, self.value))
 
@@ -128,6 +135,7 @@ class SensorFaultEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["sensor_fault"]:
             raise ConfigError(f"unknown sensor fault kind '{self.kind}'")
+        _no_peak(self.window, "sensor fault")
         if self.sensor_ref[0] not in SENSOR_TYPES:
             raise ConfigError(f"unknown sensor type '{self.sensor_ref[0]}'")
         object.__setattr__(self, "param", float(self.param))
@@ -146,6 +154,7 @@ class CommunicationEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["communication"]:
             raise ConfigError(f"unknown communication event kind '{self.kind}'")
+        _no_peak(self.window, "communication")
         if self.sensor_ref is not None and self.sensor_ref[0] not in SENSOR_TYPES:
             raise ConfigError(f"unknown sensor type '{self.sensor_ref[0]}'")
 

@@ -49,6 +49,11 @@ class SensorColumn:
         return f"{self.sensor_type}:{self.element_id}"
 
 
+# placement field -> the sensor type of its ids, in column order
+_PLACEMENT = {"pressure_nodes": "pressure", "flow_links": "flow",
+              "quality_nodes": "quality", "tank_level_tanks": "level"}
+
+
 @dataclass(frozen=True)
 class SensorPlacement:
     pressure_nodes: tuple[str, ...] = ()
@@ -57,22 +62,17 @@ class SensorPlacement:
     tank_level_tanks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("pressure_nodes", "flow_links", "quality_nodes",
-                     "tank_level_tanks"):
-            ids = getattr(self, name)
-            object.__setattr__(self, name, tuple(ids))
+        # sorted, so the canonical JSON form is a fixed point
+        for name in _PLACEMENT:
+            ids = tuple(sorted(getattr(self, name)))
+            object.__setattr__(self, name, ids)
             if len(set(ids)) != len(ids):
                 raise ConfigError(f"duplicate ids in {name}")
 
     def columns(self) -> tuple[SensorColumn, ...]:
-        cols = []
-        for stype, ids in (("pressure", self.pressure_nodes),
-                           ("flow", self.flow_links),
-                           ("quality", self.quality_nodes),
-                           ("level", self.tank_level_tanks)):
-            for eid in sorted(ids):
-                cols.append(SensorColumn(stype, eid, _UNITS[stype]))
-        return tuple(cols)
+        return tuple(SensorColumn(stype, eid, _UNITS[stype])
+                     for name, stype in _PLACEMENT.items()
+                     for eid in getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -265,17 +265,11 @@ def _number(token: str, ln_no: int) -> float:
     return value
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else repr(float(x))
-
-
 def to_csv(scada: ScadaData) -> str:
-    header = "time_s," + ",".join(scada.column_labels()) if scada.columns \
-        else "time_s"
-    lines = [header]
-    for i, t in enumerate(scada.times):
-        cells = [repr(float(t))] + [_fmt(v) for v in scada.values[i]]
-        lines.append(",".join(cells))
+    lines = [",".join(("time_s",) + scada.column_labels())]
+    # a float's repr holds "nan" only if it is NaN, which is written empty
+    for row in np.column_stack((scada.times, scada.values)):
+        lines.append(",".join(map(repr, row.tolist())).replace("nan", ""))
     return "\n".join(lines) + "\n"
 
 

@@ -6,14 +6,16 @@ series, optional quality series, corrupted SCADA readings and ground-truth
 event records.
 
 `ScenarioConfig` is the one configuration surface of a run. Each rule is
-stated once: the JSON reader checks shapes only (each object's keys against
-a table of JSON type and whether the key is required); every single-field
-value rule lives in the dataclass built from it, and the reader puts the
-object path in front of the ConfigError that dataclass raises; and
-`validate_scenario` makes the cross-field and network checks. The dataclasses
-store numbers as floats (durations as whole seconds), so the JSON form is
-canonical for every config: emitting, parsing and re-emitting is a fixed
-point, and the digest of that form is stamped onto the result series.
+stated once. One key table per JSON object gives each key's JSON type,
+whether it is required, and its value read off the dataclass; the reader
+checks shapes only against it, and the writer emits from it in table order.
+Every single-field value rule lives in the dataclass built from an object,
+and the reader puts the object path in front of the ConfigError that
+dataclass raises. `validate_scenario` makes the cross-field and network
+checks. The dataclasses store numbers as floats (durations as whole
+seconds), so the JSON form is canonical for every config: emitting, parsing
+and re-emitting is a fixed point, and the digest of that form is stamped
+onto the result series.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,8 +46,8 @@ from .quality import (
     QualitySettings, QualityState, _whole_seconds, simulate_quality,
 )
 from .scada import (
-    GroundTruthRecord, RowCorruptor, ScadaData, SensorPlacement, corrupt,
-    extract_readings,
+    _PLACEMENT, _SOURCES, GroundTruthRecord, RowCorruptor, ScadaData,
+    SensorPlacement, corrupt, extract_readings,
 )
 
 __all__ = [
@@ -131,39 +134,55 @@ _JSON_TYPES = {
         lambda v: isinstance(v, list) and all(map(_is_number, v)),
 }
 
-_STR = ("a string", True)
-_NUM = ("a number", True)
-_WINDOW = {"start_time_s": _NUM, "end_time_s": _NUM}
-_CONFIG = {"network_path": _STR, "simulation": ("an object", True),
-           "sensors": ("an object", False), "leakages": ("a list", False),
-           "actuator_events": ("a list", False),
-           "sensor_faults": ("a list", False),
-           "communication_events": ("a list", False),
-           "uncertainties": ("a list", False), "seed": ("an integer", True),
-           "outputs": ("an object", False), "quality": ("an object", False)}
-_SIMULATION = {"duration_s": _NUM,
-               "hydraulic_time_step_s": ("a number", False),
-               "quality_time_step_s": ("a number", False)}
-_SENSORS = {key: ("a list of strings", False) for key in (
-    "pressure_nodes", "flow_links", "quality_nodes", "tank_level_tanks")}
-_OUTPUTS = {"scada_csv_path": ("a string", False),
-            "truth_csv_path": ("a string", False)}
-_QUALITY = {"decay_rate_k": ("a number", False),
-            "source_nodes": ("an object of numbers", False)}
-_LEAKAGE = {"kind": _STR, "link_id": _STR, "diameter": _NUM, **_WINDOW,
-            "peak_time_s": ("a number", False),
-            "discharge_coef": ("a number", False),
-            "area_pattern": ("a list of numbers", False)}
-_ACTUATOR = {"kind": _STR, "target_id": _STR,
-             "value": ("a boolean or a number", True), **_WINDOW}
-_FAULT = {"kind": _STR, "sensor_type": _STR, "element_id": _STR,
-          "param": _NUM, **_WINDOW}
-_COMMUNICATION = {"kind": _STR, "sensor_type": ("a string", False),
-                  "element_id": ("a string", False),
-                  "all_sensors": ("a boolean", False), **_WINDOW}
-_UNCERTAINTY = {"kind": _STR, "target": _STR,
-                "params": ("an object of numbers", False),
-                "submodels": ("a list", False)}
+
+def _emit(obj, keys: dict) -> dict:
+    """The JSON object of obj: each key of its table in table order, with
+    the value read off obj, unless that value is None."""
+    return {key: value for key, (_, _, get) in keys.items()
+            if (value := get(obj)) is not None}
+
+
+# One key table per JSON object: key -> (JSON type, whether it is required,
+# its value read off the object built from it). The reader checks the first
+# two; the writer emits the values in table order and leaves out a None.
+_S, _N = "a string", "a number"
+_KIND = {"kind": (_S, True, attrgetter("kind"))}
+_WINDOW = {"start_time_s": (_N, True, attrgetter("window.start_time")),
+           "end_time_s": (_N, True, attrgetter("window.end_time"))}
+_SIMULATION = {
+    "duration_s": (_N, True, attrgetter("duration_s")),
+    "hydraulic_time_step_s": (_N, False, attrgetter("hydraulic_time_step_s")),
+    "quality_time_step_s": (_N, False, attrgetter("quality_time_step_s"))}
+_SENSORS = {name: ("a list of strings", False, attrgetter(name))
+            for name in _PLACEMENT}
+_OUTPUTS = {name: (_S, False, attrgetter(name))
+            for name in ("scada_csv_path", "truth_csv_path")}
+_QUALITY = {"decay_rate_k": (_N, False, attrgetter("decay_rate_k")),
+            "source_nodes": ("an object of numbers", False,
+                             lambda q: dict(q.source_nodes))}
+_LEAKAGE = {**_KIND, "link_id": (_S, True, attrgetter("link_id")),
+            "diameter": (_N, True, attrgetter("diameter")), **_WINDOW,
+            "peak_time_s": (_N, False, attrgetter("window.peak_time")),
+            "discharge_coef": (_N, False, attrgetter("discharge_coef")),
+            "area_pattern": ("a list of numbers", False,
+                             attrgetter("area_pattern"))}
+_ACTUATOR = {**_KIND, "target_id": (_S, True, attrgetter("target_id")),
+             "value": ("a boolean or a number", True, attrgetter("value")),
+             **_WINDOW}
+_FAULT = {**_KIND, "sensor_type": (_S, True, lambda e: e.sensor_ref[0]),
+          "element_id": (_S, True, lambda e: e.sensor_ref[1]),
+          "param": (_N, True, attrgetter("param")), **_WINDOW}
+_COMMUNICATION = {
+    **_KIND, **_WINDOW,
+    "all_sensors": ("a boolean", False,
+                    lambda e: True if e.sensor_ref is None else None),
+    "sensor_type": (_S, False, lambda e: e.sensor_ref and e.sensor_ref[0]),
+    "element_id": (_S, False, lambda e: e.sensor_ref and e.sensor_ref[1])}
+_UNCERTAINTY = {
+    **_KIND, "target": (_S, True, attrgetter("target")),
+    "params": ("an object of numbers", False, attrgetter("params")),
+    "submodels": ("a list", False, lambda m: m.submodels and [
+        _emit(s, _UNCERTAINTY) for s in m.submodels])}
 
 
 def _read(obj, path: str, keys: dict, build=dict):
@@ -174,7 +193,7 @@ def _read(obj, path: str, keys: dict, build=dict):
     for key in obj:
         if key not in keys:
             raise ConfigError(f"{path}: unknown key '{key}'")
-    for key, (kind, required) in keys.items():
+    for key, (kind, required, _) in keys.items():
         if key not in obj:
             if required:
                 raise ConfigError(f"{path}: missing key '{key}'")
@@ -223,15 +242,10 @@ def _communication(o: dict) -> CommunicationEvent:
 
 
 def _uncertainty(o: dict) -> UncertaintyModel:
-    subs = o.get("submodels")
     return UncertaintyModel(
-        kind=o["kind"], target=o["target"], params=o.get("params") or None,
-        submodels=tuple(_read(s, f"submodels[{i}]", _UNCERTAINTY, _uncertainty)
-                        for i, s in enumerate(subs)) if subs else None)
-
-
-def _sensors(o: dict) -> SensorPlacement:
-    return SensorPlacement(**{k: tuple(sorted(ids)) for k, ids in o.items()})
+        kind=o["kind"], target=o["target"], params=o.get("params"),
+        submodels=[_read(s, f"submodels[{i}]", _UNCERTAINTY, _uncertainty)
+                   for i, s in enumerate(o.get("submodels", []))])
 
 
 def _quality(o: dict) -> QualitySpec:
@@ -239,12 +253,31 @@ def _quality(o: dict) -> QualitySpec:
     return QualitySpec(**{**o, "source_nodes": sources})
 
 
-# ScenarioConfig field -> (key table, builder) of each list of objects
-_LISTS = {"leakages": (_LEAKAGE, _leakage),
-          "actuator_events": (_ACTUATOR, _actuator),
-          "sensor_faults": (_FAULT, _fault),
-          "communication_events": (_COMMUNICATION, _communication),
-          "uncertainties": (_UNCERTAINTY, _uncertainty)}
+# ScenarioConfig field -> (key table, builder, event family) of each list of
+# objects; the uncertainty models are no event family
+_LISTS = {"leakages": (_LEAKAGE, _leakage, "leakage"),
+          "actuator_events": (_ACTUATOR, _actuator, "actuator"),
+          "sensor_faults": (_FAULT, _fault, "sensor_fault"),
+          "communication_events": (_COMMUNICATION, _communication,
+                                   "communication"),
+          "uncertainties": (_UNCERTAINTY, _uncertainty, None)}
+_CONFIG = {
+    "network_path": (_S, True, attrgetter("network_path")),
+    "simulation": ("an object", True, lambda c: _emit(c, _SIMULATION)),
+    "sensors": ("an object", False, lambda c: _emit(c.sensors, _SENSORS)),
+    **{name: ("a list", False, lambda c, name=name, keys=keys: [
+        _emit(o, keys) for o in getattr(c, name)])
+       for name, (keys, _, _) in _LISTS.items()},
+    "seed": ("an integer", True, attrgetter("seed")),
+    "outputs": ("an object", False, lambda c: _emit(c, _OUTPUTS) or None),
+    "quality": ("an object", False,
+                lambda c: c.quality and _emit(c.quality, _QUALITY))}
+
+
+def _event_lists(cfg: ScenarioConfig):
+    """(field, event family, events) of each event list of a config."""
+    return [(name, family, getattr(cfg, name))
+            for name, (_, _, family) in _LISTS.items() if family]
 
 
 def _reject_constant(name: str):
@@ -259,9 +292,9 @@ def config_from_json(text: str) -> ScenarioConfig:
     _read(doc, "config", _CONFIG)
     parts = {name: tuple(_read(o, f"{name}[{i}]", keys, build)
                          for i, o in enumerate(doc.get(name, [])))
-             for name, (keys, build) in _LISTS.items()}
+             for name, (keys, build, _) in _LISTS.items()}
     parts["sensors"] = _read(doc.get("sensors", {}), "sensors", _SENSORS,
-                             _sensors)
+                             lambda o: SensorPlacement(**o))
     parts.update(_read(doc.get("outputs", {}), "outputs", _OUTPUTS))
     if "quality" in doc:
         parts["quality"] = _read(doc["quality"], "quality", _QUALITY, _quality)
@@ -272,76 +305,8 @@ def config_from_json(text: str) -> ScenarioConfig:
                                             seed=doc["seed"], **sim, **parts))
 
 
-def _window_json(w: EventWindow) -> dict:
-    out = {"start_time_s": w.start_time, "end_time_s": w.end_time}
-    if w.peak_time is not None:
-        out["peak_time_s"] = w.peak_time
-    return out
-
-
-def _uncertainty_json(m: UncertaintyModel) -> dict:
-    out = {"kind": m.kind, "target": m.target}
-    if m.params:
-        out["params"] = {k: m.params[k] for k in sorted(m.params)}
-    if m.submodels:
-        out["submodels"] = [_uncertainty_json(s) for s in m.submodels]
-    return out
-
-
 def config_to_json(cfg: ScenarioConfig) -> str:
-    sim = {"duration_s": cfg.duration_s,
-           "hydraulic_time_step_s": cfg.hydraulic_time_step_s}
-    if cfg.quality_time_step_s is not None:
-        sim["quality_time_step_s"] = cfg.quality_time_step_s
-    doc = {
-        "network_path": cfg.network_path,
-        "simulation": sim,
-        "sensors": {
-            "pressure_nodes": sorted(cfg.sensors.pressure_nodes),
-            "flow_links": sorted(cfg.sensors.flow_links),
-            "quality_nodes": sorted(cfg.sensors.quality_nodes),
-            "tank_level_tanks": sorted(cfg.sensors.tank_level_tanks),
-        },
-        "leakages": [],
-        "actuator_events": [],
-        "sensor_faults": [],
-        "communication_events": [],
-        "uncertainties": [_uncertainty_json(m) for m in cfg.uncertainties],
-        "seed": cfg.seed,
-    }
-    for e in cfg.leakages:
-        obj = {"kind": e.kind, "link_id": e.link_id, "diameter": e.diameter,
-               **_window_json(e.window), "discharge_coef": e.discharge_coef}
-        if e.area_pattern is not None:
-            obj["area_pattern"] = list(e.area_pattern)
-        doc["leakages"].append(obj)
-    for e in cfg.actuator_events:
-        doc["actuator_events"].append(
-            {"kind": e.kind, "target_id": e.target_id, "value": e.value,
-             **_window_json(e.window)})
-    for e in cfg.sensor_faults:
-        doc["sensor_faults"].append(
-            {"kind": e.kind, "sensor_type": e.sensor_ref[0],
-             "element_id": e.sensor_ref[1], "param": e.param,
-             **_window_json(e.window)})
-    for e in cfg.communication_events:
-        obj = {"kind": e.kind, **_window_json(e.window)}
-        if e.sensor_ref is None:
-            obj["all_sensors"] = True
-        else:
-            obj["sensor_type"], obj["element_id"] = e.sensor_ref
-        doc["communication_events"].append(obj)
-    if cfg.scada_csv_path is not None or cfg.truth_csv_path is not None:
-        outputs = {}
-        if cfg.scada_csv_path is not None:
-            outputs["scada_csv_path"] = cfg.scada_csv_path
-        if cfg.truth_csv_path is not None:
-            outputs["truth_csv_path"] = cfg.truth_csv_path
-        doc["outputs"] = outputs
-    if cfg.quality is not None:
-        doc["quality"] = {"decay_rate_k": cfg.quality.decay_rate_k,
-                          "source_nodes": dict(cfg.quality.source_nodes)}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_emit(cfg, _CONFIG), indent=2) + "\n"
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -376,10 +341,7 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     if qstep is not None and cfg.hydraulic_time_step_s % qstep != 0:
         problems.append("quality_time_step_s must divide hydraulic_time_step_s")
 
-    for name, events in (("leakages", cfg.leakages),
-                         ("actuator_events", cfg.actuator_events),
-                         ("sensor_faults", cfg.sensor_faults),
-                         ("communication_events", cfg.communication_events)):
+    for name, _, events in _event_lists(cfg):
         for i, e in enumerate(events):
             if e.window.end_time > cfg.duration_s:
                 problems.append(f"{name}[{i}]: window ends after duration_s")
@@ -395,37 +357,28 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
         elif e.target_id not in network.valves:
             problems.append(f"actuator_events[{i}]: no valve '{e.target_id}'")
 
-    links = set(network.link_ids())
-    nodes = set(network.node_ids())
-    for nid in cfg.sensors.pressure_nodes:
-        if nid not in network.junctions:
-            problems.append(f"sensors: pressure node '{nid}' is not a junction")
-    for lid in cfg.sensors.flow_links:
-        if lid not in links:
-            problems.append(f"sensors: flow link '{lid}' does not exist")
-    for nid in cfg.sensors.quality_nodes:
-        if nid not in nodes:
-            problems.append(f"sensors: quality node '{nid}' does not exist")
-    for tid in cfg.sensors.tank_level_tanks:
-        if tid not in network.tanks:
-            problems.append(f"sensors: level tank '{tid}' does not exist")
+    # each sensor type sits on the elements the readings are taken from
+    layout = incidence(network)
+    ids = {stype: set(getattr(layout, attr))
+           for stype, (_, attr, _) in _SOURCES.items()}
+    columns = cfg.sensors.columns()
+    for c in columns:
+        if c.element_id not in ids[c.sensor_type]:
+            problems.append(f"sensors: {c.sensor_type} sensor"
+                            f" '{c.element_id}' is not"
+                            f" {_SOURCES[c.sensor_type][2]}")
 
-    labels = {c.label for c in cfg.sensors.columns()}
-    for i, e in enumerate(cfg.sensor_faults):
-        ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-        if ref not in labels:
-            problems.append(f"sensor_faults[{i}]: no sensor '{ref}'"
-                            " in the placement")
-    for i, e in enumerate(cfg.communication_events):
-        if e.sensor_ref is not None:
-            ref = f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-            if ref not in labels:
-                problems.append(f"communication_events[{i}]: no sensor"
-                                f" '{ref}' in the placement")
+    labels = {c.label for c in columns}
+    for name in ("sensor_faults", "communication_events"):
+        for i, e in enumerate(getattr(cfg, name)):
+            ref = e.sensor_ref and f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
+            if ref is not None and ref not in labels:
+                problems.append(f"{name}[{i}]: no sensor '{ref}'"
+                                " in the placement")
 
     if cfg.quality is not None:
         for nid, _ in cfg.quality.source_nodes:
-            if nid not in nodes:
+            if nid not in layout.node_index:
                 problems.append(f"quality: source node '{nid}' does not exist")
 
     if problems:
@@ -523,16 +476,11 @@ class ScenarioRuntime:
             decay_rate_k=k, source_nodes=dict(spec.source_nodes))
 
     def truth_records(self) -> tuple[GroundTruthRecord, ...]:
-        records = []
-        for name, events in (("leakage", self.config.leakages),
-                             ("actuator", self.config.actuator_events),
-                             ("sensor_fault", self.config.sensor_faults),
-                             ("communication", self.config.communication_events)):
-            for i, e in enumerate(events):
-                records.append(GroundTruthRecord(
-                    f"{name}_{i}", e.kind, e.window.start_time,
-                    e.window.end_time))
-        return tuple(records)
+        return tuple(
+            GroundTruthRecord(f"{family}_{i}", e.kind, e.window.start_time,
+                              e.window.end_time)
+            for _, family, events in _event_lists(self.config)
+            for i, e in enumerate(events))
 
     def make_corruptor(self, columns, times) -> RowCorruptor:
         return RowCorruptor(columns, times, list(self.config.sensor_faults),

@@ -94,9 +94,13 @@ class UncertaintyModel:
             raise ConfigError(f"unknown uncertainty kind '{self.kind}'")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown uncertainty target '{self.target}'")
-        if self.params is not None:
-            object.__setattr__(self, "params",
-                               {k: float(v) for k, v in self.params.items()})
+        # sorted floats, and None for no params or submodels, so the
+        # canonical JSON form is a fixed point
+        object.__setattr__(self, "params", {
+            k: float(self.params[k]) for k in sorted(self.params)}
+            if self.params else None)
+        object.__setattr__(self, "submodels",
+                           tuple(self.submodels) if self.submodels else None)
         params = self.params or {}
         for name, value in params.items():
             if not math.isfinite(value):

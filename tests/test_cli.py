@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from wdnflow import bundled, cli
-from wdnflow.scada import SensorPlacement
-from wdnflow.scenario import ScenarioConfig, run_scenario, save_config
+from wdnflow.events import (
+    ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
+    SensorFaultEvent,
+)
+from wdnflow.scada import SensorPlacement, to_csv
+from wdnflow.scenario import (
+    ScenarioConfig, load_config, run_scenario, save_config,
+)
 from wdnflow.uncertainty import UncertaintyModel
 
 NO_SOURCE_INP = """
@@ -79,6 +85,28 @@ class TestRun:
         a = (tmp_path / "a" / "scenario_scada.csv").read_text()
         b = (tmp_path / "b" / "scenario_scada.csv").read_text()
         assert a != b
+
+    def test_saved_config_with_every_event_family_runs(self, tmp_path):
+        """A config built in Python, saved and run from the command line,
+        writes the bytes run_scenario gives for it."""
+        path = write_config(
+            tmp_path, network_path=bundled.pumpnet_path(), duration_s=7200,
+            sensors=SensorPlacement(pressure_nodes=("j1", "j2"),
+                                    flow_links=("p1",),
+                                    tank_level_tanks=("t1",)),
+            leakages=(LeakageEvent("incipient", "p2", 0.01,
+                                   EventWindow(600.0, 6000.0, 3600.0)),),
+            actuator_events=(ActuatorEvent("pump_speed", "pu1", 0.8,
+                                           EventWindow(1800.0, 3600.0)),),
+            sensor_faults=(SensorFaultEvent("drift", ("pressure", "j1"), 0.5,
+                                            EventWindow(0.0, 3600.0)),),
+            communication_events=(CommunicationEvent(
+                "data_loss", EventWindow(4800.0, 5400.0)),),
+            seed=3)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        expected = to_csv(run_scenario(load_config(str(path))).scada)
+        assert "\n4800.0,,,,\n" in expected     # the data loss took effect
+        assert (tmp_path / "scenario_scada.csv").read_text() == expected
 
     def test_same_invocation_reproduces_bytes(self, tmp_path):
         config = write_config(tmp_path)

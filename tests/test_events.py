@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wdnflow import UnknownTargetError, incidence, validate
+from wdnflow import ConfigError, UnknownTargetError, incidence, validate
 from wdnflow.events import (
     EVENT_REGISTRY,
     LEAK_JUNCTION_SUFFIX,
@@ -61,6 +61,17 @@ class TestEventWindow:
     def test_peak_must_fall_inside(self):
         with pytest.raises(Exception):
             EventWindow(0.0, 100.0, peak_time=200.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda w: ActuatorEvent("pump_state", "pu1", False, w),
+        lambda w: SensorFaultEvent("offset", ("pressure", "n1"), 0.5, w),
+        lambda w: CommunicationEvent("data_loss", w),
+    ], ids=["actuator", "sensor_fault", "communication"])
+    def test_only_a_leak_takes_a_peak(self, make):
+        """The JSON form has a peak key for leaks only, so an event that
+        kept a peak could be saved but not loaded again."""
+        with pytest.raises(ConfigError, match="peak_time"):
+            make(EventWindow(0.0, 3600.0, 1800.0))
 
 
 class TestLeakGeometry:

@@ -1,5 +1,6 @@
 """Tests for scenario configuration, validation, and the batch runner."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wdnflow.inp
 import wdnflow.network
@@ -130,6 +132,137 @@ class TestJsonRoundTrip:
         cfg_path.write_text(json.dumps(payload))
         loaded = load_config(str(cfg_path))
         assert loaded.network_path == str(inp)
+
+
+def every_key_config():
+    """A config that sets every JSON key at least once."""
+    w = EventWindow(0.0, 3600.0)
+    return ScenarioConfig(
+        network_path="net.inp", duration_s=86400, hydraulic_time_step_s=900,
+        quality_time_step_s=60,
+        sensors=SensorPlacement(pressure_nodes=("j2", "j1"),
+                                flow_links=("p1",), quality_nodes=("j1",),
+                                tank_level_tanks=("t1",)),
+        leakages=(
+            LeakageEvent("abrupt", "p1", 0.01, w),
+            LeakageEvent("incipient", "p2", 0.02,
+                         EventWindow(3600.0, 7200.0, 5400.0),
+                         discharge_coef=0.6),
+            LeakageEvent("pattern", "p1", 0.005, EventWindow(7200.0, 10800.0),
+                         area_pattern=(0.0, 0.5, 1.0))),
+        actuator_events=(ActuatorEvent("pump_state", "pu1", False, w),
+                         ActuatorEvent("pump_speed", "pu1", 0.8, w),
+                         ActuatorEvent("valve_state", "v1", True, w)),
+        sensor_faults=(SensorFaultEvent("drift", ("flow", "p1"), 0.1, w),),
+        communication_events=(
+            CommunicationEvent("data_loss", w),
+            CommunicationEvent("freeze", w, ("pressure", "j1"))),
+        uncertainties=(
+            UncertaintyModel("compound", "sensor_noise", submodels=(
+                UncertaintyModel("gauss_abs", "sensor_noise", {"sigma": 0.01}),
+                UncertaintyModel("spike", "sensor_noise",
+                                 {"probability": 0.01, "amplitude": 1.0}))),
+            UncertaintyModel("gauss_rel", "pipe_roughness", {"sigma": 0.05})),
+        seed=11, scada_csv_path="out/scada.csv", truth_csv_path="out/truth.csv",
+        quality=QualitySpec(decay_rate_k=1e-5, source_nodes=(("r1", 1.0),)))
+
+
+_IDS = st.sampled_from(["a", "j1", "p 2", "ü"])
+_TIMES = st.floats(0.0, 1e6)
+
+
+@st.composite
+def _windows(draw, peak=None):
+    """peak: None = maybe, True = always, False = never."""
+    start = draw(_TIMES)
+    end = start + draw(st.floats(1e-3, 1e6))
+    if peak is None:
+        peak = draw(st.booleans())
+    return EventWindow(start, end,
+                       draw(st.floats(start, end)) if peak else None)
+
+
+def _leaks(kind):
+    pattern = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(tuple)
+    return st.builds(
+        LeakageEvent, kind=st.just(kind), link_id=_IDS,
+        diameter=st.floats(1e-4, 1.0),
+        window=_windows(True if kind == "incipient" else None),
+        discharge_coef=st.floats(0.1, 1.0),
+        area_pattern=pattern if kind == "pattern" else st.none() | pattern)
+
+
+_SENSOR_REFS = st.tuples(st.sampled_from(["pressure", "flow", "quality",
+                                          "level"]), _IDS)
+_MODELS = st.builds(UncertaintyModel,
+                    kind=st.sampled_from(["gauss_abs", "uniform_abs"]),
+                    target=st.just("sensor_noise"),
+                    params=st.fixed_dictionaries({
+                        "sigma": st.floats(0.0, 1.0),
+                        "amplitude": st.floats(0.0, 1.0)}),
+                    submodels=st.sampled_from([None, ()]))
+
+
+def configs():
+    """Configs as Python builds them: ids in any order, empty uncertainty
+    params and submodels, every event family, optional keys set or
+    not."""
+    placement = st.lists(_IDS, unique=True, max_size=3)
+    return st.builds(
+        ScenarioConfig,
+        network_path=_IDS,
+        duration_s=st.integers(1, 10**6),
+        hydraulic_time_step_s=st.integers(1, 3600),
+        quality_time_step_s=st.none() | st.integers(1, 60),
+        sensors=st.builds(SensorPlacement, placement, placement, placement,
+                          placement),
+        leakages=st.lists(st.sampled_from(["abrupt", "incipient", "pattern"])
+                          .flatmap(_leaks), max_size=3).map(tuple),
+        actuator_events=st.lists(st.one_of(
+            st.builds(ActuatorEvent, st.sampled_from(["pump_state",
+                                                      "valve_state"]),
+                      _IDS, st.booleans(), _windows(False)),
+            st.builds(ActuatorEvent, st.just("pump_speed"), _IDS,
+                      st.floats(0.0, 2.0), _windows(False))),
+            max_size=2).map(tuple),
+        sensor_faults=st.lists(st.builds(
+            SensorFaultEvent, st.sampled_from(["offset", "gaussian"]),
+            _SENSOR_REFS, st.floats(0.0, 5.0), _windows(False)),
+            max_size=2).map(tuple),
+        communication_events=st.lists(st.builds(
+            CommunicationEvent, st.sampled_from(["data_loss", "freeze"]),
+            _windows(False), st.none() | _SENSOR_REFS), max_size=2).map(tuple),
+        uncertainties=st.lists(st.one_of(
+            _MODELS,
+            st.lists(_MODELS, min_size=2, max_size=3).map(
+                lambda subs: UncertaintyModel("compound", "sensor_noise",
+                                              params={}, submodels=subs))),
+            max_size=2).map(tuple),
+        seed=st.integers(0, 2**63),
+        scada_csv_path=st.none() | _IDS,
+        truth_csv_path=st.none() | _IDS,
+        quality=st.none() | st.builds(
+            QualitySpec, st.floats(0.0, 1e-3),
+            st.dictionaries(_IDS, st.floats(0.0, 10.0), max_size=2).map(
+                lambda d: tuple(d.items()))))
+
+
+class TestCanonicalJson:
+    def test_bytes_are_pinned(self):
+        """The digest of these bytes is stamped onto every result series,
+        so they change only on purpose."""
+        text = config_to_json(every_key_config())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "6b21f4f9cf949b789aec45226d5f3f59dd675bd53b04cdfa7bcfbd359190e217"
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(config=configs())
+    def test_round_trip_is_a_fixed_point(self, config):
+        text = config_to_json(config)
+        back = config_from_json(text)
+        assert back == config
+        assert config_to_json(back) == text
 
 
 _DROP = object()
