@@ -31,8 +31,10 @@ fixed head (reachability, the unknown-node numbering and its fill-reducing
 order, island heads, each node's nearest source, the cold-start flow signs,
 the per-kind link indices and the matrix's sparsity pattern) is built by the
 network module's one graph traversal the first time that topology is met,
-and cached on the engine's layout; `EpsEngine.reset` rewinds an engine and
-keeps that cache. At that point the topology also solves its reference
+and cached on the solver's layout of the network. That layout is compiled
+once per Network object and kept on it, as its incidence is, so every
+`solve_snapshot` call and every `EpsEngine` on one network share its
+topologies. When it is built, a topology also solves its reference
 snapshot once, from static data only: base demands on reached junctions, no
 emitters, tanks at their initial levels, reservoir heads at t = 0 and each
 pump at its network speed. Every snapshot of the topology starts Newton from
@@ -76,7 +78,8 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, Tank, _traverse, expand_pump_curve, incidence,
+    Curve, Network, Pattern, Tank, _compiled, _traverse, expand_pump_curve,
+    incidence,
 )
 
 __all__ = [
@@ -359,12 +362,17 @@ def _fill_reducing_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return order
 
 
+def _layout(network: Network) -> _Layout:
+    """The network's solver layout, compiled once per Network object and
+    kept on it."""
+    return _compiled(network, "_layout", _Layout)
+
+
 class _Layout:
     """The solver's coefficients over a network's compiled layout, plus the
-    cache of snapshot topologies; shared across snapshots."""
+    cache of snapshot topologies; shared by every solve on the network."""
 
     def __init__(self, network: Network):
-        self.network = network
         self.inc = inc = incidence(network)
         groups = (network.pipes, network.pumps, network.valves)
         r_coef = []
@@ -658,8 +666,7 @@ def solve_snapshot(network: Network, demands: dict[str, float],
                    controls: Controls | None = None, *,
                    emitters: dict[str, float] | None = None,
                    tank_levels: dict[str, float] | None = None,
-                   t: float = 0.0,
-                   _layout: _Layout | None = None) -> HydraulicState:
+                   t: float = 0.0) -> HydraulicState:
     """Solve one quasi-steady snapshot.
 
     demands: junction id -> m3/s (already pattern-scaled). controls: overrides
@@ -669,9 +676,10 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     Every id must name an element of its kind (else UnknownTargetError) and
     every value be a finite number, k >= 0 (else ConfigError). Tanks at a
     level bound that the solution keeps pushing against are closed and the
-    snapshot re-solved.
+    snapshot re-solved. Calls on one Network object share its solver
+    layout and the topologies it has met.
     """
-    layout = _layout if _layout is not None else _Layout(network)
+    layout = _layout(network)
     demand = _scatter(np.zeros(len(layout.inc.node_ids)),
                       layout.junction_index, demands, "junction", "demand")
     levels = _scatter(layout.tank_init.copy(), layout.tank_index,
@@ -896,7 +904,7 @@ class EpsEngine:
         self.total_steps = self.duration_s // self.step_s
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
-        self.layout = _Layout(network)
+        self.layout = _layout(network)
         self._plan()
         self._memo: dict[tuple, HydraulicState] = {}
         self.iteration_counts: Counter[int] = Counter()
@@ -908,9 +916,9 @@ class EpsEngine:
         return sum(self.iteration_counts.values())
 
     def reset(self) -> None:
-        """Rewind to t = 0 with every tank at its initial level; the layout
-        keeps its topologies and the engine its plan and memo, so a rerun
-        repeats no reference solve and no snapshot solve."""
+        """Rewind to t = 0 with every tank at its initial level; the
+        network's layout keeps its topologies and the engine its plan and
+        memo, so a rerun repeats no reference solve and no snapshot solve."""
         self.step_index = 0
         self.tank_levels = self.layout.tank_init.copy()
         self._taken: list[HydraulicState] = []

@@ -1,9 +1,17 @@
 """Reader and writer for a declared subset of the EPANET INP text format.
 
 Supported sections: [TITLE] [JUNCTIONS] [RESERVOIRS] [TANKS] [PIPES] [PUMPS]
-[VALVES] [DEMANDS] [PATTERNS] [CURVES] [TIMES] [OPTIONS]. Unknown sections are
-skipped with a warning. ";" starts a comment; tokens are whitespace-delimited
-(tabs and spaces are equivalent).
+[VALVES] [STATUS] [DEMANDS] [PATTERNS] [CURVES] [TIMES] [OPTIONS]. Unknown
+sections are skipped with a warning. ";" starts a comment; tokens are
+whitespace-delimited (tabs and spaces are equivalent). A [STATUS] row
+`id OPEN|CLOSED` opens or closes a pipe or valve, or runs or stops a pump,
+and wins over the status of a pipe's own row, as in EPANET.
+
+`write_inp` writes only what `parse_inp` reads back: it raises InpError on
+an id that is not one token, a title that does not read back as itself, a
+time option that is not a positive whole number of seconds, or a pattern
+whose step is not the network's pattern step. Stopped pumps and closed valves
+are written as [STATUS] rows.
 
 Units: only LPS and CMS flow units are accepted and everything is converted
 to strict SI (m3/s) on read. Pipe and valve diameters are millimetres in the
@@ -15,9 +23,10 @@ clock form; bare numbers are rejected rather than guessed at.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
+    InpError,
     MalformedSectionError,
     UnsupportedOptionError,
     UnsupportedUnitsError,
@@ -33,6 +42,7 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
+    _real,
     incidence,
     validate,
 )
@@ -43,8 +53,8 @@ __all__ = ["InpRow", "InpDocument", "tokenize_inp", "parse_inp",
 
 KNOWN_SECTIONS = (
     "[TITLE]", "[JUNCTIONS]", "[RESERVOIRS]", "[TANKS]", "[PIPES]",
-    "[PUMPS]", "[VALVES]", "[DEMANDS]", "[PATTERNS]", "[CURVES]",
-    "[TIMES]", "[OPTIONS]",
+    "[PUMPS]", "[VALVES]", "[STATUS]", "[DEMANDS]", "[PATTERNS]",
+    "[CURVES]", "[TIMES]", "[OPTIONS]",
 )
 
 _TIME_UNIT_S = {
@@ -339,6 +349,23 @@ def _parse(text: str, warnings: list[str] | None) -> Network:
         valves[vid] = Valve(vid, row.tokens[1], row.tokens[2],
                             diameter=diameter, minor_loss_coef=coef)
 
+    for lid, row in _rows(doc, "[STATUS]", (2,),
+                          "status row is: link_id OPEN|CLOSED",
+                          "duplicate status row for link '{}'"):
+        status = row.tokens[1].upper()
+        if status not in ("OPEN", "CLOSED"):
+            raise MalformedSectionError(
+                f"status must be OPEN or CLOSED, got '{row.tokens[1]}'",
+                row.line_no)
+        for group, attr in ((pipes, "open"), (pumps, "running"),
+                            (valves, "open")):
+            if lid in group:
+                group[lid] = replace(group[lid], **{attr: status == "OPEN"})
+                break
+        else:
+            raise MalformedSectionError(
+                f"status row references unknown link '{lid}'", row.line_no)
+
     if warnings is not None:
         warnings.extend(doc.warnings)
     return Network(junctions=junctions, reservoirs=reservoirs, tanks=tanks,
@@ -367,9 +394,46 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _reads_back(text: str) -> bool:
+    """Whether the tokenizer gives back this row text as written: its tokens
+    joined by single spaces, with no comment and no section header."""
+    return text != "" and " ".join(text.split()) == text \
+        and ";" not in text and not text.startswith("[")
+
+
+def _check_writable(network: Network) -> None:
+    """Raise InpError where parse_inp would not read back what write_inp
+    writes: a title line or an id that does not read back (an id must also
+    be one token), a time option that is not a positive whole number of
+    seconds, or a pattern step other than the network's."""
+    title = network.title
+    if title and not all(map(_reads_back, title.split("\n"))):
+        raise InpError(f"title {title!r} would not read back as written")
+    for kind, group in (("junction", network.junctions),
+                        ("reservoir", network.reservoirs),
+                        ("tank", network.tanks), ("pipe", network.pipes),
+                        ("pump", network.pumps), ("valve", network.valves),
+                        ("pattern", network.patterns),
+                        ("curve", network.curves)):
+        for eid in group:
+            if not _reads_back(eid) or " " in eid:
+                raise InpError(f"{kind} id {eid!r} is not one INP token")
+    for name, value in vars(network.options).items():
+        if not (_real(value, 0.0, above=True) and value == round(value)):
+            raise InpError(f"options {name} {value!r} is not a positive"
+                           " whole number of seconds")
+    step = network.options.pattern_step_s
+    for pat in network.patterns.values():
+        if pat.step != step:
+            raise InpError(f"pattern '{pat.id}' step {pat.step:g} s differs"
+                           f" from the pattern timestep {step} s")
+
+
 def write_inp(network: Network) -> str:
-    """Serialize to INP text (CMS units); parse_inp recovers an equal network."""
+    """Serialize to INP text (CMS units); parse_inp recovers an equal network.
+    Raises InpError instead where it would not (see `_check_writable`)."""
     incidence(network)
+    _check_writable(network)
     opt = network.options
     out: list[str] = []
     w = out.append
@@ -443,6 +507,16 @@ def write_inp(network: Network) -> str:
             w(f" {v.id}  {v.from_node}  {v.to_node}  {_fmt(v.diameter * 1000.0)}"
               f"  TCV  {_fmt(v.minor_loss_coef)}")
         w("")
+    stopped = [uid for uid in sorted(network.pumps)
+               if not network.pumps[uid].running]
+    closed = [vid for vid in sorted(network.valves)
+              if not network.valves[vid].open]
+    if stopped or closed:
+        w("[STATUS]")
+        w(";id  status")
+        for lid in stopped + closed:
+            w(f" {lid}  CLOSED")
+        w("")
     if network.patterns:
         w("[PATTERNS]")
         w(";id  multipliers")
@@ -472,5 +546,8 @@ def load_network(path: str, warnings: list[str] | None = None) -> Network:
 
 
 def save_network(network: Network, path: str) -> None:
+    """Write the network's INP text to path; a network that write_inp
+    refuses leaves no file."""
+    text = write_inp(network)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_inp(network))
+        fh.write(text)

@@ -4,13 +4,16 @@ All quantities are strict SI: lengths and heads in m, flows in m3/s,
 times in s. Roughness is the dimensionless Hazen-Williams C.
 
 `incidence` compiles a network into the layout every layer shares, and
-validates it, once per Network object. `_traverse` is the one graph
-traversal: `validate` and the solver's topologies both walk the graph by it.
+validates it, once per Network object; `_compiled` is how such a compile is
+kept on its network, for the incidence and for the solver's layout alike.
+`_traverse` is the one graph traversal: `validate` and the solver's
+topologies both walk the graph by it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -184,8 +187,11 @@ def expand_pump_curve(curve: Curve) -> Curve:
     return Curve(curve.id, ((0.0, 1.33 * h0), (q0, h0), (2.0 * q0, 0.0)))
 
 
-def _check_finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+def _real(value, low: float = -math.inf, above: bool = False) -> bool:
+    """The one rule for a numeric field: a real number, not a bool, finite,
+    and at least `low` (above it, where `above` is set)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value) and (value > low if above else value >= low)
 
 
 def validate(network: Network) -> list[Violation]:
@@ -220,27 +226,29 @@ def validate(network: Network) -> list[Violation]:
             link_ids.add(elem.id)
 
     for j in network.junctions.values():
-        if not _check_finite(j.elevation):
+        if not _real(j.elevation):
             add(Violation("junction", j.id, "elevation not finite"))
-        if not _check_finite(j.base_demand) or j.base_demand < 0:
+        if not _real(j.base_demand, 0.0):
             add(Violation("junction", j.id, "base_demand must be >= 0"))
         if j.demand_pattern_id is not None and j.demand_pattern_id not in network.patterns:
             add(Violation("junction", j.id,
                           f"demand pattern '{j.demand_pattern_id}' not defined"))
 
     for r in network.reservoirs.values():
-        if not _check_finite(r.head):
+        if not _real(r.head):
             add(Violation("reservoir", r.id, "head not finite"))
         if r.head_pattern_id is not None and r.head_pattern_id not in network.patterns:
             add(Violation("reservoir", r.id,
                           f"head pattern '{r.head_pattern_id}' not defined"))
 
     for tk in network.tanks.values():
-        if not _check_finite(tk.elevation):
+        if not _real(tk.elevation):
             add(Violation("tank", tk.id, "elevation not finite"))
-        if not 0 < tk.diameter < math.inf:
+        if not _real(tk.diameter, 0.0, above=True):
             add(Violation("tank", tk.id, "diameter must be finite and > 0"))
-        if not (0 <= tk.min_level <= tk.init_level <= tk.max_level < math.inf):
+        levels = (tk.min_level, tk.init_level, tk.max_level)
+        if not (all(_real(x, 0.0) for x in levels)
+                and tk.min_level <= tk.init_level <= tk.max_level):
             add(Violation("tank", tk.id,
                           "levels must satisfy 0 <= min <= init <= max < inf"))
 
@@ -253,31 +261,31 @@ def validate(network: Network) -> list[Violation]:
     for p in network.pipes.values():
         check_endpoints("pipe", p)
         for name in ("length", "diameter", "roughness"):
-            if not 0 < getattr(p, name) < math.inf:
+            if not _real(getattr(p, name), 0.0, above=True):
                 add(Violation("pipe", p.id, f"{name} must be finite and > 0"))
 
     for pu in network.pumps.values():
         check_endpoints("pump", pu)
         if pu.curve_id not in network.curves:
             add(Violation("pump", pu.id, f"curve '{pu.curve_id}' not defined"))
-        if not 0 <= pu.speed < math.inf:
+        if not _real(pu.speed, 0.0):
             add(Violation("pump", pu.id, "speed must be finite and >= 0"))
 
     for v in network.valves.values():
         check_endpoints("valve", v)
-        if not 0 < v.diameter < math.inf:
+        if not _real(v.diameter, 0.0, above=True):
             add(Violation("valve", v.id, "diameter must be finite and > 0"))
-        if not 0 <= v.minor_loss_coef < math.inf:
+        if not _real(v.minor_loss_coef, 0.0):
             add(Violation("valve", v.id,
                           "minor_loss_coef must be finite and >= 0"))
 
     for pat in network.patterns.values():
         if not pat.multipliers:
             add(Violation("pattern", pat.id, "must have at least one multiplier"))
-        elif not all(0 <= m < math.inf for m in pat.multipliers):
+        elif not all(_real(m, 0.0) for m in pat.multipliers):
             add(Violation("pattern", pat.id,
                           "multipliers must be finite and >= 0"))
-        if not 0 < pat.step < math.inf:
+        if not _real(pat.step, 0.0, above=True):
             add(Violation("pattern", pat.id, "step must be finite and > 0"))
 
     for c in network.curves.values():
@@ -286,8 +294,9 @@ def validate(network: Network) -> list[Violation]:
             continue
         flows = [q for q, _ in c.points]
         heads = [h for _, h in c.points]
-        if not all(map(math.isfinite, flows + heads)):
+        if not all(map(_real, flows + heads)):
             add(Violation("curve", c.id, "points must be finite"))
+            continue
         if any(b <= a for a, b in zip(flows, flows[1:])):
             add(Violation("curve", c.id, "flows must be strictly increasing"))
         if any(b > a for a, b in zip(heads, heads[1:])):
@@ -357,14 +366,26 @@ class Incidence:
     link_kind: np.ndarray
 
 
+def _compiled(network: Network, name: str, build):
+    """build(network), kept on the network under `name`: built on first use
+    and shared by every later caller. Networks are copy-on-modify, so what is
+    kept cannot go stale, and dataclasses.replace gives a network that
+    compiles afresh. A build that raises keeps nothing."""
+    compiled = network.__dict__.get(name)
+    if compiled is None:
+        compiled = build(network)
+        object.__setattr__(network, name, compiled)
+    return compiled
+
+
 def incidence(network: Network) -> Incidence:
     """The network's compiled layout, built and validated once per Network
-    object and kept on it (networks are copy-on-modify, so it cannot go
-    stale). Raises DanglingReferenceError when a violation names a missing
-    element, InvalidNetworkError for any other."""
-    compiled = network.__dict__.get("_incidence")
-    if compiled is not None:
-        return compiled
+    object and kept on it. Raises DanglingReferenceError when a violation
+    names a missing element, InvalidNetworkError for any other."""
+    return _compiled(network, "_incidence", _compile_incidence)
+
+
+def _compile_incidence(network: Network) -> Incidence:
     violations = validate(network)
     dangling = [v for v in violations
                 if "does not exist" in v.message or "not defined" in v.message]
@@ -392,7 +413,7 @@ def incidence(network: Network) -> Incidence:
     for arr in (link_from, link_to, link_kind):
         arr.flags.writeable = False
 
-    compiled = Incidence(
+    return Incidence(
         node_ids=node_ids,
         link_ids=tuple(link_ids),
         junction_ids=junction_ids,
@@ -404,8 +425,6 @@ def incidence(network: Network) -> Incidence:
         link_to=link_to,
         link_kind=link_kind,
     )
-    object.__setattr__(network, "_incidence", compiled)
-    return compiled
 
 
 def _close(a: float, b: float, rtol: float) -> bool:

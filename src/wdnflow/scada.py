@@ -68,6 +68,10 @@ class SensorPlacement:
             object.__setattr__(self, name, ids)
             if len(set(ids)) != len(ids):
                 raise ConfigError(f"duplicate ids in {name}")
+            for eid in ids:
+                if "," in eid:
+                    raise ConfigError(f"{name}: id {eid!r} holds a comma,"
+                                      " the CSV column separator")
 
     def columns(self) -> tuple[SensorColumn, ...]:
         return tuple(SensorColumn(stype, eid, _UNITS[stype])

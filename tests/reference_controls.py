@@ -13,13 +13,15 @@ import numpy as np
 
 from wdnflow.errors import UnknownTargetError
 from wdnflow.hydraulics import Controls
+from wdnflow.network import Network, incidence
 
 
-def _active_mask(layout, controls: Controls) -> tuple[np.ndarray, np.ndarray]:
+def _active_mask(net: Network,
+                 controls: Controls) -> tuple[np.ndarray, np.ndarray]:
     """Per-link open mask and per-pump effective speed under the controls,
     before any tank closes; both read-only. An override must name a link of
     its map's kind."""
-    net, inc = layout.network, layout.inc
+    inc = incidence(net)
     for overrides, group, kind in (
             (controls.pipe_open, net.pipes, "pipe"),
             (controls.pump_running, net.pumps, "pump"),

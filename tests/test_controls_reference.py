@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reference_controls as ref
 from test_hydraulics import with_pump, with_valve_closed
 from wdnflow import UnknownTargetError, parse_inp
-from wdnflow.hydraulics import Controls, _active_mask, _Layout
+from wdnflow.hydraulics import Controls, _active_mask, _layout
 
 FIELDS = ("pipe_open", "pump_running", "pump_speed", "valve_open")
 SPEEDS = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
@@ -23,9 +23,9 @@ DRAWS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @pytest.fixture(scope="module")
-def layouts(toy9, pumpnet, perfbench_module):
+def networks(toy9, pumpnet, perfbench_module):
     grid = parse_inp(perfbench_module("netgen").grid_inp(6, 3))
-    networks = {
+    return {
         "toy9": toy9,
         "pumpnet": pumpnet,
         "pumpnet_parked": with_pump(pumpnet, running=False),
@@ -34,7 +34,6 @@ def layouts(toy9, pumpnet, perfbench_module):
         "grid_parked_valve_closed": with_valve_closed(
             with_pump(grid, running=False)),
     }
-    return {name: _Layout(net) for name, net in networks.items()}
 
 
 def group(network, field):
@@ -61,11 +60,11 @@ def control_sets(draw, network):
                              "pumpnet_speed0", "grid",
                              "grid_parked_valve_closed"]),
        data=st.data())
-def test_mask_and_speeds_equal_the_per_link_walk(layouts, name, data):
-    layout = layouts[name]
-    controls = data.draw(control_sets(layout.network))
-    for new, old in zip(_active_mask(layout, controls),
-                        ref._active_mask(layout, controls)):
+def test_mask_and_speeds_equal_the_per_link_walk(networks, name, data):
+    net = networks[name]
+    controls = data.draw(control_sets(net))
+    for new, old in zip(_active_mask(_layout(net), controls),
+                        ref._active_mask(net, controls)):
         assert new.dtype == old.dtype
         assert new.tobytes() == old.tobytes()
 
@@ -73,10 +72,9 @@ def test_mask_and_speeds_equal_the_per_link_walk(layouts, name, data):
 @DRAWS
 @given(name=st.sampled_from(["toy9", "pumpnet", "grid"]),
        field=st.sampled_from(FIELDS), data=st.data())
-def test_wrong_kind_id_raises_as_in_the_per_link_walk(layouts, name, field,
+def test_wrong_kind_id_raises_as_in_the_per_link_walk(networks, name, field,
                                                       data):
-    layout = layouts[name]
-    net = layout.network
+    net = networks[name]
     own = group(net, field)
     wrong = sorted(set(net.link_ids()) - set(own)) \
         + sorted(net.junctions)[:2] + ["nope"]
@@ -85,7 +83,7 @@ def test_wrong_kind_id_raises_as_in_the_per_link_walk(layouts, name, field,
     value = 0.5 if field == "pump_speed" else False
     controls = replace(valid, **{field: {**getattr(valid, field), lid: value}})
     with pytest.raises(UnknownTargetError) as new:
-        _active_mask(layout, controls)
+        _active_mask(_layout(net), controls)
     with pytest.raises(UnknownTargetError) as old:
-        ref._active_mask(layout, controls)
+        ref._active_mask(net, controls)
     assert str(new.value) == str(old.value)

@@ -36,7 +36,7 @@ from wdnflow.hydraulics import (
     Controls,
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
-    _Layout,
+    _layout,
     _overrides_key,
     fit_pump_curve,
     hazen_williams_headloss,
@@ -383,7 +383,6 @@ class TestRandomSnapshots:
         solved = leaky = 0
         for net in [toy9, pumpnet] + [parse_inp(grid_inp(s))
                                       for s in (3, 4, 5)]:
-            layout = _Layout(net)
             junctions = sorted(net.junctions)
             for _ in range(80):
                 controls = Controls(
@@ -403,7 +402,7 @@ class TestRandomSnapshots:
                 try:
                     state = solve_snapshot(net, demands, controls,
                                            emitters=emitters,
-                                           tank_levels=levels, _layout=layout)
+                                           tank_levels=levels)
                 except DisconnectedDemandError:
                     continue
                 assert state.mass_residual <= MASS_TOL
@@ -451,11 +450,10 @@ class TestStopRuleMargin:
         net = parse_inp(grid_inp(24))
         n_u = len(net.junctions)
         demands = {j: 1e-4 for j in net.junctions}
-        layout = _Layout(net)
-        solve_snapshot(net, demands, _layout=layout)   # loads SuperLU
+        solve_snapshot(net, demands)   # loads SuperLU
         tracemalloc.start()
         try:
-            solve_snapshot(net, demands, _layout=layout)
+            solve_snapshot(net, demands)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,60 +461,95 @@ class TestStopRuleMargin:
 
 
 class TestTopologyCache:
-    """Solves on a layout whose cache already holds other topologies equal,
-    bit for bit, a solve of the same inputs on a fresh layout."""
+    """Solves on a network whose layout already holds other topologies
+    equal, bit for bit, a solve of the same inputs on a copy of the network,
+    which compiles a fresh layout."""
 
-    def assert_same_as_fresh(self, network, layout, demands, **kw):
-        shared = solve_snapshot(network, demands, _layout=layout, **kw)
-        fresh = solve_snapshot(network, demands, **kw)
+    def assert_same_as_fresh(self, network, demands, **kw):
+        shared = solve_snapshot(network, demands, **kw)
+        fresh = solve_snapshot(replace(network), demands, **kw)
         assert np.array_equal(shared.flow, fresh.flow)
         assert np.array_equal(shared.head, fresh.head)
         return shared
 
     def test_toy9_pipe_closure_and_back(self, toy9):
-        layout = _Layout(toy9)
         closed = Controls(pipe_open={"p10": False})
         demands = {jid: 2e-5 for jid in toy9.junctions}
-        first = self.assert_same_as_fresh(toy9, layout, demands)
-        self.assert_same_as_fresh(toy9, layout, demands, controls=closed)
-        again = self.assert_same_as_fresh(toy9, layout, demands)
+        first = self.assert_same_as_fresh(toy9, demands)
+        self.assert_same_as_fresh(toy9, demands, controls=closed)
+        again = self.assert_same_as_fresh(toy9, demands)
         assert np.array_equal(first.flow, again.flow)
 
     def test_pumpnet_pump_off_and_tank_closed(self, pumpnet):
-        layout = _Layout(pumpnet)
         off = Controls(pump_running={"pu1": False})
         demands = {"j1": 5e-3, "j2": 3e-3}
         full = {"t1": pumpnet.tanks["t1"].max_level}
-        self.assert_same_as_fresh(pumpnet, layout, demands)
-        self.assert_same_as_fresh(pumpnet, layout, demands, controls=off)
-        state = self.assert_same_as_fresh(pumpnet, layout, demands,
+        self.assert_same_as_fresh(pumpnet, demands)
+        self.assert_same_as_fresh(pumpnet, demands, controls=off)
+        state = self.assert_same_as_fresh(pumpnet, demands,
                                           tank_levels=full)
         assert float(state.tank_net_inflow[0]) == 0.0
 
     def test_grid_valve_closed(self):
         net = parse_inp(grid_inp(5))
-        layout = _Layout(net)
         shut = Controls(valve_open={"v1": False})
         demands = {j: 5e-4 for j in net.junctions}
-        self.assert_same_as_fresh(net, layout, demands)
-        state = self.assert_same_as_fresh(net, layout, demands, controls=shut)
+        self.assert_same_as_fresh(net, demands)
+        state = self.assert_same_as_fresh(net, demands, controls=shut)
         assert float(state.flow[list(net.link_ids()).index("v1")]) == 0.0
-        self.assert_same_as_fresh(net, layout, demands)
+        self.assert_same_as_fresh(net, demands)
 
     def test_superlu_grid_pump_off_and_back(self):
         """Above the cut-over each topology orders its own unknowns."""
         net = parse_inp(grid_inp(11))
         assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
-        layout = _Layout(net)
         off = Controls(pump_running={"pu1": False})
         demands = {j: 5e-4 for j in net.junctions}
-        first = self.assert_same_as_fresh(net, layout, demands)
-        self.assert_same_as_fresh(net, layout, demands, controls=off)
-        self.assert_same_as_fresh(net, layout, demands,
+        first = self.assert_same_as_fresh(net, demands)
+        self.assert_same_as_fresh(net, demands, controls=off)
+        self.assert_same_as_fresh(net, demands,
                                   controls=Controls(valve_open={"v1": False}))
-        again = self.assert_same_as_fresh(net, layout, demands)
+        again = self.assert_same_as_fresh(net, demands)
         assert np.array_equal(first.head, again.head)
-        assert len(layout._topologies) == 3
+        assert len(_layout(net)._topologies) == 3
+
+
+class TestLayoutSharing:
+    """One Network object compiles one solver layout: every solve_snapshot
+    call and every EpsEngine on it share the layout and its topologies."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = {"_Layout": 0, "_Topology": 0}
+        for cls in (hydraulics._Layout, hydraulics._Topology):
+            def spy(obj, *args, _init=cls.__init__, _name=cls.__name__):
+                built[_name] += 1
+                _init(obj, *args)
+            monkeypatch.setattr(cls, "__init__", spy)
+        return built
+
+    def test_snapshots_and_engines_build_one_layout(self, monkeypatch):
+        net = parse_inp(grid_inp(5))
+        built = self.count_builds(monkeypatch)
+        settings = [Controls(), Controls(valve_open={"v1": False}),
+                    Controls(pump_running={"pu1": False})]
+        for k in range(50):
+            solve_snapshot(net, base_demands(net, 1.0 + k % 7 / 10.0),
+                           settings[k % 3])
+        assert built == {"_Layout": 1, "_Topology": 3}
+        first = EpsEngine(net).run().digest()
+        before = dict(built)
+        second = EpsEngine(net)
+        assert second.run().digest() == first
+        assert built == before
+
+    def test_a_failed_compile_is_not_kept(self, pumpnet):
+        bad = replace(pumpnet, curves={"c1": Curve("c1", ((0.0, 10.0),
+                                                          (0.1, 8.0)))})
+        for _ in range(2):
+            with pytest.raises(CurveFitError):
+                solve_snapshot(bad, base_demands(bad))
+        assert "_layout" not in bad.__dict__
 
 
 def run_recording_inputs(engine):
@@ -539,9 +572,10 @@ def run_recording_inputs(engine):
 
 
 class TestSnapshotPurity:
-    """A snapshot solved alone, on a fresh layout, equals the same snapshot
-    inside an EPS run bit for bit: the Newton start depends on the topology
-    only, never on the snapshots solved before. The engine serves a
+    """A snapshot solved alone, on a copy of the network and so on a fresh
+    layout, equals the same snapshot inside an EPS run bit for bit: the
+    Newton start depends on the topology only, never on the snapshots
+    solved before. The engine serves a
     snapshot whose inputs repeat from its memo, so this also checks those
     hits against a fresh solve."""
 
@@ -552,7 +586,7 @@ class TestSnapshotPurity:
         inputs, states = run_recording_inputs(engine)
         for i in picks(states):
             t, demands, controls, emitters, levels = inputs[i]
-            alone = solve_snapshot(network, demands, controls,
+            alone = solve_snapshot(replace(network), demands, controls,
                                    emitters=emitters, tank_levels=levels, t=t)
             for name in self.STATE_ARRAYS:
                 assert getattr(alone, name).tobytes() \
@@ -810,9 +844,8 @@ class TestReferenceStart:
 
     def test_zero_base_demands_fall_back_to_cold_start(self):
         net = zero_pattern_network(0.0)
-        layout = _Layout(net)
-        state = solve_snapshot(net, {"j1": 1e-3, "j2": 2e-3}, _layout=layout)
-        (topo,) = layout._topologies.values()
+        state = solve_snapshot(net, {"j1": 1e-3, "j2": 2e-3})
+        (topo,) = _layout(net)._topologies.values()
         assert topo.ref_flow is None
         assert state.converged
         assert max(map(abs, mass_residuals(net, state).values())) <= MASS_TOL
@@ -821,13 +854,15 @@ class TestReferenceStart:
             self, toy9, monkeypatch):
         demands = {jid: 2e-5 for jid in toy9.junctions}
         warm = solve_snapshot(toy9, demands)
-        layout = _Layout(toy9)
+        # a copy compiles its own layout, so the failed reference stays off
+        # the shared fixture
+        net = replace(toy9)
         monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError):
-            solve_snapshot(toy9, demands, _layout=layout)
+            solve_snapshot(net, demands)
         monkeypatch.undo()
         # the cached topology kept no reference, so this solve cold-starts
-        cold = solve_snapshot(toy9, demands, _layout=layout)
+        cold = solve_snapshot(net, demands)
         assert cold.converged and cold.iterations > warm.iterations
         assert np.abs(cold.head - warm.head).max() <= 1e-6
 
@@ -976,16 +1011,16 @@ class TestSolverBackends:
         emitters = {"j004007": 0.01, "j010002": 1e-3}
         sparse = solve_snapshot(net, demands, emitters=emitters)
         monkeypatch.setattr("wdnflow.hydraulics.SPARSE_MIN_UNKNOWNS", 10**9)
-        dense = solve_snapshot(net, demands, emitters=emitters)
+        # a copy compiles its own topology, without the SuperLU order
+        dense = solve_snapshot(replace(net), demands, emitters=emitters)
         assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
         assert np.abs(sparse.head - dense.head).max() <= 1e-9
         assert sparse.iterations == dense.iterations
 
     def test_unknowns_are_numbered_in_fill_reducing_order(self):
         net = parse_inp(grid_inp(10))
-        layout = _Layout(net)
-        solve_snapshot(net, base_demands(net), _layout=layout)
-        (topo,) = layout._topologies.values()
+        solve_snapshot(net, base_demands(net))
+        (topo,) = _layout(net)._topologies.values()
         n_u = len(topo.unknown)
         assert n_u > SPARSE_MIN_UNKNOWNS
         assert sorted(topo.unknown) == list(range(n_u))   # junctions first
@@ -1197,8 +1232,9 @@ class TestControlsAndFailureModes:
     def test_iteration_cap_raises(self, toy9, monkeypatch):
         monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 1)
         demands = {jid: 2e-5 for jid in toy9.junctions}
+        # on a copy, so no topology built under the cap stays on the fixture
         with pytest.raises(NonConvergenceError) as exc:
-            solve_snapshot(toy9, demands)
+            solve_snapshot(replace(toy9), demands)
         assert exc.value.iterations == 1
         assert math.isfinite(exc.value.residual) and exc.value.residual > 0.0
 

@@ -1,14 +1,24 @@
-import pytest
+import string
+from dataclasses import replace
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wdnflow.inp
 from wdnflow import bundled
 from wdnflow.errors import (
     DanglingReferenceError, InpError, InvalidNetworkError,
     MalformedSectionError, UnsupportedOptionError, UnsupportedUnitsError,
+    WdnflowError,
 )
 from wdnflow.inp import (
-    parse_inp, parse_inp_report, tokenize_inp, write_inp,
+    parse_inp, parse_inp_report, save_network, tokenize_inp, write_inp,
 )
-from wdnflow.network import networks_close
+from wdnflow.network import (
+    Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, SimOptions,
+    Tank, Valve, networks_close,
+)
 
 MINIMAL = """
 [JUNCTIONS]
@@ -297,13 +307,21 @@ ROW_RULES = {
                  ("v1 a b 200 TCV", "v1 a b 200 TCV 0.5 0 x"),
                  "valve row is: id from to diameter_mm TCV loss_coef",
                  "duplicate valve id 'v1'"),
+    "[STATUS]": ("p1 CLOSED", ("p1", "p1 CLOSED x"),
+                 "status row is: link_id OPEN|CLOSED",
+                 "duplicate status row for link 'p1'"),
 }
+
+# rows a section's rows may refer to
+SECTION_HEAD = {"[DEMANDS]": "[JUNCTIONS]\n j1 1\n",
+                "[STATUS]": "[PIPES]\n p1 a b 100 200 120\n"}
 
 
 def section_text(section, *rows):
-    """The section holding `rows`; [DEMANDS] follows a junction j1."""
-    head = "[JUNCTIONS]\n j1 1\n" if section == "[DEMANDS]" else ""
-    return head + section + "\n" + "".join(f" {row}\n" for row in rows)
+    """The section holding `rows`, after what they refer to: [DEMANDS]
+    follows a junction j1 and [STATUS] a pipe p1."""
+    return SECTION_HEAD.get(section, "") + section + "\n" \
+        + "".join(f" {row}\n" for row in rows)
 
 
 def last_row_error(text) -> tuple[str, str]:
@@ -328,3 +346,204 @@ def test_repeated_row_id_message(section):
     good, _, _, duplicate = ROW_RULES[section]
     error, prefix = last_row_error(section_text(section, good, good))
     assert error == prefix + duplicate
+
+
+STATUS_TEXT = """
+[JUNCTIONS]
+ j1  0.0  0.05
+ jm  0.0  0.0
+[RESERVOIRS]
+ r1  50.0
+[PIPES]
+ p1  r1  jm  500  200  100  0  CLOSED
+ p2  r1  j1  400  150  95  0  OPEN
+[PUMPS]
+ u1  r1  jm  HEAD  c1
+[VALVES]
+ vv  jm  j1  200  TCV  2.5
+[CURVES]
+ c1  0.02  40
+[STATUS]
+ p1  open
+ p2  CLOSED
+ u1  Closed
+ vv  CLOSED
+"""
+
+
+def test_status_rows_set_link_states_over_the_pipe_rows():
+    net = parse_inp(STATUS_TEXT)
+    assert net.pipes["p1"].open is True
+    assert net.pipes["p2"].open is False
+    assert net.pumps["u1"].running is False
+    assert net.valves["vv"].open is False
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ghost CLOSED", "status row references unknown link 'ghost'"),
+    ("j1 CLOSED", "status row references unknown link 'j1'"),
+    ("vv 0.5", "status must be OPEN or CLOSED, got '0.5'"),
+    ("vv ACTIVE", "status must be OPEN or CLOSED, got 'ACTIVE'"),
+    ("u1 OPEN", "duplicate status row for link 'u1'"),
+])
+def test_bad_status_row_names_its_line(row, message):
+    text = STATUS_TEXT.replace(" vv  CLOSED\n", f" {row}\n")
+    error, prefix = last_row_error(text)
+    assert error == prefix + message
+
+
+def test_status_round_trips_a_stopped_pump_and_a_closed_valve(
+        pumpnet, perfbench_module):
+    stopped = replace(pumpnet, pumps={
+        "pu1": replace(pumpnet.pumps["pu1"], running=False)})
+    grid = parse_inp(perfbench_module("netgen").grid_inp(3, 3))
+    shut = replace(grid, valves={
+        "v1": replace(grid.valves["v1"], open=False)})
+    for net in (stopped, shut):
+        text = write_inp(net)
+        assert networks_close(parse_inp(text), net)
+    assert write_inp(stopped).count(" CLOSED\n") == 1
+    assert " pu1  CLOSED\n" in write_inp(stopped)
+    assert " v1  CLOSED\n" in write_inp(shut)
+    # nothing stopped or closed: no [STATUS] section
+    assert "[STATUS]" not in write_inp(pumpnet)
+
+
+def refusal(network) -> str:
+    with pytest.raises(InpError) as e:
+        write_inp(network)
+    return str(e.value)
+
+
+def test_write_refuses_what_it_cannot_read_back(toy9, tmp_path):
+    pid, pattern = next(iter(toy9.patterns.items()))
+    half = replace(toy9, patterns={
+        **toy9.patterns, pid: replace(pattern, step=1800.0)})
+    assert refusal(half) == (f"pattern '{pid}' step 1800 s differs from the"
+                             " pattern timestep 3600 s")
+    for title in ("a; b", "[X]", "a\n\nb", "a  b", " a"):
+        assert refusal(replace(toy9, title=title)) \
+            == f"title {title!r} would not read back as written"
+    j = next(iter(toy9.junctions.values()))
+    spaced = replace(toy9, junctions={
+        **{k: v for k, v in toy9.junctions.items() if k != j.id},
+        "a b": replace(j, id="a b")})
+    # the pipes still name the old id, so rename the links' ends too
+    spaced = replace(spaced, pipes={
+        pid: replace(p, from_node="a b" if p.from_node == j.id else p.from_node,
+                     to_node="a b" if p.to_node == j.id else p.to_node)
+        for pid, p in toy9.pipes.items()})
+    assert refusal(spaced) == "junction id 'a b' is not one INP token"
+    assert refusal(replace(toy9, options=replace(toy9.options,
+                                                 duration_s=0))) \
+        == "options duration_s 0 is not a positive whole number of seconds"
+    # save_network writes no file for a network it refuses
+    path = tmp_path / "half.inp"
+    with pytest.raises(InpError):
+        save_network(half, str(path))
+    assert not path.exists()
+
+
+# --- round trip over generated networks --------------------------------------
+
+TOKEN = st.text(string.ascii_letters + string.digits + "_.-:", min_size=1,
+                max_size=4)
+# ids and titles the reader may not give back: whitespace, comments, headers
+ODD = st.text(" \t;[]ab\xa0\u2028", max_size=3)
+FINITE = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+def reals(low, high):
+    return st.floats(low, high, **FINITE)
+
+
+@st.composite
+def inp_networks(draw):
+    """A valid network of every element kind, with patterns, curves, tanks,
+    link states and a title. A draw that is not clean may hold ids, a title
+    and pattern steps that do not read back."""
+    clean = draw(st.booleans())
+    ident = TOKEN if clean else st.one_of(TOKEN, TOKEN, ODD)
+    step = draw(st.sampled_from([900, 3600, 7200]))
+    patterns = {pid: Pattern(pid, tuple(draw(st.lists(
+        reals(0.0, 3.0), min_size=1, max_size=8))),
+        step if clean else draw(st.sampled_from([step, 1800])))
+        for pid in draw(st.lists(ident, max_size=2, unique=True))}
+    pattern = st.one_of(st.none(), st.sampled_from(sorted(patterns))) \
+        if patterns else st.none()
+    curves = {}
+    for cid in draw(st.lists(ident, max_size=2, unique=True)):
+        q, h = draw(reals(1e-3, 1.0)), draw(reals(1.0, 100.0))
+        curves[cid] = Curve(cid, ((q, h),) if draw(st.booleans()) else
+                            ((0.0, 1.5 * h), (q, h), (2.0 * q, 0.2 * h)))
+
+    n_nodes = draw(st.integers(2, 7))
+    nodes = draw(st.lists(ident, min_size=n_nodes, max_size=n_nodes,
+                          unique=True))
+    n_res = draw(st.integers(1, min(2, n_nodes - 1)))
+    n_tank = draw(st.integers(0, min(2, n_nodes - n_res - 1)))
+    reservoirs = {r: Reservoir(r, draw(reals(0.0, 200.0)), draw(pattern))
+                  for r in nodes[:n_res]}
+    tanks = {}
+    for t in nodes[n_res:n_res + n_tank]:
+        low, mid, high = sorted(draw(reals(0.0, 20.0)) for _ in range(3))
+        tanks[t] = Tank(t, draw(reals(-10.0, 100.0)), draw(reals(0.5, 40.0)),
+                        mid, low, high)
+    junctions = {j: Junction(j, draw(reals(-50.0, 100.0)),
+                             draw(reals(0.0, 0.1)), draw(pattern))
+                 for j in nodes[n_res + n_tank:]}
+
+    # a tree from the sources reaches every node; then a few more links
+    ends = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_nodes)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n_nodes - 1),
+                                    st.integers(0, n_nodes - 1)).filter(
+        lambda e: e[0] != e[1]), max_size=2))
+    links = draw(st.lists(ident, min_size=len(ends), max_size=len(ends),
+                          unique=True))
+    kinds = ["pipe", "valve"] + (["pump"] if curves else [])
+    pipes, pumps, valves = {}, {}, {}
+    for lid, (a, b) in zip(links, ends):
+        kind = draw(st.sampled_from(kinds))
+        a, b = nodes[a], nodes[b]
+        if kind == "pipe":
+            pipes[lid] = Pipe(lid, a, b, draw(reals(0.1, 5000.0)),
+                              draw(reals(0.01, 2.0)), draw(reals(50.0, 150.0)),
+                              draw(st.booleans()))
+        elif kind == "pump":
+            pumps[lid] = Pump(lid, a, b, draw(st.sampled_from(sorted(curves))),
+                              draw(reals(0.0, 2.0)), draw(st.booleans()))
+        else:
+            valves[lid] = Valve(lid, a, b, draw(reals(0.01, 2.0)),
+                                draw(reals(0.0, 50.0)), draw(st.booleans()))
+
+    title = draw(st.one_of(st.just(""), st.lists(TOKEN, min_size=1,
+                                                 max_size=3).map(" ".join))
+                 if clean else ODD)
+    options = SimOptions(*(draw(st.integers(1, 10**6)) for _ in range(3)),
+                         pattern_step_s=step)
+    return Network(junctions, reservoirs, tanks, pipes, pumps, valves,
+                   patterns, curves, options, title)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(network=inp_networks())
+def test_write_inp_round_trips_exactly_what_it_writes(network):
+    """write_inp raises InpError exactly where the text it would write,
+    unchecked, does not read back as the network with its title; else the
+    network reads back close, and one round trip reaches a fixed point."""
+    with mock.patch.object(wdnflow.inp, "_check_writable", lambda net: None):
+        unchecked = write_inp(network)
+    try:
+        back = parse_inp(unchecked)
+        reads_back = networks_close(back, network) \
+            and back.title == network.title
+    except WdnflowError:
+        reads_back = False
+    if not reads_back:
+        with pytest.raises(InpError):
+            write_inp(network)
+        return
+    text = write_inp(network)
+    assert text == unchecked
+    once = write_inp(parse_inp(text))
+    assert write_inp(parse_inp(once)) == once

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import networkx as nx
@@ -8,8 +9,8 @@ import wdnflow.network
 from wdnflow.errors import DanglingReferenceError, InvalidNetworkError
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, SimOptions,
-    Tank, Valve, _traverse, expand_pump_curve, incidence, networks_close,
-    pattern_value, validate,
+    Tank, Valve, Violation, _traverse, expand_pump_curve, incidence,
+    networks_close, pattern_value, validate,
 )
 
 
@@ -104,6 +105,65 @@ def test_validate_pump_curve_shape():
     net = tiny_net(pumps={"pu": Pump("pu", "r1", "j1", "c")},
                    curves={"c": curve})
     assert any("non-increasing" in v.message for v in validate(net))
+
+
+def every_kind_net():
+    """A valid network with one element of each kind."""
+    return tiny_net(
+        junctions={"j1": Junction("j1", 10.0, 0.01, "pat")},
+        tanks={"t1": Tank("t1", 5.0, 10.0, 2.0, 0.5, 4.0)},
+        pipes={"p1": Pipe("p1", "r1", "j1", 100.0, 0.2, 100.0),
+               "p2": Pipe("p2", "j1", "t1", 50.0, 0.15, 110.0)},
+        pumps={"pu": Pump("pu", "r1", "j1", "c")},
+        valves={"v1": Valve("v1", "j1", "t1", 0.2, 1.5)},
+        patterns={"pat": Pattern("pat", (1.0, 0.5))},
+        curves={"c": Curve("c", ((0.02, 40.0),))})
+
+
+LEVELS = "levels must satisfy 0 <= min <= init <= max < inf"
+# each numeric field: its group, element, field, the violation it gives and
+# how a bad value sits in the field
+NUMERIC_FIELDS = [
+    ("junctions", "j1", "elevation", "elevation not finite", None),
+    ("junctions", "j1", "base_demand", "base_demand must be >= 0", None),
+    ("reservoirs", "r1", "head", "head not finite", None),
+    ("tanks", "t1", "elevation", "elevation not finite", None),
+    ("tanks", "t1", "diameter", "diameter must be finite and > 0", None),
+    ("tanks", "t1", "init_level", LEVELS, None),
+    ("tanks", "t1", "min_level", LEVELS, None),
+    ("tanks", "t1", "max_level", LEVELS, None),
+    ("pipes", "p1", "length", "length must be finite and > 0", None),
+    ("pipes", "p1", "diameter", "diameter must be finite and > 0", None),
+    ("pipes", "p1", "roughness", "roughness must be finite and > 0", None),
+    ("pumps", "pu", "speed", "speed must be finite and >= 0", None),
+    ("valves", "v1", "diameter", "diameter must be finite and > 0", None),
+    ("valves", "v1", "minor_loss_coef",
+     "minor_loss_coef must be finite and >= 0", None),
+    ("patterns", "pat", "multipliers", "multipliers must be finite and >= 0",
+     lambda bad: (1.0, bad)),
+    ("patterns", "pat", "step", "step must be finite and > 0", None),
+    ("curves", "c", "points", "points must be finite",
+     lambda bad: ((bad, 40.0),)),
+    ("curves", "c", "points", "points must be finite",
+     lambda bad: ((0.02, bad),)),
+]
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, math.nan],
+                         ids=["str", "None", "bool", "nan"])
+@pytest.mark.parametrize("group, eid, name, message, place", NUMERIC_FIELDS)
+def test_every_numeric_field_is_a_real_finite_number(group, eid, name,
+                                                     message, place, bad):
+    net = every_kind_net()
+    assert validate(net) == []
+    elems = getattr(net, group)
+    value = place(bad) if place else bad
+    net = replace(net, **{group: {**elems,
+                                  eid: replace(elems[eid], **{name: value})}})
+    kind = group[:-1]
+    assert Violation(kind, eid, message) in validate(net)
+    with pytest.raises(InvalidNetworkError):
+        incidence(net)
 
 
 def test_incidence_layout():

@@ -64,6 +64,15 @@ class TestPlacement:
         with pytest.raises(ConfigError):
             SensorPlacement(pressure_nodes=("n1", "n1"))
 
+    @pytest.mark.parametrize("field", ["pressure_nodes", "flow_links",
+                                       "quality_nodes", "tank_level_tanks"])
+    def test_comma_in_an_id_rejected(self, field):
+        # the comma separates the CSV columns, so `time_s,pressure:a,b`
+        # could not be read back
+        with pytest.raises(ConfigError, match=f"{field}: id 'a,b' holds a"
+                                              " comma"):
+            SensorPlacement(**{field: ("n1", "a,b")})
+
 
 class TestExtraction:
     def test_values_match_state_arrays(self, toy9, toy9_series):
