@@ -7,7 +7,9 @@ priority: while an event window is active, every agent command on its target
 is ignored, whatever the command's kind (an event on a pump's state also
 blocks the agent's speed for that pump). With no agent intervention the
 episode reproduces the batch simulation bit for bit, because both run the
-same engine.
+same engine. The environment makes its one engine and plans its one
+corruptor over the horizon when it is made; each reset rewinds both, and
+the reset preview is the corruptor's row 0.
 
 Reward per step, in consistent units: minus the pump power proxy
 rho g Q dH / 0.75 (W) minus `pressure_penalty` per meter of pressure-head
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
 from .events import CONTROL_FIELDS, actuator_value
-from .hydraulics import G, Controls, EpsEngine, HydraulicState
+from .hydraulics import G, Controls, HydraulicState
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
 
@@ -81,13 +83,15 @@ class ScenarioEnv:
         self._pumps = list(zip(links, solve.link_from[links].tolist(),
                                solve.link_to[links].tolist()))
         self._truth = self.runtime.truth_records()
-        self._engine: EpsEngine | None = None
-        self._corruptor = None
+        self._engine = self.runtime.make_engine()
+        self._corruptor = self.runtime.make_corruptor(self.columns,
+                                                      self._engine.times)
+        self._started = False
 
     # -------------------------------------------------------------- helpers
 
-    def _observe(self, state: HydraulicState, corruptor) -> np.ndarray:
-        return corruptor.corrupt_next(self._reader.read(state)[None])[0]
+    def _observe(self, state: HydraulicState) -> np.ndarray:
+        return self._corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
     def _commands(self, action: Action) -> Controls:
         """The agent's checked commands, without those on a target that an
@@ -137,38 +141,30 @@ class ScenarioEnv:
 
     @property
     def total_steps(self) -> int:
-        return self.config.duration_s // self.config.hydraulic_time_step_s
+        return self._engine.total_steps
 
     @property
     def current_step(self) -> int:
-        return self._engine.step_index if self._engine is not None else 0
+        return self._engine.step_index
 
     def reset(self) -> np.ndarray:
         """Start a fresh episode; returns the corrupted observation at t=0
         under baseline controls, before any agent action."""
-        if self._engine is None:
-            self._engine = self.runtime.make_engine()
         self._engine.reset()
-        peek = self._engine.solve_current()
-        # the preview corrupts row 0 alone; the episode starts over at row 0
-        times = [float(k * self.config.hydraulic_time_step_s)
-                 for k in range(self.total_steps)]
-        observation = self._observe(peek, self.runtime.make_corruptor(
-            self.columns, times[:1]))
-        self._corruptor = self.runtime.make_corruptor(self.columns, times)
+        self._corruptor.next_row = 0
+        observation = self._observe(self._engine.solve_current())
+        # the first step corrupts row 0 again, as the agent's action left it
+        self._corruptor.next_row = 0
+        self._started = True
         return observation
 
     def step(self, action: Action | None = None) -> StepOutcome:
-        if self._engine is None:
+        if not self._started:
             raise EpisodeFinishedError("call reset() before step()")
         if self._engine.step_index >= self.total_steps:
             raise EpisodeFinishedError("episode horizon already reached")
-        if action is None:
-            action = NO_OP
-        t = float(self._engine.step_index
-                  * self.config.hydraulic_time_step_s)
-        state = self._engine.step_once(self._commands(action))
-        observation = self._observe(state, self._corruptor)
+        state = self._engine.step_once(self._commands(action or NO_OP))
+        observation = self._observe(state)
         power, deficit = self._reward_terms(state)
         reward = -power - self.pressure_penalty * deficit
         done = self._engine.step_index == self.total_steps
@@ -178,7 +174,7 @@ class ScenarioEnv:
             "converged": state.converged,
             "active_events": tuple(
                 rec.event_id for rec in self._truth
-                if rec.start_s <= t < rec.end_s),
+                if rec.start_s <= state.t < rec.end_s),
             "pump_power_w": power,
             "pressure_deficit_m": deficit,
         }
@@ -187,6 +183,4 @@ class ScenarioEnv:
 
     def state_history(self) -> tuple[HydraulicState, ...]:
         """Projected states of the episode so far, batch-layout order."""
-        if self._engine is None:
-            return ()
         return self.runtime.project_series(self._engine.series()).states

@@ -51,9 +51,10 @@ each pattern's multipliers, and the emitter coefficients and control set
 from one call of each hook per step. Steps whose planned inputs are bytewise
 equal share an input id. A snapshot whose input id, control overrides and
 tank levels repeat an earlier one's is served from a memo of converged
-states, so each distinct snapshot is solved once. A run's result is a
-`StateSeries` of columns, one row per step, built with one take per field
-from the snapshots it met; its `states` are row views, built on first use.
+states, so each distinct snapshot is solved once. The engine builds a run's
+`StateSeries` of columns itself, stacking each distinct snapshot it met once
+and taking it per step; the series' `states` are row views, built on first
+use.
 """
 
 from __future__ import annotations
@@ -215,35 +216,6 @@ class StateSeries:
     def t(self) -> np.ndarray:
         """Each row's time, s."""
         return np.arange(len(self.flow)) * float(self.step_s)
-
-    @classmethod
-    def from_states(cls, states, ids, step_s: int) -> StateSeries:
-        """The series of the states of consecutive steps from t = 0. ids:
-        anything with the states' node_ids, link_ids, junction_ids and
-        tank_ids (a series or a network layout). A state object met more
-        than once is stacked once and taken per row."""
-        where: dict[HydraulicState, int] = {}
-        rows = np.array([where.setdefault(s, len(where)) for s in states],
-                        dtype=np.intp)
-        leak_ids = tuple(dict.fromkeys(j for s in where for j in s.leak_flow))
-
-        def column(values, dtype=float, *width):
-            return np.array(list(values), dtype=dtype).reshape(
-                len(where), *width)[rows]
-        return cls(
-            node_ids=tuple(ids.node_ids), link_ids=tuple(ids.link_ids),
-            junction_ids=tuple(ids.junction_ids), tank_ids=tuple(ids.tank_ids),
-            step_s=step_s,
-            **{name: column((getattr(s, name) for s in where), float,
-                            len(getattr(ids, id_attr)))
-               for name, id_attr in _COLUMNS.items()},
-            **{name: column((getattr(s, name) for s in where), dtype)
-               for name, dtype in (("iterations", np.int64),
-                                   ("mass_residual", float),
-                                   ("energy_residual", float))},
-            leak_ids=leak_ids, leak_flow=column(
-                ([s.leak_flow.get(j, math.nan) for j in leak_ids]
-                 for s in where), float, len(leak_ids)))
 
     @cached_property
     def states(self) -> tuple[HydraulicState, ...]:
@@ -887,7 +859,7 @@ class EpsEngine:
     actually solved. The plan, the memo and the histogram outlive `reset`.
     The memo holds the states of one episode (its steps and a preview),
     dropping the least recently used. `tank_levels` holds the current level
-    per tank, in layout order.
+    per tank, in layout order, and `times` each step's t.
     """
 
     def __init__(self, network: Network, duration_s: int | None = None,
@@ -928,7 +900,7 @@ class EpsEngine:
         coefficients at the junctions the hook ever names (in node order)
         and the control set, plus its input id."""
         layout = self.layout
-        times = np.arange(self.total_steps) * float(self.step_s)
+        self.times = times = np.arange(self.total_steps) * float(self.step_s)
         t = times.tolist()
         self._mult = layout.multipliers(layout.demand_patterns, times)
         self._res = layout.reservoir_heads(times)
@@ -1004,9 +976,32 @@ class EpsEngine:
         return state
 
     def series(self) -> StateSeries:
-        """The snapshots of the steps taken since the last reset."""
-        return StateSeries.from_states(self._taken, self.layout.inc,
-                                       self.step_s)
+        """The snapshots of the steps taken since the last reset: each
+        distinct snapshot is stacked once and taken per step. There is one
+        leak column per junction the plan ever gives an emitter, in node
+        order, NaN at a step where the junction has none."""
+        inc = self.layout.inc
+        where: dict[HydraulicState, int] = {}
+        rows = np.array([where.setdefault(s, len(where)) for s in self._taken],
+                        dtype=np.intp)
+        leak_ids = tuple(inc.node_ids[n] for n in self._emit_nodes.tolist())
+
+        def column(values, *width, dtype=float):
+            return np.array(values, dtype=dtype).reshape(len(where),
+                                                         *width)[rows]
+        return StateSeries(
+            node_ids=inc.node_ids, link_ids=inc.link_ids,
+            junction_ids=inc.junction_ids, tank_ids=inc.tank_ids,
+            step_s=self.step_s,
+            **{name: column([getattr(s, name) for s in where],
+                            len(getattr(inc, ids)))
+               for name, ids in _COLUMNS.items()},
+            iterations=column([s.iterations for s in where], dtype=np.int64),
+            mass_residual=column([s.mass_residual for s in where]),
+            energy_residual=column([s.energy_residual for s in where]),
+            leak_ids=leak_ids, leak_flow=column(
+                [[s.leak_flow.get(j, math.nan) for j in leak_ids]
+                 for s in where], len(leak_ids)))
 
     def run(self) -> StateSeries:
         for _ in range(self.total_steps):

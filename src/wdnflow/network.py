@@ -434,7 +434,7 @@ def _close(a: float, b: float, rtol: float) -> bool:
 
 
 def networks_close(a: Network, b: Network, rtol: float = 1e-9) -> bool:
-    """Structural equality up to a relative tolerance on every float field."""
+    """Equal titles, options and elements, each float field within rtol."""
     for attr in ("junctions", "reservoirs", "tanks", "pipes", "pumps",
                  "valves", "patterns", "curves"):
         ga, gb = getattr(a, attr), getattr(b, attr)
@@ -462,4 +462,4 @@ def networks_close(a: Network, b: Network, rtol: float = 1e-9) -> bool:
                         return False
                 elif va != vb:
                     return False
-    return a.options == b.options
+    return a.title == b.title and a.options == b.options

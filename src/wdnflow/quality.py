@@ -21,8 +21,11 @@ segments are true concentrations, one read-only (n, 2) array per pipe.
 
 The run keeps an exact mass ledger (injected at sources, withdrawn at demands,
 leaks and reservoirs, lost to decay) so conservation is checkable from the
-outside. It walks the network's compiled layout: once per hydraulic step it
-lists the moving links, and each quality step makes one pass over them.
+outside. A source junction bounds it as a reservoir does: what reaches one is
+withdrawn, what leaves one through a link is injected, and its own demand and
+leak draw stay out. It walks the network's compiled layout: once per
+hydraulic step it lists the moving links, and each quality step makes one
+pass over them.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class QualityState:
     pipe_segments: dict[str, np.ndarray]
     stored_mass: float       # in pipes and tanks, m3 * mg/L
     injected_mass: float     # cumulative source injection
-    withdrawn_mass: float    # cumulative demand + reservoir absorption
+    withdrawn_mass: float    # cumulative demand + boundary absorption
     decayed_mass: float      # cumulative first-order loss
 
 
@@ -178,6 +181,9 @@ def simulate_quality(series: StateSeries, network: Network,
     withdrawal[:, [inc.node_index[j] for j in series.leak_ids]] += \
         np.nan_to_num(series.leak_flow)
     first_tank = n_junc + len(inc.reservoir_ids)
+    # the ledger's boundary: reservoirs and source junctions
+    boundary = sorted({*range(n_junc, first_tank),
+                       *(i for i in sources if i < n_junc)})
     n_pipes = len(network.pipes)
     pipe_ids = inc.link_ids[:n_pipes]
     mixing = [i for i in range(n_junc) if i not in sources]
@@ -234,7 +240,7 @@ def simulate_quality(series: StateSeries, network: Network,
             links.append(next((l for l in fed if l[2] not in feeds), fed[0]))
             fed.remove(links[-1])
         draws = [(i, v) for i, v in enumerate((draw * dt).tolist())
-                 if v > 0.0]
+                 if v > 0.0 and i not in sources]
         tank_dv = (tank_inflow * dt).tolist()
 
         for _ in range(n_sub * m):
@@ -273,10 +279,10 @@ def simulate_quality(series: StateSeries, network: Network,
                 elif up >= first_tank:
                     mass = vol * tank_conc(up - first_tank)
                     tank_mass[up - first_tank] -= mass
-                elif up >= n_junc:
+                elif up in boundary:
                     mass = vol * conc[up]
                     injected += mass
-                elif up in sources or inflow_vol[up] <= 1e-15:
+                elif inflow_vol[up] <= 1e-15:
                     mass = vol * conc[up]
                 else:
                     # every arrival at the junction is in: this is its mix
@@ -292,7 +298,7 @@ def simulate_quality(series: StateSeries, network: Network,
                     new_conc[i] = _guard(inflow_mass[i] / inflow_vol[i])
             for i, vol in draws:
                 withdrawn += vol * new_conc[i]
-            for i in range(n_junc, first_tank):
+            for i in boundary:
                 withdrawn += inflow_mass[i]
 
             # 4. tanks: outflow already removed; add arrivals, track volume
@@ -313,7 +319,7 @@ def simulate_quality(series: StateSeries, network: Network,
                     tank_mass[up - first_tank] -= vol * c_in
                 else:
                     c_in = new_conc[up]
-                    if up >= n_junc:
+                    if up in boundary:
                         injected += vol * c_in
                 # merge on insertion only: with the upstream-end segment
                 segs = segments[j]

@@ -338,7 +338,9 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     if cfg.duration_s % cfg.hydraulic_time_step_s != 0:
         problems.append("duration_s must be a multiple of hydraulic_time_step_s")
     qstep = cfg.quality_time_step_s
-    if qstep is not None and cfg.hydraulic_time_step_s % qstep != 0:
+    if qstep is None and (cfg.quality or cfg.sensors.quality_nodes):
+        qstep = network.options.quality_step_s
+    if qstep and cfg.hydraulic_time_step_s % qstep != 0:
         problems.append("quality_time_step_s must divide hydraulic_time_step_s")
 
     for name, _, events in _event_lists(cfg):
@@ -472,7 +474,8 @@ class ScenarioRuntime:
                                    self.stream.child("param", m_idx,
                                                      "decay_rate"))
         return QualitySettings(
-            quality_time_step=cfg.quality_time_step_s or 60,
+            quality_time_step=cfg.quality_time_step_s
+            or self.report_network.options.quality_step_s,
             decay_rate_k=k, source_nodes=dict(spec.source_nodes))
 
     def truth_records(self) -> tuple[GroundTruthRecord, ...]:

@@ -26,7 +26,6 @@ from wdnflow.events import (
 )
 from wdnflow.hydraulics import (
     Q_LAMINAR,
-    StateSeries,
     hazen_williams_headloss,
     simulate_hydraulics,
 )
@@ -402,8 +401,7 @@ def test_acceptance_8_control_environment_contract(toy9, toy9_config_factory):
         pass
     reference = simulate_hydraulics(toy9, duration_s=7200,
                                     hydraulic_step_s=300)
-    replayed = StateSeries.from_states(env.state_history(), reference,
-                                       reference.step_s)
+    replayed = env.runtime.project_series(env._engine.series())
     if replayed.digest() != reference.digest():
         problems.append("no-op episode diverged from the batch simulation")
 

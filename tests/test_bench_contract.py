@@ -91,5 +91,5 @@ def test_checks_pass_on_a_pumpnet_episode_with_actions(perfbench_module):
     assert checks.same_states(batch.states, history, first_action + 2) == []
     assert checks.same_states(batch.states, history, first_action + 3) != []
     assert checks.tank_bounds(network, sorted(network.tanks), history) == []
-    episode = StateSeries.from_states(history, batch, batch.step_s)
+    episode = env.runtime.project_series(env._engine.series())
     assert checks.hydraulics(network, episode) == []

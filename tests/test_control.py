@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wdnflow import ConfigError, bundled, hydraulics, scenario
+from wdnflow import ConfigError, CurveFitError, bundled, hydraulics, scenario
 from wdnflow.control import (
     NO_OP,
     Action,
@@ -21,6 +21,7 @@ from wdnflow.events import (
     LeakageEvent,
     SensorFaultEvent,
 )
+from wdnflow.network import Curve
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import QualitySpec, ScenarioConfig, run_scenario
 from wdnflow.uncertainty import UncertaintyModel
@@ -276,6 +277,16 @@ class TestReward:
         assert started.info["pump_power_w"] > 0.0
 
 class TestEnvLimits:
+    def test_unfittable_pump_curve_raises_when_made(self, pumpnet,
+                                                    monkeypatch):
+        # the env plans its horizon when it is made, not at reset()
+        bad = replace(pumpnet, curves={"c1": Curve("c1", ((0.0, 40.0),
+                                                          (0.02, 10.0)))})
+        monkeypatch.setattr(scenario, "load_network",
+                            lambda path, warnings: bad)
+        with pytest.raises(CurveFitError):
+            ScenarioEnv(pumpnet_config())
+
     def test_quality_sensors_unsupported(self, toy9_config_factory):
         config = toy9_config_factory(
             sensors=SensorPlacement(pressure_nodes=("n1",),
@@ -352,6 +363,52 @@ class TestEngineReuse:
                 env.step(NO_OP if k % 2 else slow)
             solves.append(env._engine.solves)
         assert solves == [env.total_steps + 1] * 2
+
+    def test_one_engine_and_one_corruptor_for_every_reset(self,
+                                                          monkeypatch):
+        made = []
+
+        def spy(cls):
+            class Spy(cls):
+                def __init__(self, *args, **kw):
+                    made.append(cls.__name__)
+                    super().__init__(*args, **kw)
+            monkeypatch.setattr(scenario, cls.__name__, Spy)
+        spy(scenario.EpsEngine)
+        spy(scenario.RowCorruptor)
+        env = ScenarioEnv(pumpnet_config())
+        for _ in range(3):
+            env.reset()
+            env.step()
+        assert sorted(made) == ["EpsEngine", "RowCorruptor"]
+
+    def test_memo_evicts_past_an_episode(self):
+        # the pump runs slower in the second episode, so its steps are new
+        # snapshots that push the first episode's out of the memo; each
+        # episode still equals a fresh env's
+        def episode(env, speed):
+            observations, rewards, sizes = [env.reset()], [], []
+            for _ in range(env.total_steps):
+                outcome = env.step(Action(pump_speeds={"pu1": speed}))
+                observations.append(outcome.observation)
+                rewards.append(outcome.reward)
+                sizes.append(len(env._engine._memo))
+            return np.vstack(observations), rewards, env.state_history(), \
+                sizes
+
+        env = ScenarioEnv(pumpnet_config())
+        for speed in (0.9, 0.8):
+            observations, rewards, history, sizes = episode(env, speed)
+            fresh = episode(ScenarioEnv(pumpnet_config()), speed)
+            assert max(sizes) <= env.total_steps + 1
+            assert observations.tobytes() == fresh[0].tobytes()
+            assert rewards == fresh[1]
+            for mine, theirs in zip(history, fresh[2], strict=True):
+                for name in self.STATE_ARRAYS:
+                    assert getattr(mine, name).tobytes() \
+                        == getattr(theirs, name).tobytes()
+        # more snapshots were solved than the memo can hold
+        assert env._engine.solves > env.total_steps + 1
 
     def test_second_episode_reuses_solves_and_matches_batch(self):
         config = pumpnet_config(

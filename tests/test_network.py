@@ -223,6 +223,7 @@ def test_networks_close():
     assert not networks_close(a, c)
     assert not networks_close(a, tiny_net(junctions={
         "j1": Junction("j1", 10.0, 0.01), "j2": Junction("j2", 0.0, 0.0)}))
+    assert not networks_close(a, replace(a, title="x"))
 
 
 def test_total_base_demand(toy9):

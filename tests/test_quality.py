@@ -12,7 +12,7 @@ from wdnflow import (
     ConfigError, NegativeConcentrationError, WdnflowError, bundled, parse_inp,
 )
 from wdnflow.events import EventWindow, LeakageEvent, split_pipes_for_leaks
-from wdnflow.hydraulics import Controls, StateSeries, simulate_hydraulics
+from wdnflow.hydraulics import Controls, simulate_hydraulics
 from wdnflow.quality import (
     SEGMENT_MERGE_DC,
     QualitySettings,
@@ -50,6 +50,25 @@ VALVE_CHAIN = """
 [VALVES]
  va  j2  j3  150  TCV  2.0
  vb  j1  j2  150  TCV  2.0
+[OPTIONS]
+ Units CMS
+"""
+
+# r1 fills t1 more slowly than the valve va drains it into j1, so the tank
+# is the valve's donor throughout
+TANK_VALVE = """
+[JUNCTIONS]
+ j1  0.0  0.004
+ j2  0.0  0.002
+[RESERVOIRS]
+ r1  40.0
+[TANKS]
+ t1  10.0  5.0  0.5  10.0  8.0
+[PIPES]
+ p1  r1  t1  1500  80   110
+ p2  j1  j2  300   100  110
+[VALVES]
+ va  t1  j1  150  TCV  2.0
 [OPTIONS]
  Units CMS
 """
@@ -310,7 +329,8 @@ class TestLazyDecay:
 @cache
 def property_series(name: str, step_s: int):
     network = {"toy9": bundled.load_toy9, "pumpnet": bundled.load_pumpnet,
-               "valve_chain": lambda: parse_inp(VALVE_CHAIN)}[name]()
+               "valve_chain": lambda: parse_inp(VALVE_CHAIN),
+               "tank_valve": lambda: parse_inp(TANK_VALVE)}[name]()
     return network, simulate_hydraulics(network, duration_s=6 * 3600,
                                         hydraulic_step_s=step_s)
 
@@ -366,6 +386,59 @@ class TestLedgerProperties:
             assert a.decayed_mass == pytest.approx(b.decayed_mass, rel=1e-12)
 
 
+# (network, sources) that make each boundary of the ledger work: a source
+# junction that pipes, a pump or a valve leave or reach, a dead-end source
+# junction, a source tank, and a valve whose donor is a tank
+BOUNDARY_CASES = [
+    ("toy9", {"n2": 1.0}), ("toy9", {"n1": 1.0, "r1": 1.0}),
+    ("toy9", {"n8": 1.0}), ("pumpnet", {"t1": 1.0}),
+    ("pumpnet", {"j1": 1.0}), ("pumpnet", {"j2": 1.0, "r1": 1.0}),
+    ("valve_chain", {"j1": 1.0}), ("tank_valve", {"r1": 1.0})]
+BOUNDARY_IDS = [f"{name}-{'+'.join(sources)}"
+                for name, sources in BOUNDARY_CASES]
+
+
+class TestBoundaryLedger:
+    """A source junction is a boundary of the ledger, as a reservoir is:
+    what reaches it is withdrawn, what leaves it is injected."""
+
+    @pytest.mark.parametrize("k", [0.0, 2e-5])
+    @pytest.mark.parametrize("name, sources", BOUNDARY_CASES,
+                             ids=BOUNDARY_IDS)
+    def test_ledger_closes_at_every_source(self, name, sources, k):
+        network, series = property_series(name, 300)
+        states = simulate_quality(series, network, QualitySettings(
+            quality_time_step=60, decay_rate_k=k, source_nodes=sources))
+        for s in states:
+            gap = s.stored_mass + s.withdrawn_mass + s.decayed_mass \
+                - s.injected_mass
+            assert abs(gap) <= 1e-12 * max(s.injected_mass, 1.0)
+
+    def test_source_junction_books_what_enters_and_leaves(self):
+        # p1 carries j1's water on to j2 and the tank: it is injected at j1,
+        # and j2's demand withdraws part of it
+        network, series = property_series("pumpnet", 300)
+        last = simulate_quality(series, network, QualitySettings(
+            quality_time_step=60, source_nodes={"j1": 1.0}))[-1]
+        assert last.injected_mass > 0.0 and last.withdrawn_mass > 0.0
+        assert last.withdrawn_mass < last.injected_mass
+
+    def test_each_boundary_case_meets_its_link(self):
+        """The links the cases exist for carry flow the way they need."""
+        network, series = property_series("valve_chain", 300)
+        vb = series.link_ids.index("vb")
+        assert network.valves["vb"].from_node == "j1"
+        assert (series.flow[:, vb] > 0.0).all()     # vb leaves j1
+        network, series = property_series("tank_valve", 300)
+        va = series.link_ids.index("va")
+        assert network.valves["va"].from_node == "t1"
+        assert (series.flow[:, va] > 0.0).all()     # t1 feeds va
+        states = simulate_quality(series, network, QualitySettings(
+            quality_time_step=60, source_nodes={"r1": 1.0}))
+        j1 = series.node_ids.index("j1")
+        assert float(states[-1].node_concentration[j1]) > 0.0
+
+
 class TestOneStepRun:
     """A series of one state still has the run's hydraulic step: the first
     step of a one-step run equals the first step of a longer run."""
@@ -409,8 +482,8 @@ class TestInputChecks:
     def test_leak_off_the_network_junctions_is_rejected(self, toy9):
         series = simulate_hydraulics(toy9, duration_s=600)
         # a projected series names a leak by its pipe, not by its junction
-        states = [replace(s, leak_flow={"p3": 1e-3}) for s in series.states]
+        projected = replace(series, leak_ids=("p3",),
+                            leak_flow=np.full((len(series.t), 1), 1e-3))
         with pytest.raises(ConfigError):
-            simulate_quality(StateSeries.from_states(states, series,
-                                                     series.step_s), toy9,
+            simulate_quality(projected, toy9,
                              QualitySettings(source_nodes={"r1": 1.0}))

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import reference_quality as ref
-from test_quality import VALVE_CHAIN
+from test_quality import (
+    BOUNDARY_CASES, BOUNDARY_IDS, VALVE_CHAIN, property_series,
+)
 from wdnflow import bundled, parse_inp
 from wdnflow.events import EventWindow, LeakageEvent
 from wdnflow.hydraulics import simulate_hydraulics
@@ -93,3 +95,15 @@ def test_decay_stays_within_merge_tolerance_during_a_leak(k, toy9_leak):
     old, new = both(series, network, replace(settings, decay_rate_k=k))
     gap = np.abs(node_concentrations(new) - node_concentrations(old))
     assert gap.max() <= SEGMENT_MERGE_DC
+
+
+@pytest.mark.parametrize("name, sources", BOUNDARY_CASES,
+                         ids=BOUNDARY_IDS)
+def test_boundary_sources_equal_reference_concentrations(name, sources):
+    """Source junctions and tanks, and a valve fed by a tank: the reference
+    books no ledger at a source junction, so only concentrations compare."""
+    network, series = property_series(name, 300)
+    old, new = both(series, network, QualitySettings(
+        quality_time_step=60, source_nodes=sources))
+    assert node_concentrations(new).tobytes() == \
+        node_concentrations(old).tobytes()

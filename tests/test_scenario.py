@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ghost"):
             validate_scenario(config, toy9)
 
+    def test_quality_step_must_divide_hydraulic_step(self, toy9,
+                                                     toy9_config_factory):
+        config = toy9_config_factory(quality_time_step_s=7)
+        with pytest.raises(ConfigError, match="quality_time_step_s must"
+                                              " divide"):
+            validate_scenario(config, toy9)
+
+    @pytest.mark.parametrize("kind, target, value, message", [
+        ("pump_speed", "p1", 0.5, "no pump 'p1'"),
+        ("pump_state", "ghost", False, "no pump 'ghost'"),
+        ("valve_state", "p1", False, "no valve 'p1'"),
+    ])
+    def test_actuator_event_must_name_its_kind(self, toy9,
+                                               toy9_config_factory, kind,
+                                               target, value, message):
+        config = toy9_config_factory(actuator_events=(
+            ActuatorEvent(kind=kind, target_id=target, value=value,
+                          window=EventWindow(0.0, 3600.0)),))
+        with pytest.raises(ConfigError, match=f"actuator_events\\[0\\]:"
+                                              f" {message}"):
+            validate_scenario(config, toy9)
+
     def test_problems_are_aggregated(self, toy9, toy9_config_factory):
         config = toy9_config_factory(
             duration_s=1000,
@@ -619,6 +642,60 @@ class TestRunScenario:
         assert result.report.steps == 288
         assert result.report.solves == 18
         assert sum(result.report.iterations.values()) == 18
+
+
+class TestQualitySettings:
+    QUALITY = QualitySpec(decay_rate_k=1e-4, source_nodes=(("r1", 1.0),))
+
+    @pytest.fixture
+    def five_minute_toy9(self, tmp_path):
+        """toy9 with `Quality Timestep 5 MIN` in its [TIMES] section."""
+        text = Path(bundled.toy9_path()).read_text(encoding="utf-8")
+        assert " Quality Timestep    60 SEC" in text
+        path = tmp_path / "toy9_5min.inp"
+        path.write_text(text.replace(" Quality Timestep    60 SEC",
+                                     " Quality Timestep    5 MIN"),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_unset_step_is_the_networks(self, toy9_config_factory,
+                                        five_minute_toy9):
+        config = toy9_config_factory(network_path=five_minute_toy9,
+                                     hydraulic_time_step_s=900,
+                                     quality=self.QUALITY)
+        assert build_runtime(config).quality_settings().quality_time_step \
+            == 300
+        config = replace(config, quality_time_step_s=60)
+        assert build_runtime(config).quality_settings().quality_time_step \
+            == 60
+
+    def test_networks_step_must_divide_hydraulic_step(
+            self, toy9_config_factory, five_minute_toy9):
+        config = toy9_config_factory(network_path=five_minute_toy9,
+                                     duration_s=8400,
+                                     hydraulic_time_step_s=420)
+        network = wdnflow.inp.load_network(five_minute_toy9)
+        # without a quality run the network's quality step is not used
+        validate_scenario(config, network)
+        for quality in ({"quality": self.QUALITY},
+                        {"sensors": SensorPlacement(quality_nodes=("n1",))}):
+            with pytest.raises(ConfigError, match="quality_time_step_s must"
+                                                  " divide"):
+                validate_scenario(replace(config, **quality), network)
+        validate_scenario(replace(config, quality=self.QUALITY,
+                                  quality_time_step_s=60), network)
+
+    def test_decay_rate_uncertainty_is_seeded(self, toy9_config_factory):
+        noise = (UncertaintyModel(kind="gauss_rel", target="decay_rate",
+                                  params={"sigma": 0.1}),)
+
+        def k(seed):
+            config = toy9_config_factory(quality=self.QUALITY, seed=seed,
+                                         uncertainties=noise)
+            return build_runtime(config).quality_settings().decay_rate_k
+
+        assert k(3) == k(3)
+        assert len({k(3), k(7), self.QUALITY.decay_rate_k}) == 3
 
 
 class TestWriteOutputs:
