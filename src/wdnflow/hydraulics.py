@@ -79,8 +79,8 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, Tank, _compiled, _traverse, expand_pump_curve,
-    incidence,
+    Curve, Network, Pattern, Tank, _compiled, _real, _traverse,
+    expand_pump_curve, incidence,
 )
 
 __all__ = [
@@ -127,10 +127,9 @@ class Controls:
 
 
 def _finite(value, what: str, minimum: float = -math.inf) -> float:
-    """value as a float, checked to be a finite number (not a bool) that is
-    at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (math.isfinite(value) and value >= minimum):
+    """value as a float, checked by `_real`'s rule to be a finite number
+    (not a bool) that is at least minimum."""
+    if not _real(value, minimum):
         raise ConfigError(f"{what} must be a finite number"
                           + (f" >= {minimum:g}" if minimum > -math.inf else ""))
     return float(value)

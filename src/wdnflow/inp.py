@@ -7,23 +7,27 @@ whitespace-delimited (tabs and spaces are equivalent). A [STATUS] row
 `id OPEN|CLOSED` opens or closes a pipe or valve, or runs or stops a pump,
 and wins over the status of a pipe's own row, as in EPANET.
 
-`write_inp` writes only what `parse_inp` reads back: it raises InpError on
-an id that is not one token, a title that does not read back as itself, a
-time option that is not a positive whole number of seconds, or a pattern
-whose step is not the network's pattern step. Stopped pumps and closed valves
-are written as [STATUS] rows.
+One table states each element section's row format for the reader, the
+writer and the writability check; `_TIMES` and `_LINK_STATES` do the same for
+[TIMES] and [STATUS] rows. `write_inp` writes only what `parse_inp` reads
+back: it raises InpError on an id that is not one token, a title that does
+not read back as itself, a time option that is not a positive whole number of
+seconds, or a pattern whose step is not the network's pattern step. Stopped
+pumps and closed valves are written as [STATUS] rows.
 
 Units: only LPS and CMS flow units are accepted and everything is converted
 to strict SI (m3/s) on read. Pipe and valve diameters are millimetres in the
 file, as EPANET defines for metric flow units; tank diameters are metres.
 Time values must carry an explicit unit (SEC/MIN/HOURS/DAYS) or use HH:MM[:SS]
-clock form; bare numbers are rejected rather than guessed at.
+clock form, and be a positive whole number of seconds in either form; bare
+numbers are rejected rather than guessed at.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import (
     InpError,
@@ -42,7 +46,7 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
-    _real,
+    _positive_whole,
     incidence,
     validate,
 )
@@ -51,18 +55,80 @@ __all__ = ["InpRow", "InpDocument", "tokenize_inp", "parse_inp",
            "parse_inp_report", "write_inp", "load_network", "save_network",
            "KNOWN_SECTIONS"]
 
-KNOWN_SECTIONS = (
-    "[TITLE]", "[JUNCTIONS]", "[RESERVOIRS]", "[TANKS]", "[PIPES]",
-    "[PUMPS]", "[VALVES]", "[STATUS]", "[DEMANDS]", "[PATTERNS]",
-    "[CURVES]", "[TIMES]", "[OPTIONS]",
-)
-
+_FLOW_UNITS = {"LPS": 1e-3, "CMS": 1.0}  # m3/s per file flow unit
 _TIME_UNIT_S = {
     "SEC": 1.0, "SECONDS": 1.0,
     "MIN": 60.0, "MINUTES": 60.0,
     "HR": 3600.0, "HOURS": 3600.0,
     "DAY": 86400.0, "DAYS": 86400.0,
 }
+
+# [TIMES] rows as the writer words them, and the SimOptions field each sets
+_TIMES = (("Duration", "duration_s"), ("Hydraulic Timestep", "hydraulic_step_s"),
+          ("Quality Timestep", "quality_step_s"),
+          ("Pattern Timestep", "pattern_step_s"))
+
+# link groups a [STATUS] row may name, in lookup order, and the field it sets
+_LINK_STATES = (("pipes", "open"), ("pumps", "running"), ("valves", "open"))
+
+# The row format of an element section, for the reader, the writer and the
+# writability check alike: its Network field and element class, the noun
+# messages use, the token counts a row may have and the message for others,
+# the writer's header comment, and the columns in file order, which a row
+# may leave off from the end. A column is (the field it fills or None, the
+# label messages use, its kind): "id" (as is), "float", "flow" (in the file's
+# flow unit), "mm" (millimetres), "nonneg" (>= 0), "zero" (must be 0),
+# "status" (OPEN or CLOSED), "keyword" (the label) or "ignored" (a warning).
+_Section = namedtuple(
+    "_Section", "header field cls noun lengths usage comment columns")
+_LINK = (("id", "id", "id"), ("from_node", "from", "id"), ("to_node", "to", "id"))
+_ELEMENTS = (
+    _Section("[JUNCTIONS]", "junctions", Junction, "junction", range(2, 5),
+             "junction row is: id elevation [demand] [pattern]",
+             ";id  elevation_m  demand_cms  pattern",
+             (("id", "id", "id"), ("elevation", "junction elevation", "float"),
+              ("base_demand", "junction demand", "flow"),
+              ("demand_pattern_id", "pattern", "id"))),
+    _Section("[RESERVOIRS]", "reservoirs", Reservoir, "reservoir", range(2, 4),
+             "reservoir row is: id head [pattern]", ";id  head_m  pattern",
+             (("id", "id", "id"), ("head", "reservoir head", "float"),
+              ("head_pattern_id", "pattern", "id"))),
+    _Section("[TANKS]", "tanks", Tank, "tank", range(6, 8),
+             "tank row is: id elevation init_level min_level max_level"
+             " diameter [min_volume]",
+             ";id  elevation_m  init_m  min_m  max_m  diameter_m",
+             (("id", "id", "id"), ("elevation", "tank elevation", "float"),
+              ("init_level", "tank initial level", "float"),
+              ("min_level", "tank minimum level", "float"),
+              ("max_level", "tank maximum level", "float"),
+              ("diameter", "tank diameter", "float"),
+              (None, "tank minimum volume", "ignored"))),
+    _Section("[PIPES]", "pipes", Pipe, "pipe", range(6, 9),
+             "pipe row is: id from to length diameter_mm roughness"
+             " [minor_loss] [status]",
+             ";id  from  to  length_m  diameter_mm  roughness  minor_loss  status",
+             _LINK + (("length", "pipe length", "float"),
+                      ("diameter", "pipe diameter", "mm"),
+                      ("roughness", "pipe roughness", "float"),
+                      (None, "pipe minor loss", "zero"),
+                      ("open", "pipe status", "status"))),
+    _Section("[PUMPS]", "pumps", Pump, "pump", (5, 7),
+             "pump row is: id from to HEAD curve_id [SPEED value]",
+             ";id  from  to  HEAD  curve  SPEED  value",
+             _LINK + ((None, "HEAD", "keyword"), ("curve_id", "curve", "id"),
+                      (None, "SPEED", "keyword"),
+                      ("speed", "pump speed", "nonneg"))),
+    _Section("[VALVES]", "valves", Valve, "valve", (6, 7),
+             "valve row is: id from to diameter_mm TCV loss_coef",
+             ";id  from  to  diameter_mm  type  loss_coef",
+             _LINK + (("diameter", "valve diameter", "mm"),
+                      (None, "TCV", "keyword"),
+                      ("minor_loss_coef", "valve loss coefficient", "float"),
+                      (None, "valve minor loss", "zero"))),
+)
+
+KNOWN_SECTIONS = ("[TITLE]", *(s.header for s in _ELEMENTS), "[STATUS]",
+                  "[DEMANDS]", "[PATTERNS]", "[CURVES]", "[TIMES]", "[OPTIONS]")
 
 
 @dataclass
@@ -131,21 +197,19 @@ def _time_seconds(tokens: list[str], line_no: int) -> int:
     """Parse ["300", "SEC"] or ["1:30"] style time values to whole seconds."""
     if len(tokens) == 1 and ":" in tokens[0]:
         parts = tokens[0].split(":")
-        if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
+        if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts) \
+                or any(int(p) >= 60 for p in parts[1:]):
             raise MalformedSectionError(f"bad clock time '{tokens[0]}'", line_no)
-        h, m = int(parts[0]), int(parts[1])
-        s = int(parts[2]) if len(parts) == 3 else 0
-        if m >= 60 or s >= 60:
-            raise MalformedSectionError(f"bad clock time '{tokens[0]}'", line_no)
-        return h * 3600 + m * 60 + s
-    if len(tokens) != 2:
+        value = sum(int(p) * unit for p, unit in zip(parts, (3600, 60, 1)))
+    elif len(tokens) != 2:
         raise MalformedSectionError(
             "time value needs an explicit unit (SEC/MIN/HOURS/DAYS) or HH:MM form",
             line_no)
-    scale = _TIME_UNIT_S.get(tokens[1].upper())
-    if scale is None:
-        raise MalformedSectionError(f"unknown time unit '{tokens[1]}'", line_no)
-    value = _float(tokens[0], line_no, "time value") * scale
+    else:
+        scale = _TIME_UNIT_S.get(tokens[1].upper())
+        if scale is None:
+            raise MalformedSectionError(f"unknown time unit '{tokens[1]}'", line_no)
+        value = _float(tokens[0], line_no, "time value") * scale
     rounded = round(value)
     if abs(value - rounded) > 1e-9 or rounded <= 0:
         raise MalformedSectionError(
@@ -163,14 +227,11 @@ def _parse_options(doc: InpDocument) -> float:
             if len(row.tokens) != 2:
                 raise MalformedSectionError("Units takes one value", row.line_no)
             unit = row.tokens[1].upper()
-            if unit == "LPS":
-                flow_scale = 1e-3
-            elif unit == "CMS":
-                flow_scale = 1.0
-            else:
+            if unit not in _FLOW_UNITS:
                 raise UnsupportedUnitsError(
                     f"flow units '{unit}' not supported (use LPS or CMS)",
                     row.line_no)
+            flow_scale = _FLOW_UNITS[unit]
         elif key == "HEADLOSS":
             if len(row.tokens) != 2 or row.tokens[1].upper() != "H-W":
                 raise UnsupportedOptionError(
@@ -194,15 +255,11 @@ def _parse_options(doc: InpDocument) -> float:
 def _parse_times(doc: InpDocument) -> SimOptions:
     values = {}
     for row in doc.sections.get("[TIMES]", []):
-        key = row.tokens[0].upper()
-        if key == "DURATION":
-            values["duration_s"] = _time_seconds(row.tokens[1:], row.line_no)
-        elif key in ("HYDRAULIC", "QUALITY", "PATTERN") and len(row.tokens) >= 2 \
-                and row.tokens[1].upper() == "TIMESTEP":
-            field_name = {"HYDRAULIC": "hydraulic_step_s",
-                          "QUALITY": "quality_step_s",
-                          "PATTERN": "pattern_step_s"}[key]
-            values[field_name] = _time_seconds(row.tokens[2:], row.line_no)
+        for label, name in _TIMES:
+            words = label.upper().split()
+            if [t.upper() for t in row.tokens[:len(words)]] == words:
+                values[name] = _time_seconds(row.tokens[len(words):], row.line_no)
+                break
         else:
             doc.warnings.append(
                 f"line {row.line_no}: time setting '{' '.join(row.tokens)}' ignored")
@@ -225,6 +282,63 @@ def _rows(doc: InpDocument, section: str, lengths, usage: str,
                                             row.line_no)
             seen.add(row.tokens[0])
         yield row.tokens[0], row
+
+
+def _reader(label: str, kind: str, flow_scale: float, warnings: list[str]):
+    """The function reading a token of a column, at a line, to its value;
+    None for an id, whose value is its token."""
+    if kind == "id":
+        return None
+    if kind == "float":
+        return lambda token, line_no: _float(token, line_no, label)
+    if kind == "flow":
+        return lambda token, line_no: _float(token, line_no, label) * flow_scale
+    if kind == "mm":
+        return lambda token, line_no: _float(token, line_no, label) / 1000.0
+
+    def read(token, line_no):  # the rarer kinds
+        word = token.upper()
+        if kind == "keyword" and word != label:
+            raise MalformedSectionError(
+                f"expected {label} keyword, got '{token}'", line_no)
+        if kind == "status" and word == "CV":
+            raise MalformedSectionError("check valves not supported", line_no)
+        if kind == "status" and word not in ("OPEN", "CLOSED"):
+            raise MalformedSectionError(
+                f"{label} must be OPEN or CLOSED, got '{token}'", line_no)
+        if kind in ("keyword", "status"):
+            return word == "OPEN"
+        value = _float(token, line_no, label)
+        if kind == "nonneg" and value < 0:
+            raise MalformedSectionError(f"{label} must be >= 0", line_no)
+        if kind == "zero" and value != 0.0:
+            raise MalformedSectionError(f"{label} not supported (must be 0)",
+                                        line_no)
+        if kind == "ignored":
+            warnings.append(f"line {line_no}: {label} ignored")
+        return value
+    return read
+
+
+def _read_elements(doc: InpDocument, section: _Section,
+                   flow_scale: float) -> dict:
+    """The elements of a section's rows by id, read with each column's reader
+    resolved once; positional arguments are a third cheaper than keywords."""
+    names = [f.name for f in fields(section.cls)]
+    defaults = [f.default for f in fields(section.cls)]
+    plan = [(None if name is None else names.index(name),
+             _reader(label, kind, flow_scale, doc.warnings))
+            for name, label, kind in section.columns]
+    elements = {}
+    for eid, row in _rows(doc, section.header, section.lengths, section.usage,
+                          f"duplicate {section.noun} id '{{}}'"):
+        args = defaults.copy()
+        for (slot, read), token in zip(plan, row.tokens):
+            value = token if read is None else read(token, row.line_no)
+            if slot is not None:
+                args[slot] = value
+        elements[eid] = section.cls(*args)
+    return elements
 
 
 def _parse(text: str, warnings: list[str] | None) -> Network:
@@ -251,17 +365,10 @@ def _parse(text: str, warnings: list[str] | None) -> Network:
         points = curves[cid].points + (point,) if cid in curves else (point,)
         curves[cid] = Curve(cid, points)
 
-    junctions: dict[str, Junction] = {}
-    for jid, row in _rows(doc, "[JUNCTIONS]", range(2, 5),
-                          "junction row is: id elevation [demand] [pattern]",
-                          "duplicate junction id '{}'"):
-        elevation = _float(row.tokens[1], row.line_no, "junction elevation")
-        demand = 0.0
-        if len(row.tokens) >= 3:
-            demand = _float(row.tokens[2], row.line_no, "junction demand") * flow_scale
-        pattern_id = row.tokens[3] if len(row.tokens) == 4 else None
-        junctions[jid] = Junction(jid, elevation, demand, pattern_id)
+    elements = {section.field: _read_elements(doc, section, flow_scale)
+                for section in _ELEMENTS}
 
+    junctions = elements["junctions"]
     # a repeated junction passed the unknown-junction check on its first row
     for jid, row in _rows(doc, "[DEMANDS]", range(2, 4),
                           "demand row is: junction demand [pattern]",
@@ -273,94 +380,15 @@ def _parse(text: str, warnings: list[str] | None) -> Network:
         pattern_id = row.tokens[2] if len(row.tokens) == 3 else None
         junctions[jid] = Junction(jid, junctions[jid].elevation, demand, pattern_id)
 
-    reservoirs: dict[str, Reservoir] = {}
-    for rid, row in _rows(doc, "[RESERVOIRS]", range(2, 4),
-                          "reservoir row is: id head [pattern]",
-                          "duplicate reservoir id '{}'"):
-        head = _float(row.tokens[1], row.line_no, "reservoir head")
-        pattern_id = row.tokens[2] if len(row.tokens) == 3 else None
-        reservoirs[rid] = Reservoir(rid, head, pattern_id)
-
-    tanks: dict[str, Tank] = {}
-    for tid, row in _rows(doc, "[TANKS]", range(6, 8),
-                          "tank row is: id elevation init_level min_level max_level"
-                          " diameter [min_volume]", "duplicate tank id '{}'"):
-        nums = [_float(t, row.line_no, "tank value") for t in row.tokens[1:7]]
-        if len(row.tokens) == 7:
-            doc.warnings.append(f"line {row.line_no}: tank minimum volume ignored")
-        tanks[tid] = Tank(tid, elevation=nums[0], init_level=nums[1],
-                          min_level=nums[2], max_level=nums[3], diameter=nums[4])
-
-    pipes: dict[str, Pipe] = {}
-    for pid, row in _rows(doc, "[PIPES]", range(6, 9),
-                          "pipe row is: id from to length diameter_mm roughness"
-                          " [minor_loss] [status]", "duplicate pipe id '{}'"):
-        length = _float(row.tokens[3], row.line_no, "pipe length")
-        diameter = _float(row.tokens[4], row.line_no, "pipe diameter") / 1000.0
-        roughness = _float(row.tokens[5], row.line_no, "pipe roughness")
-        if len(row.tokens) >= 7:
-            if _float(row.tokens[6], row.line_no, "pipe minor loss") != 0.0:
-                raise MalformedSectionError(
-                    "pipe minor losses not supported (must be 0)", row.line_no)
-        open_ = True
-        if len(row.tokens) == 8:
-            status = row.tokens[7].upper()
-            if status == "CV":
-                raise MalformedSectionError("check valves not supported", row.line_no)
-            if status not in ("OPEN", "CLOSED"):
-                raise MalformedSectionError(
-                    f"pipe status must be OPEN or CLOSED, got '{row.tokens[7]}'",
-                    row.line_no)
-            open_ = status == "OPEN"
-        pipes[pid] = Pipe(pid, row.tokens[1], row.tokens[2],
-                          length, diameter, roughness, open_)
-
-    pumps: dict[str, Pump] = {}
-    for uid, row in _rows(doc, "[PUMPS]", (5, 7),
-                          "pump row is: id from to HEAD curve_id [SPEED value]",
-                          "duplicate pump id '{}'"):
-        if row.tokens[3].upper() != "HEAD":
-            raise MalformedSectionError(
-                "only HEAD-curve pumps supported", row.line_no)
-        speed = 1.0
-        if len(row.tokens) == 7:
-            if row.tokens[5].upper() != "SPEED":
-                raise MalformedSectionError(
-                    f"expected SPEED keyword, got '{row.tokens[5]}'", row.line_no)
-            speed = _float(row.tokens[6], row.line_no, "pump speed")
-            if speed < 0:
-                raise MalformedSectionError("pump speed must be >= 0", row.line_no)
-        pumps[uid] = Pump(uid, row.tokens[1], row.tokens[2],
-                          curve_id=row.tokens[4], speed=speed)
-
-    valves: dict[str, Valve] = {}
-    for vid, row in _rows(doc, "[VALVES]", (6, 7),
-                          "valve row is: id from to diameter_mm TCV loss_coef",
-                          "duplicate valve id '{}'"):
-        if row.tokens[4].upper() != "TCV":
-            raise MalformedSectionError(
-                f"only TCV valves supported, got '{row.tokens[4]}'", row.line_no)
-        diameter = _float(row.tokens[3], row.line_no, "valve diameter") / 1000.0
-        coef = _float(row.tokens[5], row.line_no, "valve loss coefficient")
-        if len(row.tokens) == 7:
-            if _float(row.tokens[6], row.line_no, "valve minor loss") != 0.0:
-                raise MalformedSectionError(
-                    "extra valve minor loss not supported (must be 0)", row.line_no)
-        valves[vid] = Valve(vid, row.tokens[1], row.tokens[2],
-                            diameter=diameter, minor_loss_coef=coef)
-
+    read_status = _reader("status", "status", flow_scale, doc.warnings)
     for lid, row in _rows(doc, "[STATUS]", (2,),
                           "status row is: link_id OPEN|CLOSED",
                           "duplicate status row for link '{}'"):
-        status = row.tokens[1].upper()
-        if status not in ("OPEN", "CLOSED"):
-            raise MalformedSectionError(
-                f"status must be OPEN or CLOSED, got '{row.tokens[1]}'",
-                row.line_no)
-        for group, attr in ((pipes, "open"), (pumps, "running"),
-                            (valves, "open")):
+        status = read_status(row.tokens[1], row.line_no)
+        for name, attr in _LINK_STATES:
+            group = elements[name]
             if lid in group:
-                group[lid] = replace(group[lid], **{attr: status == "OPEN"})
+                group[lid] = replace(group[lid], **{attr: status})
                 break
         else:
             raise MalformedSectionError(
@@ -368,9 +396,7 @@ def _parse(text: str, warnings: list[str] | None) -> Network:
 
     if warnings is not None:
         warnings.extend(doc.warnings)
-    return Network(junctions=junctions, reservoirs=reservoirs, tanks=tanks,
-                   pipes=pipes, pumps=pumps, valves=valves,
-                   patterns=patterns, curves=curves,
+    return Network(**elements, patterns=patterns, curves=curves,
                    options=options, title=title)
 
 
@@ -409,17 +435,15 @@ def _check_writable(network: Network) -> None:
     title = network.title
     if title and not all(map(_reads_back, title.split("\n"))):
         raise InpError(f"title {title!r} would not read back as written")
-    for kind, group in (("junction", network.junctions),
-                        ("reservoir", network.reservoirs),
-                        ("tank", network.tanks), ("pipe", network.pipes),
-                        ("pump", network.pumps), ("valve", network.valves),
-                        ("pattern", network.patterns),
-                        ("curve", network.curves)):
-        for eid in group:
+    # every id group is a dict field of Network named for its kind
+    for group in fields(Network):
+        ids = getattr(network, group.name)
+        for eid in ids if isinstance(ids, dict) else ():
             if not _reads_back(eid) or " " in eid:
-                raise InpError(f"{kind} id {eid!r} is not one INP token")
-    for name, value in vars(network.options).items():
-        if not (_real(value, 0.0, above=True) and value == round(value)):
+                raise InpError(f"{group.name[:-1]} id {eid!r} is not one INP token")
+    for _, name in _TIMES:
+        value = getattr(network.options, name)
+        if not _positive_whole(value):
             raise InpError(f"options {name} {value!r} is not a positive"
                            " whole number of seconds")
     step = network.options.pattern_step_s
@@ -429,12 +453,29 @@ def _check_writable(network: Network) -> None:
                            f" from the pattern timestep {step} s")
 
 
+# how the writer words a column's value, by kind; other numbers by `_fmt`
+_WORDS = {"id": str, "status": lambda v: "OPEN" if v else "CLOSED",
+          "mm": lambda v: _fmt(v * 1000.0)}
+
+
+def _row(section: _Section, element) -> str:
+    """An element's row, less the trailing columns it has nothing for."""
+    tokens, end = [], 0
+    for name, label, kind in section.columns:
+        value = None if name is None else getattr(element, name)
+        if kind in ("keyword", "zero"):
+            tokens.append(label if kind == "keyword" else "0")
+        elif value is not None:
+            tokens.append(_WORDS.get(kind, _fmt)(value))
+            end = len(tokens)
+    return " " + "  ".join(tokens[:end])
+
+
 def write_inp(network: Network) -> str:
     """Serialize to INP text (CMS units); parse_inp recovers an equal network.
     Raises InpError instead where it would not (see `_check_writable`)."""
     incidence(network)
     _check_writable(network)
-    opt = network.options
     out: list[str] = []
     w = out.append
 
@@ -448,73 +489,27 @@ def write_inp(network: Network) -> str:
     w(" Demand    Model DDA")
     w("")
     w("[TIMES]")
-    w(f" Duration            {opt.duration_s} SEC")
-    w(f" Hydraulic Timestep  {opt.hydraulic_step_s} SEC")
-    w(f" Quality Timestep    {opt.quality_step_s} SEC")
-    w(f" Pattern Timestep    {opt.pattern_step_s} SEC")
+    for label, name in _TIMES:
+        w(f" {label:<20}{getattr(network.options, name)} SEC")
     w("")
 
-    if network.junctions:
-        w("[JUNCTIONS]")
-        w(";id  elevation_m  demand_cms  pattern")
-        for jid in sorted(network.junctions):
-            j = network.junctions[jid]
-            row = f" {j.id}  {_fmt(j.elevation)}  {_fmt(j.base_demand)}"
-            if j.demand_pattern_id is not None:
-                row += f"  {j.demand_pattern_id}"
-            w(row)
-        w("")
-    if network.reservoirs:
-        w("[RESERVOIRS]")
-        w(";id  head_m  pattern")
-        for rid in sorted(network.reservoirs):
-            r = network.reservoirs[rid]
-            row = f" {r.id}  {_fmt(r.head)}"
-            if r.head_pattern_id is not None:
-                row += f"  {r.head_pattern_id}"
-            w(row)
-        w("")
-    if network.tanks:
-        w("[TANKS]")
-        w(";id  elevation_m  init_m  min_m  max_m  diameter_m")
-        for tid in sorted(network.tanks):
-            t = network.tanks[tid]
-            w(f" {t.id}  {_fmt(t.elevation)}  {_fmt(t.init_level)}"
-              f"  {_fmt(t.min_level)}  {_fmt(t.max_level)}  {_fmt(t.diameter)}")
-        w("")
-    if network.pipes:
-        w("[PIPES]")
-        w(";id  from  to  length_m  diameter_mm  roughness  minor_loss  status")
-        for pid in sorted(network.pipes):
-            p = network.pipes[pid]
-            status = "OPEN" if p.open else "CLOSED"
-            w(f" {p.id}  {p.from_node}  {p.to_node}  {_fmt(p.length)}"
-              f"  {_fmt(p.diameter * 1000.0)}  {_fmt(p.roughness)}  0  {status}")
-        w("")
-    if network.pumps:
-        w("[PUMPS]")
-        w(";id  from  to  HEAD  curve  SPEED  value")
-        for uid in sorted(network.pumps):
-            u = network.pumps[uid]
-            w(f" {u.id}  {u.from_node}  {u.to_node}  HEAD  {u.curve_id}"
-              f"  SPEED  {_fmt(u.speed)}")
-        w("")
-    if network.valves:
-        w("[VALVES]")
-        w(";id  from  to  diameter_mm  type  loss_coef")
-        for vid in sorted(network.valves):
-            v = network.valves[vid]
-            w(f" {v.id}  {v.from_node}  {v.to_node}  {_fmt(v.diameter * 1000.0)}"
-              f"  TCV  {_fmt(v.minor_loss_coef)}")
-        w("")
-    stopped = [uid for uid in sorted(network.pumps)
-               if not network.pumps[uid].running]
-    closed = [vid for vid in sorted(network.valves)
-              if not network.valves[vid].open]
-    if stopped or closed:
+    for section in _ELEMENTS:
+        group = getattr(network, section.field)
+        if group:
+            w(section.header)
+            w(section.comment)
+            for eid in sorted(group):
+                w(_row(section, group[eid]))
+            w("")
+    # a link state that its own row has no column for goes in a [STATUS] row
+    in_rows = {(s.field, column[0]) for s in _ELEMENTS for column in s.columns}
+    closed = [lid for name, attr in _LINK_STATES if (name, attr) not in in_rows
+              for lid, link in sorted(getattr(network, name).items())
+              if not getattr(link, attr)]
+    if closed:
         w("[STATUS]")
         w(";id  status")
-        for lid in stopped + closed:
+        for lid in closed:
             w(f" {lid}  CLOSED")
         w("")
     if network.patterns:

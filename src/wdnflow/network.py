@@ -194,6 +194,11 @@ def _real(value, low: float = -math.inf, above: bool = False) -> bool:
         and math.isfinite(value) and (value > low if above else value >= low)
 
 
+def _positive_whole(value) -> bool:
+    """The one rule for a duration in seconds: `_real`, positive and whole."""
+    return _real(value, 0.0, above=True) and value == round(value)
+
+
 def validate(network: Network) -> list[Violation]:
     """Check every element invariant plus graph closure and source reachability.
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeConcentrationError
 from .hydraulics import StateSeries
-from .network import Network, incidence
+from .network import Network, _positive_whole, incidence
 
 __all__ = ["QualitySettings", "QualityState", "decay", "simulate_quality",
            "SEGMENT_MERGE_DC"]
@@ -69,8 +69,7 @@ class QualitySettings:
 
 def _whole_seconds(name: str, value) -> int:
     """A duration as int seconds: a positive whole number, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value <= 0 or not float(value).is_integer():
+    if not _positive_whole(value):
         raise ConfigError(f"{name} must be a positive whole number of"
                           f" seconds, got {value!r}")
     return int(value)

@@ -37,6 +37,7 @@ from wdnflow.hydraulics import (
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
     _layout,
+    actuator_value,
     _overrides_key,
     fit_pump_curve,
     hazen_williams_headloss,
@@ -1182,6 +1183,18 @@ class TestSnapshotInputRules:
         demands = kw.pop("demands", {"j1": 5e-3, "j2": 3e-3})
         with pytest.raises(error, match=message):
             solve_snapshot(pumpnet, demands, **kw)
+
+    def test_numpy_scalars_are_numbers(self, toy9):
+        # validate holds numpy reals in network fields to be numbers; so do
+        # the snapshot inputs and the actuator values
+        demand = np.float32(0.01)
+        state = solve_snapshot(toy9, {"n1": demand, "n2": np.int64(0)})
+        plain = solve_snapshot(toy9, {"n1": float(demand), "n2": 0.0})
+        np.testing.assert_array_equal(state.head, plain.head)
+        speed = actuator_value("pump_speed", np.float32(0.5))
+        assert speed == 0.5 and type(speed) is float
+        with pytest.raises(ConfigError, match="pump_speed value"):
+            actuator_value("pump_speed", np.float32(-0.5))
 
     def test_engine_emitter_must_name_a_junction(self, pumpnet):
         # the engine plans its horizon when it is made

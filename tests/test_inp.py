@@ -1,3 +1,4 @@
+import hashlib
 import string
 from dataclasses import replace
 from unittest import mock
@@ -107,6 +108,17 @@ def test_times_clock_and_unit_forms():
     assert net.options.duration_s == 5400
     assert net.options.hydraulic_step_s == 300
     assert net.options.pattern_step_s == 7200
+
+
+@pytest.mark.parametrize("row", ["Duration 0:00", "Hydraulic Timestep 0:00",
+                                 "Quality Timestep 0:00:00",
+                                 "Pattern Timestep 00:00"])
+def test_zero_clock_time_names_its_line(row):
+    text = MINIMAL.replace("[OPTIONS]", f"[TIMES]\n {row}\n[OPTIONS]")
+    with pytest.raises(MalformedSectionError) as e:
+        parse_inp(text)
+    assert e.value.line_no == text.splitlines().index(f" {row}") + 1
+    assert "positive whole number of seconds" in str(e.value)
 
 
 def test_fractional_seconds_rejected():
@@ -390,6 +402,55 @@ def test_bad_status_row_names_its_line(row, message):
     text = STATUS_TEXT.replace(" vv  CLOSED\n", f" {row}\n")
     error, prefix = last_row_error(text)
     assert error == prefix + message
+
+
+@pytest.mark.parametrize("section, row, message", [
+    ("[JUNCTIONS]", "j2 x", "junction elevation: not a number 'x'"),
+    ("[JUNCTIONS]", "j2 1 x", "junction demand: not a number 'x'"),
+    ("[PIPES]", "p1 a b 100 x 120", "pipe diameter: not a number 'x'"),
+    ("[TANKS]", "t1 10 1 0 2 5 x", "tank minimum volume: not a number 'x'"),
+    ("[PUMPS]", "u1 a b POWER c1", "expected HEAD keyword, got 'POWER'"),
+    ("[PUMPS]", "u1 a b HEAD c1 PATTERN 1",
+     "expected SPEED keyword, got 'PATTERN'"),
+    ("[VALVES]", "v1 a b 200 PRV 0.5", "expected TCV keyword, got 'PRV'"),
+    ("[PIPES]", "p1 a b 100 200 120 5",
+     "pipe minor loss not supported (must be 0)"),
+    ("[VALVES]", "v1 a b 200 TCV 0.5 1",
+     "valve minor loss not supported (must be 0)"),
+    ("[PIPES]", "p1 a b 100 200 120 0 ACTIVE",
+     "pipe status must be OPEN or CLOSED, got 'ACTIVE'"),
+    ("[PIPES]", "p1 a b 100 200 120 0 CV", "check valves not supported"),
+    ("[PUMPS]", "u1 a b HEAD c1 SPEED -1", "pump speed must be >= 0"),
+])
+def test_bad_column_names_its_row(section, row, message):
+    """One bad token of each column kind: a float, a flow, millimetres, an
+    ignored value, a keyword, a must-be-0 value, a status and a speed."""
+    text = section_text(section, row)
+    with pytest.raises(MalformedSectionError) as e:
+        parse_inp(text)
+    assert e.value.line_no == len(text.splitlines())
+    assert str(e.value) == f"line {e.value.line_no}: {message}"
+
+
+# sha256 of what write_inp writes for each network: its bytes, pinned
+WRITTEN_SHA256 = {
+    "toy9": "05e4f6b1075a163fa4a8f3478dfcd1f52f05173b8000a7e5c6e5548502a19728",
+    "pumpnet":
+        "b51ee1a1e426b911a2f1c6910f70917416dc7939c3255c77152ebe487a84c05e",
+    "series1":
+        "c8d684d4356408b3dafbb2a9d1da33a5681e50cb011def35d931ae8543f01f7f",
+    "grid_inp(3, 3)":
+        "5694e6e666fe1ee2e277e4831c5fc177e4f151202e676c7774987cda4f00aba1",
+}
+
+
+def test_written_bytes_are_pinned(toy9, pumpnet, perfbench_module):
+    grid = parse_inp(perfbench_module("netgen").grid_inp(3, 3))
+    for name, network in (("toy9", toy9), ("pumpnet", pumpnet),
+                          ("series1", bundled.load_series1()),
+                          ("grid_inp(3, 3)", grid)):
+        digest = hashlib.sha256(write_inp(network).encode()).hexdigest()
+        assert digest == WRITTEN_SHA256[name], name
 
 
 def test_status_round_trips_a_stopped_pump_and_a_closed_valve(

@@ -107,6 +107,12 @@ class TestSettingsValidation:
         with pytest.raises(ConfigError):
             QualitySettings(quality_time_step=0)
 
+    def test_step_may_be_a_numpy_integer(self):
+        step = QualitySettings(quality_time_step=np.int64(60)).quality_time_step
+        assert step == 60 and type(step) is int
+        with pytest.raises(ConfigError):
+            QualitySettings(quality_time_step=np.float32(0.5))
+
     def test_negative_concentration_error_is_package_error(self):
         assert issubclass(NegativeConcentrationError, WdnflowError)
 
