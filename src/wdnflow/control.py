@@ -18,7 +18,6 @@ shortfall below `min_pressure_head` summed over junctions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
 from .events import CONTROL_FIELDS, actuator_value
 from .hydraulics import G, Controls, HydraulicState
+from .network import _finite
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
 
@@ -62,14 +62,10 @@ class ScenarioEnv:
         if config.sensors.quality_nodes:
             raise ConfigError(
                 "quality sensors are not supported in the control environment")
-        if not math.isfinite(min_pressure_head):
-            raise ConfigError("min_pressure_head must be finite")
-        if not 0 <= pressure_penalty < math.inf:
-            raise ConfigError("pressure_penalty must be finite and >= 0")
+        self.min_pressure_head = _finite(min_pressure_head, "min_pressure_head")
+        self.pressure_penalty = _finite(pressure_penalty, "pressure_penalty", 0.0)
         self.runtime: ScenarioRuntime = build_runtime(config)
         self.config = config
-        self.min_pressure_head = min_pressure_head
-        self.pressure_penalty = pressure_penalty
         self.columns = config.sensors.columns()
         # sensors and the pressure deficit read the solved states directly:
         # each pre-split element keeps its id, and its values, in the solve

@@ -18,12 +18,12 @@ its own by `lstsq`, which gives minimum-norm weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ColumnMismatchError, InsufficientDataError
+from .network import _real
 from .scada import GroundTruthRecord
 
 __all__ = [
@@ -135,10 +135,11 @@ class SensorInterpolationDetector:
     def __init__(self, margin: float = 0.1, min_threshold: float = 1e-9):
         for name, value in (("margin", margin),
                             ("min_threshold", min_threshold)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        self.margin = margin
-        self.min_threshold = min_threshold
+            if not _real(value, 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0,"
+                                 f" got {value!r}")
+        self.margin = float(margin)
+        self.min_threshold = float(min_threshold)
         self.n_sensors: int | None = None
         self.weights: np.ndarray | None = None      # (p, p), zero diagonal
         self.intercepts: np.ndarray | None = None

@@ -4,7 +4,9 @@ Leakages and actuator events alter hydraulic truth; sensor faults and
 communication events only corrupt the extracted readings. Activation windows
 are inclusive at start_time and exclusive at end_time. When several events of
 the same family target the same element at the same time, the event with the
-later start wins; list order breaks ties.
+later start wins; list order breaks ties. Every number an event holds
+(window times, leak sizes, fault params) is checked by `network._finite`
+and stored as a float.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, UnknownTargetError
 from .hydraulics import G, Controls, actuator_value
-from .network import Junction, Network, Pipe
+from .network import Junction, Network, Pipe, _finite
 
 __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
@@ -55,12 +57,12 @@ class EventWindow:
     def __post_init__(self):
         for name in ("start_time", "end_time", "peak_time"):
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(value))
-        if not 0 <= self.start_time < self.end_time < math.inf:
-            raise ConfigError(
-                f"event window needs 0 <= start < end < inf, got"
-                f" [{self.start_time}, {self.end_time})")
+            if value is not None or name != "peak_time":
+                object.__setattr__(self, name, _finite(
+                    value, f"event window {name}", 0.0))
+        if not self.start_time < self.end_time:
+            raise ConfigError(f"event window needs start < end, got"
+                              f" [{self.start_time}, {self.end_time})")
         if self.peak_time is not None and \
                 not self.start_time <= self.peak_time <= self.end_time:
             raise ConfigError("peak_time must lie inside the window")
@@ -82,15 +84,13 @@ class LeakageEvent:
     def __post_init__(self):
         if self.kind not in EVENT_REGISTRY["leakage"]:
             raise ConfigError(f"unknown leakage kind '{self.kind}'")
-        object.__setattr__(self, "diameter", float(self.diameter))
-        object.__setattr__(self, "discharge_coef", float(self.discharge_coef))
+        object.__setattr__(self, "diameter",
+                           _finite(self.diameter, "leak diameter", 0.0, True))
+        object.__setattr__(self, "discharge_coef", _finite(
+            self.discharge_coef, "discharge coefficient", 0.0, True))
         if self.area_pattern is not None:
-            object.__setattr__(self, "area_pattern",
-                               tuple(float(v) for v in self.area_pattern))
-        if not 0 < self.diameter < math.inf:
-            raise ConfigError("leak diameter must be finite and > 0")
-        if not 0 < self.discharge_coef < math.inf:
-            raise ConfigError("discharge coefficient must be finite and > 0")
+            object.__setattr__(self, "area_pattern", tuple(
+                _finite(v, "area_pattern value") for v in self.area_pattern))
         if self.kind == "incipient" and self.window.peak_time is None:
             raise ConfigError("incipient leakage needs a peak_time")
         if self.kind == "pattern":
@@ -138,11 +138,10 @@ class SensorFaultEvent:
         _no_peak(self.window, "sensor fault")
         if self.sensor_ref[0] not in SENSOR_TYPES:
             raise ConfigError(f"unknown sensor type '{self.sensor_ref[0]}'")
-        object.__setattr__(self, "param", float(self.param))
-        if not math.isfinite(self.param):
-            raise ConfigError("sensor fault param must be finite")
-        if self.kind == "gaussian" and self.param < 0:
-            raise ConfigError("gaussian fault sigma must be >= 0")
+        # a gaussian fault's param is its sigma
+        object.__setattr__(self, "param", _finite(
+            self.param, f"{self.kind} fault param",
+            0.0 if self.kind == "gaussian" else -math.inf))
 
 
 @dataclass(frozen=True)

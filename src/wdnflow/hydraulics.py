@@ -79,8 +79,8 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, Tank, _compiled, _real, _traverse,
-    expand_pump_curve, incidence,
+    Curve, Network, Pattern, Tank, _compiled, _finite, _positive_whole, _real,
+    _traverse, expand_pump_curve, incidence,
 )
 
 __all__ = [
@@ -124,15 +124,6 @@ class Controls:
     pump_running: dict[str, bool] = field(default_factory=dict)
     pump_speed: dict[str, float] = field(default_factory=dict)
     valve_open: dict[str, bool] = field(default_factory=dict)
-
-
-def _finite(value, what: str, minimum: float = -math.inf) -> float:
-    """value as a float, checked by `_real`'s rule to be a finite number
-    (not a bool) that is at least minimum."""
-    if not _real(value, minimum):
-        raise ConfigError(f"{what} must be a finite number"
-                          + (f" >= {minimum:g}" if minimum > -math.inf else ""))
-    return float(value)
 
 
 def _scatter(out: np.ndarray, index: dict[str, int], values: dict,
@@ -866,12 +857,14 @@ class EpsEngine:
                  emitter_hook=None):
         self.network = network
         opt = network.options
-        self.duration_s = opt.duration_s if duration_s is None else duration_s
-        self.step_s = opt.hydraulic_step_s if step_s is None else step_s
-        if self.step_s <= 0 or self.duration_s < 0 \
-                or self.duration_s % self.step_s != 0:
+        duration = opt.duration_s if duration_s is None else duration_s
+        step = opt.hydraulic_step_s if step_s is None else step_s
+        # whole seconds by `_real`'s rule, so 3600.0 runs as 3600
+        if not (_positive_whole(step) and _real(duration, 0.0)
+                and duration % step == 0):
             raise ValueError("duration must be a positive multiple of the"
                              " hydraulic time step")
+        self.duration_s, self.step_s = int(duration), int(step)
         self.total_steps = self.duration_s // self.step_s
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook

@@ -8,6 +8,8 @@ validates it, once per Network object; `_compiled` is how such a compile is
 kept on its network, for the incidence and for the solver's layout alike.
 `_traverse` is the one graph traversal: `validate` and the solver's
 topologies both walk the graph by it.
+`_real` is the one rule for a number: `validate` applies it through one
+table of numeric fields, and `_finite` to every config number.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DanglingReferenceError, InvalidNetworkError
+from .errors import ConfigError, DanglingReferenceError, InvalidNetworkError
 
 __all__ = [
     "Junction", "Reservoir", "Tank", "Pipe", "Pump", "Valve",
@@ -194,118 +196,119 @@ def _real(value, low: float = -math.inf, above: bool = False) -> bool:
         and math.isfinite(value) and (value > low if above else value >= low)
 
 
+def _finite(value, what: str, low: float = -math.inf,
+            above: bool = False) -> float:
+    """A config number: value as a float, held to `_real`'s rule; a
+    ConfigError naming `what` and its bound otherwise."""
+    if not _real(value, low, above):
+        raise ConfigError(f"{what} must be a finite number" + (
+            f" {'>' if above else '>='} {low:g}" if low > -math.inf else ""))
+    return float(value)
+
+
 def _positive_whole(value) -> bool:
     """The one rule for a duration in seconds: `_real`, positive and whole."""
     return _real(value, 0.0, above=True) and value == round(value)
+
+
+_NODE_GROUPS = ("junctions", "reservoirs", "tanks")
+_LINK_GROUPS = ("pipes", "pumps", "valves")
+
+# Each numeric field per element group: (field, least value, whether the
+# bound is strict, the violation it gives). Groups run in the order their
+# violations are listed.
+_FIELDS = {
+    "junctions": (("elevation", -math.inf, False, "elevation not finite"),
+                  ("base_demand", 0.0, False, "base_demand must be >= 0")),
+    "reservoirs": (("head", -math.inf, False, "head not finite"),),
+    "tanks": (("elevation", -math.inf, False, "elevation not finite"),
+              ("diameter", 0.0, True, "diameter must be finite and > 0")),
+    "pipes": tuple((name, 0.0, True, f"{name} must be finite and > 0")
+                   for name in ("length", "diameter", "roughness")),
+    "pumps": (("speed", 0.0, False, "speed must be finite and >= 0"),),
+    "valves": (("diameter", 0.0, True, "diameter must be finite and > 0"),
+               ("minor_loss_coef", 0.0, False,
+                "minor_loss_coef must be finite and >= 0")),
+    "patterns": (("step", 0.0, True, "step must be finite and > 0"),),
+    "curves": (),
+}
+
+# Each reference: (group, field, target group, noun). A pattern reference
+# may be None (multiplier 1); a curve reference may not.
+_REFS = (("junctions", "demand_pattern_id", "patterns", "demand pattern"),
+         ("reservoirs", "head_pattern_id", "patterns", "head pattern"),
+         ("pumps", "curve_id", "curves", "curve"))
+
+
+def _shape(group: str, elem):
+    """The checks no table states: a tank's level order, a pattern's
+    multipliers and a curve's points."""
+    if group == "tanks":
+        levels = (elem.min_level, elem.init_level, elem.max_level)
+        if not (all(_real(x, 0.0) for x in levels)
+                and elem.min_level <= elem.init_level <= elem.max_level):
+            yield "levels must satisfy 0 <= min <= init <= max < inf"
+    elif group == "patterns":
+        if not elem.multipliers:
+            yield "must have at least one multiplier"
+        elif not all(_real(m, 0.0) for m in elem.multipliers):
+            yield "multipliers must be finite and >= 0"
+    elif group == "curves":
+        flows = [q for q, _ in elem.points]
+        heads = [h for _, h in elem.points]
+        if not elem.points:
+            yield "must have at least one point"
+        elif not all(map(_real, flows + heads)):
+            yield "points must be finite"
+        else:
+            if any(b <= a for a, b in zip(flows, flows[1:])):
+                yield "flows must be strictly increasing"
+            if any(b > a for a, b in zip(heads, heads[1:])):
+                yield "heads must be non-increasing"
 
 
 def validate(network: Network) -> list[Violation]:
     """Check every element invariant plus graph closure and source reachability.
 
     Violations are returned, never raised; an empty list means the network
-    is well formed.
+    is well formed. Ids come first, then each group in `_FIELDS` order,
+    each element's endpoints, references, fields and shape in turn.
     """
     out: list[Violation] = []
     add = out.append
 
     node_ids: set[str] = set()
-    for kind, group in (("junction", network.junctions),
-                        ("reservoir", network.reservoirs),
-                        ("tank", network.tanks)):
-        for nid, elem in group.items():
-            if nid != elem.id:
-                add(Violation(kind, nid, f"keyed as '{nid}' but id is '{elem.id}'"))
-            if elem.id in node_ids:
-                add(Violation(kind, elem.id, "duplicate node id"))
-            node_ids.add(elem.id)
-
     link_ids: set[str] = set()
-    for kind, group in (("pipe", network.pipes),
-                        ("pump", network.pumps),
-                        ("valve", network.valves)):
-        for lid, elem in group.items():
-            if lid != elem.id:
-                add(Violation(kind, lid, f"keyed as '{lid}' but id is '{elem.id}'"))
-            if elem.id in link_ids:
-                add(Violation(kind, elem.id, "duplicate link id"))
-            link_ids.add(elem.id)
+    for role, seen, groups in (("node", node_ids, _NODE_GROUPS),
+                               ("link", link_ids, _LINK_GROUPS)):
+        for group in groups:
+            for key, elem in getattr(network, group).items():
+                if key != elem.id:
+                    add(Violation(group[:-1], key,
+                                  f"keyed as '{key}' but id is '{elem.id}'"))
+                if elem.id in seen:
+                    add(Violation(group[:-1], elem.id, f"duplicate {role} id"))
+                seen.add(elem.id)
 
-    for j in network.junctions.values():
-        if not _real(j.elevation):
-            add(Violation("junction", j.id, "elevation not finite"))
-        if not _real(j.base_demand, 0.0):
-            add(Violation("junction", j.id, "base_demand must be >= 0"))
-        if j.demand_pattern_id is not None and j.demand_pattern_id not in network.patterns:
-            add(Violation("junction", j.id,
-                          f"demand pattern '{j.demand_pattern_id}' not defined"))
-
-    for r in network.reservoirs.values():
-        if not _real(r.head):
-            add(Violation("reservoir", r.id, "head not finite"))
-        if r.head_pattern_id is not None and r.head_pattern_id not in network.patterns:
-            add(Violation("reservoir", r.id,
-                          f"head pattern '{r.head_pattern_id}' not defined"))
-
-    for tk in network.tanks.values():
-        if not _real(tk.elevation):
-            add(Violation("tank", tk.id, "elevation not finite"))
-        if not _real(tk.diameter, 0.0, above=True):
-            add(Violation("tank", tk.id, "diameter must be finite and > 0"))
-        levels = (tk.min_level, tk.init_level, tk.max_level)
-        if not (all(_real(x, 0.0) for x in levels)
-                and tk.min_level <= tk.init_level <= tk.max_level):
-            add(Violation("tank", tk.id,
-                          "levels must satisfy 0 <= min <= init <= max < inf"))
-
-    def check_endpoints(kind, elem):
-        for attr in ("from_node", "to_node"):
-            ref = getattr(elem, attr)
-            if ref not in node_ids:
-                add(Violation(kind, elem.id, f"{attr} '{ref}' does not exist"))
-
-    for p in network.pipes.values():
-        check_endpoints("pipe", p)
-        for name in ("length", "diameter", "roughness"):
-            if not _real(getattr(p, name), 0.0, above=True):
-                add(Violation("pipe", p.id, f"{name} must be finite and > 0"))
-
-    for pu in network.pumps.values():
-        check_endpoints("pump", pu)
-        if pu.curve_id not in network.curves:
-            add(Violation("pump", pu.id, f"curve '{pu.curve_id}' not defined"))
-        if not _real(pu.speed, 0.0):
-            add(Violation("pump", pu.id, "speed must be finite and >= 0"))
-
-    for v in network.valves.values():
-        check_endpoints("valve", v)
-        if not _real(v.diameter, 0.0, above=True):
-            add(Violation("valve", v.id, "diameter must be finite and > 0"))
-        if not _real(v.minor_loss_coef, 0.0):
-            add(Violation("valve", v.id,
-                          "minor_loss_coef must be finite and >= 0"))
-
-    for pat in network.patterns.values():
-        if not pat.multipliers:
-            add(Violation("pattern", pat.id, "must have at least one multiplier"))
-        elif not all(_real(m, 0.0) for m in pat.multipliers):
-            add(Violation("pattern", pat.id,
-                          "multipliers must be finite and >= 0"))
-        if not _real(pat.step, 0.0, above=True):
-            add(Violation("pattern", pat.id, "step must be finite and > 0"))
-
-    for c in network.curves.values():
-        if not c.points:
-            add(Violation("curve", c.id, "must have at least one point"))
-            continue
-        flows = [q for q, _ in c.points]
-        heads = [h for _, h in c.points]
-        if not all(map(_real, flows + heads)):
-            add(Violation("curve", c.id, "points must be finite"))
-            continue
-        if any(b <= a for a, b in zip(flows, flows[1:])):
-            add(Violation("curve", c.id, "flows must be strictly increasing"))
-        if any(b > a for a, b in zip(heads, heads[1:])):
-            add(Violation("curve", c.id, "heads must be non-increasing"))
+    for group, fields in _FIELDS.items():
+        kind = group[:-1]
+        ends = ("from_node", "to_node") if group in _LINK_GROUPS else ()
+        refs = [(name, getattr(network, target), target == "patterns", noun)
+                for g, name, target, noun in _REFS if g == group]
+        for elem in getattr(network, group).values():
+            for end in ends:
+                ref = getattr(elem, end)
+                if ref not in node_ids:
+                    add(Violation(kind, elem.id, f"{end} '{ref}' does not exist"))
+            for name, targets, optional, noun in refs:
+                ref = getattr(elem, name)
+                if ref not in targets and not (optional and ref is None):
+                    add(Violation(kind, elem.id, f"{noun} '{ref}' not defined"))
+            for name, low, above, message in fields:
+                if not _real(getattr(elem, name), low, above):
+                    add(Violation(kind, elem.id, message))
+            for message in _shape(group, elem):
+                add(Violation(kind, elem.id, message))
 
     sources = set(network.reservoirs) | set(network.tanks)
     if not sources:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeConcentrationError
 from .hydraulics import StateSeries
-from .network import Network, _positive_whole, incidence
+from .network import Network, _finite, _positive_whole, incidence
 
 __all__ = ["QualitySettings", "QualityState", "decay", "simulate_quality",
            "SEGMENT_MERGE_DC"]
@@ -59,12 +59,11 @@ class QualitySettings:
     def __post_init__(self):
         object.__setattr__(self, "quality_time_step", _whole_seconds(
             "quality_time_step", self.quality_time_step))
-        if not 0 <= self.decay_rate_k < math.inf:
-            raise ConfigError("decay_rate_k must be finite and >= 0")
-        for node, conc in self.source_nodes.items():
-            if not 0 <= conc < math.inf:
-                raise ConfigError(f"source concentration at '{node}' must be"
-                                  " finite and >= 0")
+        object.__setattr__(self, "decay_rate_k",
+                           _finite(self.decay_rate_k, "decay_rate_k", 0.0))
+        object.__setattr__(self, "source_nodes", {
+            node: _finite(conc, f"source concentration at '{node}'", 0.0)
+            for node, conc in self.source_nodes.items()})
 
 
 def _whole_seconds(name: str, value) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .inp import load_network
-from .network import Network, incidence
+from .network import Network, _real, incidence
 from .hydraulics import Controls, EpsEngine, StateSeries
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
@@ -60,9 +60,12 @@ __all__ = [
 
 def to_seconds(days: float = 0, hours: float = 0, minutes: float = 0,
                seconds: float = 0) -> int:
-    total = days * 86400 + hours * 3600 + minutes * 60 + seconds
-    if not math.isfinite(total) or total != int(total):
-        raise ConfigError(f"{total} s is not a whole number of seconds")
+    """The span as whole int seconds, each part held to `_real`'s rule."""
+    total = days * 86400 + hours * 3600 + minutes * 60 + seconds \
+        if all(map(_real, (days, hours, minutes, seconds))) else math.nan
+    if not (_real(total) and total == round(total)):
+        raise ConfigError(f"{days!r} d {hours!r} h {minutes!r} min"
+                          f" {seconds!r} s is not a whole number of seconds")
     return int(total)
 
 
@@ -72,16 +75,15 @@ class QualitySpec:
     source_nodes: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        # sorted floats, so the canonical JSON form is a fixed point
-        sources = tuple(sorted((nid, float(c))
-                               for nid, c in self.source_nodes))
-        object.__setattr__(self, "decay_rate_k", float(self.decay_rate_k))
-        object.__setattr__(self, "source_nodes", sources)
-        # the value rules are the run settings' own
-        QualitySettings(decay_rate_k=self.decay_rate_k,
-                        source_nodes=dict(sources))
-        if len(dict(sources)) != len(sources):
+        if len(dict(self.source_nodes)) != len(self.source_nodes):
             raise ConfigError("duplicate ids in source_nodes")
+        # the value rules are the run settings' own; their floats, sorted,
+        # keep the canonical JSON form a fixed point
+        settings = QualitySettings(decay_rate_k=self.decay_rate_k,
+                                   source_nodes=dict(self.source_nodes))
+        object.__setattr__(self, "decay_rate_k", settings.decay_rate_k)
+        object.__setattr__(self, "source_nodes",
+                           tuple(sorted(settings.source_nodes.items())))
 
 
 @dataclass(frozen=True)

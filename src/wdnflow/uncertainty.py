@@ -7,7 +7,9 @@ written once, as its draws for n samples (noise_draws): factors or offsets
 that do not depend on the values. perturb_series applies them, and
 perturb_scalar is the same at n = 1. All randomness flows through
 SeededStream so that identical (seed, path) pairs always yield identical
-draws, no matter in what order scenario pieces execute.
+draws, no matter in what order scenario pieces execute. A model's params
+are checked by `network._finite` against one table of lower bounds
+(`_PARAM_BOUNDS`) and stored as floats.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .network import Network
+from .network import Network, _finite
 
 __all__ = [
     "UNCERTAINTY_KINDS", "PARAMETER_TARGETS", "TARGETS", "uncertainty_registry",
@@ -53,6 +55,11 @@ _REQUIRED_PARAMS = {
     "spike": ("probability", "amplitude"),
     "compound": (),
 }
+# each bounded param: (least value, whether the bound is strict); any other
+# param may be any finite number
+_PARAM_BOUNDS = {"sigma": (0.0, False), "amplitude": (0.0, False),
+                 "probability": (0.0, False), "period": (0.0, True),
+                 "mean_dwell": (0.0, True), "fraction": (-1.0, True)}
 
 
 def uncertainty_registry() -> tuple[str, ...]:
@@ -97,14 +104,12 @@ class UncertaintyModel:
         # sorted floats, and None for no params or submodels, so the
         # canonical JSON form is a fixed point
         object.__setattr__(self, "params", {
-            k: float(self.params[k]) for k in sorted(self.params)}
-            if self.params else None)
+            k: _finite(self.params[k], f"{self.kind} param '{k}'",
+                       *_PARAM_BOUNDS.get(k, (-math.inf, False)))
+            for k in sorted(self.params)} if self.params else None)
         object.__setattr__(self, "submodels",
                            tuple(self.submodels) if self.submodels else None)
         params = self.params or {}
-        for name, value in params.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{self.kind} param '{name}' must be finite")
         for name in _REQUIRED_PARAMS[self.kind]:
             if name not in params:
                 raise ConfigError(f"{self.kind} uncertainty needs param '{name}'")
@@ -116,17 +121,8 @@ class UncertaintyModel:
                     raise ConfigError("compound uncertainty cannot be nested")
                 if sub.target != self.target:
                     raise ConfigError("compound submodels must share the target")
-        for name in ("sigma", "amplitude"):
-            if name in params and params[name] < 0:
-                raise ConfigError(f"{self.kind} param '{name}' must be >= 0")
-        if "period" in params and params["period"] <= 0:
-            raise ConfigError("sinusoidal period must be > 0")
-        if "mean_dwell" in params and params["mean_dwell"] <= 0:
-            raise ConfigError("regime_shift mean_dwell must be > 0")
-        if "probability" in params and not 0.0 <= params["probability"] <= 1.0:
-            raise ConfigError("spike probability must lie in [0, 1]")
-        if "fraction" in params and params["fraction"] <= -1.0:
-            raise ConfigError("percentage fraction must be > -1")
+        if params.get("probability", 0.0) > 1.0:
+            raise ConfigError(f"{self.kind} param 'probability' must be <= 1")
 
     def param(self, name: str) -> float:
         return (self.params or {})[name]

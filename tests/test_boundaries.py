@@ -5,10 +5,12 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wdnflow import ConfigError, InvalidNetworkError, bundled
 from wdnflow.control import ScenarioEnv
+from wdnflow.detection import SensorInterpolationDetector
 from wdnflow.events import (
     ActuatorEvent, EventWindow, LeakageEvent, SensorFaultEvent,
 )
@@ -19,7 +21,8 @@ from wdnflow.network import (
 from wdnflow.quality import QualitySettings
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import (
-    QualitySpec, ScenarioConfig, config_from_json, config_to_json, to_seconds,
+    QualitySpec, ScenarioConfig, config_digest, config_from_json,
+    config_to_json, to_seconds,
 )
 from wdnflow.uncertainty import UncertaintyModel
 
@@ -96,6 +99,15 @@ def whole_seconds(name, make):
     return pytest.param(make, ConfigError, "whole number", id=name)
 
 
+def not_numbers(name, build, optional=False, error=ConfigError):
+    """A string, True and, where the field may not be None, None in one
+    config number: each is rejected as not a finite number, from Python as
+    from JSON."""
+    return [pytest.param(lambda v=v: build(v), error, "finite",
+                         id=f"{name}={v!r}")
+            for v in ("1", True) + (() if optional else (None,))]
+
+
 CASES = [
     config("leak.diameter", NAN, lambda v: leak(diameter=v)),
     config("leak.diameter", INF, lambda v: leak(diameter=v)),
@@ -144,7 +156,53 @@ CASES = [
     config("env.pressure_penalty", -1.0, lambda v: env(pressure_penalty=v)),
     whole_seconds("to_seconds=nan", lambda: to_seconds(seconds=NAN)),
     whole_seconds("to_seconds=inf", lambda: to_seconds(seconds=INF)),
-] + [element(*case) for case in (
+    whole_seconds("to_seconds.days='1'", lambda: to_seconds(days="1")),
+    whole_seconds("to_seconds.seconds=None", lambda: to_seconds(seconds=None)),
+    whole_seconds("to_seconds.hours=True", lambda: to_seconds(hours=True)),
+] + [case for cases in (
+    not_numbers("window.start_time", lambda v: EventWindow(v, 3600.0)),
+    not_numbers("window.end_time", lambda v: EventWindow(0.0, v)),
+    not_numbers("window.peak_time", lambda v: EventWindow(0.0, 3600.0, v),
+                optional=True),
+    not_numbers("leak.diameter", lambda v: leak(diameter=v)),
+    not_numbers("leak.discharge_coef", lambda v: leak(discharge_coef=v)),
+    not_numbers("leak.area_pattern", lambda v: leak(area_pattern=(0.5, v))),
+    not_numbers("offset.param",
+                lambda v: SensorFaultEvent("offset", ("pressure", "j1"), v,
+                                           WINDOW)),
+    not_numbers("gauss_abs.sigma",
+                lambda v: uncertainty("gauss_abs", "sensor_noise", sigma=v)),
+    not_numbers("uniform_rel.amplitude",
+                lambda v: uncertainty("uniform_rel", "pipe_length",
+                                      amplitude=v)),
+    not_numbers("sinusoidal.period",
+                lambda v: uncertainty("sinusoidal", "sensor_noise",
+                                      amplitude=0.1, period=v)),
+    not_numbers("regime_shift.mean_dwell",
+                lambda v: uncertainty("regime_shift", "sensor_noise",
+                                      amplitude=0.1, mean_dwell=v)),
+    not_numbers("spike.probability",
+                lambda v: uncertainty("spike", "sensor_noise", amplitude=0.1,
+                                      probability=v)),
+    not_numbers("percentage.fraction",
+                lambda v: uncertainty("percentage", "pipe_roughness",
+                                      fraction=v)),
+    not_numbers("quality.decay_rate_k", lambda v: QualitySpec(decay_rate_k=v)),
+    not_numbers("quality.source",
+                lambda v: QualitySpec(source_nodes=(("r1", v),))),
+    not_numbers("settings.decay_rate_k",
+                lambda v: QualitySettings(decay_rate_k=v)),
+    not_numbers("settings.source",
+                lambda v: QualitySettings(source_nodes={"r1": v})),
+    not_numbers("env.min_pressure_head", lambda v: env(min_pressure_head=v)),
+    not_numbers("env.pressure_penalty", lambda v: env(pressure_penalty=v)),
+    not_numbers("detector.margin",
+                lambda v: SensorInterpolationDetector(margin=v),
+                error=ValueError),
+    not_numbers("detector.min_threshold",
+                lambda v: SensorInterpolationDetector(min_threshold=v),
+                error=ValueError),
+) for case in cases] + [element(*case) for case in (
     ("pipes", "p1", "length", NAN), ("pipes", "p1", "length", INF),
     ("pipes", "p1", "diameter", NAN), ("pipes", "p1", "diameter", INF),
     ("pipes", "p1", "roughness", NAN), ("pipes", "p1", "roughness", INF),
@@ -173,3 +231,39 @@ class TestNonFiniteValues:
     def test_rejected(self, make, error, match):
         with pytest.raises(error, match=match):
             make()
+
+
+def test_numpy_scalars_are_stored_as_python_floats():
+    """A numpy scalar passes the number rule and is stored as the Python
+    float of its value, so the config and its digest are unchanged."""
+    def build(real, whole):
+        return ScenarioConfig(
+            network_path=bundled.toy9_path(), duration_s=whole(7200),
+            sensors=SensorPlacement(pressure_nodes=("n1",)),
+            leakages=(LeakageEvent("incipient", "p3", real(0.25),
+                                   EventWindow(whole(600), real(3600.0),
+                                               whole(1800)),
+                                   discharge_coef=real(0.5)),),
+            sensor_faults=(SensorFaultEvent(
+                "gaussian", ("pressure", "n1"), real(0.5),
+                EventWindow(whole(0), whole(1200))),),
+            uncertainties=(UncertaintyModel("gauss_abs", "sensor_noise",
+                                            {"sigma": real(0.125)}),),
+            quality=QualitySpec(decay_rate_k=real(0.5),
+                                source_nodes=(("n1", whole(2)),)))
+    plain = build(float, int)
+    numpy = build(np.float32, np.int64)
+    assert numpy == plain
+    assert config_digest(numpy) == config_digest(plain)
+    leak, fault = numpy.leakages[0], numpy.sensor_faults[0]
+    numbers = (leak.diameter, leak.discharge_coef, leak.window.start_time,
+               leak.window.end_time, leak.window.peak_time, fault.param,
+               numpy.uncertainties[0].params["sigma"],
+               numpy.quality.decay_rate_k, numpy.quality.source_nodes[0][1])
+    assert all(type(x) is float for x in numbers)
+    settings = QualitySettings(decay_rate_k=np.float32(0.5),
+                               source_nodes={"r1": np.int64(2)})
+    assert type(settings.decay_rate_k) is float
+    assert type(settings.source_nodes["r1"]) is float
+    detector = SensorInterpolationDetector(np.float32(0.5), np.int64(0))
+    assert type(detector.margin) is type(detector.min_threshold) is float

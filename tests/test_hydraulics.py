@@ -1375,6 +1375,20 @@ class TestExtendedPeriod:
             with pytest.raises(ValueError):
                 EpsEngine(toy9, duration_s=duration_s, step_s=300)
 
+    def test_whole_number_durations_run_as_ints(self, toy9):
+        ref = simulate_hydraulics(toy9, duration_s=3600, hydraulic_step_s=300)
+        for duration_s, step_s in ((3600.0, 300.0),
+                                   (np.int64(3600), np.int64(300))):
+            series = simulate_hydraulics(toy9, duration_s=duration_s,
+                                         hydraulic_step_s=step_s)
+            assert type(series.step_s) is int and series.step_s == 300
+            assert series.digest() == ref.digest()
+            assert np.array_equal(series.t, ref.t)
+        for duration_s, step_s in ((True, True), (3600, True), (True, 300),
+                                   ("3600", 300), (3600.5, 300.5)):
+            with pytest.raises(ValueError):
+                EpsEngine(toy9, duration_s=duration_s, step_s=step_s)
+
     def test_rerun_digest_is_stable(self, toy9):
         a = simulate_hydraulics(toy9, duration_s=7200, hydraulic_step_s=300)
         b = simulate_hydraulics(toy9, duration_s=7200, hydraulic_step_s=300)

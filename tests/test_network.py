@@ -166,6 +166,41 @@ def test_every_numeric_field_is_a_real_finite_number(group, eid, name,
         incidence(net)
 
 
+def test_validate_lists_violations_in_group_order():
+    """One bad value in every group: ids and keys come first, then junctions,
+    reservoirs, tanks, pipes, pumps, valves, patterns and curves, as
+    `wdnflow inspect` and InvalidNetworkError print them."""
+    net = every_kind_net()
+
+    def bad(group, eid, **fields):
+        return {**getattr(net, group), eid: replace(getattr(net, group)[eid],
+                                                    **fields)}
+    net = replace(
+        net,
+        junctions=bad("junctions", "j1", elevation=math.nan),
+        reservoirs=bad("reservoirs", "r1", head=math.inf),
+        tanks=bad("tanks", "t1", max_level=-1.0),
+        pipes={**bad("pipes", "p1", roughness=0.0),
+               "p3": Pipe("p2", "j1", "ghost", 10.0, 0.1, 100.0)},
+        pumps=bad("pumps", "pu", curve_id="nope"),
+        valves=bad("valves", "v1", minor_loss_coef=-1.0),
+        patterns=bad("patterns", "pat", step=0.0),
+        curves=bad("curves", "c", points=((0.04, 40.0), (0.02, 30.0))))
+    assert [str(v) for v in validate(net)] == [
+        "pipe 'p3': keyed as 'p3' but id is 'p2'",
+        "pipe 'p2': duplicate link id",
+        "junction 'j1': elevation not finite",
+        "reservoir 'r1': head not finite",
+        "tank 't1': levels must satisfy 0 <= min <= init <= max < inf",
+        "pipe 'p1': roughness must be finite and > 0",
+        "pipe 'p2': to_node 'ghost' does not exist",
+        "pump 'pu': curve 'nope' not defined",
+        "valve 'v1': minor_loss_coef must be finite and >= 0",
+        "pattern 'pat': step must be finite and > 0",
+        "curve 'c': flows must be strictly increasing",
+    ]
+
+
 def test_incidence_layout():
     net = tiny_net(tanks={"t1": Tank("t1", 5.0, 10.0, 2.0, 0.5, 4.0)},
                    pipes={"p1": Pipe("p1", "r1", "j1", 100.0, 0.2, 100.0),
