@@ -98,6 +98,8 @@ class LeakageEvent:
                 raise ConfigError("pattern leakage needs a non-empty area_pattern")
             if any(not 0.0 <= v <= 1.0 for v in self.area_pattern):
                 raise ConfigError("area_pattern values must lie in [0, 1]")
+        elif self.area_pattern is not None:
+            raise ConfigError(f"{self.kind} leakage takes no area_pattern")
 
     @property
     def area(self) -> float:

@@ -14,7 +14,9 @@ residual of pipes and emitters all pass their tolerances, exactly one more
 Newton step is taken and the iteration stops. A state's leak flow is the
 emitter law k sqrt(pressure head) at the final heads. Tanks are fixed-head
 nodes within a snapshot; their levels are integrated with explicit Euler
-between snapshots.
+between snapshots. A tank at a level bound that the solution keeps pushing
+against is closed: it keeps its fixed head, its links are cut from the
+open-link mask, and the snapshot is solved again.
 
 The head system is symmetric positive definite, so it needs no pivoting.
 Up to SPARSE_MIN_UNKNOWNS unknowns it is solved densely by
@@ -26,24 +28,26 @@ topology by multiple minimum degree (Liu 1985) on the sparsity pattern, and
 every solve factors in that natural order without pivoting. A solve that
 meets a singular matrix raises NonConvergenceError.
 
-Everything that depends only on which links are open and which nodes have a
-fixed head (reachability, the unknown-node numbering and its fill-reducing
-order, island heads, each node's nearest source, the cold-start flow signs,
-the per-kind link indices and the matrix's sparsity pattern) is built by the
-network module's one graph traversal the first time that topology is met,
-and cached on the solver's layout of the network. That layout is compiled
-once per Network object and kept on it, as its incidence is, so every
-`solve_snapshot` call and every `EpsEngine` on one network share its
-topologies. When it is built, a topology also solves its reference
-snapshot once, from static data only: base demands on reached junctions, no
-emitters, tanks at their initial levels, reservoir heads at t = 0 and each
-pump at its network speed. Every snapshot of the topology starts Newton from
-the reference flows, scaled by its total demand over the reference's; it
-falls back to the cold start (small flows leaving the nearer source) when
-either total is zero or the reference does not converge. Each emitter starts
-at its discharge at the reference heads, or at the reference's initial heads
-where it has no solution. The start is a function of the topology alone,
-never of earlier snapshots, so each result is a pure function of its inputs.
+The fixed-head nodes are always the reservoirs and tanks, so a topology is
+its open-link mask alone. Everything that depends only on which links are
+open (reachability, the unknown-node numbering and its fill-reducing order,
+island heads, the cold-start flow signs, the per-kind link indices and the
+matrix's sparsity pattern) is built by the network module's one graph
+traversal the first time that mask is met, and cached on the solver's layout
+of the network. That layout is compiled once per Network object and kept on
+it, as its incidence is, so every `solve_snapshot` call and every
+`EpsEngine` on one network share its topologies. When it is built, a
+topology also solves its reference snapshot once, from static data only:
+base demands on reached junctions, no emitters, tanks at their initial
+levels, reservoir heads at t = 0 and each pump at its network speed. Every
+snapshot of the topology starts Newton from the reference flows, scaled by
+its total demand over the reference's; it falls back to the cold start
+(small flows leaving the nearer source) when either total is zero or the
+reference does not converge. Each emitter starts at its discharge at the
+reference heads, or, where the reference has no solution, at its initial
+heads: every unknown node at the highest fixed head. The start is a function
+of the topology alone, never of earlier snapshots, so each result is a pure
+function of its inputs.
 
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
@@ -381,21 +385,21 @@ class _Layout:
         self.res_head = np.array([r.head for r in reservoirs])
         self.res_patterns = [network.patterns.get(r.head_pattern_id or None)
                              for r in reservoirs]
-        self.res_nodes = np.array(
-            [inc.node_index[rid] for rid in inc.reservoir_ids], dtype=np.intp)
-        # tanks: fixed-head nodes, whose links are cut while a tank is closed
+        # the fixed-head nodes: reservoirs, then tanks, after the junctions
+        self.fixed = slice(len(inc.junction_ids), len(inc.node_ids))
         self.tanks = tanks = [network.tanks[tid] for tid in inc.tank_ids]
-        self.tank_nodes = np.array([inc.node_index[tid]
-                                    for tid in inc.tank_ids], dtype=np.intp)
         self.tank_elev = np.array([tk.elevation for tk in tanks])
         self.tank_init = np.array([tk.init_level for tk in tanks], dtype=float)
         self.tank_index = {tid: i for i, tid in enumerate(inc.tank_ids)}
         self.junction_index = {j: i for i, j in enumerate(inc.junction_ids)}
         self.tank_min = np.array([tk.min_level for tk in tanks])
         self.tank_max = np.array([tk.max_level for tk in tanks])
-        self.tank_links = (inc.link_from == self.tank_nodes[:, None]) \
-            | (inc.link_to == self.tank_nodes[:, None])
-        self._topologies: dict[tuple[bytes, tuple[int, ...]], _Topology] = {}
+        # a closed tank keeps its fixed head; only its links are cut
+        tank_nodes = np.arange(len(inc.node_ids) - len(tanks),
+                               len(inc.node_ids))[:, None]
+        self.tank_links = (inc.link_from == tank_nodes) \
+            | (inc.link_to == tank_nodes)
+        self._topologies: dict[bytes, _Topology] = {}
 
     @staticmethod
     def multipliers(patterns: list[Pattern | None], t) -> np.ndarray:
@@ -427,33 +431,33 @@ class _Layout:
         return _scatter(np.zeros(len(self.inc.node_ids)), self.junction_index,
                         emitters, "junction", "emitter k", 0.0)
 
-    def topology(self, active: np.ndarray, sources: list[int]) -> _Topology:
-        """The cached structure for this open-link mask and fixed-head set."""
-        key = (active.tobytes(), tuple(sources))
+    def topology(self, active: np.ndarray) -> _Topology:
+        """The cached structure for this open-link mask."""
+        key = active.tobytes()
         topo = self._topologies.get(key)
         if topo is None:
-            topo = self._topologies[key] = _Topology(self, active, sources)
+            topo = self._topologies[key] = _Topology(self, active)
         return topo
 
 
 class _Topology:
     """Index structure of the snapshot system for one topology.
 
-    Depends only on the layout, the open-link mask and the sorted fixed-head
-    nodes, so a cached instance is interchangeable with a fresh one.
+    Depends only on the layout and the open-link mask, so a cached instance
+    is interchangeable with a fresh one.
     """
 
-    def __init__(self, layout: _Layout, active: np.ndarray, sources: list[int]):
+    def __init__(self, layout: _Layout, active: np.ndarray):
         inc = layout.inc
         n = len(inc.node_ids)
+        self.fixed = layout.fixed
         root, hops = _traverse(n, zip(inc.link_from[active].tolist(),
-                                      inc.link_to[active].tolist()), sources)
-        root_arr, hops = np.array(root, dtype=np.intp), np.array(hops)
+                                      inc.link_to[active].tolist()),
+                               list(range(n)[self.fixed]))
+        hops = np.array(hops)
         is_fixed = np.zeros(n, dtype=bool)
-        is_fixed[sources] = True
-        self.reach = is_fixed[root_arr]
-        self.reached = np.flatnonzero(self.reach)
-        self.nearest_source = root_arr[self.reached]
+        is_fixed[self.fixed] = True
+        self.reach = is_fixed[root]
         # unreachable islands: one shared head per component (max height), so
         # zero-flow links stay energy-consistent
         top: dict[int, float] = {}
@@ -507,13 +511,12 @@ class _Topology:
         self.diag_slot = np.searchsorted(self.flat, np.arange(n_u) * (n_u + 1))
         self.ref_flow, self.ref_demand, self.ref_head = self._reference(layout)
 
-    def initial_head(self, nodes: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Island heads, and each reached node at its nearest source's head;
-        the fixed heads are given per node in `nodes`."""
+    def initial_head(self, fixed_heads: np.ndarray) -> np.ndarray:
+        """Island heads, the fixed heads (reservoirs, then tanks) and each
+        unknown node at the highest of them."""
         head = self.island_head.copy()
-        src_head = np.zeros(len(head))
-        src_head[nodes] = heads
-        head[self.reached] = src_head[self.nearest_source]
+        head[self.unknown] = fixed_heads.max()
+        head[self.fixed] = fixed_heads
         return head
 
     def _reference(self, layout: _Layout
@@ -525,10 +528,8 @@ class _Topology:
         0.0 and the initial heads."""
         demand = layout.demand(np.ones(len(layout.demand_patterns)))
         speed = np.where(layout.link_speed == 0.0, 1.0, layout.link_speed)
-        head = self.initial_head(
-            np.concatenate([layout.res_nodes, layout.tank_nodes]),
-            np.concatenate([layout.reservoir_heads(0.0),
-                            layout.tank_elev + layout.tank_init]))
+        head = self.initial_head(np.concatenate([
+            layout.reservoir_heads(0.0), layout.tank_elev + layout.tank_init]))
         total = float(demand[self.unknown].sum())
         if total == 0.0:
             return None, 0.0, head
@@ -656,74 +657,54 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
            speed: np.ndarray, res_heads: np.ndarray, emit_k: np.ndarray,
            levels: np.ndarray, t: float) -> HydraulicState:
     """The snapshot of these per-node demands and emitter coefficients,
-    open-link mask, pump speeds, reservoir heads and tank levels; a tank at
-    a bound the solution keeps pushing against is closed and the snapshot
-    solved again."""
-    closed = np.zeros(len(levels), dtype=bool)
-    for _ in range(len(levels) + 1):
-        state = _solve_once(layout, demand, active, speed, res_heads, emit_k,
-                            levels, closed, t)
-        inflow = state.tank_net_inflow
-        violators = ~closed & (
-            ((levels >= layout.tank_max) & (inflow > MASS_TOL))
-            | ((levels <= layout.tank_min) & (inflow < -MASS_TOL)))
-        if not violators.any():
-            return state
-        closed = closed | violators
-    return state
-
-
-def _solve_once(layout: _Layout, demand: np.ndarray, active: np.ndarray,
-                speed: np.ndarray, res_heads: np.ndarray, emit_k: np.ndarray,
-                levels: np.ndarray, closed: np.ndarray,
-                t: float) -> HydraulicState:
+    open-link mask, pump speeds, reservoir heads and tank levels. A tank at
+    a bound that the solution keeps pushing against is closed: its links
+    are cut from the mask and the snapshot solved again."""
     inc = layout.inc
     n_nodes = len(inc.node_ids)
     n_junc = len(inc.junction_ids)
+    fixed_heads = np.concatenate([res_heads, layout.tank_elev + levels])
+    full, empty = levels >= layout.tank_max, levels <= layout.tank_min
+    while True:
+        topo = layout.topology(active)
+        cut = ~topo.reach[:n_junc] & ((demand[:n_junc] > 0.0)
+                                      | (emit_k[:n_junc] > 0.0))
+        if cut.any():
+            i = int(np.argmax(cut))
+            jid = inc.junction_ids[i]
+            raise DisconnectedDemandError(
+                f"junction '{jid}' has demand but no open path to a reservoir"
+                " or tank" if demand[i] > 0.0 else
+                f"leak at '{jid}' has no open path to a reservoir or tank")
+        head = topo.initial_head(fixed_heads)
+        q, iterations, mass_res, energy_res = _newton(
+            layout, topo, head, demand, emit_k, speed, topo.start(demand), t)
+        balance = np.bincount(np.concatenate([topo.a_from, topo.a_to]),
+                              weights=np.concatenate([-q, q]),
+                              minlength=n_nodes)
+        tank_inflow = balance[n_nodes - len(levels):].copy()  # tanks last
+        # a closed tank has no links, so its inflow is 0 and it never
+        # violates again: each pass closes at least one more tank
+        violators = (full & (tank_inflow > MASS_TOL)) \
+            | (empty & (tank_inflow < -MASS_TOL))
+        if not violators.any():
+            break
+        active = active & ~layout.tank_links[violators].any(axis=0)
 
-    if closed.any():
-        active = active & ~layout.tank_links[closed].any(axis=0)
-    tank_head = layout.tank_elev + levels
-    sources = np.concatenate([layout.res_nodes, layout.tank_nodes[~closed]])
-    topo = layout.topology(active, sources.tolist())
-
-    cut = ~topo.reach[:n_junc] & ((demand[:n_junc] > 0.0)
-                                  | (emit_k[:n_junc] > 0.0))
-    if cut.any():
-        i = int(np.argmax(cut))
-        jid = inc.junction_ids[i]
-        raise DisconnectedDemandError(
-            f"junction '{jid}' has demand but no open path to a reservoir or"
-            " tank" if demand[i] > 0.0 else
-            f"leak at '{jid}' has no open path to a reservoir or tank")
-
-    head = topo.initial_head(sources, np.concatenate([res_heads,
-                                                      tank_head[~closed]]))
-    head[layout.tank_nodes[closed]] = tank_head[closed]
-    q, iterations, mass_res, energy_res = _newton(
-        layout, topo, head, demand, emit_k, speed, topo.start(demand), t)
-
-    a_from, a_to = topo.a_from, topo.a_to
-    flow_full = np.zeros(len(inc.link_ids))
-    flow_full[topo.act_idx] = q
-    balance = np.bincount(np.concatenate([a_from, a_to]),
-                          weights=np.concatenate([-q, q]), minlength=n_nodes)
-    tank_inflow = balance[n_nodes - len(inc.tank_ids):].copy()  # tanks last
-
+    flow = np.zeros(len(inc.link_ids))
+    flow[topo.act_idx] = q
     leak_flow = {}
     for node in np.flatnonzero(emit_k):
         press = head[node] - layout.node_elev[node]
         leak_flow[inc.node_ids[node]] = \
             emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
-
     pressure = head[:n_junc] - layout.node_elev[:n_junc]
     level_arr = levels.copy()
     demand_out = demand[:n_junc].copy()
-    for arr in (flow_full, head, pressure, level_arr, tank_inflow, demand_out):
+    for arr in (flow, head, pressure, level_arr, tank_inflow, demand_out):
         arr.flags.writeable = False
-
     return HydraulicState(
-        t=t, flow=flow_full, head=head, pressure_head=pressure,
+        t=t, flow=flow, head=head, pressure_head=pressure,
         tank_level=level_arr, actual_demand=demand_out,
         tank_net_inflow=tank_inflow, leak_flow=leak_flow,
         iterations=iterations, converged=True,

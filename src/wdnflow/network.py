@@ -329,7 +329,8 @@ def validate(network: Network) -> list[Violation]:
 def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
     """The one graph traversal: breadth first over nodes 0..n-1, each edge
     (a, b) walked both ways. All sources start together, so every node they
-    reach gets its nearest source as root and its hop count from it; then
+    reach gets a nearest source as root (among equally near ones, the first
+    met in edge order) and its hop count from it; then
     each node still unseen starts an island of its own, rooted at its
     smallest node. Returns (root, hops) per node."""
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -344,7 +345,7 @@ def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
             root[s] = s
         while queue:
             u = queue.popleft()
-            for v in sorted(adj[u]):
+            for v in adj[u]:
                 if root[v] < 0:
                     root[v], hops[v] = root[u], hops[u] + 1
                     queue.append(v)

@@ -9,7 +9,8 @@ perturb_scalar is the same at n = 1. All randomness flows through
 SeededStream so that identical (seed, path) pairs always yield identical
 draws, no matter in what order scenario pieces execute. A model's params
 are checked by `network._finite` against one table of lower bounds
-(`_PARAM_BOUNDS`) and stored as floats.
+(`_PARAM_BOUNDS`) and stored as floats; a model takes exactly the params its
+kind reads (`_REQUIRED_PARAMS`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ PARAMETER_TARGETS = ("pipe_length", "pipe_diameter", "pipe_roughness",
 TARGETS = PARAMETER_TARGETS + ("sensor_noise",)
 _POSITIVITY_FLOOR = 1e-9
 
+# the params each kind reads: every one is required, and no other is taken
 _REQUIRED_PARAMS = {
     "gauss_abs": ("sigma",),
     "gauss_rel": ("sigma",),
@@ -55,8 +57,8 @@ _REQUIRED_PARAMS = {
     "spike": ("probability", "amplitude"),
     "compound": (),
 }
-# each bounded param: (least value, whether the bound is strict); any other
-# param may be any finite number
+# each param a kind reads: (least value, whether the bound is strict); any
+# other param is checked as a finite number, then refused
 _PARAM_BOUNDS = {"sigma": (0.0, False), "amplitude": (0.0, False),
                  "probability": (0.0, False), "period": (0.0, True),
                  "mean_dwell": (0.0, True), "fraction": (-1.0, True)}
@@ -110,9 +112,14 @@ class UncertaintyModel:
         object.__setattr__(self, "submodels",
                            tuple(self.submodels) if self.submodels else None)
         params = self.params or {}
-        for name in _REQUIRED_PARAMS[self.kind]:
+        reads = _REQUIRED_PARAMS[self.kind]
+        for name in reads:
             if name not in params:
                 raise ConfigError(f"{self.kind} uncertainty needs param '{name}'")
+        for name in params:
+            if name not in reads:
+                raise ConfigError(
+                    f"{self.kind} uncertainty takes no param '{name}'")
         if self.kind == "compound":
             if not self.submodels or len(self.submodels) < 2:
                 raise ConfigError("compound uncertainty needs >= 2 submodels")

@@ -134,6 +134,14 @@ class TestPatternLeak:
         assert leak_effective_area(event, 300.0) == pytest.approx(0.25 * full)
 
 
+    def test_area_pattern_on_another_kind_rejected(self):
+        for kind, peak in (("abrupt", None), ("incipient", 200.0)):
+            with pytest.raises(ConfigError, match="takes no area_pattern"):
+                LeakageEvent(kind=kind, link_id="p1", diameter=0.02,
+                             window=EventWindow(0.0, 400.0, peak_time=peak),
+                             area_pattern=(5.0, -3.0))
+
+
 def winners(events, times):
     """The event that wins at each time, or -1: events are written in
     precedence order over their windows, so the last one written wins."""

@@ -1,5 +1,7 @@
 """Golden bytes: the SCADA CSV, the truth CSV and the state-series digest of
-two short scenarios at two seeds, pinned by sha256.
+three scenarios at two seeds, pinned by sha256. Two are short dense solves
+on bundled networks; the third runs on a grid above the SuperLU cut-over
+with its tank closed at its maximum for most of the run.
 
 Any change to the solver's arithmetic, the run's bookkeeping, the reading
 extraction or the corruption shows here as a changed hash. A change that
@@ -17,6 +19,8 @@ from wdnflow.events import (
 from wdnflow.scada import SensorPlacement, to_csv, truth_to_csv
 from wdnflow.scenario import ScenarioConfig, run_scenario
 from wdnflow.uncertainty import UncertaintyModel
+
+from test_hydraulics import grid_inp
 
 HOUR = 3600.0
 NOISE = (UncertaintyModel(kind="gauss_rel", target="sensor_noise",
@@ -58,6 +62,30 @@ def pumpnet_actuator(seed):
         uncertainties=NOISE, seed=seed)
 
 
+def grid_tank_full(seed, path):
+    """Two days of `grid_inp(12)` (144 junctions) at 900 s steps, written to
+    path with the tank's initial level raised to 8.5 m of its 9.0 m
+    maximum: an abrupt 20 mm leak, the pump sped up to 1.3 and the valve
+    closed, in overlapping windows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(grid_inp(12).replace(" t1  38.0  4.0 ", " t1  38.0  8.5 "))
+    return ScenarioConfig(
+        network_path=str(path), duration_s=2 * 86400,
+        hydraulic_time_step_s=900,
+        sensors=SensorPlacement(
+            pressure_nodes=("j000000", "j005005", "j011011"),
+            flow_links=("pt", "pu1", "v1"), tank_level_tanks=("t1",)),
+        leakages=(LeakageEvent(kind="abrupt", link_id="phj004003",
+                               diameter=0.02,
+                               window=EventWindow(6 * HOUR, 30 * HOUR)),),
+        actuator_events=(
+            ActuatorEvent(kind="pump_speed", target_id="pu1", value=1.3,
+                          window=EventWindow(10 * HOUR, 22 * HOUR)),
+            ActuatorEvent(kind="valve_state", target_id="v1", value=False,
+                          window=EventWindow(18 * HOUR, 40 * HOUR))),
+        uncertainties=NOISE, seed=seed)
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -92,3 +120,26 @@ def test_output_bytes_are_pinned(name, seed):
            sha(truth_to_csv(result.scada.ground_truth)),
            result.series.digest())
     assert got == GOLDEN[name, seed]
+
+
+GRID_GOLDEN = {
+    3: ("517931e0a816eac6d48f1c0b727385f02aab9f11d9710738ce3eae0e21cb1252",
+        "a2622c91875208d52feb090754bdc23f2826f0bfb4f37ac6f8ff233e102ccba3",
+        "1f0c0494c1d2ba1d0c402274c71097197648ffb9af318769dafc665980e78d5f"),
+    7: ("381479300a361f4b1cb81d8c1fe72a6a5293e2459dcf864e1a82554a51032973",
+        "a2622c91875208d52feb090754bdc23f2826f0bfb4f37ac6f8ff233e102ccba3",
+        "1f0c0494c1d2ba1d0c402274c71097197648ffb9af318769dafc665980e78d5f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRID_GOLDEN))
+def test_grid_bytes_with_a_closed_tank_are_pinned(seed, tmp_path):
+    result = run_scenario(grid_tank_full(seed, tmp_path / "grid12.inp"))
+    series = result.series
+    at_top = (series.tank_level[:, 0] >= 9.0) \
+        & (series.tank_net_inflow[:, 0] == 0.0)
+    assert at_top.sum() > len(series.t) // 2
+    got = (sha(to_csv(result.scada)),
+           sha(truth_to_csv(result.scada.ground_truth)),
+           series.digest())
+    assert got == GRID_GOLDEN[seed]

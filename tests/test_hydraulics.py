@@ -51,7 +51,7 @@ from wdnflow.events import (
     resolve_controls,
 )
 from wdnflow.network import (
-    Curve, Junction, Network, Pattern, Pipe, Reservoir, pattern_value,
+    Curve, Junction, Network, Pattern, Pipe, Reservoir, Tank, pattern_value,
 )
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import ScenarioConfig, run_scenario
@@ -491,6 +491,32 @@ class TestTopologyCache:
                                           tank_levels=full)
         assert float(state.tank_net_inflow[0]) == 0.0
 
+    def test_closed_tank_and_closed_pipe_share_a_topology(self, pumpnet,
+                                                          monkeypatch):
+        """A full tank keeps its fixed head and only its link p2 is cut, as
+        a closed p2 cuts it: both snapshots solve on one topology, and
+        alike. Each solve builds one state, though the full tank's takes
+        two passes."""
+        built = []
+
+        def spy(*args, _build=hydraulics.HydraulicState, **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(hydraulics, "HydraulicState", spy)
+        net = replace(pumpnet)
+        demands = {"j1": 5e-3, "j2": 3e-3}
+        first = solve_snapshot(net, demands)
+        full = solve_snapshot(net, demands,
+                              tank_levels={"t1": net.tanks["t1"].max_level})
+        cut = solve_snapshot(net, demands,
+                             controls=Controls(pipe_open={"p2": False}))
+        assert built == [first, full, cut]
+        assert len(_layout(net)._topologies) == 2
+        n_junc = len(net.junctions)
+        assert float(full.tank_net_inflow[0]) == 0.0
+        assert np.array_equal(full.flow, cut.flow)
+        assert np.array_equal(full.head[:n_junc], cut.head[:n_junc])
+
     def test_grid_valve_closed(self):
         net = parse_inp(grid_inp(5))
         shut = Controls(valve_open={"v1": False})
@@ -850,6 +876,29 @@ class TestReferenceStart:
         assert topo.ref_flow is None
         assert state.converged
         assert max(map(abs, mass_residuals(net, state).values())) <= MASS_TOL
+
+    @pytest.mark.parametrize("side", [5, 12])
+    @pytest.mark.parametrize("k", [1e-4, 1e-3, 1e-2])
+    def test_cold_start_with_an_emitter(self, side, k):
+        """With no base demand there is no reference solve: an emitter
+        starts from the initial heads, every unknown node at the highest of
+        the reservoir's and the tank's heads."""
+        net = parse_inp(grid_inp(side))
+        net = replace(net, junctions={
+            jid: replace(j, base_demand=0.0)
+            for jid, j in net.junctions.items()})
+        demands = {jid: 5e-4 for jid in net.junctions}
+        junctions = list(incidence(net).junction_ids)
+        for jid in junctions[side + 1::2 * side + 3]:
+            state = solve_snapshot(net, demands, emitters={jid: k})
+            assert state.converged
+            assert max(map(abs, mass_residuals(net, state).values())) \
+                <= MASS_TOL
+            pressure = float(state.pressure_head[junctions.index(jid)])
+            assert state.leak_flow[jid] == pytest.approx(
+                k * math.sqrt(pressure), rel=1e-12)
+        (topo,) = _layout(net)._topologies.values()
+        assert topo.ref_flow is None
 
     def test_unconverged_reference_falls_back_to_cold_start(
             self, toy9, monkeypatch):
@@ -1410,6 +1459,73 @@ class TestExtendedPeriod:
             a, b = series.states[i], series.states[i + per_day]
             assert np.array_equal(a.flow, b.flow)
             assert np.array_equal(a.head, b.head)
+
+
+def two_tank_pumpnet():
+    """pumpnet with a second tank, t2 (elevation 28 m, diameter 10 m,
+    levels 0.5 / 1.0 / 4.0 m), on a 120 m x 100 mm pipe from j1."""
+    net = bundled.load_pumpnet()
+    return replace(
+        net, tanks={**net.tanks, "t2": Tank("t2", 28.0, 10.0, 1.0, 0.5, 4.0)},
+        pipes={**net.pipes, "p3": Pipe("p3", "j1", "t2", 120.0, 0.1, 110.0)})
+
+
+class TestTwoTanks:
+    """Tanks at their bounds close independently of each other."""
+
+    @staticmethod
+    def assert_tanks_obey_bounds(net, state):
+        for i, tid in enumerate(incidence(net).tank_ids):
+            tank, level = net.tanks[tid], float(state.tank_level[i])
+            inflow = float(state.tank_net_inflow[i])
+            assert tank.min_level - 1e-9 <= level <= tank.max_level + 1e-9
+            if level >= tank.max_level:
+                assert inflow <= MASS_TOL
+            if level <= tank.min_level:
+                assert inflow >= -MASS_TOL
+
+    @pytest.mark.parametrize("running", [True, False])
+    def test_every_pair_of_levels(self, running):
+        net = two_tank_pumpnet()
+        demands = {"j1": 5e-3, "j2": 3e-3}
+        controls = Controls(pump_running={"pu1": running})
+        bounds = ("min_level", "init_level", "max_level")
+        raised = 0
+        for a in bounds:
+            for b in bounds:
+                levels = {"t1": getattr(net.tanks["t1"], a),
+                          "t2": getattr(net.tanks["t2"], b)}
+                try:
+                    state = solve_snapshot(net, demands, controls,
+                                           tank_levels=levels)
+                except DisconnectedDemandError:
+                    raised += 1
+                    continue
+                assert max(map(abs, mass_residuals(net, state).values())) \
+                    <= MASS_TOL
+                self.assert_tanks_obey_bounds(net, state)
+                fresh = solve_snapshot(replace(net), demands, controls,
+                                       tank_levels=levels)
+                assert np.array_equal(state.flow, fresh.flow)
+                assert np.array_equal(state.head, fresh.head)
+        # both tanks empty and the pump stopped leave the demand unfed
+        assert raised == (0 if running else 1)
+
+    def test_three_days_keep_both_levels_in_bounds(self):
+        """Both tanks fill to their maxima, drain while the pump stops on
+        day 2 and fill again."""
+        net = two_tank_pumpnet()
+        stopped = Controls(pump_running={"pu1": False})
+        series = simulate_hydraulics(
+            net, duration_s=3 * 86400, hydraulic_step_s=300,
+            control_hook=lambda t: stopped if 30 * 3600 <= t < 48 * 3600
+            else None)
+        top = [net.tanks[tid].max_level for tid in series.tank_ids]
+        assert (series.tank_level == top).any(axis=0).all()
+        for state in series.states:
+            assert max(map(abs, mass_residuals(net, state).values())) \
+                <= MASS_TOL
+            self.assert_tanks_obey_bounds(net, state)
 
 
 class TestTankDynamics:

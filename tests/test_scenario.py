@@ -190,18 +190,18 @@ def _leaks(kind):
         diameter=st.floats(1e-4, 1.0),
         window=_windows(True if kind == "incipient" else None),
         discharge_coef=st.floats(0.1, 1.0),
-        area_pattern=pattern if kind == "pattern" else st.none() | pattern)
+        area_pattern=pattern if kind == "pattern" else st.none())
 
 
 _SENSOR_REFS = st.tuples(st.sampled_from(["pressure", "flow", "quality",
                                           "level"]), _IDS)
-_MODELS = st.builds(UncertaintyModel,
-                    kind=st.sampled_from(["gauss_abs", "uniform_abs"]),
-                    target=st.just("sensor_noise"),
-                    params=st.fixed_dictionaries({
-                        "sigma": st.floats(0.0, 1.0),
-                        "amplitude": st.floats(0.0, 1.0)}),
-                    submodels=st.sampled_from([None, ()]))
+_MODELS = st.sampled_from([("gauss_abs", "sigma"),
+                           ("uniform_abs", "amplitude")]).flatmap(
+    lambda kind_param: st.builds(
+        UncertaintyModel, kind=st.just(kind_param[0]),
+        target=st.just("sensor_noise"),
+        params=st.fixed_dictionaries({kind_param[1]: st.floats(0.0, 1.0)}),
+        submodels=st.sampled_from([None, ()])))
 
 
 def configs():

@@ -80,6 +80,14 @@ class TestModelValidation:
         with pytest.raises(ConfigError):
             model("sinusoidal", amplitude=1.0)
 
+    def test_param_the_kind_never_reads_rejected(self):
+        for extra in ({"period": 5.0}, {"typo": 3.0}, {"amplitude": 0.2}):
+            with pytest.raises(ConfigError, match="takes no param"):
+                model("gauss_abs", sigma=0.1, **extra)
+        with pytest.raises(ConfigError, match="takes no param 'sigma'"):
+            model("compound", sigma=0.1, submodels=(
+                model("gauss_abs", sigma=0.1), model("gauss_abs", sigma=0.1)))
+
     def test_compound_needs_two_submodels(self):
         with pytest.raises(ConfigError):
             model("compound", submodels=(model("gauss_abs", sigma=0.1),))
