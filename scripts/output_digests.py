@@ -23,6 +23,14 @@ Two checkouts produce the same outputs when they print the same lines:
     python3 scripts/output_digests.py --root A > a.jsonl
     python3 scripts/output_digests.py --root B > b.jsonl
     diff a.jsonl b.jsonl
+
+`scripts/output_digests.jsonl` pins the lines at the default seeds, and CI
+diffs against it:
+
+    python3 scripts/output_digests.py | diff scripts/output_digests.jsonl -
+
+A change that means to move output bytes regenerates that file and says
+why, as with the golden pins.
 """
 
 from __future__ import annotations

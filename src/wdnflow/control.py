@@ -3,13 +3,13 @@
 The agent observes corrupted SCADA rows and sets pump speeds/states and valve
 states. Each step re-solves the snapshot at the current time under the chosen
 controls, then advances one hydraulic step. Scheduled actuator events take
-priority: while an event window is active, every agent command on its target
-is ignored, whatever the command's kind (an event on a pump's state also
-blocks the agent's speed for that pump). With no agent intervention the
-episode reproduces the batch simulation bit for bit, because both run the
-same engine. The environment makes its one engine and plans its one
-corruptor over the horizon when it is made; each reset rewinds both, and
-the reset preview is the corruptor's row 0.
+priority by the engine's one rule: while an event window is active, its
+link drops every agent command on it, whatever the command's kind (an event
+on a pump's state also blocks the agent's speed for that pump). With no
+agent intervention the episode reproduces the batch simulation bit for bit,
+because both run the same engine. The environment makes its one engine and
+plans its one corruptor over the horizon when it is made; each reset
+rewinds both, and the reset preview is the corruptor's row 0.
 
 Reward per step, in consistent units: minus the pump power proxy
 rho g Q dH / 0.75 (W) minus `pressure_penalty` per meter of pressure-head
@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EpisodeFinishedError, InvalidActionError
-from .events import CONTROL_FIELDS, actuator_value
-from .hydraulics import G, Controls, HydraulicState
+from .errors import (
+    ConfigError, EpisodeFinishedError, InvalidActionError, UnknownTargetError,
+)
+from .hydraulics import G, Controls, HydraulicState, _active_mask
 from .network import _finite
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
@@ -90,32 +91,16 @@ class ScenarioEnv:
         return self._corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
     def _commands(self, action: Action) -> Controls:
-        """The agent's checked commands, without those on a target that an
-        active event overrides: such a target takes no command of any
-        kind."""
-        events = self._engine.planned_controls()
-        net = self.runtime.solve_network
-        blocked = {*events.pump_running, *events.pump_speed,
-                   *events.valve_open}
-        overrides = {}
-        for kind, values in (("pump_speed", action.pump_speeds),
-                             ("pump_state", action.pump_states),
-                             ("valve_state", action.valve_states)):
-            element = kind.partition("_")[0]
-            group = net.pumps if element == "pump" else net.valves
-            commands = {}
-            for eid, value in values.items():
-                if eid not in group:
-                    raise InvalidActionError(f"no {element} '{eid}'")
-                try:
-                    value = actuator_value(kind, value)
-                except ConfigError as exc:
-                    raise InvalidActionError(
-                        f"{element} '{eid}': {exc}") from None
-                if eid not in blocked:
-                    commands[eid] = value
-            overrides[CONTROL_FIELDS[kind]] = commands
-        return Controls(**overrides)
+        """The agent's commands as engine overrides, checked by the engine's
+        rule; the engine drops those on a link the step's plan names."""
+        controls = Controls(pump_running=action.pump_states,
+                            pump_speed=action.pump_speeds,
+                            valve_open=action.valve_states)
+        try:
+            _active_mask(self._engine.layout, controls)
+        except (UnknownTargetError, ConfigError) as exc:
+            raise InvalidActionError(str(exc)) from None
+        return controls
 
     def _reward_terms(self, state: HydraulicState) -> tuple[float, float]:
         # a pump that is not running, or runs at speed 0, is a closed link:

@@ -15,8 +15,8 @@ Newton step is taken and the iteration stops. A state's leak flow is the
 emitter law k sqrt(pressure head) at the final heads. Tanks are fixed-head
 nodes within a snapshot; their levels are integrated with explicit Euler
 between snapshots. A tank at a level bound that the solution keeps pushing
-against is closed: it keeps its fixed head, its links are cut from the
-open-link mask, and the snapshot is solved again.
+against keeps its fixed head; only the links pushing it past the bound are
+cut from the open-link mask (as in EPANET), and the snapshot solved again.
 
 The head system is symmetric positive definite, so it needs no pivoting.
 Up to SPARSE_MIN_UNKNOWNS unknowns it is solved densely by
@@ -394,11 +394,12 @@ class _Layout:
         self.junction_index = {j: i for i, j in enumerate(inc.junction_ids)}
         self.tank_min = np.array([tk.min_level for tk in tanks])
         self.tank_max = np.array([tk.max_level for tk in tanks])
-        # a closed tank keeps its fixed head; only its links are cut
+        # per tank and link: +1 where the link's positive flow enters the
+        # tank, -1 where it leaves it, else 0
         tank_nodes = np.arange(len(inc.node_ids) - len(tanks),
                                len(inc.node_ids))[:, None]
-        self.tank_links = (inc.link_from == tank_nodes) \
-            | (inc.link_to == tank_nodes)
+        self.tank_links = (inc.link_to == tank_nodes).astype(float) \
+            - (inc.link_from == tank_nodes)
         self._topologies: dict[bytes, _Topology] = {}
 
     @staticmethod
@@ -564,12 +565,14 @@ def _overrides_key(controls: Controls | None) -> tuple:
 def _active_mask(layout: _Layout,
                  *controls: Controls) -> tuple[np.ndarray, np.ndarray]:
     """Per-link open mask and per-pump effective speed under the control
-    sets, before any tank closes: the links' own settings with each set's
-    overrides applied in turn, so a later set wins. An override must name a
-    link of its map's kind, and its value obey the actuator value rule."""
+    sets, before any tank closes. The one precedence rule: a later set
+    takes every setting of each link it names, which drops what earlier
+    sets gave it in any map. An override must name a link of its map's
+    kind, and its value obey the actuator value rule (the error names it)."""
     inc = layout.inc
     on, speed = layout.link_on.copy(), layout.link_speed.copy()
     for c in controls:
+        settings = []
         for name, kind, kind_name in (
                 ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
                 ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
@@ -578,7 +581,13 @@ def _active_mask(layout: _Layout,
                 j = inc.link_index.get(lid)
                 if j is None or inc.link_kind[j] != kind:
                     raise UnknownTargetError(f"no {kind_name} '{lid}'")
-                setting[j] = actuator_value(name, value)
+                try:
+                    settings.append((setting, j, actuator_value(name, value)))
+                except ConfigError as exc:
+                    raise ConfigError(f"{kind_name} '{lid}': {exc}") from None
+                on[j], speed[j] = layout.link_on[j], layout.link_speed[j]
+        for setting, j, value in settings:
+            setting[j] = value
     speed = np.where(on, speed, 0.0)
     active = np.where(inc.link_kind == 1, speed > 0.0, on)
     return active, speed
@@ -637,10 +646,10 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     id -> orifice coefficient k with discharge q = k sqrt(max(pressure head, 0)).
     tank_levels: tank id -> level, each other tank at its initial level.
     Every id must name an element of its kind (else UnknownTargetError) and
-    every value be a finite number, k >= 0 (else ConfigError). Tanks at a
-    level bound that the solution keeps pushing against are closed and the
-    snapshot re-solved. Calls on one Network object share its solver
-    layout and the topologies it has met.
+    every value be a finite number, k >= 0 (else ConfigError). A tank at a
+    level bound that the solution keeps pushing against has the links that
+    push it past the bound cut, and the snapshot is re-solved. Calls on one
+    Network object share its solver layout and the topologies it has met.
     """
     layout = _layout(network)
     demand = _scatter(np.zeros(len(layout.inc.node_ids)),
@@ -658,8 +667,8 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
            levels: np.ndarray, t: float) -> HydraulicState:
     """The snapshot of these per-node demands and emitter coefficients,
     open-link mask, pump speeds, reservoir heads and tank levels. A tank at
-    a bound that the solution keeps pushing against is closed: its links
-    are cut from the mask and the snapshot solved again."""
+    a bound that the solution keeps pushing against has the links pushing it
+    past the bound cut from the mask, and the snapshot is solved again."""
     inc = layout.inc
     n_nodes = len(inc.node_ids)
     n_junc = len(inc.junction_ids)
@@ -683,16 +692,18 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
                               weights=np.concatenate([-q, q]),
                               minlength=n_nodes)
         tank_inflow = balance[n_nodes - len(levels):].copy()  # tanks last
-        # a closed tank has no links, so its inflow is 0 and it never
-        # violates again: each pass closes at least one more tank
-        violators = (full & (tank_inflow > MASS_TOL)) \
-            | (empty & (tank_inflow < -MASS_TOL))
-        if not violators.any():
+        flow = np.zeros(len(inc.link_ids))
+        flow[topo.act_idx] = q
+        # cut the links carrying flow into a tank filling past its maximum or
+        # out of one draining past its minimum: each pass cuts one more link
+        fills = full & (tank_inflow > MASS_TOL)
+        drains = empty & (tank_inflow < -MASS_TOL)
+        if not (fills.any() or drains.any()):
             break
-        active = active & ~layout.tank_links[violators].any(axis=0)
+        into = layout.tank_links * flow
+        active = active & ~((fills[:, None] & (into > 0.0))
+                            | (drains[:, None] & (into < 0.0))).any(axis=0)
 
-    flow = np.zeros(len(inc.link_ids))
-    flow[topo.act_idx] = q
     leak_flow = {}
     for node in np.flatnonzero(emit_k):
         press = head[node] - layout.node_elev[node]
@@ -821,8 +832,8 @@ class EpsEngine:
     it is made: the hooks are called once per step, and each pattern's
     multipliers are indexed for all steps at once. Steps whose inputs are
     bytewise equal share an input id. `step_once` and `solve_current` may
-    add overrides beneath the step's planned controls; where both name a
-    link, the plan wins.
+    add overrides beneath the step's planned controls; the plan takes every
+    setting of each link it names, dropping any override on that link.
 
     Converged states are kept by (input id, overrides, tank levels), and a
     snapshot that repeats them is served the kept state's read-only arrays;
@@ -896,10 +907,6 @@ class EpsEngine:
         ids: dict[tuple, int] = {}
         self._input = [ids.setdefault((row.tobytes(), key), len(ids))
                        for row, key in zip(rows, keys)]
-
-    def planned_controls(self) -> Controls:
-        """The control set planned for the current step."""
-        return self._controls[self.step_index]
 
     def _recall(self, overrides: Controls | None) -> HydraulicState:
         """The current step's snapshot under its planned inputs, with the

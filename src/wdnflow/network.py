@@ -274,7 +274,13 @@ def validate(network: Network) -> list[Violation]:
     is well formed. Ids come first, then each group in `_FIELDS` order,
     each element's endpoints, references, fields and shape in turn.
     """
+    return _violations(network)[0]
+
+
+def _violations(network: Network) -> tuple[list[Violation], list[Violation]]:
+    """`validate`'s violations, and apart those naming a missing element."""
     out: list[Violation] = []
+    dangling: list[Violation] = []
     add = out.append
 
     node_ids: set[str] = set()
@@ -300,10 +306,12 @@ def validate(network: Network) -> list[Violation]:
                 ref = getattr(elem, end)
                 if ref not in node_ids:
                     add(Violation(kind, elem.id, f"{end} '{ref}' does not exist"))
+                    dangling.append(out[-1])
             for name, targets, optional, noun in refs:
                 ref = getattr(elem, name)
                 if ref not in targets and not (optional and ref is None):
                     add(Violation(kind, elem.id, f"{noun} '{ref}' not defined"))
+                    dangling.append(out[-1])
             for name, low, above, message in fields:
                 if not _real(getattr(elem, name), low, above):
                     add(Violation(kind, elem.id, message))
@@ -323,7 +331,7 @@ def validate(network: Network) -> list[Violation]:
             if j.base_demand > 0 and root[index[j.id]] not in src:
                 add(Violation("junction", j.id, "demand node unreachable from any head source"))
 
-    return out
+    return out, dangling
 
 
 def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
@@ -395,9 +403,7 @@ def incidence(network: Network) -> Incidence:
 
 
 def _compile_incidence(network: Network) -> Incidence:
-    violations = validate(network)
-    dangling = [v for v in violations
-                if "does not exist" in v.message or "not defined" in v.message]
+    violations, dangling = _violations(network)
     if dangling:
         raise DanglingReferenceError("; ".join(str(v) for v in dangling))
     if violations:

@@ -55,6 +55,7 @@ from wdnflow.network import (
 )
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import ScenarioConfig, run_scenario
+from test_quality import TANK_VALVE
 
 
 def mass_residuals(network, state):
@@ -1178,6 +1179,26 @@ class TestControlsAreOverrides:
         with pytest.raises(UnknownTargetError, match=message):
             hooked.step_once()
 
+    def test_the_plan_takes_every_setting_of_a_link_it_names(self, pumpnet):
+        """A planned pump state drops an override of that pump's speed: the
+        step equals the step with no overrides, bit for bit."""
+        def engine():
+            return EpsEngine(pumpnet, duration_s=1800, step_s=300,
+                             control_hook=lambda t: Controls(
+                                 pump_running={"pu1": True}))
+        slow = Controls(pump_speed={"pu1": 0.5})
+        plain, overridden = engine(), engine()
+        for _ in range(plain.total_steps):
+            a, b = plain.step_once(), overridden.step_once(slow)
+            for name in TestSnapshotPurity.STATE_ARRAYS:
+                assert getattr(a, name).tobytes() \
+                    == getattr(b, name).tobytes(), name
+            assert a.iterations == b.iterations
+        # without the plan the override is in force
+        free = EpsEngine(pumpnet, duration_s=1800, step_s=300)
+        assert not np.array_equal(free.solve_current(slow).flow,
+                                  free.solve_current().flow)
+
 
 JUNK = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, "1e-3", None])
 
@@ -1188,14 +1209,18 @@ class TestSnapshotInputRules:
     coefficients and tank levels are finite numbers, emitters k >= 0."""
 
     @pytest.mark.parametrize("controls, message", [
-        (Controls(pump_speed={"pu1": math.nan}), "pump_speed value"),
-        (Controls(pump_speed={"pu1": -1.0}), "pump_speed value"),
-        (Controls(pump_speed={"pu1": math.inf}), "pump_speed value"),
-        (Controls(pump_speed={"pu1": True}), "pump_speed value"),
-        (Controls(pump_running={"pu1": "yes"}), "pump_running value"),
-        (Controls(pump_running={"pu1": 0}), "pump_running value"),
-        (Controls(pump_running={"pu1": None}), "pump_running value"),
-        (Controls(pipe_open={"p1": 1}), "pipe_open value"),
+        (Controls(pump_speed={"pu1": math.nan}),
+         "pump 'pu1': pump_speed value"),
+        (Controls(pump_speed={"pu1": -1.0}), "pump 'pu1': pump_speed value"),
+        (Controls(pump_speed={"pu1": math.inf}),
+         "pump 'pu1': pump_speed value"),
+        (Controls(pump_speed={"pu1": True}), "pump 'pu1': pump_speed value"),
+        (Controls(pump_running={"pu1": "yes"}),
+         "pump 'pu1': pump_running value"),
+        (Controls(pump_running={"pu1": 0}), "pump 'pu1': pump_running value"),
+        (Controls(pump_running={"pu1": None}),
+         "pump 'pu1': pump_running value"),
+        (Controls(pipe_open={"p1": 1}), "pipe 'p1': pipe_open value"),
     ])
     def test_override_values_follow_the_actuator_rule(self, pumpnet, controls,
                                                       message):
@@ -1547,6 +1572,26 @@ class TestTankDynamics:
                 hit_top = True
                 assert float(state.tank_net_inflow[0]) <= MASS_TOL
         assert hit_top
+
+    def test_full_tank_keeps_feeding_through_its_outlet(self):
+        """Only the links that push a tank past its bound are cut: once t1
+        fills, its inlet p1 closes and its outlet valve va keeps feeding
+        j1 and j2 from the full tank."""
+        net = parse_inp(TANK_VALVE)
+        p1 = replace(net.pipes["p1"], length=600.0, diameter=0.150)
+        net = replace(net, pipes={**net.pipes, "p1": p1})
+        engine = EpsEngine(net, duration_s=72 * 300, step_s=300)
+        states = [engine.step_once() for _ in range(engine.total_steps)]
+        inc = incidence(net)
+        last = states[-1]
+        assert float(last.tank_level[0]) == net.tanks["t1"].max_level
+        assert float(last.flow[inc.link_index["p1"]]) == 0.0
+        assert float(last.flow[inc.link_index["va"]]) \
+            == pytest.approx(0.006, rel=1e-9)
+        for state in states:
+            assert max(map(abs, mass_residuals(net, state).values())) \
+                <= MASS_TOL
+            TestTwoTanks.assert_tanks_obey_bounds(net, state)
 
     def test_first_step_level_change_matches_euler(self, pumpnet):
         series = simulate_hydraulics(pumpnet, duration_s=600,

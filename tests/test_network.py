@@ -227,11 +227,24 @@ def test_incidence_raises_on_dangling():
         incidence(net)
 
 
+@pytest.mark.parametrize("key", ["j1 does not exist", "j1 not defined"])
+def test_a_key_reading_like_a_dangling_reference_is_not_one(key):
+    # a violation is dangling where it is found, not by its message's text
+    net = tiny_net(junctions={key: Junction("j1", 10.0, 0.01)})
+    with pytest.raises(InvalidNetworkError, match="keyed as"):
+        incidence(net)
+    # a missing endpoint next to it still dangles
+    dangling = replace(net, pipes={"p1": Pipe("p1", "r1", "nope", 1.0, 0.1,
+                                              100.0)})
+    with pytest.raises(DanglingReferenceError, match="to_node 'nope'"):
+        incidence(dangling)
+
+
 def test_incidence_compiled_once_per_network(monkeypatch):
     validated = []
-    validate_ = wdnflow.network.validate
-    monkeypatch.setattr(wdnflow.network, "validate",
-                        lambda net: validated.append(net) or validate_(net))
+    violations_ = wdnflow.network._violations
+    monkeypatch.setattr(wdnflow.network, "_violations",
+                        lambda net: validated.append(net) or violations_(net))
     net = tiny_net()
     assert incidence(net) is incidence(net)
     assert validated == [net]

@@ -461,14 +461,14 @@ class TestCompileOnce:
     def test_validations_per_run(self, toy9_config_factory, monkeypatch,
                                  overrides, expected):
         validated = []
-        validate = wdnflow.network.validate
+        violations = wdnflow.network._violations
 
         def spy(network):
             validated.append(network)
-            return validate(network)
+            return violations(network)
 
-        monkeypatch.setattr(wdnflow.network, "validate", spy)
-        monkeypatch.setattr(wdnflow.inp, "validate", spy)
+        # `validate` and the incidence compile both run `_violations`
+        monkeypatch.setattr(wdnflow.network, "_violations", spy)
         run_scenario(toy9_config_factory(**overrides))
         assert len(validated) == expected
         assert len({id(net) for net in validated}) == expected
