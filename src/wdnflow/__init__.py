@@ -34,8 +34,7 @@ from .quality import (
 from .events import (
     SENSOR_TYPES, event_registry, EventWindow, LeakageEvent, ActuatorEvent,
     SensorFaultEvent, CommunicationEvent, leak_effective_area, leak_flow,
-    leak_emitter_coef, actuator_value, apply_actuator_event, resolve_controls,
-    split_pipes_for_leaks,
+    leak_emitter_coef, actuator_value, resolve_controls, split_pipes_for_leaks,
 )
 from .uncertainty import (
     UNCERTAINTY_KINDS, uncertainty_registry, SeededStream, UncertaintyModel,

@@ -2,11 +2,15 @@
 
 Leakages and actuator events alter hydraulic truth; sensor faults and
 communication events only corrupt the extracted readings. Activation windows
-are inclusive at start_time and exclusive at end_time. When several events of
-the same family target the same element at the same time, the event with the
-later start wins; list order breaks ties. Every number an event holds
-(window times, leak sizes, fault params) is checked by `network._finite`
-and stored as a float.
+are inclusive at start_time and exclusive at end_time. When several active
+events of one family target one element, the one of highest precedence acts:
+the later start wins, list order breaks ties (`precedence`). An actuator
+event takes every setting of its link, so a later speed event on a pump also
+ends an earlier stop of it. Leaks are the one family whose overlapping events
+add: two leaks on one pipe are two orifices at its midpoint junction, and
+their emitter coefficients sum. Every number an event holds (window times,
+leak sizes, fault params) is checked by `network._finite` and stored as a
+float.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
     "LeakageEvent", "ActuatorEvent", "SensorFaultEvent", "CommunicationEvent",
     "leak_effective_area", "leak_flow", "leak_emitter_coef",
-    "actuator_value", "CONTROL_FIELDS", "apply_actuator_event",
-    "precedence", "resolve_controls", "faulted_readings",
-    "split_pipes_for_leaks",
+    "actuator_value", "CONTROL_FIELDS", "precedence", "resolve_controls",
+    "faulted_readings", "split_pipes_for_leaks",
     "LEAK_JUNCTION_SUFFIX", "LEAK_PIPE_SUFFIX",
 ]
 
@@ -196,17 +199,6 @@ CONTROL_FIELDS = {"pump_state": "pump_running", "pump_speed": "pump_speed",
                   "valve_state": "valve_open"}
 
 
-def apply_actuator_event(controls: Controls, event: ActuatorEvent,
-                         t: float) -> Controls:
-    """Controls with the event's override added when active; unchanged
-    outside its window."""
-    if not event.window.contains(t):
-        return controls
-    name = CONTROL_FIELDS[event.kind]
-    return replace(controls, **{name: {**getattr(controls, name),
-                                       event.target_id: event.value}})
-
-
 def precedence(events) -> list[int]:
     """Indices of the events from lowest to highest precedence: the later
     start wins, then the later listed."""
@@ -214,12 +206,18 @@ def precedence(events) -> list[int]:
                   key=lambda i: (events[i].window.start_time, i))
 
 
-def resolve_controls(controls: Controls, events: list[ActuatorEvent],
-                     t: float) -> Controls:
-    """Add the active actuator events' overrides in precedence order."""
+def resolve_controls(events, t: float) -> Controls:
+    """The overrides of the actuator events active at t. On each link they
+    name, the active event of highest precedence sets the link, and no
+    lower event's setting of it stays in any map."""
+    winners = {}
     for i in precedence(events):
-        controls = apply_actuator_event(controls, events[i], t)
-    return controls
+        if events[i].window.contains(t):
+            winners[events[i].target_id] = events[i]
+    maps = {name: {} for name in CONTROL_FIELDS.values()}
+    for e in winners.values():
+        maps[CONTROL_FIELDS[e.kind]][e.target_id] = e.value
+    return Controls(**maps)
 
 
 def faulted_readings(readings, event: SensorFaultEvent, times, noise):

@@ -166,8 +166,8 @@ class HydraulicState:
     leak_flow: dict[str, float]  # emitter junction id -> discharge
     iterations: int
     converged: bool
-    mass_residual: float = math.nan    # m3/s, largest junction imbalance
-    energy_residual: float = math.nan  # m, largest pipe headloss-law error
+    mass_residual: float    # m3/s, largest junction imbalance
+    energy_residual: float  # m, largest pipe headloss-law error
 
 
 # the per-step array fields of a state, and the width each takes from the ids

@@ -447,8 +447,7 @@ class ScenarioRuntime:
         """The overrides of the actuator events active at t."""
         if not self.config.actuator_events:
             return None
-        return resolve_controls(Controls(), list(self.config.actuator_events),
-                                t)
+        return resolve_controls(self.config.actuator_events, t)
 
     def emitter_hook(self, t: float):
         coefs: dict[str, float] = {}

@@ -210,6 +210,50 @@ class TestActions:
         assert slow[:2] == free[:2]
         assert 0.0 < slow[2] < free[2]
 
+
+def stop_then_slow_config():
+    """pu1 stopped over the hour, and run at speed 0.8 from t = 600 s by a
+    later event on the same pump."""
+    return pumpnet_config(duration_s=3600, actuator_events=(
+        ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
+                      window=EventWindow(0.0, 3600.0)),
+        ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.8,
+                      window=EventWindow(600.0, 3600.0))))
+
+
+class TestOverlappingActuatorEvents:
+    """The active event of highest precedence on a link takes all of its
+    settings, so a later speed event ends an earlier stop."""
+
+    def test_later_speed_event_runs_a_stopped_pump(self):
+        batch = run_scenario(stop_then_slow_config())
+        # the same run with the stop ending where the speed event starts
+        split = run_scenario(pumpnet_config(duration_s=3600, actuator_events=(
+            ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
+                          window=EventWindow(0.0, 600.0)),
+            ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.8,
+                          window=EventWindow(600.0, 3600.0)))))
+        assert batch.series.flow.tobytes() == split.series.flow.tobytes()
+        assert batch.series.head.tobytes() == split.series.head.tobytes()
+        flow = batch.series.flow[:, batch.series.link_ids.index("pu1")]
+        assert np.all(flow[:2] == 0.0)
+        assert np.all(flow[2:] > 0.0)
+
+    def test_no_op_episode_matches_the_batch_run(self):
+        config = stop_then_slow_config()
+        batch = run_scenario(config)
+        env = ScenarioEnv(config)
+        env.reset()
+        rows = [env.step(NO_OP).observation for _ in range(env.total_steps)]
+        assert np.vstack(rows).tobytes() == batch.scada.values.tobytes()
+        history = env.state_history()
+        for name in ("flow", "head"):
+            assert np.vstack([getattr(s, name) for s in history]).tobytes() \
+                == getattr(batch.series, name).tobytes()
+        # observation order: pressure:j1, pressure:j2, flow:p1, flow:pu1, ...
+        assert [r[3] > 0.0 for r in rows] == [False] * 2 + [True] * 10
+
+
 class TestReward:
     def test_reward_is_negative_cost(self):
         env = ScenarioEnv(pumpnet_config())

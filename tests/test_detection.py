@@ -297,6 +297,10 @@ class TestFitting:
         with pytest.raises(InsufficientDataError):
             detector.fit(np.zeros((0, 0)))
 
+    def test_training_data_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            SensorInterpolationDetector().fit(np.zeros(5))
+
     def test_linearly_dependent_sensors_get_tight_thresholds(self):
         rng = np.random.default_rng(0)
         detector = SensorInterpolationDetector()
@@ -389,6 +393,38 @@ class TestImputation:
         data[5, 0] = np.nan
         detector = SensorInterpolationDetector().fit(data)
         assert np.isfinite(detector.thresholds).all()
+
+
+    def test_all_nan_training_column_is_zero_with_min_threshold(self):
+        rng = np.random.default_rng(5)
+        data = linear_panel(100, rng, noise=1e-3)
+        data[:, 1] = np.nan
+        detector = SensorInterpolationDetector(min_threshold=0.25).fit(data)
+        assert detector.train_means[1] == 0.0
+        assert detector.thresholds[1] == 0.25
+        # a constant column is fitted by its mean alone
+        assert detector.intercepts[1] == 0.0
+        assert not detector.weights[1].any()
+
+    def test_all_nan_applied_column_takes_the_training_mean(self):
+        rng = np.random.default_rng(6)
+        data = linear_panel(200, rng, noise=1e-3)
+        detector = SensorInterpolationDetector().fit(data[:100])
+        test = data[100:].copy()
+        test[:, 0] = np.nan
+        filled = test.copy()
+        filled[:, 0] = detector.train_means[0]
+        result, expected = detector.apply(test), detector.apply(filled)
+        assert result.residuals.tobytes() == expected.residuals.tobytes()
+        assert result.suspicious == expected.suspicious
+
+    def test_zero_rows_give_no_alarms(self):
+        rng = np.random.default_rng(7)
+        detector = SensorInterpolationDetector().fit(
+            linear_panel(50, rng, noise=1e-3))
+        result = detector.apply(np.empty((0, 4)))
+        assert result.suspicious == () and result.times == ()
+        assert result.residuals.shape == (0, 4)
 
 
 class TestVectorizedImputation:

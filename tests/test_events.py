@@ -14,7 +14,6 @@ from wdnflow.events import (
     EventWindow,
     LeakageEvent,
     SensorFaultEvent,
-    apply_actuator_event,
     event_registry,
     faulted_readings,
     leak_effective_area,
@@ -218,36 +217,37 @@ class TestSensorFaults:
 
 
 class TestActuatorEvents:
-    """An event adds an override to the controls; the network's own setting
-    stays in the network."""
+    """An active event sets its link in the controls; the network's own
+    setting stays in the network."""
+
+    @staticmethod
+    def stop(start=0.0, end=3600.0, target="pu1"):
+        return ActuatorEvent(kind="pump_state", target_id=target, value=False,
+                             window=EventWindow(start, end))
 
     def test_pump_state_override(self):
-        base = Controls()
-        event = ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
-                              window=EventWindow(0.0, 3600.0))
-        controls = apply_actuator_event(base, event, 0.0)
+        controls = resolve_controls([self.stop()], 0.0)
         assert controls.pump_running == {"pu1": False}
-        assert base.pump_running == {}
+        assert controls.pump_speed == {}
+        assert Controls().pump_running == {}
 
     def test_pump_speed_override(self):
         event = ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.8,
                               window=EventWindow(0.0, 3600.0))
-        controls = apply_actuator_event(Controls(), event, 0.0)
+        controls = resolve_controls([event], 0.0)
         assert controls.pump_speed == {"pu1": 0.8}
 
     def test_outside_window_is_a_no_op(self):
-        base = Controls()
-        event = ActuatorEvent(kind="pump_state", target_id="pu1", value=False,
-                              window=EventWindow(0.0, 3600.0))
-        assert apply_actuator_event(base, event, 3600.0) is base
-        assert base.pump_running == {}
+        events = [self.stop()]
+        resolve_controls(events, 0.0)
+        controls = resolve_controls(events, 3600.0)
+        assert controls == Controls()
+        assert controls.pump_running == {}
 
     def test_unknown_target_raises(self, pumpnet):
         # the override is added as given; the solver rejects it, since an
         # override must name a link of its kind
-        event = ActuatorEvent(kind="pump_state", target_id="nope", value=False,
-                              window=EventWindow(0.0, 3600.0))
-        controls = apply_actuator_event(Controls(), event, 0.0)
+        controls = resolve_controls([self.stop(target="nope")], 0.0)
         with pytest.raises(UnknownTargetError, match="no pump 'nope'"):
             solve_snapshot(pumpnet, {}, controls)
 
@@ -258,22 +258,42 @@ class TestActuatorEvents:
             ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.9,
                           window=EventWindow(1800.0, 3600.0)),
         ]
-        assert resolve_controls(Controls(), events, 0.0).pump_speed \
-            == {"pu1": 0.5}
-        assert resolve_controls(Controls(), events, 1800.0).pump_speed \
-            == {"pu1": 0.9}
-        assert resolve_controls(Controls(), events, 3600.0).pump_speed == {}
+        assert resolve_controls(events, 0.0).pump_speed == {"pu1": 0.5}
+        assert resolve_controls(events, 1800.0).pump_speed == {"pu1": 0.9}
+        assert resolve_controls(events, 3600.0).pump_speed == {}
+
+    def test_highest_event_takes_every_setting_of_its_link(self):
+        # a later speed event ends an earlier stop of the same pump; an event
+        # on another link keeps its own entry
+        speed = ActuatorEvent(kind="pump_speed", target_id="pu1", value=0.8,
+                              window=EventWindow(600.0, 3600.0))
+        valve = ActuatorEvent(kind="valve_state", target_id="v1", value=False,
+                              window=EventWindow(0.0, 3600.0))
+        for events in ([self.stop(), speed, valve],
+                       [speed, valve, self.stop()]):
+            assert resolve_controls(events, 0.0) == Controls(
+                pump_running={"pu1": False}, valve_open={"v1": False})
+            assert resolve_controls(events, 600.0) == Controls(
+                pump_speed={"pu1": 0.8}, valve_open={"v1": False})
+        # at one start the later listed wins
+        tied = [self.stop(600.0), speed]
+        assert resolve_controls(tied, 600.0) == Controls(
+            pump_speed={"pu1": 0.8})
+        assert resolve_controls(tied[::-1], 600.0) == Controls(
+            pump_running={"pu1": False})
 
 
 class TestPipeSplitting:
-    def test_split_creates_midpoint_junction(self, toy9):
-        split, leak_nodes = split_pipes_for_leaks(toy9, ["p3"])
-        leak_id = "p3" + LEAK_JUNCTION_SUFFIX
-        assert leak_nodes == {"p3": leak_id}
+    # the midpoint elevation interpolates the endpoints (p3: n2 at 6, n3 at
+    # 7); a reservoir end counts with its head (p1: r1 at 60, n1 at 5)
+    @pytest.mark.parametrize("pipe, elevation", [("p3", 6.5), ("p1", 32.5)])
+    def test_split_creates_midpoint_junction(self, toy9, pipe, elevation):
+        split, leak_nodes = split_pipes_for_leaks(toy9, [pipe])
+        leak_id = pipe + LEAK_JUNCTION_SUFFIX
+        assert leak_nodes == {pipe: leak_id}
         assert leak_id in split.junctions
         assert split.junctions[leak_id].base_demand == 0.0
-        # midpoint elevation interpolates the endpoints (n2: 6, n3: 7)
-        assert split.junctions[leak_id].elevation == pytest.approx(6.5)
+        assert split.junctions[leak_id].elevation == pytest.approx(elevation)
 
     def test_split_halves_share_the_length(self, toy9):
         split, _ = split_pipes_for_leaks(toy9, ["p3"])
@@ -303,6 +323,11 @@ class TestPipeSplitting:
     def test_unknown_pipe_raises(self, toy9):
         with pytest.raises(UnknownTargetError):
             split_pipes_for_leaks(toy9, ["p99"])
+
+    def test_reserved_id_collision_raises(self, toy9):
+        split, _ = split_pipes_for_leaks(toy9, ["p3"])
+        with pytest.raises(ConfigError, match="reserved leak id 'p3__leak'"):
+            split_pipes_for_leaks(split, ["p3"])
 
 
 class TestCommunicationEvents:

@@ -817,7 +817,7 @@ class TestPlannedHorizon:
             return {"j2": sum(ks)} if any(ks) else None
         self.assert_plan_is_per_t(EpsEngine(
             net, duration_s=n * step_s, step_s=step_s,
-            control_hook=lambda t: resolve_controls(Controls(), actuators, t),
+            control_hook=lambda t: resolve_controls(actuators, t),
             emitter_hook=emitters))
 
     def test_signed_zero_multipliers_get_their_own_input_ids(self, pumpnet):

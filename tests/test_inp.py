@@ -92,6 +92,15 @@ def test_pressure_driven_demand_rejected():
         parse_inp(text)
 
 
+def test_other_demand_options_are_ignored_with_a_warning():
+    text = MINIMAL.replace("[OPTIONS]\n Units  LPS",
+                           "[OPTIONS]\n Units  LPS\n Demand Multiplier 1.5")
+    warnings: list[str] = []
+    net = parse_inp(text, warnings=warnings)
+    assert net.junctions["j1"].base_demand == pytest.approx(0.02e-3)
+    assert warnings == ["line 10: option 'Demand Multiplier 1.5' ignored"]
+
+
 def test_times_require_explicit_units():
     text = MINIMAL.replace("[OPTIONS]", "[TIMES]\n Duration 24\n[OPTIONS]")
     with pytest.raises(MalformedSectionError) as e:
@@ -110,15 +119,22 @@ def test_times_clock_and_unit_forms():
     assert net.options.pattern_step_s == 7200
 
 
-@pytest.mark.parametrize("row", ["Duration 0:00", "Hydraulic Timestep 0:00",
-                                 "Quality Timestep 0:00:00",
-                                 "Pattern Timestep 00:00"])
-def test_zero_clock_time_names_its_line(row):
+ZERO_TIME = "positive whole number of seconds"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("Duration 0:00", ZERO_TIME), ("Hydraulic Timestep 0:00", ZERO_TIME),
+    ("Quality Timestep 0:00:00", ZERO_TIME),
+    ("Pattern Timestep 00:00", ZERO_TIME),
+    ("Duration 1:75", "bad clock time '1:75'"),
+    ("Duration 1:2:3:4", "bad clock time '1:2:3:4'"),
+])
+def test_bad_clock_time_names_its_line(row, message):
     text = MINIMAL.replace("[OPTIONS]", f"[TIMES]\n {row}\n[OPTIONS]")
     with pytest.raises(MalformedSectionError) as e:
         parse_inp(text)
     assert e.value.line_no == text.splitlines().index(f" {row}") + 1
-    assert "positive whole number of seconds" in str(e.value)
+    assert message in str(e.value)
 
 
 def test_fractional_seconds_rejected():

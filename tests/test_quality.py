@@ -116,6 +116,26 @@ class TestSettingsValidation:
     def test_negative_concentration_error_is_package_error(self):
         assert issubclass(NegativeConcentrationError, WdnflowError)
 
+    @pytest.mark.parametrize("settings, message", [
+        (QualitySettings(quality_time_step=7), "must divide the hydraulic"),
+        (QualitySettings(source_nodes={"ghost": 1.0}),
+         "quality source 'ghost' is not a network node"),
+    ])
+    def test_run_inputs_are_checked(self, series1, settings, message):
+        series = simulate_hydraulics(series1, duration_s=600,
+                                     hydraulic_step_s=300)
+        with pytest.raises(ConfigError, match=message):
+            simulate_quality(series, series1, settings)
+
+    def test_zero_step_series_gives_no_states(self, series1):
+        series = simulate_hydraulics(series1, duration_s=600,
+                                     hydraulic_step_s=300)
+        empty = replace(series, **{name: getattr(series, name)[:0] for name in (
+            "flow", "head", "pressure_head", "tank_level", "actual_demand",
+            "tank_net_inflow", "iterations", "mass_residual",
+            "energy_residual", "leak_flow")})
+        assert simulate_quality(empty, series1, QualitySettings()) == []
+
 
 class TestPlugFlowFront:
     def test_front_arrival_timing(self, series1):

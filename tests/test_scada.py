@@ -120,6 +120,13 @@ class TestExtraction:
             extract_readings(toy9_series,
                              SensorPlacement(tank_level_tanks=("n1",)))
 
+    def test_matrix_must_match_times_and_columns(self):
+        column = SensorColumn(sensor_type="pressure", element_id="n1",
+                              unit="m")
+        with pytest.raises(ConfigError, match="shape does not match"):
+            ScadaData(times=(0.0, 300.0), columns=(column,),
+                      values=np.zeros((3, 1)))
+
     def test_values_are_read_only(self, toy9_series):
         scada = extract_readings(toy9_series,
                                  SensorPlacement(pressure_nodes=("n1",)))
@@ -250,13 +257,18 @@ class TestCsvRoundTrip:
         scada = synthetic([value])
         assert from_csv(to_csv(scada)).values[0, 0] == value
 
-    def test_malformed_csv_rejected(self):
-        with pytest.raises(ConfigError):
-            from_csv("time_s,pressure:n1\nabc,1.0\n")
-        with pytest.raises(ConfigError):
-            from_csv("nonsense\n")
-        with pytest.raises(ConfigError):
-            from_csv("time_s,badlabel\n0,1.0\n")
+    @pytest.mark.parametrize("text, message", [
+        ("time_s,pressure:n1\nabc,1.0\n", "line 2: non-numeric value 'abc'"),
+        ("nonsense\n", "must start with a time_s column"),
+        ("time_s,badlabel\n0,1.0\n", "malformed column label 'badlabel'"),
+        ("time_s,speed:n1\n0,1.0\n",
+         "unknown sensor type in column 'speed:n1'"),
+        ("time_s,pressure:n1,flow:p1\n0.0,1.0\n",
+         "line 2: expected 3 fields, got 2"),
+    ])
+    def test_malformed_csv_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            from_csv(text)
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "NaN",
                                        "Infinity", " +inf"])
@@ -312,6 +324,16 @@ class TestTruthCsv:
                 "leakage_0,abrupt,0.0,600.0\n"
                 f"leakage_1,abrupt,600.0,{end}\n")
         with pytest.raises(ConfigError, match="line 3: end_s"):
+            truth_from_csv(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("event_id,kind,start_s\n", "malformed ground-truth CSV header"),
+        ("", "malformed ground-truth CSV header"),
+        ("event_id,kind,start_s,end_s\nleakage_0,abrupt,0.0\n",
+         "line 2: expected 4 fields"),
+    ])
+    def test_malformed_csv_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
             truth_from_csv(text)
 
     def test_header_is_stable(self):

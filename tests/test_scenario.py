@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from wdnflow.events import (
     EventWindow,
     LeakageEvent,
     SensorFaultEvent,
+    leak_emitter_coef,
 )
 from wdnflow.quality import simulate_quality
 from wdnflow.scada import SensorPlacement, from_csv
@@ -308,6 +310,10 @@ class TestMalformedJson:
         (("seed",), True, "config", "seed"),
         (("communication_events", 0, "all_sensors"), "yes",
          "communication_events[0]", "all_sensors"),
+        (("communication_events", 0, "all_sensors"), True,
+         "communication_events[0]", "all_sensors excludes a sensor ref"),
+        (("communication_events", 0, "sensor_type"), _DROP,
+         "communication_events[0]", "need sensor_type and element_id"),
         (("simulation",), [], "config", "simulation"),
         (("uncertainties",), {}, "config", "uncertainties"),
         (("sensors", "pressure_nodes"), [1], "sensors", "pressure_nodes"),
@@ -335,8 +341,18 @@ class TestMalformedJson:
         message = str(exc.value)
         assert message.startswith(f"{path}: ") and key in message, message
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON: "), ("[]", "config: expected an object")])
+    def test_document_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            config_from_json(text)
+
 
 class TestConfigValues:
+    def test_quality_source_ids_are_unique(self):
+        with pytest.raises(ConfigError, match="duplicate ids in source_nodes"):
+            QualitySpec(source_nodes=(("r1", 1.0), ("r1", 2.0)))
+
     @pytest.mark.parametrize("name, value", [
         ("duration_s", 0), ("duration_s", -3600),
         ("hydraulic_time_step_s", 0), ("hydraulic_time_step_s", -300),
@@ -489,6 +505,27 @@ class TestRunScenario:
         assert ids == ["leakage_0", "sensor_fault_0", "communication_0"]
         kinds = [r.kind for r in result.scada.ground_truth]
         assert kinds == ["abrupt", "offset", "freeze"]
+
+    def test_overlapping_leaks_on_one_pipe_add(self, toy9_config_factory):
+        # two orifices at one midpoint junction: inside the overlap the
+        # emitter coefficients sum; outside it each leak acts alone
+        abrupt = LeakageEvent(kind="abrupt", link_id="p3", diameter=0.01,
+                              window=EventWindow(600.0, 4800.0))
+        incipient = LeakageEvent(kind="incipient", link_id="p3",
+                                 diameter=0.02,
+                                 window=EventWindow(1800.0, 6000.0, 3600.0))
+        runtime = build_runtime(toy9_config_factory(
+            leakages=(abrupt, incipient)))
+        jid = runtime.leak_junctions["p3"]
+        for t in (1800.0, 2700.0, 3600.0, 4500.0):
+            assert runtime.emitter_hook(t) == {
+                jid: leak_emitter_coef(abrupt, t)
+                + leak_emitter_coef(incipient, t)}
+        assert runtime.emitter_hook(900.0) == {
+            jid: leak_emitter_coef(abrupt, 900.0)}
+        assert runtime.emitter_hook(5400.0) == {
+            jid: leak_emitter_coef(incipient, 5400.0)}
+        assert runtime.emitter_hook(0.0) is None
 
     def test_actuator_event_appears_in_truth(self):
         config = ScenarioConfig(

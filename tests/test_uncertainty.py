@@ -186,6 +186,10 @@ class TestSeriesKinds:
             off_b = perturb_series(m, b, self.stream()) - b
             assert np.allclose(off_a, off_b, atol=1e-12), kind
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ConfigError, match="cannot perturb an empty"):
+            perturb_series(model("gauss_abs", sigma=0.1), [], self.stream())
+
     def test_random_walk_accumulates(self):
         m = model("random_walk", sigma=0.1)
         out = perturb_series(m, np.zeros(200), self.stream())
