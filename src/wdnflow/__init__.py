@@ -25,7 +25,7 @@ from .inp import (
 )
 from .hydraulics import (
     Controls, HydraulicState, StateSeries,
-    hazen_williams_headloss, fit_pump_curve, pump_head_gain, tank_step,
+    hazen_williams_headloss, fit_pump_curve, pump_head_gain,
     solve_snapshot, EpsEngine, simulate_hydraulics,
 )
 from .quality import (

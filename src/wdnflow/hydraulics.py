@@ -83,7 +83,7 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, Tank, _compiled, _finite, _positive_whole, _real,
+    Curve, Network, Pattern, _compiled, _finite, _positive_whole, _real,
     _traverse, expand_pump_curve, incidence,
 )
 
@@ -92,7 +92,7 @@ __all__ = [
     "MAX_ITERATIONS", "ENERGY_TOL", "Controls",
     "HydraulicState", "StateSeries", "actuator_value",
     "hazen_williams_headloss", "fit_pump_curve", "pump_head_gain",
-    "solve_snapshot", "tank_step", "EpsEngine", "simulate_hydraulics",
+    "solve_snapshot", "EpsEngine", "simulate_hydraulics",
 ]
 
 G = 9.80665                 # m/s^2
@@ -273,12 +273,6 @@ def pump_head_gain(curve: Curve, flow: float, speed: float) -> float:
     return max(gain, 0.0)
 
 
-def tank_step(tank: Tank, level: float, net_inflow: float, dt: float) -> float:
-    """Explicit Euler level update, clamped to the tank's level bounds."""
-    level2 = level + net_inflow * dt / tank.area
-    return min(max(level2, tank.min_level), tank.max_level)
-
-
 # --- snapshot solver ---------------------------------------------------------
 
 @cache
@@ -387,19 +381,14 @@ class _Layout:
                              for r in reservoirs]
         # the fixed-head nodes: reservoirs, then tanks, after the junctions
         self.fixed = slice(len(inc.junction_ids), len(inc.node_ids))
-        self.tanks = tanks = [network.tanks[tid] for tid in inc.tank_ids]
+        tanks = [network.tanks[tid] for tid in inc.tank_ids]
         self.tank_elev = np.array([tk.elevation for tk in tanks])
         self.tank_init = np.array([tk.init_level for tk in tanks], dtype=float)
         self.tank_index = {tid: i for i, tid in enumerate(inc.tank_ids)}
         self.junction_index = {j: i for i, j in enumerate(inc.junction_ids)}
+        self.tank_area = np.array([tk.area for tk in tanks])
         self.tank_min = np.array([tk.min_level for tk in tanks])
         self.tank_max = np.array([tk.max_level for tk in tanks])
-        # per tank and link: +1 where the link's positive flow enters the
-        # tank, -1 where it leaves it, else 0
-        tank_nodes = np.arange(len(inc.node_ids) - len(tanks),
-                               len(inc.node_ids))[:, None]
-        self.tank_links = (inc.link_to == tank_nodes).astype(float) \
-            - (inc.link_from == tank_nodes)
         self._topologies: dict[bytes, _Topology] = {}
 
     @staticmethod
@@ -673,7 +662,7 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
     n_nodes = len(inc.node_ids)
     n_junc = len(inc.junction_ids)
     fixed_heads = np.concatenate([res_heads, layout.tank_elev + levels])
-    full, empty = levels >= layout.tank_max, levels <= layout.tank_min
+    tanks = slice(n_nodes - len(levels), n_nodes)   # tanks last
     while True:
         topo = layout.topology(active)
         cut = ~topo.reach[:n_junc] & ((demand[:n_junc] > 0.0)
@@ -691,25 +680,26 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
         balance = np.bincount(np.concatenate([topo.a_from, topo.a_to]),
                               weights=np.concatenate([-q, q]),
                               minlength=n_nodes)
-        tank_inflow = balance[n_nodes - len(levels):].copy()  # tanks last
+        tank_inflow = balance[tanks].copy()
         flow = np.zeros(len(inc.link_ids))
         flow[topo.act_idx] = q
-        # cut the links carrying flow into a tank filling past its maximum or
-        # out of one draining past its minimum: each pass cuts one more link
-        fills = full & (tank_inflow > MASS_TOL)
-        drains = empty & (tank_inflow < -MASS_TOL)
-        if not (fills.any() or drains.any()):
+        # per node, a tank filling past its maximum or draining past its
+        # minimum; cut each link whose flow enters a filling tank or leaves a
+        # draining one: each pass cuts one more link
+        fill, drain = np.zeros((2, n_nodes), dtype=bool)
+        fill[tanks] = (levels >= layout.tank_max) & (tank_inflow > MASS_TOL)
+        drain[tanks] = (levels <= layout.tank_min) & (tank_inflow < -MASS_TOL)
+        if not (fill.any() or drain.any()):
             break
-        into = layout.tank_links * flow
-        active = active & ~((fills[:, None] & (into > 0.0))
-                            | (drains[:, None] & (into < 0.0))).any(axis=0)
+        a, b = inc.link_from, inc.link_to
+        active = active & ~(((flow > 0.0) & (fill[b] | drain[a]))
+                            | ((flow < 0.0) & (fill[a] | drain[b])))
 
-    leak_flow = {}
-    for node in np.flatnonzero(emit_k):
-        press = head[node] - layout.node_elev[node]
-        leak_flow[inc.node_ids[node]] = \
-            emit_k[node] * math.sqrt(press) if press > 0.0 else 0.0
     pressure = head[:n_junc] - layout.node_elev[:n_junc]
+    nodes = np.flatnonzero(emit_k)   # emitters sit at junctions
+    leak_flow = dict(zip(
+        [inc.node_ids[n] for n in nodes.tolist()],
+        (emit_k[nodes] * np.sqrt(np.maximum(pressure[nodes], 0.0))).tolist()))
     level_arr = levels.copy()
     demand_out = demand[:n_junc].copy()
     for arr in (flow, head, pressure, level_arr, tank_inflow, demand_out):
@@ -897,12 +887,13 @@ class EpsEngine:
         for row, e in zip(self._emit, emitters):
             if e:
                 row[:] = layout.emitter_k(e)[self._emit_nodes]
-        keys = [_overrides_key(self.control_hook(x)) for x in t] \
-            if self.control_hook else [()] * len(t)
-        sets = {key: Controls(*(dict(zip(ids, values))
-                                for ids, values, _ in key))
-                for key in dict.fromkeys(keys)}
-        self._controls = [sets[key] for key in keys]
+        controls = [self.control_hook(x) for x in t] \
+            if self.control_hook else [None] * len(t)
+        keys = [_overrides_key(c) for c in controls]
+        # the hook's first set per key; key () is no overrides, as is None
+        sets = {(): Controls()}
+        self._controls = [sets.setdefault(key, c)
+                          for key, c in zip(keys, controls)]
         rows = np.hstack([self._mult, self._res, self._emit])
         ids: dict[tuple, int] = {}
         self._input = [ids.setdefault((row.tobytes(), key), len(ids))
@@ -935,10 +926,11 @@ class EpsEngine:
     def _advance(self, state: HydraulicState) -> None:
         """Keep the state as the current step's, integrate the tank levels
         over the step and move on."""
-        for i, tank in enumerate(self.layout.tanks):
-            self.tank_levels[i] = tank_step(
-                tank, float(self.tank_levels[i]),
-                float(state.tank_net_inflow[i]), float(self.step_s))
+        if self.tank_levels.size:   # explicit Euler, clamped to the bounds
+            layout = self.layout
+            np.clip(self.tank_levels + state.tank_net_inflow
+                    * float(self.step_s) / layout.tank_area,
+                    layout.tank_min, layout.tank_max, out=self.tank_levels)
         self._taken.append(state)
         self.step_index += 1
 

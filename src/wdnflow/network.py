@@ -241,9 +241,11 @@ _REFS = (("junctions", "demand_pattern_id", "patterns", "demand pattern"),
 
 
 def _shape(group: str, elem):
-    """The checks no table states: a tank's level order, a pattern's
-    multipliers and a curve's points."""
-    if group == "tanks":
+    """The checks no table states: a tank's level order, a link's two ends,
+    a pattern's multipliers and a curve's points."""
+    if group in _LINK_GROUPS and elem.from_node == elem.to_node:
+        yield f"from_node and to_node are the same node '{elem.to_node}'"
+    elif group == "tanks":
         levels = (elem.min_level, elem.init_level, elem.max_level)
         if not (all(_real(x, 0.0) for x in levels)
                 and elem.min_level <= elem.init_level <= elem.max_level):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wdnflow.events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
     SensorFaultEvent,
 )
-from wdnflow.scada import SensorPlacement, to_csv
+from wdnflow.scada import SensorPlacement, from_csv, to_csv
 from wdnflow.scenario import (
     ScenarioConfig, load_config, run_scenario, save_config,
 )
@@ -239,6 +240,41 @@ class TestDetect:
         assert "alarm at t=108000 s" in out
         assert "true_positive_rate" in out
         assert "leakage_0" in out
+
+    def test_sensor_lost_for_the_whole_run(self, tmp_path, capsys):
+        """An all-NaN sensor column end to end: the run writes its field
+        empty on every row, the reader reads it back NaN, and the detector
+        still finds the leak on the other sensors."""
+        horizon = 2 * 86400
+        config = write_config(
+            tmp_path, duration_s=horizon, uncertainties=(),
+            leakages=(LeakageEvent("abrupt", "p3", 0.01,
+                                   EventWindow(108000.0, horizon)),),
+            communication_events=(CommunicationEvent(
+                "data_loss", EventWindow(0.0, horizon), ("pressure", "n3")),))
+        assert cli.main(["run", "--config", str(config), "--truth"]) == 0
+        text = (tmp_path / "scenario_scada.csv").read_text()
+        header, *rows = text.splitlines()
+        col = header.split(",").index("pressure:n3")
+        assert len(rows) == horizon // 300
+        assert all(row.split(",")[col] == "" for row in rows)
+        scada = from_csv(text)
+        assert np.isnan(scada.values[:, col - 1]).all()
+        assert not np.isnan(np.delete(scada.values, col - 1, axis=1)).any()
+        capsys.readouterr()
+        assert cli.main(["detect", str(tmp_path / "scenario_scada.csv"),
+                         "--truth",
+                         str(tmp_path / "scenario_scada_truth.csv")]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^event leakage_0 \(abrupt\): [0-9.]+ s$", out,
+                         re.M)
+
+    def test_header_without_rows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scada.csv"
+        path.write_text("time_s,pressure:n1,flow:p1\n")
+        assert cli.main(["detect", str(path)]) == 2
+        assert "split index 0 must leave rows on both sides of 0" \
+            in capsys.readouterr().err
 
     def test_bad_split_exits_2(self, scada_csv, capsys):
         assert cli.main(["detect", str(scada_csv), "--split", "0"]) == 2

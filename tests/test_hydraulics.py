@@ -44,7 +44,6 @@ from wdnflow.hydraulics import (
     pump_head_gain,
     simulate_hydraulics,
     solve_snapshot,
-    tank_step,
 )
 from wdnflow.events import (
     ActuatorEvent, EventWindow, LeakageEvent, leak_emitter_coef,
@@ -221,28 +220,38 @@ class TestPumpCurve:
 
 
 class TestTankStep:
-    def make_tank(self, **kw):
-        from wdnflow.network import Tank
-        defaults = dict(id="t", elevation=10.0, diameter=11.283791670955126,
-                        init_level=2.0, min_level=0.0, max_level=8.0)
-        defaults.update(kw)
-        return Tank(**defaults)
+    """One engine step of pumpnet from level 2 m: the tank moves by explicit
+    Euler on the step's own net inflow, clamped to its level bounds."""
 
-    def test_explicit_euler_update(self):
-        # area is 100 m2, so 0.1 m3/s for 300 s raises the level 0.3 m
-        tank = self.make_tank()
-        assert tank_step(tank, 2.0, 0.1, 300.0) == pytest.approx(2.3,
-                                                                 abs=1e-12)
+    def step(self, pumpnet, pump_running=True, **levels):
+        tank = replace(pumpnet.tanks["t1"], init_level=2.0, **levels)
+        engine = EpsEngine(replace(pumpnet, tanks={"t1": tank}),
+                           control_hook=lambda t: Controls(
+                               pump_running={"pu1": pump_running}))
+        state = engine.step_once()
+        assert state.tank_level.tolist() == [2.0]
+        return (tank, float(state.tank_net_inflow[0]),
+                float(engine.tank_levels[0]))
 
-    def test_drawdown(self):
-        tank = self.make_tank()
-        assert tank_step(tank, 2.0, -0.1, 300.0) == pytest.approx(1.7,
-                                                                  abs=1e-12)
+    def test_explicit_euler_update(self, pumpnet):
+        tank, inflow, level = self.step(pumpnet)
+        assert inflow > 0.0
+        assert level == 2.0 + inflow * 300.0 / tank.area
 
-    def test_clamps_at_bounds(self):
-        tank = self.make_tank()
-        assert tank_step(tank, 7.9, 1.0, 300.0) == tank.max_level
-        assert tank_step(tank, 0.1, -1.0, 300.0) == tank.min_level
+    def test_drawdown(self, pumpnet):
+        tank, inflow, level = self.step(pumpnet, pump_running=False)
+        assert inflow < 0.0
+        assert level == 2.0 + inflow * 300.0 / tank.area
+
+    def test_clamps_at_bounds(self, pumpnet):
+        # each bound 1 mm beyond the start: the step overshoots it
+        tank, inflow, level = self.step(pumpnet, max_level=2.001)
+        assert inflow * 300.0 / tank.area > 0.001
+        assert level == tank.max_level
+        tank, inflow, level = self.step(pumpnet, pump_running=False,
+                                        min_level=1.999)
+        assert inflow * 300.0 / tank.area < -0.001
+        assert level == tank.min_level
 
 
 class TestSnapshotInvariants:

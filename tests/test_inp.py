@@ -197,6 +197,14 @@ def test_invalid_network_raised_for_bad_values():
         parse_inp(text)
 
 
+def test_link_from_a_node_to_itself_raised():
+    text = MINIMAL.replace(" p1  r1  j1  100  200  120",
+                           " p1  r1  j1  100  200  120\n p2  j1  j1  10  200  120")
+    with pytest.raises(InvalidNetworkError,
+                       match="pipe 'p2': from_node and to_node are the same"):
+        parse_inp(text)
+
+
 def test_parse_report_returns_violations():
     text = MINIMAL.replace("100  200  120", "-100  200  120")
     net, violations = parse_inp_report(text)

@@ -100,6 +100,23 @@ def test_validate_unreachable_demand():
     assert [v.element_id for v in hits] == ["far"]
 
 
+def test_validate_link_from_a_node_to_itself():
+    """As EPANET's input error 222: one violation per such pipe, pump or
+    valve."""
+    net = every_kind_net()
+    net = replace(
+        net, pipes={**net.pipes, "p3": Pipe("p3", "j1", "j1", 10.0, 0.1,
+                                            100.0)},
+        pumps={"pu": replace(net.pumps["pu"], to_node="r1")},
+        valves={"v1": replace(net.valves["v1"], from_node="t1")})
+    same = "from_node and to_node are the same node"
+    assert [str(v) for v in validate(net)] == [
+        f"pipe 'p3': {same} 'j1'", f"pump 'pu': {same} 'r1'",
+        f"valve 'v1': {same} 't1'"]
+    with pytest.raises(InvalidNetworkError, match="'p3'"):
+        incidence(net)
+
+
 def test_validate_pump_curve_shape():
     curve = Curve("c", ((0.0, 10.0), (0.02, 20.0), (0.04, 5.0)))  # rising head
     net = tiny_net(pumps={"pu": Pump("pu", "r1", "j1", "c")},
@@ -342,8 +359,9 @@ def test_validate_unreachable_matches_networkx(graph, data):
                     for i in sources if i not in tanks},
         tanks={name[i]: Tank(name[i], 10.0, 5.0, 1.0, 0.0, 2.0)
                for i in tanks},
+        # a self-loop is a violation of its own and changes no connectivity
         pipes={f"p{j}": Pipe(f"p{j}", name[a], name[b], 100.0, 0.2, 100.0)
-               for j, (a, b) in enumerate(edges)})
+               for j, (a, b) in enumerate(edges) if a != b})
     g = nx_graph(n, edges)
     reached = {v for s in sources for v in nx.node_connected_component(g, s)}
     cut = {name[i] for i in range(n)
