@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, UnknownTargetError
 from .hydraulics import G, Controls, actuator_value
-from .network import Junction, Network, Pipe, _finite
+from .network import Junction, Network, Pipe, _finite, _node_height
 
 __all__ = [
     "SENSOR_TYPES", "EVENT_REGISTRY", "event_registry", "EventWindow",
@@ -232,12 +232,6 @@ def faulted_readings(readings, event: SensorFaultEvent, times, noise):
     if event.kind == "gain":
         return readings * event.param
     return np.zeros_like(readings)   # stuck_zero
-
-
-def _node_height(network: Network, node_id: str) -> float:
-    if node_id in network.reservoirs:
-        return network.reservoirs[node_id].head
-    return network.node(node_id).elevation
 
 
 def split_pipes_for_leaks(network: Network,

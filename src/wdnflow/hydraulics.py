@@ -51,11 +51,12 @@ function of its inputs.
 
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
-each pattern's multipliers, and the emitter coefficients and control set
-from one call of each hook per step. Steps whose planned inputs are bytewise
-equal share an input id. A snapshot whose input id, control overrides and
-tank levels repeat an earlier one's is served from a memo of converged
-states, so each distinct snapshot is solved once. The engine builds a run's
+every pattern at the network's one pattern step, and the emitter
+coefficients and control set from one call of each hook per step. Steps
+whose planned inputs are bytewise equal share an input id. A snapshot whose
+input id, control overrides and tank levels repeat an earlier one's is
+served from a memo of converged states, so each distinct snapshot is solved
+once. The engine builds a run's
 `StateSeries` of columns itself, stacking each distinct snapshot it met once
 and taking it per step; the series' `states` are row views, built on first
 use.
@@ -83,8 +84,8 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, _compiled, _finite, _positive_whole, _real,
-    _traverse, expand_pump_curve, incidence,
+    Curve, Network, Pattern, _compiled, _finite, _node_height,
+    _positive_whole, _real, _traverse, expand_pump_curve, incidence,
 )
 
 __all__ = [
@@ -361,9 +362,7 @@ class _Layout:
         self.link_speed = np.array(speed, dtype=float)
         # elevation-like height per node, used for island head assignment
         self.node_elev = np.array(
-            [network.junctions[j].elevation for j in inc.junction_ids]
-            + [network.reservoirs[r].head for r in inc.reservoir_ids]
-            + [network.tanks[t].elevation for t in inc.tank_ids])
+            [_node_height(network, nid) for nid in inc.node_ids])
         # snapshot inputs: each junction's base demand and the column of its
         # pattern among the distinct demand patterns (None: multiplier 1)
         columns: dict[str | None, int] = {}
@@ -389,18 +388,19 @@ class _Layout:
         self.tank_area = np.array([tk.area for tk in tanks])
         self.tank_min = np.array([tk.min_level for tk in tanks])
         self.tank_max = np.array([tk.max_level for tk in tanks])
+        self.pattern_step = network.options.pattern_step_s
         self._topologies: dict[bytes, _Topology] = {}
 
-    @staticmethod
-    def multipliers(patterns: list[Pattern | None], t) -> np.ndarray:
-        """Each pattern's multiplier at t (1 for None), by the rule of
-        `pattern_value`; at an array of times, one row per time."""
-        t = np.asarray(t, dtype=float)
-        out = np.ones(t.shape + (len(patterns),))
+    def multipliers(self, patterns: list[Pattern | None], t) -> np.ndarray:
+        """Each pattern's multiplier at t (1 for None) by `pattern_value` at
+        the network's step; at an array of times, one row per time."""
+        index = (np.asarray(t, dtype=float)
+                 // self.pattern_step).astype(np.intp)
+        out = np.ones(index.shape + (len(patterns),))
         for c, p in enumerate(patterns):
             if p is not None:
                 out[..., c] = np.array(p.multipliers, dtype=float)[
-                    (t // p.step).astype(np.intp) % len(p.multipliers)]
+                    index % len(p.multipliers)]
         return out
 
     def demand(self, mult: np.ndarray) -> np.ndarray:
@@ -819,9 +819,9 @@ class EpsEngine:
 
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or
     None. No controls means no overrides. The engine plans its horizon when
-    it is made: the hooks are called once per step, and each pattern's
-    multipliers are indexed for all steps at once. Steps whose inputs are
-    bytewise equal share an input id. `step_once` and `solve_current` may
+    it is made: the hooks are called once per step, and every pattern is
+    indexed at the network's pattern step for all steps at once. Steps
+    whose inputs are bytewise equal share an input id. `step_once` and `solve_current` may
     add overrides beneath the step's planned controls; the plan takes every
     setting of each link it names, dropping any override on that link.
 
@@ -838,6 +838,8 @@ class EpsEngine:
                  step_s: int | None = None, control_hook=None,
                  emitter_hook=None):
         self.network = network
+        # a network with bad options raises InvalidNetworkError here
+        self.layout = _layout(network)
         opt = network.options
         duration = opt.duration_s if duration_s is None else duration_s
         step = opt.hydraulic_step_s if step_s is None else step_s
@@ -850,7 +852,6 @@ class EpsEngine:
         self.total_steps = self.duration_s // self.step_s
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
-        self.layout = _layout(network)
         self._plan()
         self._memo: dict[tuple, HydraulicState] = {}
         self.iteration_counts: Counter[int] = Counter()

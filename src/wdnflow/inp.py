@@ -9,11 +9,12 @@ and wins over the status of a pipe's own row, as in EPANET.
 
 One table states each element section's row format for the reader, the
 writer and the writability check; `_TIMES` and `_LINK_STATES` do the same for
-[TIMES] and [STATUS] rows. `write_inp` writes only what `parse_inp` reads
-back: it raises InpError on an id that is not one token, a title that does
-not read back as itself, a time option that is not a positive whole number of
-seconds, or a pattern whose step is not the network's pattern step. Stopped
-pumps and closed valves are written as [STATUS] rows.
+[TIMES] and [STATUS] rows. Patterns carry no step of their own: the one
+Pattern Timestep of [TIMES] is the network's `pattern_step_s`, and `validate`
+checks every time there. `write_inp` writes only valid networks, and only what
+`parse_inp` reads back: it raises InpError on an id that is not one token or a
+title that does not read back as itself. Stopped pumps and closed valves are
+written as [STATUS] rows.
 
 Units: only LPS and CMS flow units are accepted and everything is converted
 to strict SI (m3/s) on read. Pipe and valve diameters are millimetres in the
@@ -46,7 +47,6 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
-    _positive_whole,
     incidence,
     validate,
 )
@@ -356,7 +356,7 @@ def _parse(text: str, warnings: list[str] | None) -> Network:
                       for t in row.tokens[1:])
         if pid in patterns:
             mults = patterns[pid].multipliers + mults
-        patterns[pid] = Pattern(pid, mults, float(options.pattern_step_s))
+        patterns[pid] = Pattern(pid, mults)
 
     curves: dict[str, Curve] = {}
     for cid, row in _rows(doc, "[CURVES]", (3,), "curve row is: id flow head"):
@@ -430,8 +430,7 @@ def _reads_back(text: str) -> bool:
 def _check_writable(network: Network) -> None:
     """Raise InpError where parse_inp would not read back what write_inp
     writes: a title line or an id that does not read back (an id must also
-    be one token), a time option that is not a positive whole number of
-    seconds, or a pattern step other than the network's."""
+    be one token)."""
     title = network.title
     if title and not all(map(_reads_back, title.split("\n"))):
         raise InpError(f"title {title!r} would not read back as written")
@@ -441,16 +440,6 @@ def _check_writable(network: Network) -> None:
         for eid in ids if isinstance(ids, dict) else ():
             if not _reads_back(eid) or " " in eid:
                 raise InpError(f"{group.name[:-1]} id {eid!r} is not one INP token")
-    for _, name in _TIMES:
-        value = getattr(network.options, name)
-        if not _positive_whole(value):
-            raise InpError(f"options {name} {value!r} is not a positive"
-                           " whole number of seconds")
-    step = network.options.pattern_step_s
-    for pat in network.patterns.values():
-        if pat.step != step:
-            raise InpError(f"pattern '{pat.id}' step {pat.step:g} s differs"
-                           f" from the pattern timestep {step} s")
 
 
 # how the writer words a column's value, by kind; other numbers by `_fmt`

@@ -93,11 +93,10 @@ class Valve:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Periodic multiplier series; repeats cyclically past its end."""
+    """Multipliers, one per `SimOptions.pattern_step_s`, cycled at the end."""
 
     id: str
     multipliers: tuple[float, ...]
-    step: float = 3600.0
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,8 @@ class Curve:
 
 @dataclass(frozen=True)
 class SimOptions:
+    """The network's one time base, as EPANET's [TIMES]: whole seconds."""
+
     duration_s: int = 86400
     hydraulic_step_s: int = 300
     quality_step_s: int = 60
@@ -169,12 +170,20 @@ class Violation:
         return f"{self.element_kind} '{self.element_id}': {self.message}"
 
 
-def pattern_value(pattern: Pattern | None, t: float) -> float:
-    """Multiplier at time t; the pattern repeats cyclically. None means 1.0."""
+def pattern_value(pattern: Pattern | None, t: float, step: float) -> float:
+    """Multiplier at time t when each multiplier holds for `step` seconds;
+    the pattern repeats cyclically. None means 1.0."""
     if pattern is None:
         return 1.0
-    idx = int(t // pattern.step) % len(pattern.multipliers)
+    idx = int(t // step) % len(pattern.multipliers)
     return pattern.multipliers[idx]
+
+
+def _node_height(network: Network, node_id: str) -> float:
+    """A node's height: a reservoir's head, else its elevation."""
+    if node_id in network.reservoirs:
+        return network.reservoirs[node_id].head
+    return network.node(node_id).elevation
 
 
 def expand_pump_curve(curve: Curve) -> Curve:
@@ -229,7 +238,7 @@ _FIELDS = {
     "valves": (("diameter", 0.0, True, "diameter must be finite and > 0"),
                ("minor_loss_coef", 0.0, False,
                 "minor_loss_coef must be finite and >= 0")),
-    "patterns": (("step", 0.0, True, "step must be finite and > 0"),),
+    "patterns": (),
     "curves": (),
 }
 
@@ -274,7 +283,8 @@ def validate(network: Network) -> list[Violation]:
 
     Violations are returned, never raised; an empty list means the network
     is well formed. Ids come first, then each group in `_FIELDS` order,
-    each element's endpoints, references, fields and shape in turn.
+    each element's endpoints, references, fields and shape in turn, then
+    reachability, then the options' times.
     """
     return _violations(network)[0]
 
@@ -333,6 +343,10 @@ def _violations(network: Network) -> tuple[list[Violation], list[Violation]]:
             if j.base_demand > 0 and root[index[j.id]] not in src:
                 add(Violation("junction", j.id, "demand node unreachable from any head source"))
 
+    for name in SimOptions.__dataclass_fields__:
+        if not _positive_whole(getattr(network.options, name)):
+            add(Violation("options", name,
+                          "must be a positive whole number of seconds"))
     return out, dangling
 
 

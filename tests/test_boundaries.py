@@ -15,8 +15,8 @@ from wdnflow.events import (
     ActuatorEvent, EventWindow, LeakageEvent, SensorFaultEvent,
 )
 from wdnflow.network import (
-    Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, Tank, Valve,
-    incidence, validate,
+    Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, SimOptions,
+    Tank, Valve, incidence, validate,
 )
 from wdnflow.quality import QualitySettings
 from wdnflow.scada import SensorPlacement
@@ -61,6 +61,14 @@ def element(group, eid, name, value):
     return pytest.param(
         lambda: incidence(with_element(group, eid, **{name: value})),
         InvalidNetworkError, f"'{eid}'", id=f"{group}.{name}={value}")
+
+
+def option(name, value):
+    """incidence() validates, so it raises for a bad [TIMES] option."""
+    return pytest.param(
+        lambda: incidence(replace(network(), options=replace(
+            SimOptions(), **{name: value}))),
+        InvalidNetworkError, f"options '{name}'", id=f"options.{name}={value}")
 
 
 def json_constant(listing, key, constant):
@@ -212,11 +220,13 @@ CASES = [
     ("valves", "v1", "minor_loss_coef", NAN),
     ("valves", "v1", "minor_loss_coef", INF),
     ("pumps", "pu1", "speed", NAN), ("pumps", "pu1", "speed", INF),
-    ("patterns", "daily", "step", NAN), ("patterns", "daily", "step", INF),
     ("patterns", "daily", "multipliers", (1.0, NAN)),
     ("patterns", "daily", "multipliers", (INF, 1.0)),
     ("curves", "c1", "points", ((NAN, 40.0),)),
 )] + [
+    option("pattern_step_s", NAN), option("pattern_step_s", INF),
+    option("duration_s", INF), option("hydraulic_step_s", NAN),
+] + [
     json_constant("leakages", "diameter", "NaN"),
     json_constant("leakages", "diameter", "Infinity"),
     json_constant("sensor_faults", "param", "-Infinity"),

@@ -284,8 +284,8 @@ class TestActuatorEvents:
 
 
 class TestPipeSplitting:
-    # the midpoint elevation interpolates the endpoints (p3: n2 at 6, n3 at
-    # 7); a reservoir end counts with its head (p1: r1 at 60, n1 at 5)
+    # the midpoint elevation interpolates the endpoints' heights (p3: n2 at
+    # 6, n3 at 7); a reservoir's height is its head (p1: r1 at 60, n1 at 5)
     @pytest.mark.parametrize("pipe, elevation", [("p3", 6.5), ("p1", 32.5)])
     def test_split_creates_midpoint_junction(self, toy9, pipe, elevation):
         split, leak_nodes = split_pipes_for_leaks(toy9, [pipe])
@@ -293,7 +293,7 @@ class TestPipeSplitting:
         assert leak_nodes == {pipe: leak_id}
         assert leak_id in split.junctions
         assert split.junctions[leak_id].base_demand == 0.0
-        assert split.junctions[leak_id].elevation == pytest.approx(elevation)
+        assert split.junctions[leak_id].elevation == elevation
 
     def test_split_halves_share_the_length(self, toy9):
         split, _ = split_pipes_for_leaks(toy9, ["p3"])

@@ -17,6 +17,7 @@ from wdnflow import (
     ConfigError,
     CurveFitError,
     DisconnectedDemandError,
+    InvalidNetworkError,
     NonConvergenceError,
     UnknownTargetError,
     WdnflowError,
@@ -24,6 +25,7 @@ from wdnflow import (
     expand_pump_curve,
     incidence,
     parse_inp,
+    write_inp,
 )
 from wdnflow import hydraulics
 from wdnflow.hydraulics import (
@@ -50,7 +52,8 @@ from wdnflow.events import (
     resolve_controls,
 )
 from wdnflow.network import (
-    Curve, Junction, Network, Pattern, Pipe, Reservoir, Tank, pattern_value,
+    Curve, Junction, Network, Pattern, Pipe, Reservoir, Tank, Violation,
+    pattern_value, validate,
 )
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import ScenarioConfig, run_scenario
@@ -598,7 +601,8 @@ def run_recording_inputs(engine):
         t = float(engine.step_index * engine.step_s)
         inputs.append((
             t, {jid: j.base_demand * pattern_value(
-                net.patterns.get(j.demand_pattern_id), t)
+                net.patterns.get(j.demand_pattern_id), t,
+                net.options.pattern_step_s)
                 for jid, j in net.junctions.items()},
             engine.control_hook(t) if engine.control_hook else None,
             engine.emitter_hook(t) if engine.emitter_hook else None,
@@ -747,19 +751,20 @@ class TestSnapshotPurity:
 class TestPlannedHorizon:
     """The engine plans a horizon's inputs once. Each planned row equals,
     bit for bit, the per-t evaluation: every pattern's multiplier by
-    `pattern_value`, the reservoir heads, and the emitters and controls the
+    `pattern_value` at the network's pattern step, the reservoir heads, and the emitters and controls the
     hooks return at t. Steps share an input id exactly when their inputs
     are bytewise equal, so 0.0 and -0.0 stay apart."""
 
     @staticmethod
     def assert_plan_is_per_t(engine):
         layout = engine.layout
+        step = engine.network.options.pattern_step_s
         rows = []
         for k in range(engine.total_steps):
             t = float(k * engine.step_s)
-            mult = np.array([pattern_value(p, t)
+            mult = np.array([pattern_value(p, t, step)
                              for p in layout.demand_patterns], dtype=float)
-            lift = np.array([pattern_value(p, t)
+            lift = np.array([pattern_value(p, t, step)
                              for p in layout.res_patterns], dtype=float)
             assert engine._mult[k].tobytes() == mult.tobytes(), t
             assert layout.multipliers(layout.demand_patterns, t).tobytes() \
@@ -783,14 +788,14 @@ class TestPlannedHorizon:
     @given(data=st.data())
     def test_planned_rows_equal_the_per_t_evaluation(self, pumpnet, data):
         values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
-        steps = st.sampled_from([300.0, 450.0, 3600.0]) | st.floats(0.5, 5e3)
+        steps = st.sampled_from([300, 450, 3600]) | st.integers(1, 5000)
 
         def pattern(pid):
             return Pattern(pid, tuple(data.draw(st.lists(values, min_size=1,
-                                                         max_size=6))),
-                           data.draw(steps))
+                                                         max_size=6))))
         net = replace(
             pumpnet, patterns={"d": pattern("d"), "lift": pattern("lift")},
+            options=replace(pumpnet.options, pattern_step_s=data.draw(steps)),
             junctions={**pumpnet.junctions, "j1": replace(
                 pumpnet.junctions["j1"], demand_pattern_id="d")},
             reservoirs={"r1": replace(pumpnet.reservoirs["r1"],
@@ -831,7 +836,8 @@ class TestPlannedHorizon:
 
     def test_signed_zero_multipliers_get_their_own_input_ids(self, pumpnet):
         net = replace(
-            pumpnet, patterns={"d": Pattern("d", (0.0, -0.0, 0.0), 300.0)},
+            pumpnet, patterns={"d": Pattern("d", (0.0, -0.0, 0.0))},
+            options=replace(pumpnet.options, pattern_step_s=300),
             junctions={**pumpnet.junctions, "j1": replace(
                 pumpnet.junctions["j1"], demand_pattern_id="d")})
         engine = EpsEngine(net, duration_s=1800, step_s=300)
@@ -1442,6 +1448,44 @@ class TestExtendedPeriod:
         # patterns wrap cyclically past their own horizon
         assert series.actual_demand[25, n1] == pytest.approx(
             base * pattern.multipliers[1])
+
+    def test_demand_follows_the_network_pattern_step(self, toy9):
+        """Every pattern is indexed by the network's one pattern step: at
+        1800 s the multipliers move every half hour, as the INP written
+        for that network states."""
+        half = replace(toy9, options=replace(toy9.options,
+                                             pattern_step_s=1800))
+        series = simulate_hydraulics(half, duration_s=7200,
+                                     hydraulic_step_s=300)
+        n1 = series.junction_ids.index("n1")
+        mults = half.patterns["diurnal"].multipliers
+        expected = [half.junctions["n1"].base_demand * mults[k // 6]
+                    for k in range(24)]
+        assert series.actual_demand[:, n1].tolist() == expected
+        hourly = simulate_hydraulics(toy9, duration_s=7200,
+                                     hydraulic_step_s=300)
+        assert series.digest() != hourly.digest()
+        back = parse_inp(write_inp(half))
+        assert simulate_hydraulics(back, duration_s=7200,
+                                   hydraulic_step_s=300).digest() \
+            == series.digest()
+
+    def test_an_invalid_network_step_is_a_network_violation(self, toy9):
+        """A bad [TIMES] option is the network's fault: validate lists it and
+        the engine refuses the network before it reads its arguments. Only
+        bad explicit arguments raise a plain ValueError."""
+        zero = replace(toy9, options=replace(toy9.options,
+                                             hydraulic_step_s=0))
+        assert validate(zero) == [Violation(
+            "options", "hydraulic_step_s",
+            "must be a positive whole number of seconds")]
+        with pytest.raises(InvalidNetworkError, match="hydraulic_step_s"):
+            simulate_hydraulics(zero)
+        with pytest.raises(InvalidNetworkError):
+            EpsEngine(zero, duration_s=3600, step_s=7)
+        with pytest.raises(ValueError) as e:
+            EpsEngine(toy9, duration_s=3600, step_s=0)
+        assert not isinstance(e.value, WdnflowError)
 
     def test_run_equals_manual_stepping(self, toy9):
         series = simulate_hydraulics(toy9, duration_s=3600,

@@ -500,12 +500,34 @@ def refusal(network) -> str:
     return str(e.value)
 
 
+def test_a_network_pattern_step_round_trips(toy9):
+    """The network's options hold the one pattern step, so any whole step
+    writes as the [TIMES] Pattern Timestep and reads back."""
+    half = replace(toy9, options=replace(toy9.options, pattern_step_s=1800))
+    text = write_inp(half)
+    assert " Pattern Timestep    1800 SEC\n" in text
+    back = parse_inp(text)
+    assert back.options.pattern_step_s == 1800
+    assert networks_close(back, half)
+    assert write_inp(back) == text
+
+
+def test_write_refuses_an_invalid_network_before_its_text(toy9, tmp_path):
+    """A time option that is not a positive whole number of seconds is a
+    violation of the network, which the writer refuses as the solver does;
+    save_network then writes no file."""
+    zero = replace(toy9, options=replace(toy9.options, duration_s=0))
+    with pytest.raises(InvalidNetworkError,
+                       match="options 'duration_s': must be a positive whole"
+                             " number of seconds"):
+        write_inp(zero)
+    path = tmp_path / "zero.inp"
+    with pytest.raises(InvalidNetworkError):
+        save_network(zero, str(path))
+    assert not path.exists()
+
+
 def test_write_refuses_what_it_cannot_read_back(toy9, tmp_path):
-    pid, pattern = next(iter(toy9.patterns.items()))
-    half = replace(toy9, patterns={
-        **toy9.patterns, pid: replace(pattern, step=1800.0)})
-    assert refusal(half) == (f"pattern '{pid}' step 1800 s differs from the"
-                             " pattern timestep 3600 s")
     for title in ("a; b", "[X]", "a\n\nb", "a  b", " a"):
         assert refusal(replace(toy9, title=title)) \
             == f"title {title!r} would not read back as written"
@@ -519,13 +541,10 @@ def test_write_refuses_what_it_cannot_read_back(toy9, tmp_path):
                      to_node="a b" if p.to_node == j.id else p.to_node)
         for pid, p in toy9.pipes.items()})
     assert refusal(spaced) == "junction id 'a b' is not one INP token"
-    assert refusal(replace(toy9, options=replace(toy9.options,
-                                                 duration_s=0))) \
-        == "options duration_s 0 is not a positive whole number of seconds"
     # save_network writes no file for a network it refuses
-    path = tmp_path / "half.inp"
+    path = tmp_path / "spaced.inp"
     with pytest.raises(InpError):
-        save_network(half, str(path))
+        save_network(spaced, str(path))
     assert not path.exists()
 
 
@@ -545,14 +564,13 @@ def reals(low, high):
 @st.composite
 def inp_networks(draw):
     """A valid network of every element kind, with patterns, curves, tanks,
-    link states and a title. A draw that is not clean may hold ids, a title
-    and pattern steps that do not read back."""
+    link states and a title. A draw that is not clean may hold ids and a
+    title that do not read back."""
     clean = draw(st.booleans())
     ident = TOKEN if clean else st.one_of(TOKEN, TOKEN, ODD)
-    step = draw(st.sampled_from([900, 3600, 7200]))
+    step = draw(st.sampled_from([900, 1800, 3600, 7200]))
     patterns = {pid: Pattern(pid, tuple(draw(st.lists(
-        reals(0.0, 3.0), min_size=1, max_size=8))),
-        step if clean else draw(st.sampled_from([step, 1800])))
+        reals(0.0, 3.0), min_size=1, max_size=8))))
         for pid in draw(st.lists(ident, max_size=2, unique=True))}
     pattern = st.one_of(st.none(), st.sampled_from(sorted(patterns))) \
         if patterns else st.none()

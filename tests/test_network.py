@@ -25,13 +25,22 @@ def tiny_net(**overrides):
 
 
 def test_pattern_value_is_cyclic():
-    pat = Pattern("p", (1.0, 2.0, 3.0), step=3600.0)
-    assert pattern_value(pat, 0.0) == 1.0
-    assert pattern_value(pat, 3599.0) == 1.0
-    assert pattern_value(pat, 3600.0) == 2.0
-    assert pattern_value(pat, 3 * 3600.0) == 1.0          # wraps
-    assert pattern_value(pat, 7 * 3600.0 + 1.0) == 2.0
-    assert pattern_value(None, 12345.0) == 1.0
+    pat = Pattern("p", (1.0, 2.0, 3.0))
+    assert pattern_value(pat, 0.0, 3600) == 1.0
+    assert pattern_value(pat, 3599.0, 3600) == 1.0
+    assert pattern_value(pat, 3600.0, 3600) == 2.0
+    assert pattern_value(pat, 3 * 3600.0, 3600) == 1.0          # wraps
+    assert pattern_value(pat, 7 * 3600.0 + 1.0, 3600) == 2.0
+    assert pattern_value(pat, 3600.0, 1800) == 3.0     # the step is given
+    assert pattern_value(None, 12345.0, 3600) == 1.0
+
+
+def test_a_pattern_has_no_step_of_its_own():
+    """The network's options hold the one pattern step, as EPANET's
+    [TIMES] does."""
+    assert list(Pattern.__dataclass_fields__) == ["id", "multipliers"]
+    with pytest.raises(TypeError):
+        Pattern("p", (1.0,), 1800.0)
 
 
 def test_tank_area():
@@ -158,7 +167,6 @@ NUMERIC_FIELDS = [
      "minor_loss_coef must be finite and >= 0", None),
     ("patterns", "pat", "multipliers", "multipliers must be finite and >= 0",
      lambda bad: (1.0, bad)),
-    ("patterns", "pat", "step", "step must be finite and > 0", None),
     ("curves", "c", "points", "points must be finite",
      lambda bad: ((bad, 40.0),)),
     ("curves", "c", "points", "points must be finite",
@@ -185,8 +193,8 @@ def test_every_numeric_field_is_a_real_finite_number(group, eid, name,
 
 def test_validate_lists_violations_in_group_order():
     """One bad value in every group: ids and keys come first, then junctions,
-    reservoirs, tanks, pipes, pumps, valves, patterns and curves, as
-    `wdnflow inspect` and InvalidNetworkError print them."""
+    reservoirs, tanks, pipes, pumps, valves, patterns, curves and options,
+    as `wdnflow inspect` and InvalidNetworkError print them."""
     net = every_kind_net()
 
     def bad(group, eid, **fields):
@@ -201,8 +209,9 @@ def test_validate_lists_violations_in_group_order():
                "p3": Pipe("p2", "j1", "ghost", 10.0, 0.1, 100.0)},
         pumps=bad("pumps", "pu", curve_id="nope"),
         valves=bad("valves", "v1", minor_loss_coef=-1.0),
-        patterns=bad("patterns", "pat", step=0.0),
-        curves=bad("curves", "c", points=((0.04, 40.0), (0.02, 30.0))))
+        patterns=bad("patterns", "pat", multipliers=()),
+        curves=bad("curves", "c", points=((0.04, 40.0), (0.02, 30.0))),
+        options=replace(net.options, pattern_step_s=0))
     assert [str(v) for v in validate(net)] == [
         "pipe 'p3': keyed as 'p3' but id is 'p2'",
         "pipe 'p2': duplicate link id",
@@ -213,9 +222,37 @@ def test_validate_lists_violations_in_group_order():
         "pipe 'p2': to_node 'ghost' does not exist",
         "pump 'pu': curve 'nope' not defined",
         "valve 'v1': minor_loss_coef must be finite and >= 0",
-        "pattern 'pat': step must be finite and > 0",
+        "pattern 'pat': must have at least one multiplier",
         "curve 'c': flows must be strictly increasing",
+        "options 'pattern_step_s': must be a positive whole number of seconds",
     ]
+
+
+TIME_OPTIONS = ("duration_s", "hydraulic_step_s", "quality_step_s",
+                "pattern_step_s")
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, math.nan, math.inf, 0,
+                                 -300, 0.5, 1800.5],
+                         ids=["str", "None", "bool", "nan", "inf", "zero",
+                              "negative", "half", "fraction"])
+@pytest.mark.parametrize("name", TIME_OPTIONS)
+def test_every_time_option_is_a_positive_whole_number(name, bad):
+    """validate holds the network's [TIMES] as the solver and the writer
+    read them: one options violation per bad time, which incidence
+    refuses like any other."""
+    net = every_kind_net()
+    net = replace(net, options=replace(net.options, **{name: bad}))
+    assert validate(net) == [Violation(
+        "options", name, "must be a positive whole number of seconds")]
+    with pytest.raises(InvalidNetworkError, match=f"options '{name}'"):
+        incidence(net)
+
+
+def test_whole_float_times_are_valid():
+    net = every_kind_net()
+    assert validate(replace(net, options=SimOptions(
+        86400.0, 300.0, 60.0, 1800.0))) == []
 
 
 def test_incidence_layout():
