@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (
     ConfigError, EpisodeFinishedError, InvalidActionError, UnknownTargetError,
 )
-from .hydraulics import G, Controls, HydraulicState, _active_mask
+from .hydraulics import G, Controls, HydraulicState
 from .network import _finite
 from .scada import RowReader
 from .scenario import ScenarioConfig, ScenarioRuntime, build_runtime
@@ -90,18 +90,6 @@ class ScenarioEnv:
     def _observe(self, state: HydraulicState) -> np.ndarray:
         return self._corruptor.corrupt_next(self._reader.read(state)[None])[0]
 
-    def _commands(self, action: Action) -> Controls:
-        """The agent's commands as engine overrides, checked by the engine's
-        rule; the engine drops those on a link the step's plan names."""
-        controls = Controls(pump_running=action.pump_states,
-                            pump_speed=action.pump_speeds,
-                            valve_open=action.valve_states)
-        try:
-            _active_mask(self._engine.layout, controls)
-        except (UnknownTargetError, ConfigError) as exc:
-            raise InvalidActionError(str(exc)) from None
-        return controls
-
     def _reward_terms(self, state: HydraulicState) -> tuple[float, float]:
         # a pump that is not running, or runs at speed 0, is a closed link:
         # it carries no flow and so draws no power
@@ -144,7 +132,15 @@ class ScenarioEnv:
             raise EpisodeFinishedError("call reset() before step()")
         if self._engine.step_index >= self.total_steps:
             raise EpisodeFinishedError("episode horizon already reached")
-        state = self._engine.step_once(self._commands(action or NO_OP))
+        action = action or NO_OP
+        # the engine checks the commands as overrides, and the step's plan
+        # drops those on a link it names
+        try:
+            state = self._engine.step_once(Controls(
+                pump_running=action.pump_states, pump_speed=action.pump_speeds,
+                valve_open=action.valve_states))
+        except (UnknownTargetError, ConfigError) as exc:
+            raise InvalidActionError(str(exc)) from None
         observation = self._observe(state)
         power, deficit = self._reward_terms(state)
         reward = -power - self.pressure_penalty * deficit

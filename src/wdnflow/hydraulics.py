@@ -52,11 +52,12 @@ function of its inputs.
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
 every pattern at the network's one pattern step, and the emitter
-coefficients and control set from one call of each hook per step. Steps
+coefficients and control set's link settings from one call of each hook
+per step, each answer read when the hook returns it. Steps
 whose planned inputs are bytewise equal share an input id. A snapshot whose
-input id, control overrides and tank levels repeat an earlier one's is
-served from a memo of converged states, so each distinct snapshot is solved
-once. The engine builds a run's
+input id, resolved override settings and tank levels repeat an earlier
+one's is served from a memo of converged states, so each distinct snapshot
+is solved once. The engine builds a run's
 `StateSeries` of columns itself, stacking each distinct snapshot it met once
 and taking it per step; the series' `states` are row views, built on first
 use.
@@ -145,12 +146,13 @@ def _scatter(out: np.ndarray, index: dict[str, int], values: dict,
 
 def actuator_value(kind: str, value) -> bool | float:
     """The setting of an actuator kind, checked: a pump speed is a finite
-    number >= 0, returned as a float; a pump or valve state is a bool."""
+    number >= 0, returned as a float; a pump or valve state is a (numpy)
+    bool, returned as a bool."""
     if kind == "pump_speed":
         return _finite(value, "pump_speed value", 0.0)
-    if not isinstance(value, bool):
+    if not isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{kind} value must be a boolean")
-    return value
+    return bool(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,46 +541,44 @@ class _Topology:
         return self.ref_flow * ratio if ratio > 0.0 else self.q0
 
 
-def _overrides_key(controls: Controls | None) -> tuple:
-    """The overrides' content, () for none: per map its ids, values and the
-    values' types, as 1 == True but only True is a pump state."""
-    maps = () if controls is None else (
-        controls.pipe_open, controls.pump_running, controls.pump_speed,
-        controls.valve_open)
-    if not any(maps):
+def _link_settings(layout: _Layout, controls: Controls | None) -> tuple:
+    """The control set's overrides, checked, as (link index, sets speed,
+    value) triples in link order; () for none. An override must name a
+    link of its map's kind, and its value obey the actuator value rule
+    (the error names the link)."""
+    if controls is None:
         return ()
-    return tuple((tuple(d), tuple(d.values()), tuple(map(type, d.values())))
-                 for d in maps)
+    inc = layout.inc
+    settings = []
+    for name, kind, kind_name in (
+            ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
+            ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
+        for lid, value in getattr(controls, name).items():
+            j = inc.link_index.get(lid)
+            if j is None or inc.link_kind[j] != kind:
+                raise UnknownTargetError(f"no {kind_name} '{lid}'")
+            try:
+                settings.append((j, name == "pump_speed",
+                                 actuator_value(name, value)))
+            except ConfigError as exc:
+                raise ConfigError(f"{kind_name} '{lid}': {exc}") from None
+    return tuple(sorted(settings))
 
 
 def _active_mask(layout: _Layout,
-                 *controls: Controls) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link open mask and per-pump effective speed under the control
-    sets, before any tank closes. The one precedence rule: a later set
-    takes every setting of each link it names, which drops what earlier
-    sets gave it in any map. An override must name a link of its map's
-    kind, and its value obey the actuator value rule (the error names it)."""
-    inc = layout.inc
+                 *sets: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link open mask and per-pump effective speed under the resolved
+    control sets, before any tank closes. The one precedence rule: a later
+    set takes every setting of each link it names, which drops what earlier
+    sets gave it in any map."""
     on, speed = layout.link_on.copy(), layout.link_speed.copy()
-    for c in controls:
-        settings = []
-        for name, kind, kind_name in (
-                ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
-                ("pump_speed", 1, "pump"), ("valve_open", 2, "valve")):
-            setting = speed if name == "pump_speed" else on
-            for lid, value in getattr(c, name).items():
-                j = inc.link_index.get(lid)
-                if j is None or inc.link_kind[j] != kind:
-                    raise UnknownTargetError(f"no {kind_name} '{lid}'")
-                try:
-                    settings.append((setting, j, actuator_value(name, value)))
-                except ConfigError as exc:
-                    raise ConfigError(f"{kind_name} '{lid}': {exc}") from None
-                on[j], speed[j] = layout.link_on[j], layout.link_speed[j]
-        for setting, j, value in settings:
-            setting[j] = value
+    for settings in sets:
+        for j, _, _ in settings:
+            on[j], speed[j] = layout.link_on[j], layout.link_speed[j]
+        for j, sets_speed, value in settings:
+            (speed if sets_speed else on)[j] = value
     speed = np.where(on, speed, 0.0)
-    active = np.where(inc.link_kind == 1, speed > 0.0, on)
+    active = np.where(layout.inc.link_kind == 1, speed > 0.0, on)
     return active, speed
 
 
@@ -645,7 +645,7 @@ def solve_snapshot(network: Network, demands: dict[str, float],
                       layout.junction_index, demands, "junction", "demand")
     levels = _scatter(layout.tank_init.copy(), layout.tank_index,
                       tank_levels or {}, "tank", "tank level")
-    mask = _active_mask(layout, controls or Controls())
+    mask = _active_mask(layout, _link_settings(layout, controls))
     return _solve(layout, demand, *mask,
                   layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
                   levels, t)
@@ -819,14 +819,16 @@ class EpsEngine:
 
     control_hook(t) -> Controls or None; emitter_hook(t) -> {junction: k} or
     None. No controls means no overrides. The engine plans its horizon when
-    it is made: the hooks are called once per step, and every pattern is
-    indexed at the network's pattern step for all steps at once. Steps
-    whose inputs are bytewise equal share an input id. `step_once` and `solve_current` may
+    it is made: the hooks are called once per step, each answer read as it
+    is returned and checked in the plan, and every pattern is indexed at
+    the network's pattern step for all steps at once. Steps whose inputs are
+    bytewise equal share an input id. `step_once` and `solve_current` may
     add overrides beneath the step's planned controls; the plan takes every
     setting of each link it names, dropping any override on that link.
 
-    Converged states are kept by (input id, overrides, tank levels), and a
-    snapshot that repeats them is served the kept state's read-only arrays;
+    Converged states are kept by (input id, override link settings, tank
+    levels), and a snapshot that repeats them is served the kept state's
+    read-only arrays;
     `iteration_counts` histograms the Newton iterations of the snapshots
     actually solved. The plan, the memo and the histogram outlive `reset`.
     The memo holds the states of one episode (its steps and a preview),
@@ -873,13 +875,15 @@ class EpsEngine:
     def _plan(self) -> None:
         """Each step's inputs: demand multipliers, reservoir heads, emitter
         coefficients at the junctions the hook ever names (in node order)
-        and the control set, plus its input id."""
+        and the control set's link settings, plus its input id. A hook
+        answer is read as it is returned, so a hook may reuse one object."""
         layout = self.layout
         self.times = times = np.arange(self.total_steps) * float(self.step_s)
         t = times.tolist()
         self._mult = layout.multipliers(layout.demand_patterns, times)
         self._res = layout.reservoir_heads(times)
-        emitters = [self.emitter_hook(x) or {} for x in t] \
+        # a copy of each answer, as a hook may edit and return one dict
+        emitters = [dict(self.emitter_hook(x) or {}) for x in t] \
             if self.emitter_hook else [{}] * len(t)
         # the junctions any step names, in node order; emitter_k checks them
         self._emit_nodes = np.flatnonzero(
@@ -888,34 +892,29 @@ class EpsEngine:
         for row, e in zip(self._emit, emitters):
             if e:
                 row[:] = layout.emitter_k(e)[self._emit_nodes]
-        controls = [self.control_hook(x) for x in t] \
-            if self.control_hook else [None] * len(t)
-        keys = [_overrides_key(c) for c in controls]
-        # the hook's first set per key; key () is no overrides, as is None
-        sets = {(): Controls()}
-        self._controls = [sets.setdefault(key, c)
-                          for key, c in zip(keys, controls)]
+        self._settings = [_link_settings(layout, self.control_hook(x))
+                          for x in t] if self.control_hook else [()] * len(t)
         rows = np.hstack([self._mult, self._res, self._emit])
         ids: dict[tuple, int] = {}
-        self._input = [ids.setdefault((row.tobytes(), key), len(ids))
-                       for row, key in zip(rows, keys)]
+        self._input = [ids.setdefault((row.tobytes(), settings), len(ids))
+                       for row, settings in zip(rows, self._settings)]
 
     def _recall(self, overrides: Controls | None) -> HydraulicState:
         """The current step's snapshot under its planned inputs, with the
-        overrides beneath its planned controls; solved on a memo miss."""
+        overrides, checked first, beneath its planned controls; solved on a
+        memo miss. A rejected override leaves no trace."""
         k = self.step_index
         if k >= self.total_steps:
             raise IndexError("simulation horizon already reached")
-        key = (self._input[k], _overrides_key(overrides),
-               self.tank_levels.tobytes())
+        settings = _link_settings(self.layout, overrides)
+        key = (self._input[k], settings, self.tank_levels.tobytes())
         state = self._memo.pop(key, None)
         if state is None:
             layout = self.layout
             emit_k = np.zeros(len(layout.inc.node_ids))
             emit_k[self._emit_nodes] = self._emit[k]
             state = _solve(layout, layout.demand(self._mult[k]),
-                           *_active_mask(layout, overrides or Controls(),
-                                         self._controls[k]),
+                           *_active_mask(layout, settings, self._settings[k]),
                            self._res[k], emit_k, self.tank_levels,
                            float(k * self.step_s))
             self.iteration_counts[state.iterations] += 1

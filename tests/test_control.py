@@ -172,11 +172,41 @@ class TestActions:
         env.reset()
         with pytest.raises(InvalidActionError):
             env.step(Action(pump_states={"pu1": 0}))
-        with pytest.raises(InvalidActionError):
-            env.step(Action(pump_speeds={"pu1": True}))
+        for speed in (True, np.True_):
+            with pytest.raises(InvalidActionError, match="pump_speed value"):
+                env.step(Action(pump_speeds={"pu1": speed}))
         for speed in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidActionError, match="pump 'pu1'"):
                 env.step(Action(pump_speeds={"pu1": speed}))
+
+    def test_a_numpy_bool_is_a_state(self):
+        env = ScenarioEnv(pumpnet_config())
+        for state in (False, True):
+            env.reset()
+            plain = env.step(Action(pump_states={"pu1": state}))
+            env.reset()
+            numpy = env.step(Action(pump_states={"pu1": np.bool_(state)}))
+            assert numpy.observation.tobytes() == plain.observation.tobytes()
+            assert numpy.reward == plain.reward
+
+    def test_a_rejected_action_leaves_no_trace(self):
+        env = ScenarioEnv(pumpnet_config())
+        env.reset()
+        env.step(Action(pump_speeds={"pu1": 0.7}))
+        engine = env._engine
+
+        def trace():
+            return (engine.step_index, engine.tank_levels.tobytes(),
+                    [(key, id(state)) for key, state in engine._memo.items()],
+                    engine.solves, env._corruptor.next_row)
+        before = trace()
+        for action in (Action(pump_states={"ghost": False}),
+                       Action(valve_states={"p1": False}),
+                       Action(pump_speeds={"pu1": 0.7},
+                              pump_states={"pu1": 1})):
+            with pytest.raises(InvalidActionError):
+                env.step(action)
+            assert trace() == before
 
     def test_actuator_event_blocks_agent_commands(self):
         config = pumpnet_config(actuator_events=(

@@ -1,5 +1,6 @@
-"""Differential tests: control sets applied to the compiled link settings
-against the per-link walk they replaced (reference_controls.py).
+"""Differential tests: control sets resolved to link settings and applied
+to the compiled layout, against the per-link walk they replaced
+(reference_controls.py).
 
 Both must give the same open-link mask and pump speeds, byte for byte, for
 any set of overrides, and reject an override that names a link of another
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_controls as ref
 from test_hydraulics import with_pump, with_valve_closed
 from wdnflow import UnknownTargetError, parse_inp
-from wdnflow.hydraulics import Controls, _active_mask, _layout
+from wdnflow.hydraulics import Controls, _active_mask, _layout, _link_settings
 
 FIELDS = ("pipe_open", "pump_running", "pump_speed", "valve_open")
 SPEEDS = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
@@ -63,7 +64,8 @@ def control_sets(draw, network):
 def test_mask_and_speeds_equal_the_per_link_walk(networks, name, data):
     net = networks[name]
     controls = data.draw(control_sets(net))
-    for new, old in zip(_active_mask(_layout(net), controls),
+    layout = _layout(net)
+    for new, old in zip(_active_mask(layout, _link_settings(layout, controls)),
                         ref._active_mask(net, controls)):
         assert new.dtype == old.dtype
         assert new.tobytes() == old.tobytes()
@@ -83,7 +85,7 @@ def test_wrong_kind_id_raises_as_in_the_per_link_walk(networks, name, field,
     value = 0.5 if field == "pump_speed" else False
     controls = replace(valid, **{field: {**getattr(valid, field), lid: value}})
     with pytest.raises(UnknownTargetError) as new:
-        _active_mask(_layout(net), controls)
+        _link_settings(_layout(net), controls)
     with pytest.raises(UnknownTargetError) as old:
         ref._active_mask(net, controls)
     assert str(new.value) == str(old.value)

@@ -39,8 +39,8 @@ from wdnflow.hydraulics import (
     EpsEngine,
     SPARSE_MIN_UNKNOWNS,
     _layout,
+    _link_settings,
     actuator_value,
-    _overrides_key,
     fit_pump_curve,
     hazen_williams_headloss,
     pump_head_gain,
@@ -426,6 +426,35 @@ class TestRandomSnapshots:
         assert solved > 300 and leaky > 150
 
 
+class TestPumpAgainstAClosedNetwork:
+    """A pump that feeds a network with no outlet: no demand, t1 at its
+    9.0 m maximum so its links are cut, pu1 at speed 1.5 and v1 closed. The
+    answer is the pump at shutoff with zero flow, but its flow wanders
+    across zero at the kink of the reverse-flow penalty (ROADMAP, open item
+    on a pump at zero flow). The xfails pin the failures that its fix must
+    flip; grid_inp(9) converges today after 91 of the 100 iterations."""
+
+    @staticmethod
+    def solve(side):
+        net = parse_inp(grid_inp(side))
+        return solve_snapshot(
+            net, base_demands(net, 0.0),
+            Controls(pump_speed={"pu1": 1.5}, valve_open={"v1": False}),
+            tank_levels={"t1": 9.0})
+
+    @pytest.mark.parametrize("side", [
+        9,
+        pytest.param(10, marks=pytest.mark.xfail(
+            strict=True, raises=NonConvergenceError)),
+        pytest.param(12, marks=pytest.mark.xfail(
+            strict=True, raises=NonConvergenceError)),
+    ])
+    def test_converges(self, side):
+        state = self.solve(side)
+        assert state.mass_residual <= MASS_TOL
+        assert state.energy_residual <= ENERGY_TOL
+
+
 class TestStopRuleMargin:
     """One Newton step past the convergence test leaves residuals far
     below MASS_TOL and ENERGY_TOL, on both the dense and the sparse solve."""
@@ -776,10 +805,9 @@ class TestPlannedHorizon:
             hooked = engine.emitter_hook(t) if engine.emitter_hook else None
             assert emit.tobytes() == layout.emitter_k(hooked or {}).tobytes()
             controls = engine.control_hook(t) if engine.control_hook else None
-            assert _overrides_key(engine._controls[k]) \
-                == _overrides_key(controls)
+            assert engine._settings[k] == _link_settings(layout, controls)
             rows.append((mult.tobytes(), heads.tobytes(), emit.tobytes(),
-                         _overrides_key(controls)))
+                         _link_settings(layout, controls)))
         pairs = set(zip(engine._input, rows))
         assert len(pairs) == len(set(engine._input)) == len(set(rows))
 
@@ -843,6 +871,45 @@ class TestPlannedHorizon:
         engine = EpsEngine(net, duration_s=1800, step_s=300)
         self.assert_plan_is_per_t(engine)
         assert engine._input == [0, 1, 0, 0, 1, 0]
+
+    @staticmethod
+    def assert_same_run(network, hook, edited, fresh):
+        """The run whose hook edits and returns one object each call equals
+        the run whose hook returns a fresh one, bit for bit."""
+        a, b = (simulate_hydraulics(network, duration_s=3600,
+                                    hydraulic_step_s=300, **{hook: h})
+                for h in (edited, fresh))
+        assert a.digest() == b.digest()
+        assert a.leak_ids == b.leak_ids
+        assert a.leak_flow.tobytes() == b.leak_flow.tobytes()
+        return a
+
+    def test_an_emitter_hook_may_return_one_edited_dict(self, toy9):
+        shared = {}
+
+        def fresh(t):
+            return {"n3": 0.001} if t < 1800 else None
+
+        def edited(t):
+            shared.clear()
+            shared.update(fresh(t) or {})
+            return shared
+        series = self.assert_same_run(toy9, "emitter_hook", edited, fresh)
+        leak = series.leak_flow[:, series.leak_ids.index("n3")]
+        assert (leak[:6] > 0.0).all() and np.isnan(leak[6:]).all()
+
+    def test_a_control_hook_may_return_one_edited_set(self, pumpnet):
+        shared = Controls()
+
+        def fresh(t):
+            return Controls(pump_running={"pu1": t < 1800})
+
+        def edited(t):
+            shared.pump_running["pu1"] = t < 1800
+            return shared
+        series = self.assert_same_run(pumpnet, "control_hook", edited, fresh)
+        flow = series.flow[:, series.link_ids.index("pu1")]
+        assert (flow[:6] > 0.0).all() and (flow[6:] == 0.0).all()
 
 
 def zero_pattern_network(base_demand):
@@ -1188,11 +1255,12 @@ class TestControlsAreOverrides:
         # the engine still steps under valid controls
         with pytest.raises(UnknownTargetError, match=message):
             engine.step_once(controls)
+        assert (engine.step_index, engine.solves, engine._memo) == (0, 0, {})
         assert engine.step_once(Controls()).t == 0.0
-        hooked = EpsEngine(pumpnet, duration_s=900, step_s=300,
-                           control_hook=lambda t: controls)
+        # a hooked set is checked when the engine plans it
         with pytest.raises(UnknownTargetError, match=message):
-            hooked.step_once()
+            EpsEngine(pumpnet, duration_s=900, step_s=300,
+                      control_hook=lambda t: controls)
 
     def test_the_plan_takes_every_setting_of_a_link_it_names(self, pumpnet):
         """A planned pump state drops an override of that pump's speed: the
@@ -1243,10 +1311,9 @@ class TestSnapshotInputRules:
             solve_snapshot(pumpnet, {"j1": 5e-3}, controls)
         with pytest.raises(ConfigError, match=message):
             EpsEngine(pumpnet, duration_s=900, step_s=300).step_once(controls)
-        hooked = EpsEngine(pumpnet, duration_s=900, step_s=300,
-                           control_hook=lambda t: controls)
         with pytest.raises(ConfigError, match=message):
-            hooked.step_once()
+            EpsEngine(pumpnet, duration_s=900, step_s=300,
+                      control_hook=lambda t: controls)
 
     def test_an_equal_value_of_another_type_is_no_memo_hit(self, pumpnet):
         # 1 == True, but only True is a pump state
@@ -1284,6 +1351,21 @@ class TestSnapshotInputRules:
         assert speed == 0.5 and type(speed) is float
         with pytest.raises(ConfigError, match="pump_speed value"):
             actuator_value("pump_speed", np.float32(-0.5))
+        # a state is a bool or a numpy bool, returned as a bool so an
+        # actuator event's value stays JSON; a number is no state, and a
+        # bool of either kind is no speed
+        for value in (np.True_, np.False_):
+            setting = actuator_value("pump_running", value)
+            assert setting == value and type(setting) is bool
+        event = ActuatorEvent(kind="valve_state", target_id="v1",
+                              value=np.False_, window=EventWindow(0.0, 60.0))
+        assert event.value is False and json.dumps(event.value) == "false"
+        for value in (0, 1, np.int64(1), 1.0):
+            with pytest.raises(ConfigError, match="valve_open value"):
+                actuator_value("valve_open", value)
+        for value in (True, np.True_, np.False_):
+            with pytest.raises(ConfigError, match="pump_speed value"):
+                actuator_value("pump_speed", value)
 
     def test_engine_emitter_must_name_a_junction(self, pumpnet):
         # the engine plans its horizon when it is made
