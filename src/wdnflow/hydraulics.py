@@ -18,26 +18,25 @@ between snapshots. A tank at a level bound that the solution keeps pushing
 against keeps its fixed head; only the links pushing it past the bound are
 cut from the open-link mask (as in EPANET), and the snapshot solved again.
 
-The head system is symmetric positive definite, so it needs no pivoting.
-Up to SPARSE_MIN_UNKNOWNS unknowns it is solved densely by
-`np.linalg.solve`, whose bits do not depend on the BLAS thread count at that
-size. Larger systems are solved by one call of scipy's SuperLU extension,
-loaded by file path without importing scipy, on a matrix assembled in a
-fill-reducing order: as EPANET does, the unknowns are numbered once per
-topology by multiple minimum degree (Liu 1985) on the sparsity pattern, and
-every solve factors in that natural order without pivoting. A solve that
-meets a singular matrix raises NonConvergenceError.
+The head system is symmetric positive definite. Its unknowns are numbered
+once per topology in reverse Cuthill-McKee order (George & Liu 1981), which
+bands the matrix: the half-width kd is n on an n x n grid, far more around a
+hub joined to distant nodes. Every system is assembled straight into
+LAPACK's lower band storage and solved without pivoting by one banded
+Cholesky factor and solve (`dpbtrf`, `dpbtrs`) from scipy's LAPACK extension,
+loaded by file path without importing scipy. An error from either (a matrix
+that is not positive definite) raises NonConvergenceError.
 
 The fixed-head nodes are always the reservoirs and tanks, so a topology is
 its open-link mask alone. Everything that depends only on which links are
-open (reachability, the unknown-node numbering and its fill-reducing order,
-island heads, the cold-start flow signs, the per-kind link indices and the
-matrix's sparsity pattern) is built by the network module's one graph
-traversal the first time that mask is met, and cached on the solver's layout
-of the network. That layout is compiled once per Network object and kept on
-it, as its incidence is, so every `solve_snapshot` call and every
-`EpsEngine` on one network share its topologies. When it is built, a
-topology also solves its reference snapshot once, from static data only:
+open (reachability, the unknown-node numbering, island heads, the cold-start
+flow signs, the per-kind link indices and each matrix entry's slot in the
+band) is built by the network module's graph walks the first time that mask
+is met, and cached on the solver's layout of the network. That layout is
+compiled once per Network object and kept on it, as its incidence is, so
+every `solve_snapshot` call and every `EpsEngine` on one network share its
+topologies. When it is built, a topology also solves its reference snapshot
+once, from static data only:
 base demands on reached junctions, no emitters, tanks at their initial
 levels, reservoir heads at t = 0 and each pump at its network speed. Every
 snapshot of the topology starts Newton from the reference flows, scaled by
@@ -86,7 +85,8 @@ from .errors import (
 )
 from .network import (
     Curve, Network, Pattern, _compiled, _finite, _node_height,
-    _positive_whole, _real, _traverse, expand_pump_curve, incidence,
+    _positive_whole, _real, _reverse_cuthill_mckee, _traverse,
+    expand_pump_curve, incidence,
 )
 
 __all__ = [
@@ -110,15 +110,7 @@ GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
 GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
 COLD_START_FLOW = 1e-3      # m3/s
-SPARSE_MIN_UNKNOWNS = 80    # larger systems are solved by SuperLU, smaller
-                            # ones densely (thread-stable bits up to ~96)
-# SuperLU without pivoting, as the system is SPD: the fill-reducing order is
-# found once per topology, and each solve keeps the order it is assembled in
-_ORDER_OPTIONS = dict(ColPerm="MMD_AT_PLUS_A", SymmetricMode=True,
-                      DiagPivotThresh=0.0)
-_SOLVE_OPTIONS = dict(ColPerm="NATURAL", SymmetricMode=True,
-                      DiagPivotThresh=0.0)
-_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+_LAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -279,50 +271,23 @@ def pump_head_gain(curve: Curve, flow: float, speed: float) -> float:
 # --- snapshot solver ---------------------------------------------------------
 
 @cache
-def _superlu():
-    """scipy's SuperLU extension: the loaded module once scipy.sparse.linalg
-    is imported, else the extension alone, loaded by its file path without
-    importing scipy (which costs more resident memory than the solver)."""
-    module = sys.modules.get(_SUPERLU)
+def _lapack():
+    """scipy's LAPACK extension: the loaded module once scipy.linalg is
+    imported, else the extension alone, loaded by its file path (importing
+    scipy.linalg costs ~20 MB more resident memory than the solver)."""
+    module = sys.modules.get(_LAPACK)
     if module is not None:
         return module
     package = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    stem = os.path.join(package, *_SUPERLU.split(".")[1:])
+    stem = os.path.join(package, *_LAPACK.split(".")[1:])
     path = next((stem + suffix for suffix in EXTENSION_SUFFIXES
                  if os.path.isfile(stem + suffix)), None)
     if path is None:
-        raise ImportError(f"no SuperLU extension at {stem}.*")
-    spec = importlib.util.spec_from_file_location(_SUPERLU, path)
+        raise ImportError(f"no LAPACK extension at {stem}.*")
+    spec = importlib.util.spec_from_file_location(_LAPACK, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _csr_pattern(n: int, entries: np.ndarray):
-    """The distinct positions row * n + col among entries, sorted (row-major,
-    CSR order), with their column indices and row pointers as SuperLU takes
-    them. Python sorts them: numpy's first sort costs ~0.4 MB of resident
-    memory."""
-    flat = np.array(sorted(set(entries.tolist())), dtype=np.intp)
-    indptr = np.cumsum(np.bincount(flat // max(n, 1), minlength=n))
-    return (flat, (flat % max(n, 1)).astype(np.intc),
-            np.concatenate([[0], indptr]).astype(np.intc))
-
-
-def _fill_reducing_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The order of n unknowns, coupled pairwise by (a, b), in which
-    SuperLU's multiple minimum degree on A^T + A factors the system with
-    little fill: position k holds old unknown order[k]. The order depends on
-    the pattern alone, so the values are placeholders of a diagonally
-    dominant SPD matrix."""
-    flat, indices, indptr = _csr_pattern(
-        n, np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
-    lu = _superlu().gstrf(
-        n, len(flat), np.where(flat // n == indices, n + 1.0, -1.0), indices,
-        indptr, csc_construct_func=None, options=_ORDER_OPTIONS)
-    order = np.empty(n, dtype=np.intp)
-    order[lu.perm_c] = np.arange(n)
-    return order
 
 
 def _layout(network: Network) -> _Layout:
@@ -463,14 +428,13 @@ class _Topology:
         self.u_of_node[self.unknown] = np.arange(n_u)
         self.act_idx = act = np.flatnonzero(active & self.reach[inc.link_from])
         self.a_from, self.a_to = inc.link_from[act], inc.link_to[act]
-        if n_u > SPARSE_MIN_UNKNOWNS:
-            # number the unknowns in fill-reducing order, so that the matrix
-            # is assembled in the order SuperLU factors it
-            uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
-            both = (uf >= 0) & (ut >= 0)
-            self.unknown = self.unknown[
-                _fill_reducing_order(n_u, uf[both], ut[both])]
-            self.u_of_node[self.unknown] = np.arange(n_u)
+        # renumber the unknowns in reverse Cuthill-McKee order (a band)
+        uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
+        both = np.flatnonzero((uf >= 0) & (ut >= 0))
+        self.unknown = self.unknown[_reverse_cuthill_mckee(
+            n_u, zip(uf[both].tolist(), ut[both].tolist()))]
+        self.u_of_node[self.unknown] = np.arange(n_u)
+        uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
         kind, r = inc.link_kind[act], layout.r_coef[act]
         self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)
                                                for k in range(3))
@@ -481,26 +445,24 @@ class _Topology:
 
         # each link end at an unknown node: its link, node, the sign of the
         # link flow into that node, and the node at the far end
-        uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
         mf, mt = np.flatnonzero(uf >= 0), np.flatnonzero(ut >= 0)
         self.end_link = np.concatenate([mf, mt])
         self.end_node = np.concatenate([uf[mf], ut[mt]])
         self.end_sign = np.concatenate([-np.ones(len(mf)), np.ones(len(mt))])
         self.end_far = np.concatenate([self.a_to[mf], self.a_from[mt]])
         self.end_far_fixed = self.u_of_node[self.end_far] < 0
-        # matrix triplets: +c on the diagonal per end, -c off it per link
-        # between two unknowns; entry_slot maps each triplet to its entry in
-        # the row-major (CSR) order of the distinct positions in flat
-        both = np.flatnonzero((uf >= 0) & (ut >= 0))
-        rows = np.concatenate([self.end_node, uf[both], ut[both]])
-        cols = np.concatenate([self.end_node, ut[both], uf[both]])
-        self.entry_link = np.concatenate([self.end_link, both, both])
+        # lower-triangle triplets: +c on the diagonal per end, -c below it
+        # per link between two unknowns. Entry (row, col) has slot
+        # col (kd + 1) + row - col in the band, whose (n_u, kd + 1) view,
+        # transposed, is LAPACK's lower band storage
+        bf, bt = uf[both], ut[both]
+        rows = np.concatenate([self.end_node, np.maximum(bf, bt)])
+        cols = np.concatenate([self.end_node, np.minimum(bf, bt)])
+        self.kd = int((rows - cols).max(initial=0))
+        self.entry_link = np.concatenate([self.end_link, both])
         self.entry_sign = np.concatenate([np.ones(len(self.end_link)),
-                                          -np.ones(2 * len(both))])
-        entries = rows * n_u + cols
-        self.flat, self.indices, self.indptr = _csr_pattern(n_u, entries)
-        self.entry_slot = np.searchsorted(self.flat, entries)
-        self.diag_slot = np.searchsorted(self.flat, np.arange(n_u) * (n_u + 1))
+                                          -np.ones(len(both))])
+        self.entry_slot = cols * (self.kd + 1) + rows - cols
         self.ref_flow, self.ref_demand, self.ref_head = self._reference(layout)
 
     def initial_head(self, fixed_heads: np.ndarray) -> np.ndarray:
@@ -720,7 +682,8 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
     and energy residuals."""
     unknown, a_from, a_to = topo.unknown, topo.a_from, topo.a_to
     end_link, end_node, end_sign = topo.end_link, topo.end_node, topo.end_sign
-    n_u = len(unknown)
+    n_u, width = len(unknown), topo.kd + 1
+    lapack = _lapack()
     demand_u = demand_arr[unknown]
     end_far_head = np.where(topo.end_far_fixed, head[topo.end_far], 0.0)
     # emitters: one-way links to a reservoir at the junction's elevation,
@@ -761,9 +724,9 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
         c = 1.0 / g
         y = q - h * c
 
-        vals = np.bincount(topo.entry_slot,
+        band = np.bincount(topo.entry_slot,
                            weights=c[topo.entry_link] * topo.entry_sign,
-                           minlength=len(topo.flat))
+                           minlength=n_u * width)
         rhs = np.bincount(end_node, weights=end_sign * y[end_link]
                           + c[end_link] * end_far_head, minlength=n_u) - demand_u
 
@@ -772,21 +735,18 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
             ce = 1.0 / np.maximum(np.where(fwd, 2.0 * qe / emit_k2,
                                            GRAD_REVERSE), GRAD_MIN)
             ye = qe - ce * np.where(fwd, qe * qe / emit_k2, GRAD_REVERSE * qe)
-            vals[topo.diag_slot[emit_u]] += ce
+            band[emit_u * width] += ce
             rhs[emit_u] += ce * emit_elev - ye
 
-        if n_u > SPARSE_MIN_UNKNOWNS:
-            x, info = _superlu().gssv(n_u, len(vals), vals, topo.indices,
-                                      topo.indptr, rhs, 0,
-                                      options=_SOLVE_OPTIONS)
-            if info:
-                raise NonConvergenceError(
-                    iterations, max(residuals(head[a_from] - head[a_to])), t)
-            head[unknown] = x
-        elif n_u:
-            big_m = np.zeros(n_u * n_u)
-            big_m[topo.flat] = vals
-            head[unknown] = np.linalg.solve(big_m.reshape(n_u, n_u), rhs)
+        # factor and solve in place: the transposed view is Fortran-ordered
+        factor, info = lapack.dpbtrf(band.reshape(n_u, width).T, lower=1,
+                                     overwrite_ab=1)
+        if not info:
+            rhs, info = lapack.dpbtrs(factor, rhs, lower=1, overwrite_b=1)
+        if info:
+            raise NonConvergenceError(
+                iterations, max(residuals(head[a_from] - head[a_to])), t)
+        head[unknown] = rhs
 
         dh = head[a_from] - head[a_to]
         q_new = y + c * dh

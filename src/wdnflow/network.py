@@ -6,8 +6,8 @@ times in s. Roughness is the dimensionless Hazen-Williams C.
 `incidence` compiles a network into the layout every layer shares, and
 validates it, once per Network object; `_compiled` is how such a compile is
 kept on its network, for the incidence and for the solver's layout alike.
-`_traverse` is the one graph traversal: `validate` and the solver's
-topologies both walk the graph by it.
+`_traverse` (reachability, for `validate` and the solver's topologies) and
+`_reverse_cuthill_mckee` (the solver's numbering) walk one `_adjacency`.
 `_real` is the one rule for a number: `validate` applies it through one
 table of numeric fields, and `_finite` to every config number.
 """
@@ -357,10 +357,7 @@ def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
     met in edge order) and its hop count from it; then
     each node still unseen starts an island of its own, rooted at its
     smallest node. Returns (root, hops) per node."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _adjacency(n, edges)
     root = [-1] * n
     hops = [0] * n
     for seed in [sources] + [[v] for v in range(n)]:
@@ -374,6 +371,48 @@ def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
                     root[v], hops[v] = root[u], hops[u] + 1
                     queue.append(v)
     return root, hops
+
+
+def _adjacency(n: int, edges) -> list[list[int]]:
+    """Each node's neighbours over the edges (a, b), both ways, in order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _reverse_cuthill_mckee(n: int, edges) -> list[int]:
+    """Nodes 0..n-1, coupled by the edges (a, b), in reverse Cuthill-McKee
+    order (George & Liu 1981), which bands a matrix numbered in it. Each
+    component, by its lowest-degree node, is walked breadth first, visiting
+    neighbours by ascending degree (ties by node), from George & Liu's
+    pseudo-peripheral node: start at the lowest-degree node, and move to
+    the lowest-degree node of the walk's last level while that adds levels.
+    Position k holds the node numbered k."""
+    adj = _adjacency(n, edges)
+    key = [(len(nbrs), v) for v, nbrs in enumerate(adj)].__getitem__
+
+    def levels(root: int) -> list[list[int]]:
+        seen, out = {root}, [[root]]
+        while out[-1]:
+            out.append(list(dict.fromkeys(
+                v for u in out[-1] for v in sorted(adj[u], key=key)
+                if v not in seen)))
+            seen.update(out[-1])
+        return out[:-1]
+
+    order: list[int] = []
+    done: set[int] = set()
+    for start in sorted(range(n), key=key):
+        if start not in done:
+            walk = levels(start)
+            while len(far := levels(min(walk[-1], key=key))) > len(walk):
+                walk = far
+            walk = [v for level in walk for v in level]
+            done.update(walk)
+            order += walk
+    return order[::-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Golden bytes: the SCADA CSV, the truth CSV and the state-series digest of
-three scenarios at two seeds, pinned by sha256. Two are short dense solves
-on bundled networks; the third runs on a grid above the SuperLU cut-over
-with its tank closed at its maximum for most of the run.
+three scenarios at two seeds, pinned by sha256. Two are short runs on
+bundled networks; the third runs on a 144-junction grid, whose band
+half-width is 12, with its tank closed at its maximum for most of the run.
 
 Any change to the solver's arithmetic, the run's bookkeeping, the reading
 extraction or the corruption shows here as a changed hash. A change that
@@ -93,21 +93,21 @@ def sha(text: str) -> str:
 # (scenario, seed) -> sha256 of (SCADA CSV, truth CSV), and series.digest()
 GOLDEN = {
     ("toy9_leaks", 3): (
-        "83b93868038c76a82b036735a72a4c959ce8909ed7cff5644ce02d5429f77b83",
+        "a51ab300fa3864936eb26eabc58856b01368d1ff125630ad0b4548486819882c",
         "d7a181bd3e9fdfb03bbba70360c22a85429dfd6f8b088e0e6661ef00583e80e1",
-        "4ddeee42faf637b589e584c5bcd7bb0b3aa2e82d25dbb88fb53b917607f52d1b"),
+        "dfce4af4d6f53826333d19768ef0f6fde44a8b589f9e3637b82b88bdb1eb8b6a"),
     ("toy9_leaks", 7): (
-        "2b6862bedc07fda33ddfd2f7d4f534a01cdab98723c7b4805966de2290bb091c",
+        "df1aecc8b4d1d3a241a14e191ac982540be0ccd37215e39134c859967f014283",
         "d7a181bd3e9fdfb03bbba70360c22a85429dfd6f8b088e0e6661ef00583e80e1",
-        "4ddeee42faf637b589e584c5bcd7bb0b3aa2e82d25dbb88fb53b917607f52d1b"),
+        "dfce4af4d6f53826333d19768ef0f6fde44a8b589f9e3637b82b88bdb1eb8b6a"),
     ("pumpnet_actuator", 3): (
-        "79a6034670bb18ff7bc12fc2317b0e14c28742e022b85ab9241f6ae96581282a",
+        "5ca680ea6ab59a7bceb580fb25296b52a5c3eea0ff4d5ecbfa41d8f323e5288e",
         "e9d2835cdc957f2de76e85e722b3be1e4d57c1e5f0a2090f8cae04c018a82acd",
-        "9c9c26995f23087129a2755d1041f1c3496dfc8e49910b8671874c1c28521fed"),
+        "edef8b05843d0c7ff6806a4a369f9fab89361b290934e7df1bd1aee7847d647d"),
     ("pumpnet_actuator", 7): (
-        "d134fb144a08b12f901ef662d392b05c3154178fff1326b9887ea4a45c51ca18",
+        "bc039b4484100f9b944262789ac3f6356e386ec4cf15de32396185e0e522336c",
         "e9d2835cdc957f2de76e85e722b3be1e4d57c1e5f0a2090f8cae04c018a82acd",
-        "9c9c26995f23087129a2755d1041f1c3496dfc8e49910b8671874c1c28521fed"),
+        "edef8b05843d0c7ff6806a4a369f9fab89361b290934e7df1bd1aee7847d647d"),
 }
 
 
@@ -123,12 +123,12 @@ def test_output_bytes_are_pinned(name, seed):
 
 
 GRID_GOLDEN = {
-    3: ("517931e0a816eac6d48f1c0b727385f02aab9f11d9710738ce3eae0e21cb1252",
+    3: ("ec73cfb51e3c843f53ccd9d526d5ef946ac5dd713faec6a0c4c084903fe63207",
         "a2622c91875208d52feb090754bdc23f2826f0bfb4f37ac6f8ff233e102ccba3",
-        "1f0c0494c1d2ba1d0c402274c71097197648ffb9af318769dafc665980e78d5f"),
-    7: ("381479300a361f4b1cb81d8c1fe72a6a5293e2459dcf864e1a82554a51032973",
+        "a7172b8faf4cbe5986a4d8dd4b7c07eb160d39177cdb7d3fecbbf2c715ff418c"),
+    7: ("326c44a32a9e4d8c6e2ff9096aa8026f33be6339890f80cbe4d649e26bb71b8b",
         "a2622c91875208d52feb090754bdc23f2826f0bfb4f37ac6f8ff233e102ccba3",
-        "1f0c0494c1d2ba1d0c402274c71097197648ffb9af318769dafc665980e78d5f"),
+        "a7172b8faf4cbe5986a4d8dd4b7c07eb160d39177cdb7d3fecbbf2c715ff418c"),
 }
 
 

@@ -37,7 +37,6 @@ from wdnflow.hydraulics import (
     Q_LAMINAR,
     Controls,
     EpsEngine,
-    SPARSE_MIN_UNKNOWNS,
     _layout,
     _link_settings,
     actuator_value,
@@ -457,7 +456,7 @@ class TestPumpAgainstAClosedNetwork:
 
 class TestStopRuleMargin:
     """One Newton step past the convergence test leaves residuals far
-    below MASS_TOL and ENERGY_TOL, on both the dense and the sparse solve."""
+    below MASS_TOL and ENERGY_TOL, on small networks and large grids."""
 
     MARGIN = 1e-9
 
@@ -484,16 +483,15 @@ class TestStopRuleMargin:
         assert any(float(s.tank_level[0]) >= top
                    and float(s.tank_net_inflow[0]) == 0.0 for s in states)
 
-    def test_sparse_grid_day(self):
+    def test_large_grid_day(self):
         net = parse_inp(grid_inp(22))
-        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
         self.assert_margin(net, EpsEngine(net))
 
-    def test_sparse_branch_allocates_no_dense_matrix(self):
+    def test_band_solve_allocates_no_dense_matrix(self):
         net = parse_inp(grid_inp(24))
         n_u = len(net.junctions)
         demands = {j: 1e-4 for j in net.junctions}
-        solve_snapshot(net, demands)   # loads SuperLU
+        solve_snapshot(net, demands)   # loads LAPACK
         tracemalloc.start()
         try:
             solve_snapshot(net, demands)
@@ -568,10 +566,9 @@ class TestTopologyCache:
         assert float(state.flow[list(net.link_ids()).index("v1")]) == 0.0
         self.assert_same_as_fresh(net, demands)
 
-    def test_superlu_grid_pump_off_and_back(self):
-        """Above the cut-over each topology orders its own unknowns."""
+    def test_grid_pump_off_and_back(self):
+        """Each topology numbers its own unknowns."""
         net = parse_inp(grid_inp(11))
-        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
         off = Controls(pump_running={"pu1": False})
         demands = {j: 5e-4 for j in net.junctions}
         first = self.assert_same_as_fresh(net, demands)
@@ -999,21 +996,6 @@ class TestReferenceStart:
         assert cold.converged and cold.iterations > warm.iterations
         assert np.abs(cold.head - warm.head).max() <= 1e-6
 
-    def test_dense_run_does_not_import_scipy_linalg(self):
-        """Importing scipy.linalg raised the toy9_twoweek benchmark's
-        peak_rss_mb from 60 to 82 MB, so the dense branch keeps
-        np.linalg.solve and imports nothing from scipy."""
-        code = (
-            "import sys\n"
-            "from wdnflow import bundled\n"
-            "from wdnflow.scada import SensorPlacement\n"
-            "from wdnflow.scenario import ScenarioConfig, run_scenario\n"
-            "run_scenario(ScenarioConfig(network_path=bundled.toy9_path(),"
-            " duration_s=7200, sensors=SensorPlacement("
-            "pressure_nodes=('n1',))))\n"
-            "print('scipy.linalg' in sys.modules)\n")
-        assert run_python(code).split() == ["False"]
-
 
 def run_python(code, *args, **env):
     """Standard output of `python -c code args` with the package on its
@@ -1069,10 +1051,10 @@ print(json.dumps({
 
 
 class TestSolverBackends:
-    """Systems above SPARSE_MIN_UNKNOWNS are solved by SuperLU, loaded
-    without importing scipy, in a fill-reducing order fixed per topology;
-    smaller ones densely. Either way the output bytes do not depend on the
-    BLAS thread count."""
+    """Every system is solved by one banded Cholesky factor and solve from
+    scipy's LAPACK extension, loaded without importing scipy.linalg, with
+    the unknowns numbered in reverse Cuthill-McKee order per topology. The
+    output bytes do not depend on the BLAS thread count."""
 
     @pytest.fixture(scope="class")
     def thread_runs(self, tmp_path_factory):
@@ -1099,21 +1081,29 @@ class TestSolverBackends:
         leak = [24 * 3600.0 + 300.0 * k for k in range(24)]
         assert [run["alarms"] for run in thread_runs] == [leak, leak]
 
-    def test_sparse_run_imports_neither_scipy_linalg(self, tmp_path):
+    @pytest.mark.parametrize("network", ["toy9", "grid10"])
+    def test_run_imports_neither_scipy_linalg(self, network, tmp_path):
+        """Importing scipy.linalg raised the toy9_twoweek benchmark's
+        peak_rss_mb from 60 to 82 MB, so a run loads the LAPACK extension
+        alone, once, and imports neither scipy.linalg nor scipy.sparse."""
         path = tmp_path / "grid10.inp"
         path.write_text(grid_inp(10))
         code = (
             "import sys\n"
-            "from wdnflow import hydraulics\n"
+            "from wdnflow import bundled, hydraulics\n"
             "from wdnflow.scada import SensorPlacement\n"
             "from wdnflow.scenario import ScenarioConfig, run_scenario\n"
-            "run_scenario(ScenarioConfig(network_path=sys.argv[1],"
+            "path, node = ((bundled.toy9_path(), 'n1') if sys.argv[1] =="
+            " 'toy9' else (sys.argv[2], 'j000000'))\n"
+            "run_scenario(ScenarioConfig(network_path=path,"
             " duration_s=7200, sensors=SensorPlacement("
-            "pressure_nodes=('j000000',))))\n"
-            "print(hydraulics._superlu.cache_info().currsize,"
+            "pressure_nodes=(node,))))\n"
+            "info = hydraulics._lapack.cache_info()\n"
+            "print(info.misses, info.currsize,"
             " 'scipy.linalg' in sys.modules,"
-            " 'scipy.sparse.linalg' in sys.modules)\n")
-        assert run_python(code, path).split() == ["1", "False", "False"]
+            " 'scipy.sparse' in sys.modules)\n")
+        assert run_python(code, network, path).split() == [
+            "1", "1", "False", "False"]
 
     def test_loaded_extension_solves_as_the_imported_one(self, tmp_path):
         """The extension loaded by its file path and the one scipy imports
@@ -1130,46 +1120,113 @@ class TestSolverBackends:
             " emitters={'j005005': 0.01})\n"
             "    return state.head.tobytes() + state.flow.tobytes()\n"
             "loaded = solve()\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
-            "import scipy.sparse.linalg\n"
-            "hydraulics._superlu.cache_clear()\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg\n"
+            "hydraulics._lapack.cache_clear()\n"
             "imported = solve()\n"
-            "print(hydraulics._superlu() is sys.modules["
-            "'scipy.sparse.linalg._dsolve._superlu'], loaded == imported)\n")
+            "print(hydraulics._lapack() is sys.modules["
+            "'scipy.linalg._flapack'], loaded == imported)\n")
         assert run_python(code, path).split() == ["False", "True", "True"]
 
-    def test_superlu_heads_match_the_dense_solve(self, monkeypatch):
+    def test_band_heads_match_the_dense_solve(self, monkeypatch):
+        """Each band solve of a snapshot gives the heads np.linalg.solve
+        gives on the same system, unpacked to a dense symmetric matrix."""
+        lapack = hydraulics._lapack()
+        systems = []
+
+        class Recording:
+            @staticmethod
+            def dpbtrf(ab, **kw):
+                systems.append([ab.copy()])
+                return lapack.dpbtrf(ab, **kw)
+
+            @staticmethod
+            def dpbtrs(factor, b, **kw):
+                systems[-1].append(b.copy())
+                x, info = lapack.dpbtrs(factor, b, **kw)
+                systems[-1].append(x.copy())
+                return x, info
         net = parse_inp(grid_inp(12))
         demands = base_demands(net, 1.5)
         emitters = {"j004007": 0.01, "j010002": 1e-3}
-        sparse = solve_snapshot(net, demands, emitters=emitters)
-        monkeypatch.setattr("wdnflow.hydraulics.SPARSE_MIN_UNKNOWNS", 10**9)
-        # a copy compiles its own topology, without the SuperLU order
-        dense = solve_snapshot(replace(net), demands, emitters=emitters)
-        assert len(net.junctions) > SPARSE_MIN_UNKNOWNS
-        assert np.abs(sparse.head - dense.head).max() <= 1e-9
-        assert sparse.iterations == dense.iterations
+        expected = solve_snapshot(net, demands, emitters=emitters)
+        systems.clear()
+        monkeypatch.setattr(hydraulics, "_lapack", lambda: Recording)
+        state = solve_snapshot(net, demands, emitters=emitters)
+        assert np.array_equal(state.head, expected.head)
+        assert len(systems) == state.iterations
+        for ab, b, x in systems:
+            kd, n_u = ab.shape[0] - 1, ab.shape[1]
+            dense = np.zeros((n_u, n_u))
+            for d in range(kd + 1):
+                i = np.arange(n_u - d)
+                dense[i + d, i] = dense[i, i + d] = ab[d, :n_u - d]
+            exact = np.linalg.solve(dense, b)
+            assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
 
-    def test_unknowns_are_numbered_in_fill_reducing_order(self):
-        net = parse_inp(grid_inp(10))
+    @pytest.mark.parametrize("side", [9, 10, 12])
+    def test_unknowns_are_numbered_in_rcm_order(self, side):
+        """A reversed breadth-first walk from the corner junction j000000 (a
+        lowest-degree unknown) numbers a side x side grid's junctions with
+        band half-width side."""
+        net = parse_inp(grid_inp(side))
         solve_snapshot(net, base_demands(net))
         (topo,) = _layout(net)._topologies.values()
         n_u = len(topo.unknown)
-        assert n_u > SPARSE_MIN_UNKNOWNS
         assert sorted(topo.unknown) == list(range(n_u))   # junctions first
-        assert not np.array_equal(topo.unknown, np.arange(n_u))
         assert np.array_equal(topo.u_of_node[topo.unknown], np.arange(n_u))
+        assert topo.unknown[-1] == 0   # j000000, the walk's start
+        assert topo.kd == side
 
-    def test_singular_superlu_solve_raises_nonconvergence(self, monkeypatch):
-        superlu = hydraulics._superlu()
+    @pytest.mark.parametrize("side", [9, 10, 12])
+    def test_an_interior_dead_end_keeps_the_band_narrow(self, side):
+        """A dead-end junction off an interior junction is the grid's one
+        lowest-degree unknown. The walk still starts at a far corner, so
+        the band half-width stays side (from the dead end it is about
+        twice that)."""
+        mid = side // 2 - 1
+        text = grid_inp(side).replace(
+            "[RESERVOIRS]", " jdead  1.0  0.05  daily\n[RESERVOIRS]", 1
+        ).replace("[PATTERNS]", f" pdead  j{mid:03d}{mid:03d}  jdead  100"
+                  "  200  110\n[PATTERNS]", 1)
+        net = parse_inp(text)
+        solve_snapshot(net, base_demands(net))
+        (topo,) = _layout(net)._topologies.values()
+        assert list(net.junctions)[topo.unknown[-1]] == \
+            f"j{side - 1:03d}{side - 1:03d}"
+        assert topo.kd == side
+
+    def test_a_system_with_no_unknowns_is_solved(self):
+        """A reservoir feeding a tank through one pipe has no unknown head:
+        the empty band is factored and solved, and the pipe carries the
+        flow whose head loss is the 16 m between the two."""
+        net = parse_inp("\n".join([
+            "[RESERVOIRS]", " r1  30.0",
+            "[TANKS]", " t1  10.0  4.0  0.5  9.0  10.0",
+            "[PIPES]", " p1  r1  t1  500  300  120",
+            "[TIMES]", " Duration  6 HOURS", " Hydraulic Timestep  1 HOURS",
+            " Pattern Timestep  1 HOURS",
+            "[OPTIONS]", " Units  LPS", " Headloss  H-W", "[END]"]))
+        state = solve_snapshot(net, {})
+        (topo,) = _layout(net)._topologies.values()
+        assert len(topo.unknown) == 0 and topo.kd == 0
+        assert state.head.tolist() == [30.0, 14.0]
+        assert hazen_williams_headloss(
+            float(state.flow[0]), 500.0, 0.3, 120.0) == pytest.approx(
+                16.0, rel=1e-9)
+        series = EpsEngine(net).run()
+        assert series.tank_level[:, 0].tolist() == [4.0] + [9.0] * 5
+
+    def test_singular_band_solve_raises_nonconvergence(self, monkeypatch):
+        lapack = hydraulics._lapack()
 
         class Singular:
-            gstrf = superlu.gstrf
+            dpbtrs = lapack.dpbtrs
 
             @staticmethod
-            def gssv(n, *args, **kw):
-                return np.full(n, np.nan), 1
-        monkeypatch.setattr(hydraulics, "_superlu", Singular)
+            def dpbtrf(ab, **kw):
+                return ab, 1
+        monkeypatch.setattr(hydraulics, "_lapack", lambda: Singular)
         net = parse_inp(grid_inp(10))
         with pytest.raises(NonConvergenceError):
             solve_snapshot(net, base_demands(net))

@@ -9,7 +9,8 @@ import wdnflow.network
 from wdnflow.errors import DanglingReferenceError, InvalidNetworkError
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Pump, Reservoir, SimOptions,
-    Tank, Valve, Violation, _traverse, expand_pump_curve, incidence,
+    Tank, Valve, Violation, _reverse_cuthill_mckee, _traverse,
+    expand_pump_curve, incidence,
     networks_close, pattern_value, validate,
 )
 
@@ -379,6 +380,62 @@ def test_traverse_matches_networkx(graph):
     for island in nx.connected_components(g):
         if not island & reached:
             assert {root[v] for v in island} == {min(island)}
+
+
+@ORACLE
+@given(graphs())
+def test_reverse_cuthill_mckee_is_a_reversed_walk_by_degree(graph):
+    """Reversed, the order walks each component (networkx's) in turn, in the
+    order of their lowest-degree nodes, breadth first from the node that
+    George & Liu's search reaches by networkx's distances (from the
+    lowest-degree node, move to the lowest-degree farthest node while that
+    lies farther out): each node's parent, its earliest neighbour in the
+    walk, comes no earlier than the previous node's, and the children of
+    one parent follow in ascending degree (ties by node). A degree counts
+    every edge end, repeats and self-loops included."""
+    n, edges, _ = graph
+    order = _reverse_cuthill_mckee(n, edges)
+    assert sorted(order) == list(range(n))
+    walk = order[::-1]
+    pos = {v: k for k, v in enumerate(walk)}
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    key = [(degree[v], v) for v in range(n)]
+    g = nx_graph(n, edges)
+    starts, lowest = [], []
+    for island in nx.connected_components(g):
+        first = min(pos[v] for v in island)
+        assert sorted(pos[v] for v in island) == list(
+            range(first, first + len(island)))
+        root = min(island, key=key.__getitem__)
+        lowest.append(root)
+        hops = nx.single_source_shortest_path_length(g, root)
+        while True:
+            far = min((v for v in island if hops[v] == max(hops.values())),
+                      key=key.__getitem__)
+            far_hops = nx.single_source_shortest_path_length(g, far)
+            if max(far_hops.values()) <= max(hops.values()):
+                break
+            root, hops = far, far_hops
+        assert walk[first] == root
+        starts.append(root)
+    assert [lowest[k] for k in sorted(range(len(starts)),
+                                      key=lambda k: pos[starts[k]])] \
+        == sorted(lowest, key=key.__getitem__)
+    previous = None
+    for v in walk:
+        if v in starts:
+            previous = None
+            continue
+        parent = min(g[v], key=pos.get)
+        assert pos[parent] < pos[v]
+        if previous is not None:
+            assert pos[previous[0]] <= pos[parent]
+            if previous[0] == parent:
+                assert key[previous[1]] < key[v]
+        previous = (parent, v)
 
 
 @ORACLE
