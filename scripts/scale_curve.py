@@ -11,7 +11,9 @@ this script's checkout by default). The process writes
 its own peak resident set size. One JSON line is printed per side: the
 parse time, milliseconds and Newton iterations per snapshot solved (the
 first snapshot pays for its topology and reference solve), peak RSS in MB
-and `series.digest()`.
+and `series.digest()`. `scripts/scale_curve_digests.jsonl` pins the digests
+of `--sides 10 32 --steps 2`; the 32 x 32 grid, band half-width 32, takes
+LAPACK's blocked band factor.
 """
 
 from __future__ import annotations

@@ -240,7 +240,8 @@ def split_pipes_for_leaks(network: Network,
 
     The first half keeps the original pipe id, so reported flows for the pipe
     stay addressable; the second half and the junction carry reserved suffixes.
-    Returns the rebuilt network and pipe id -> leak junction id.
+    Returns the rebuilt network and pipe id -> leak junction id; with no
+    pipe to split, the network itself.
     """
     mapping: dict[str, str] = {}
     junctions = dict(network.junctions)
@@ -263,4 +264,6 @@ def split_pipes_for_leaks(network: Network,
         pipes[bid] = Pipe(bid, jid, pipe.to_node, pipe.length / 2.0,
                           pipe.diameter, pipe.roughness, pipe.open)
         mapping[pid] = jid
+    if not mapping:
+        return network, mapping
     return replace(network, junctions=junctions, pipes=pipes), mapping

@@ -31,22 +31,21 @@ The fixed-head nodes are always the reservoirs and tanks, so a topology is
 its open-link mask alone. Everything that depends only on which links are
 open (reachability, the unknown-node numbering, island heads, the cold-start
 flow signs, the per-kind link indices and each matrix entry's slot in the
-band) is built by the network module's graph walks the first time that mask
-is met, and cached on the solver's layout of the network. That layout is
-compiled once per Network object and kept on it, as its incidence is, so
-every `solve_snapshot` call and every `EpsEngine` on one network share its
-topologies. When it is built, a topology also solves its reference snapshot
-once, from static data only:
-base demands on reached junctions, no emitters, tanks at their initial
-levels, reservoir heads at t = 0 and each pump at its network speed. Every
-snapshot of the topology starts Newton from the reference flows, scaled by
-its total demand over the reference's; it falls back to the cold start
-(small flows leaving the nearer source) when either total is zero or the
-reference does not converge. Each emitter starts at its discharge at the
-reference heads, or, where the reference has no solution, at its initial
-heads: every unknown node at the highest fixed head. The start is a function
-of the topology alone, never of earlier snapshots, so each result is a pure
-function of its inputs.
+band) is built by the network module's one breadth-first walk the first time
+that mask is met, and cached on the solver's layout of the network. That
+layout is compiled once per Network object and kept on it, as its incidence
+is, so every `solve_snapshot` call and every `EpsEngine` on one network
+share its topologies. When it is built, a topology also solves its reference
+snapshot once, from static data only: base demands on reached junctions, no
+emitters, tanks at their initial levels, reservoir heads at t = 0 and each
+pump at its network speed. Every snapshot of the topology starts Newton from
+the reference flows, scaled by its total demand over the reference's; it
+falls back to the cold start (small flows leaving the nearer source) when
+either total is zero or the reference does not converge. Each emitter starts
+at its discharge at the reference heads, or, where the reference has no
+solution, at its initial heads: every unknown node at the highest fixed
+head. The start is a function of the topology alone, never of earlier
+snapshots, so each result is a pure function of its inputs.
 
 The engine uses that purity. It plans a run's whole horizon once: the
 demand multipliers and reservoir heads of every step come from indexing
@@ -408,32 +407,28 @@ class _Topology:
         inc = layout.inc
         n = len(inc.node_ids)
         self.fixed = layout.fixed
-        root, hops = _traverse(n, zip(inc.link_from[active].tolist(),
-                                      inc.link_to[active].tolist()),
-                               list(range(n)[self.fixed]))
-        hops = np.array(hops)
-        is_fixed = np.zeros(n, dtype=bool)
-        is_fixed[self.fixed] = True
-        self.reach = is_fixed[root]
-        # unreachable islands: one shared head per component (max height), so
-        # zero-flow links stay energy-consistent
-        top: dict[int, float] = {}
-        for src, z in zip(root, layout.node_elev.tolist()):
-            top[src] = max(top.get(src, -math.inf), z)
-        self.island_head = np.where(self.reach, 0.0, [top[src] for src in root])
+        levels, islands = _traverse(n, zip(inc.link_from[active].tolist(),
+                                           inc.link_to[active].tolist()),
+                                    list(range(n)[self.fixed]))
+        hops = np.full(n, -1)
+        for k, level in enumerate(levels):
+            hops[level] = k
+        self.reach = hops >= 0
+        # unreachable islands: one shared head per island (its highest
+        # node), so zero-flow links stay energy-consistent
+        self.island_head = np.zeros(n)
+        for island in islands:
+            self.island_head[island] = layout.node_elev[island].max()
 
-        self.unknown = np.flatnonzero(self.reach & ~is_fixed)
-        n_u = len(self.unknown)
-        self.u_of_node = np.full(n, -1, dtype=np.intp)
-        self.u_of_node[self.unknown] = np.arange(n_u)
         self.act_idx = act = np.flatnonzero(active & self.reach[inc.link_from])
         self.a_from, self.a_to = inc.link_from[act], inc.link_to[act]
-        # renumber the unknowns in reverse Cuthill-McKee order (a band)
-        uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
-        both = np.flatnonzero((uf >= 0) & (ut >= 0))
-        self.unknown = self.unknown[_reverse_cuthill_mckee(
-            n_u, zip(uf[both].tolist(), ut[both].tolist()))]
-        self.u_of_node[self.unknown] = np.arange(n_u)
+        # the unknowns (reached, not fixed) in reverse Cuthill-McKee order
+        both = np.flatnonzero((hops[self.a_from] > 0) & (hops[self.a_to] > 0))
+        order = np.array(_reverse_cuthill_mckee(n, zip(
+            self.a_from[both].tolist(), self.a_to[both].tolist())))
+        self.unknown = order[hops[order] > 0]
+        self.u_of_node = np.full(n, -1, dtype=np.intp)
+        self.u_of_node[self.unknown] = np.arange(len(self.unknown))
         uf, ut = self.u_of_node[self.a_from], self.u_of_node[self.a_to]
         kind, r = inc.link_kind[act], layout.r_coef[act]
         self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)

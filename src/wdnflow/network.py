@@ -6,8 +6,8 @@ times in s. Roughness is the dimensionless Hazen-Williams C.
 `incidence` compiles a network into the layout every layer shares, and
 validates it, once per Network object; `_compiled` is how such a compile is
 kept on its network, for the incidence and for the solver's layout alike.
-`_traverse` (reachability, for `validate` and the solver's topologies) and
-`_reverse_cuthill_mckee` (the solver's numbering) walk one `_adjacency`.
+`_walk` is the one breadth-first walk: `_traverse` (for `validate` and the
+solver's topologies) and `_reverse_cuthill_mckee` (their numbering) use it.
 `_real` is the one rule for a number: `validate` applies it through one
 table of numeric fields, and `_finite` to every config number.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,11 +335,12 @@ def _violations(network: Network) -> tuple[list[Violation], list[Violation]]:
     elif not out:
         # reachability is only meaningful once the graph is closed
         index = {nid: i for i, nid in enumerate(network.node_ids())}
-        src = sorted(index[nid] for nid in sources)
-        root, _ = _traverse(len(index), [(index[l.from_node], index[l.to_node])
-                                         for l in network.links()], src)
+        levels, _ = _traverse(len(index), [
+            (index[l.from_node], index[l.to_node]) for l in network.links()],
+            [index[nid] for nid in sources])
+        reached = {v for level in levels for v in level}
         for j in network.junctions.values():
-            if j.base_demand > 0 and root[index[j.id]] not in src:
+            if j.base_demand > 0 and index[j.id] not in reached:
                 add(Violation("junction", j.id, "demand node unreachable from any head source"))
 
     for name in SimOptions.__dataclass_fields__:
@@ -350,27 +350,35 @@ def _violations(network: Network) -> tuple[list[Violation], list[Violation]]:
     return out, dangling
 
 
-def _traverse(n: int, edges, sources: list[int]) -> tuple[list[int], list[int]]:
-    """The one graph traversal: breadth first over nodes 0..n-1, each edge
-    (a, b) walked both ways. All sources start together, so every node they
-    reach gets a nearest source as root (among equally near ones, the first
-    met in edge order) and its hop count from it; then
-    each node still unseen starts an island of its own, rooted at its
-    smallest node. Returns (root, hops) per node."""
+def _traverse(n: int, edges, sources: list[int]
+              ) -> tuple[list[list[int]], list[list[int]]]:
+    """The one graph traversal over nodes 0..n-1, each edge (a, b) walked
+    both ways: the levels `_walk` takes from all the sources together, and
+    the node lists of the islands they do not reach, each walked from its
+    smallest node, in the order of those nodes."""
     adj = _adjacency(n, edges)
-    root = [-1] * n
-    hops = [0] * n
-    for seed in [sources] + [[v] for v in range(n)]:
-        queue = deque(s for s in seed if root[s] < 0)
-        for s in queue:
-            root[s] = s
-        while queue:
-            u = queue.popleft()
+    seen: set[int] = set()
+    levels = _walk(adj, sources, seen)
+    islands = [[v for level in _walk(adj, [s], seen) for v in level]
+               for s in range(n) if s not in seen]
+    return levels, islands
+
+
+def _walk(adj: list[list[int]], roots, seen: set[int]) -> list[list[int]]:
+    """The one breadth-first walk: from the roots, over the nodes not in
+    `seen` (which gains them). Level k holds the nodes k hops from the
+    nearest root, first met first, each node's neighbours in `adj` order."""
+    levels = [list(roots)]
+    seen.update(roots)
+    while levels[-1]:
+        level: list[int] = []
+        for u in levels[-1]:
             for v in adj[u]:
-                if root[v] < 0:
-                    root[v], hops[v] = root[u], hops[u] + 1
-                    queue.append(v)
-    return root, hops
+                if v not in seen:
+                    seen.add(v)
+                    level.append(v)
+        levels.append(level)
+    return levels[:-1]
 
 
 def _adjacency(n: int, edges) -> list[list[int]]:
@@ -392,26 +400,16 @@ def _reverse_cuthill_mckee(n: int, edges) -> list[int]:
     Position k holds the node numbered k."""
     adj = _adjacency(n, edges)
     key = [(len(nbrs), v) for v, nbrs in enumerate(adj)].__getitem__
-
-    def levels(root: int) -> list[list[int]]:
-        seen, out = {root}, [[root]]
-        while out[-1]:
-            out.append(list(dict.fromkeys(
-                v for u in out[-1] for v in sorted(adj[u], key=key)
-                if v not in seen)))
-            seen.update(out[-1])
-        return out[:-1]
-
+    adj = [sorted(nbrs, key=key) for nbrs in adj]
     order: list[int] = []
     done: set[int] = set()
     for start in sorted(range(n), key=key):
         if start not in done:
-            walk = levels(start)
-            while len(far := levels(min(walk[-1], key=key))) > len(walk):
+            walk = _walk(adj, [start], done)
+            while len(far := _walk(adj, [min(walk[-1], key=key)],
+                                   set())) > len(walk):
                 walk = far
-            walk = [v for level in walk for v in level]
-            done.update(walk)
-            order += walk
+            order += [v for level in walk for v in level]
     return order[::-1]
 
 

@@ -15,12 +15,14 @@ byte-identical values and see byte-identical draws.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, UnknownSensorRefError
 from .events import (
+    SENSOR_TYPES,
     CommunicationEvent,
     SensorFaultEvent,
     faulted_readings,
@@ -35,7 +37,14 @@ __all__ = [
     "from_csv", "truth_to_csv", "truth_from_csv",
 ]
 
-_UNITS = {"pressure": "m", "flow": "m3/s", "quality": "mg/L", "level": "m"}
+# Each sensor type, in column order: its placement field, its unit, the state
+# field it reads and the element it sits on, whose `<element>_ids` index it.
+_Sensor = namedtuple("_Sensor", "placement unit state element")
+_SENSOR_TABLE = dict(zip(SENSOR_TYPES, (
+    _Sensor("pressure_nodes", "m", "pressure_head", "junction"),
+    _Sensor("flow_links", "m3/s", "flow", "link"),
+    _Sensor("quality_nodes", "mg/L", "node_concentration", "node"),
+    _Sensor("tank_level_tanks", "m", "tank_level", "tank"))))
 
 
 @dataclass(frozen=True)
@@ -49,11 +58,6 @@ class SensorColumn:
         return f"{self.sensor_type}:{self.element_id}"
 
 
-# placement field -> the sensor type of its ids, in column order
-_PLACEMENT = {"pressure_nodes": "pressure", "flow_links": "flow",
-              "quality_nodes": "quality", "tank_level_tanks": "level"}
-
-
 @dataclass(frozen=True)
 class SensorPlacement:
     pressure_nodes: tuple[str, ...] = ()
@@ -63,7 +67,7 @@ class SensorPlacement:
 
     def __post_init__(self):
         # sorted, so the canonical JSON form is a fixed point
-        for name in _PLACEMENT:
+        for name, *_ in _SENSOR_TABLE.values():
             ids = tuple(sorted(getattr(self, name)))
             object.__setattr__(self, name, ids)
             if len(set(ids)) != len(ids):
@@ -74,9 +78,9 @@ class SensorPlacement:
                                       " the CSV column separator")
 
     def columns(self) -> tuple[SensorColumn, ...]:
-        return tuple(SensorColumn(stype, eid, _UNITS[stype])
-                     for name, stype in _PLACEMENT.items()
-                     for eid in getattr(self, name))
+        return tuple(SensorColumn(stype, eid, sensor.unit)
+                     for stype, sensor in _SENSOR_TABLE.items()
+                     for eid in getattr(self, sensor.placement))
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,6 @@ class ScadaData:
         return tuple(c.label for c in self.columns)
 
 
-# sensor type -> (state field, id tuple it indexes, what the element must be)
-_SOURCES = {"pressure": ("pressure_head", "junction_ids", "a junction"),
-            "flow": ("flow", "link_ids", "a link"),
-            "quality": ("node_concentration", "node_ids", "a node"),
-            "level": ("tank_level", "tank_ids", "a tank")}
-
-
 class RowReader:
     """Reads true sensor values: one row from a state, or one row per step
     from a StateSeries, one column gather per sensor type.
@@ -128,7 +125,7 @@ class RowReader:
                  quality: bool = False):
         self.width = len(columns)
         self.groups: list[tuple[str, np.ndarray, np.ndarray]] = []
-        for stype, (attr, id_attr, what) in _SOURCES.items():
+        for stype, sensor in _SENSOR_TABLE.items():
             cols = [c for c, col in enumerate(columns)
                     if col.sensor_type == stype]
             if not cols:
@@ -136,13 +133,14 @@ class RowReader:
             if stype == "quality" and not quality:
                 raise UnknownSensorRefError(
                     "quality sensors need a quality simulation")
-            index = {e: i for i, e in enumerate(getattr(ids, id_attr))}
+            index = {e: i for i, e in enumerate(
+                getattr(ids, f"{sensor.element}_ids"))}
             for c in cols:
                 if columns[c].element_id not in index:
                     raise UnknownSensorRefError(
                         f"{stype} sensor '{columns[c].element_id}'"
-                        f" is not {what}")
-            self.groups.append((attr, np.array(cols), np.array(
+                        f" is not a {sensor.element}")
+            self.groups.append((sensor.state, np.array(cols), np.array(
                 [index[columns[c].element_id] for c in cols])))
 
     def read(self, source, concentration=None) -> np.ndarray:
@@ -291,9 +289,9 @@ def from_csv(text: str) -> ScadaData:
         if ":" not in label:
             raise ConfigError(f"malformed column label '{label}'")
         stype, eid = label.split(":", 1)
-        if stype not in _UNITS:
+        if stype not in _SENSOR_TABLE:
             raise ConfigError(f"unknown sensor type in column '{label}'")
-        columns.append(SensorColumn(stype, eid, _UNITS[stype]))
+        columns.append(SensorColumn(stype, eid, _SENSOR_TABLE[stype].unit))
     times = []
     rows = []
     for ln_no, line in enumerate(lines[1:], start=2):

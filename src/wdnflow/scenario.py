@@ -46,7 +46,7 @@ from .quality import (
     QualitySettings, QualityState, _whole_seconds, simulate_quality,
 )
 from .scada import (
-    _PLACEMENT, _SOURCES, GroundTruthRecord, RowCorruptor, ScadaData,
+    _SENSOR_TABLE, GroundTruthRecord, RowCorruptor, ScadaData,
     SensorPlacement, corrupt, extract_readings,
 )
 
@@ -156,7 +156,7 @@ _SIMULATION = {
     "hydraulic_time_step_s": (_N, False, attrgetter("hydraulic_time_step_s")),
     "quality_time_step_s": (_N, False, attrgetter("quality_time_step_s"))}
 _SENSORS = {name: ("a list of strings", False, attrgetter(name))
-            for name in _PLACEMENT}
+            for name, *_ in _SENSOR_TABLE.values()}
 _OUTPUTS = {name: (_S, False, attrgetter(name))
             for name in ("scada_csv_path", "truth_csv_path")}
 _QUALITY = {"decay_rate_k": (_N, False, attrgetter("decay_rate_k")),
@@ -363,16 +363,14 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
 
     # each sensor type sits on the elements the readings are taken from
     layout = incidence(network)
-    ids = {stype: set(getattr(layout, attr))
-           for stype, (_, attr, _) in _SOURCES.items()}
-    columns = cfg.sensors.columns()
-    for c in columns:
-        if c.element_id not in ids[c.sensor_type]:
-            problems.append(f"sensors: {c.sensor_type} sensor"
-                            f" '{c.element_id}' is not"
-                            f" {_SOURCES[c.sensor_type][2]}")
+    for stype, sensor in _SENSOR_TABLE.items():
+        ids = set(getattr(layout, f"{sensor.element}_ids"))
+        for eid in getattr(cfg.sensors, sensor.placement):
+            if eid not in ids:
+                problems.append(f"sensors: {stype} sensor '{eid}' is not a"
+                                f" {sensor.element}")
 
-    labels = {c.label for c in columns}
+    labels = {c.label for c in cfg.sensors.columns()}
     for name in ("sensor_faults", "communication_events"):
         for i, e in enumerate(getattr(cfg, name)):
             ref = e.sensor_ref and f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
@@ -422,14 +420,11 @@ class ScenarioRuntime:
         self.stream = SeededStream(config.seed)
         self.report_network = apply_parameter_uncertainty(
             network, config.uncertainties, self.stream)
-        leak_pipe_ids = sorted({e.link_id for e in config.leakages})
-        if leak_pipe_ids:
-            self.solve_network, self.leak_junctions = split_pipes_for_leaks(
-                self.report_network, leak_pipe_ids)
+        self.solve_network, self.leak_junctions = split_pipes_for_leaks(
+            self.report_network, [e.link_id for e in config.leakages])
+        if self.leak_junctions:
             warnings.append("leak pipes were split at their midpoint;"
                             " flow sensors on them read the upstream half")
-        else:
-            self.solve_network, self.leak_junctions = self.report_network, {}
         self._junction_to_pipe = {j: p for p, j in self.leak_junctions.items()}
         # the report layout orders every projected state; the selections say
         # where each of its elements sits in the solve network's arrays

@@ -295,6 +295,13 @@ class TestPipeSplitting:
         assert split.junctions[leak_id].base_demand == 0.0
         assert split.junctions[leak_id].elevation == elevation
 
+    def test_splitting_nothing_returns_the_network(self, toy9):
+        """An empty split is the network itself, so it is neither compiled
+        nor validated afresh."""
+        split, leak_nodes = split_pipes_for_leaks(toy9, [])
+        assert split is toy9
+        assert leak_nodes == {}
+
     def test_split_halves_share_the_length(self, toy9):
         split, _ = split_pipes_for_leaks(toy9, ["p3"])
         first = split.pipes["p3"]

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +53,7 @@ from wdnflow.events import (
 )
 from wdnflow.network import (
     Curve, Junction, Network, Pattern, Pipe, Reservoir, Tank, Violation,
-    pattern_value, validate,
+    _reverse_cuthill_mckee, pattern_value, validate,
 )
 from wdnflow.scada import SensorPlacement
 from wdnflow.scenario import ScenarioConfig, run_scenario
@@ -1195,6 +1196,52 @@ class TestSolverBackends:
         assert list(net.junctions)[topo.unknown[-1]] == \
             f"j{side - 1:03d}{side - 1:03d}"
         assert topo.kd == side
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_unknowns_and_island_heads_match_networkx(self, data):
+        """On random networks and open-link masks, the unknowns (reached by
+        an open path from a reservoir or tank) come numbered as reverse
+        Cuthill-McKee numbers them when renumbered in node order, and each
+        unreached node starts at the highest elevation of its component."""
+        k = data.draw(st.integers(1, 12))
+        jids = [f"j{i:02d}" for i in range(k)]
+        ids = jids + ["r1"] + data.draw(st.sampled_from([[], ["t1"]]))
+        ends = data.draw(st.lists(st.lists(st.sampled_from(ids), min_size=2,
+                                           max_size=2, unique=True),
+                                  min_size=1, max_size=2 * k))
+        net = Network(
+            junctions={j: Junction(j, data.draw(st.sampled_from(
+                [0.0, 1.5, 2.0, 7.25]))) for j in jids},
+            reservoirs={"r1": Reservoir("r1", 50.0)},
+            tanks={"t1": Tank("t1", 5.0, 2.0, 1.0, 0.0, 3.0)}
+            if "t1" in ids else {},
+            pipes={f"p{i:02d}": Pipe(f"p{i:02d}", a, b, 100.0, 0.2, 100.0)
+                   for i, (a, b) in enumerate(ends)})
+        layout = _layout(net)
+        inc = layout.inc
+        active = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(ends), max_size=len(ends))))
+        topo = layout.topology(active)
+        n = len(inc.node_ids)
+        links = list(zip(inc.link_from[active].tolist(),
+                         inc.link_to[active].tolist()))
+        g = nx.Graph(links)
+        g.add_nodes_from(range(n))
+        fixed = set(range(n)[layout.fixed])
+        reached = set().union(*(nx.node_connected_component(g, v)
+                                for v in fixed))
+        unknown = sorted(reached - fixed)
+        u = {v: i for i, v in enumerate(unknown)}
+        edges = [(u[a], u[b]) for a, b in links if a in u and b in u]
+        assert topo.unknown.tolist() == [
+            unknown[i] for i in _reverse_cuthill_mckee(len(unknown), edges)]
+        head = topo.initial_head(np.full(len(fixed), 99.0))
+        for island in nx.connected_components(g):
+            if not island & reached:
+                top = max(layout.node_elev[v] for v in island)
+                assert all(head[v] == top for v in island)
 
     def test_a_system_with_no_unknowns_is_solved(self):
         """A reservoir feeding a tank through one pipe has no unknown head:

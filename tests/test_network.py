@@ -367,19 +367,25 @@ def nx_graph(n, edges):
 @ORACLE
 @given(graphs())
 def test_traverse_matches_networkx(graph):
+    """The levels hold the sources' components, each node once, at its
+    multi-source distance; the islands are the other components, each
+    listed once, in the order of their smallest nodes, and each walked
+    breadth first from that node."""
     n, edges, sources = graph
-    root, hops = _traverse(n, edges, sources)
+    levels, islands = _traverse(n, edges, sources)
     g = nx_graph(n, edges)
     reached = {v for s in sources for v in nx.node_connected_component(g, s)}
-    assert {v for v in range(n) if root[v] in sources} == reached
+    walked = [v for level in levels for v in level]
+    assert sorted(walked) == sorted(reached)
     dist = nx.multi_source_dijkstra_path_length(g, sources) if sources else {}
-    for v in reached:
-        assert hops[v] == dist[v]
-        assert root[v] in sources
-        assert nx.shortest_path_length(g, root[v], v) == hops[v]
-    for island in nx.connected_components(g):
-        if not island & reached:
-            assert {root[v] for v in island} == {min(island)}
+    for k, level in enumerate(levels):
+        assert level and {dist[v] for v in level} == {k}
+    unreached = [c for c in nx.connected_components(g) if not c & reached]
+    assert sorted(map(sorted, islands)) == sorted(map(sorted, unreached))
+    assert [island[0] for island in islands] == sorted(map(min, unreached))
+    for island in islands:
+        hops = nx.single_source_shortest_path_length(g, island[0])
+        assert [hops[v] for v in island] == sorted(hops.values())
 
 
 @ORACLE
