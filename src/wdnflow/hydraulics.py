@@ -83,7 +83,7 @@ from .errors import (
     UnknownTargetError,
 )
 from .network import (
-    Curve, Network, Pattern, _compiled, _finite, _node_height,
+    Curve, Incidence, Network, Pattern, _compiled, _finite, _node_height,
     _positive_whole, _real, _reverse_cuthill_mckee, _traverse,
     expand_pump_curve, incidence,
 )
@@ -498,14 +498,13 @@ class _Topology:
         return self.ref_flow * ratio if ratio > 0.0 else self.q0
 
 
-def _link_settings(layout: _Layout, controls: Controls | None) -> tuple:
+def _link_settings(inc: Incidence, controls: Controls | None) -> tuple:
     """The control set's overrides, checked, as (link index, sets speed,
     value) triples in link order; () for none. An override must name a
     link of its map's kind, and its value obey the actuator value rule
     (the error names the link)."""
     if controls is None:
         return ()
-    inc = layout.inc
     settings = []
     for name, kind, kind_name in (
             ("pipe_open", 0, "pipe"), ("pump_running", 1, "pump"),
@@ -602,7 +601,7 @@ def solve_snapshot(network: Network, demands: dict[str, float],
                       layout.junction_index, demands, "junction", "demand")
     levels = _scatter(layout.tank_init.copy(), layout.tank_index,
                       tank_levels or {}, "tank", "tank level")
-    mask = _active_mask(layout, _link_settings(layout, controls))
+    mask = _active_mask(layout, _link_settings(layout.inc, controls))
     return _solve(layout, demand, *mask,
                   layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
                   levels, t)
@@ -847,7 +846,7 @@ class EpsEngine:
         for row, e in zip(self._emit, emitters):
             if e:
                 row[:] = layout.emitter_k(e)[self._emit_nodes]
-        self._settings = [_link_settings(layout, self.control_hook(x))
+        self._settings = [_link_settings(layout.inc, self.control_hook(x))
                           for x in t] if self.control_hook else [()] * len(t)
         rows = np.hstack([self._mult, self._res, self._emit])
         ids: dict[tuple, int] = {}
@@ -861,7 +860,7 @@ class EpsEngine:
         k = self.step_index
         if k >= self.total_steps:
             raise IndexError("simulation horizon already reached")
-        settings = _link_settings(self.layout, overrides)
+        settings = _link_settings(self.layout.inc, overrides)
         key = (self._input[k], settings, self.tank_levels.tobytes())
         state = self._memo.pop(key, None)
         if state is None:

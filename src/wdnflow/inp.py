@@ -47,6 +47,7 @@ from .network import (
     SimOptions,
     Tank,
     Valve,
+    _nearest_second,
     incidence,
     validate,
 )
@@ -210,12 +211,11 @@ def _time_seconds(tokens: list[str], line_no: int) -> int:
         if scale is None:
             raise MalformedSectionError(f"unknown time unit '{tokens[1]}'", line_no)
         value = _float(tokens[0], line_no, "time value") * scale
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 or rounded <= 0:
+    if (seconds := _nearest_second(value)) is None or seconds <= 0:
         raise MalformedSectionError(
             f"time value must be a positive whole number of seconds, got {value}",
             line_no)
-    return int(rounded)
+    return seconds
 
 
 def _parse_options(doc: InpDocument) -> float:

@@ -219,6 +219,12 @@ def _positive_whole(value) -> bool:
     return _real(value, 0.0, above=True) and value == round(value)
 
 
+def _nearest_second(value: float) -> int | None:
+    """A span's nearest whole second, if it is finite and within 1e-9 s."""
+    whole = math.isfinite(value) and abs(value - round(value)) <= 1e-9
+    return round(value) if whole else None
+
+
 _NODE_GROUPS = ("junctions", "reservoirs", "tanks")
 _LINK_GROUPS = ("pipes", "pumps", "valves")
 

@@ -170,6 +170,15 @@ def extract_readings(series: StateSeries, placement: SensorPlacement,
                      ground_truth=tuple(ground_truth))
 
 
+def _event_column(event, columns: tuple[SensorColumn, ...]) -> int | slice:
+    """An event's placed sensor column, or every column (a slice) for none."""
+    labels = [c.label for c in columns]
+    ref = event.sensor_ref and f"{event.sensor_ref[0]}:{event.sensor_ref[1]}"
+    if ref is not None and ref not in labels:
+        raise UnknownSensorRefError(f"no sensor '{ref}' in the placement")
+    return slice(None) if ref is None else labels.index(ref)
+
+
 class RowCorruptor:
     """Noise, then sensor faults, then communication events, over the rows
     of one horizon. What does not depend on the readings is planned once
@@ -185,24 +194,17 @@ class RowCorruptor:
                  noise_models: list, stream: SeededStream):
         self.times = np.asarray(times, dtype=float)
         n, width = len(self.times), len(columns)
-        label_to_col = {c.label: i for i, c in enumerate(columns)}
 
-        def winners(events, what):
+        def winners(events):
             """Each event's column, and the event that wins each cell."""
-            cols = []
-            for e in events:
-                ref = e.sensor_ref and f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-                if ref is not None and ref not in label_to_col:
-                    raise UnknownSensorRefError(
-                        f"{what} targets unknown sensor '{ref}'")
-                cols.append(slice(None) if ref is None else label_to_col[ref])
+            cols = [_event_column(e, columns) for e in events]
             win = np.full((n, width), -1)
             for i in precedence(events):     # the last one written wins
                 win[events[i].window.contains(self.times), cols[i]] = i
             return cols, win
 
         # per fault: its column, the rows it wins and a gaussian's draws there
-        fault_cols, fault_win = winners(faults, "sensor fault")
+        fault_cols, fault_win = winners(faults)
         self.faults = []
         for i, (e, col) in enumerate(zip(faults, fault_cols)):
             rows = np.flatnonzero(fault_win[:, col] == i)
@@ -210,7 +212,7 @@ class RowCorruptor:
                 stream.generator("fault", i).normal(0.0, e.param, len(rows))
             self.faults.append((e, col, rows, draws))
 
-        _, comm_win = winners(comms, "communication event")
+        _, comm_win = winners(comms)
         self.source = np.where(comm_win < 0, np.arange(n)[:, None], -1)
         for i, e in enumerate(comms):
             if e.kind == "freeze" and n:     # argmax needs a row

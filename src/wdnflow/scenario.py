@@ -12,10 +12,10 @@ checks shapes only against it, and the writer emits from it in table order.
 Every single-field value rule lives in the dataclass built from an object,
 and the reader puts the object path in front of the ConfigError that
 dataclass raises. `validate_scenario` makes the cross-field and network
-checks. The dataclasses store numbers as floats (durations as whole
-seconds), so the JSON form is canonical for every config: emitting, parsing
-and re-emitting is a fixed point, and the digest of that form is stamped
-onto the result series.
+checks, calling the check of the layer that applies a rule on every run.
+The dataclasses store numbers as floats (durations as whole seconds), so
+the JSON form `config_digest` hashes is canonical for every config:
+emitting, parsing and re-emitting is a fixed point.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, WdnflowError
 from .inp import load_network
-from .network import Network, _real, incidence
-from .hydraulics import Controls, EpsEngine, StateSeries
+from .network import Network, _nearest_second, _real, incidence
+from .hydraulics import Controls, EpsEngine, StateSeries, _link_settings
 from .events import (
     ActuatorEvent, CommunicationEvent, EventWindow, LeakageEvent,
     SensorFaultEvent, leak_emitter_coef, resolve_controls,
@@ -46,8 +46,8 @@ from .quality import (
     QualitySettings, QualityState, _whole_seconds, simulate_quality,
 )
 from .scada import (
-    _SENSOR_TABLE, GroundTruthRecord, RowCorruptor, ScadaData,
-    SensorPlacement, corrupt, extract_readings,
+    _SENSOR_TABLE, GroundTruthRecord, RowCorruptor, RowReader, ScadaData,
+    SensorPlacement, _event_column, corrupt, extract_readings,
 )
 
 __all__ = [
@@ -63,10 +63,10 @@ def to_seconds(days: float = 0, hours: float = 0, minutes: float = 0,
     """The span as whole int seconds, each part held to `_real`'s rule."""
     total = days * 86400 + hours * 3600 + minutes * 60 + seconds \
         if all(map(_real, (days, hours, minutes, seconds))) else math.nan
-    if not (_real(total) and total == round(total)):
+    if (whole := _nearest_second(total)) is None:
         raise ConfigError(f"{days!r} d {hours!r} h {minutes!r} min"
                           f" {seconds!r} s is not a whole number of seconds")
-    return int(total)
+    return whole
 
 
 @dataclass(frozen=True)
@@ -353,30 +353,22 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     for i, e in enumerate(cfg.leakages):
         if e.link_id not in network.pipes:
             problems.append(f"leakages[{i}]: '{e.link_id}' is not a pipe")
-    for i, e in enumerate(cfg.actuator_events):
-        if e.kind in ("pump_state", "pump_speed"):
-            if e.target_id not in network.pumps:
-                problems.append(f"actuator_events[{i}]: no pump"
-                                f" '{e.target_id}'")
-        elif e.target_id not in network.valves:
-            problems.append(f"actuator_events[{i}]: no valve '{e.target_id}'")
 
-    # each sensor type sits on the elements the readings are taken from
+    def check(path: str, rule, *args) -> None:
+        try:
+            rule(*args)
+        except WdnflowError as exc:
+            problems.append(f"{path}: {exc}")
+
     layout = incidence(network)
-    for stype, sensor in _SENSOR_TABLE.items():
-        ids = set(getattr(layout, f"{sensor.element}_ids"))
-        for eid in getattr(cfg.sensors, sensor.placement):
-            if eid not in ids:
-                problems.append(f"sensors: {stype} sensor '{eid}' is not a"
-                                f" {sensor.element}")
-
-    labels = {c.label for c in cfg.sensors.columns()}
+    for i, e in enumerate(cfg.actuator_events):
+        check(f"actuator_events[{i}]", _link_settings, layout,
+              resolve_controls((e,), e.window.start_time))
+    columns = cfg.sensors.columns()
+    check("sensors", RowReader, columns, layout, True)
     for name in ("sensor_faults", "communication_events"):
         for i, e in enumerate(getattr(cfg, name)):
-            ref = e.sensor_ref and f"{e.sensor_ref[0]}:{e.sensor_ref[1]}"
-            if ref is not None and ref not in labels:
-                problems.append(f"{name}[{i}]: no sensor '{ref}'"
-                                " in the placement")
+            check(f"{name}[{i}]", _event_column, e, columns)
 
     if cfg.quality is not None:
         for nid, _ in cfg.quality.source_nodes:
@@ -409,8 +401,8 @@ class RunResult:
 
 
 class ScenarioRuntime:
-    """Prepared pieces of a scenario, shared by the batch runner and the
-    control environment so both execute identical arithmetic."""
+    """Prepared pieces of a scenario; the batch runner and the control
+    environment each build one, so both execute identical arithmetic."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config

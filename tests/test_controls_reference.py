@@ -65,7 +65,8 @@ def test_mask_and_speeds_equal_the_per_link_walk(networks, name, data):
     net = networks[name]
     controls = data.draw(control_sets(net))
     layout = _layout(net)
-    for new, old in zip(_active_mask(layout, _link_settings(layout, controls)),
+    resolved = _link_settings(layout.inc, controls)
+    for new, old in zip(_active_mask(layout, resolved),
                         ref._active_mask(net, controls)):
         assert new.dtype == old.dtype
         assert new.tobytes() == old.tobytes()
@@ -85,7 +86,7 @@ def test_wrong_kind_id_raises_as_in_the_per_link_walk(networks, name, field,
     value = 0.5 if field == "pump_speed" else False
     controls = replace(valid, **{field: {**getattr(valid, field), lid: value}})
     with pytest.raises(UnknownTargetError) as new:
-        _link_settings(_layout(net), controls)
+        _link_settings(_layout(net).inc, controls)
     with pytest.raises(UnknownTargetError) as old:
         ref._active_mask(net, controls)
     assert str(new.value) == str(old.value)

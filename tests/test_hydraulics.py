@@ -803,9 +803,9 @@ class TestPlannedHorizon:
             hooked = engine.emitter_hook(t) if engine.emitter_hook else None
             assert emit.tobytes() == layout.emitter_k(hooked or {}).tobytes()
             controls = engine.control_hook(t) if engine.control_hook else None
-            assert engine._settings[k] == _link_settings(layout, controls)
+            assert engine._settings[k] == _link_settings(layout.inc, controls)
             rows.append((mult.tobytes(), heads.tobytes(), emit.tobytes(),
-                         _link_settings(layout, controls)))
+                         _link_settings(layout.inc, controls)))
         pairs = set(zip(engine._input, rows))
         assert len(pairs) == len(set(engine._input)) == len(set(rows))
 

@@ -126,6 +126,7 @@ ZERO_TIME = "positive whole number of seconds"
     ("Duration 0:00", ZERO_TIME), ("Hydraulic Timestep 0:00", ZERO_TIME),
     ("Quality Timestep 0:00:00", ZERO_TIME),
     ("Pattern Timestep 00:00", ZERO_TIME),
+    ("Duration inf SEC", ZERO_TIME), ("Duration nan HOURS", ZERO_TIME),
     ("Duration 1:75", "bad clock time '1:75'"),
     ("Duration 1:2:3:4", "bad clock time '1:2:3:4'"),
 ])

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import wdnflow.inp
 import wdnflow.network
-from wdnflow import ConfigError, bundled
+from wdnflow import ConfigError, WdnflowError, bundled
 from wdnflow.events import (
     ActuatorEvent,
     CommunicationEvent,
@@ -23,9 +23,13 @@ from wdnflow.events import (
     LeakageEvent,
     SensorFaultEvent,
     leak_emitter_coef,
+    resolve_controls,
 )
+from wdnflow.hydraulics import EpsEngine
 from wdnflow.quality import simulate_quality
-from wdnflow.scada import SensorPlacement, from_csv
+from wdnflow.scada import (
+    ScadaData, SensorPlacement, corrupt, extract_readings, from_csv,
+)
 from wdnflow.scenario import (
     QualitySpec,
     ScenarioConfig,
@@ -40,7 +44,7 @@ from wdnflow.scenario import (
     validate_scenario,
     write_outputs,
 )
-from wdnflow.uncertainty import UncertaintyModel
+from wdnflow.uncertainty import SeededStream, UncertaintyModel
 
 
 def full_config(factory):
@@ -69,6 +73,17 @@ class TestTimeHelper:
         assert to_seconds(days=1, hours=2, minutes=3, seconds=4) == \
             86400 + 7200 + 180 + 4
         assert to_seconds(hours=1) == 3600
+
+    @pytest.mark.parametrize("unit, word", [
+        ("days", "DAYS"), ("hours", "HOURS"), ("minutes", "MIN")])
+    def test_one_whole_seconds_rule_with_the_inp_reader(self, unit, word):
+        """A span of 0.1 ... 9.9 units is the seconds the INP reader reads
+        from the same number and unit; 1.1 days is 95040 s in both."""
+        for tenths in range(1, 100):
+            value = tenths / 10
+            assert to_seconds(**{unit: value}) == \
+                wdnflow.inp._time_seconds([repr(value), word], 1), value
+        assert to_seconds(days=1.1) == 95040
 
 
 class TestJsonRoundTrip:
@@ -252,8 +267,8 @@ def configs():
 
 class TestCanonicalJson:
     def test_bytes_are_pinned(self):
-        """The digest of these bytes is stamped onto every result series,
-        so they change only on purpose."""
+        """These bytes are what `config_digest` hashes, so they change
+        only on purpose."""
         text = config_to_json(every_key_config())
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "6b21f4f9cf949b789aec45226d5f3f59dd675bd53b04cdfa7bcfbd359190e217"
@@ -447,6 +462,60 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"actuator_events\\[0\\]:"
                                               f" {message}"):
             validate_scenario(config, toy9)
+
+    WINDOW = EventWindow(0.0, 3600.0)
+
+    @staticmethod
+    def run_engine(cfg, network):
+        EpsEngine(network, cfg.duration_s, cfg.hydraulic_time_step_s,
+                  lambda t: resolve_controls(cfg.actuator_events, t))
+
+    @staticmethod
+    def read_sensors(cfg, network):
+        series = EpsEngine(network, cfg.duration_s,
+                           cfg.hydraulic_time_step_s).run()
+        extract_readings(series, cfg.sensors)
+
+    @staticmethod
+    def corrupt_readings(cfg, network):
+        columns = cfg.sensors.columns()
+        scada = ScadaData((0.0,), columns, np.zeros((1, len(columns))))
+        corrupt(scada, cfg.sensor_faults, cfg.communication_events, (),
+                SeededStream(cfg.seed))
+
+    @pytest.mark.parametrize("name, apply, path, fields", [
+        ("toy9", "run_engine", "actuator_events[0]", dict(actuator_events=(
+            ActuatorEvent("pump_speed", "p1", 0.5, WINDOW),))),
+        ("pumpnet", "run_engine", "actuator_events[0]", dict(
+            actuator_events=(ActuatorEvent("valve_state", "pu1", False,
+                                           WINDOW),))),
+        ("toy9", "read_sensors", "sensors", dict(
+            sensors=SensorPlacement(pressure_nodes=("n1", "r1")))),
+        ("pumpnet", "read_sensors", "sensors", dict(
+            sensors=SensorPlacement(flow_links=("p1",),
+                                    tank_level_tanks=("j1",)))),
+        ("toy9", "corrupt_readings", "sensor_faults[0]", dict(
+            sensors=SensorPlacement(pressure_nodes=("n1",)),
+            sensor_faults=(SensorFaultEvent("offset", ("flow", "p9"), 0.1,
+                                            WINDOW),))),
+        ("pumpnet", "corrupt_readings", "communication_events[0]", dict(
+            sensors=SensorPlacement(pressure_nodes=("j1",)),
+            communication_events=(CommunicationEvent(
+                "data_loss", WINDOW, ("pressure", "j2")),))),
+    ], ids=["toy9-actuator", "pumpnet-actuator", "toy9-placement",
+            "pumpnet-placement", "toy9-fault", "pumpnet-communication"])
+    def test_message_is_the_applying_layers(self, request, name, apply,
+                                            path, fields):
+        """A rule the engine, the reader or the corruptor applies on every
+        run reads the same in validate_scenario, behind the config path."""
+        network = request.getfixturevalue(name)
+        cfg = ScenarioConfig(getattr(bundled, f"{name}_path")(),
+                             duration_s=3600, seed=0, **fields)
+        with pytest.raises(ConfigError) as checked:
+            validate_scenario(cfg, network)
+        with pytest.raises(WdnflowError) as applied:
+            getattr(self, apply)(cfg, network)
+        assert str(checked.value) == f"{path}: {applied.value}"
 
     def test_problems_are_aggregated(self, toy9, toy9_config_factory):
         config = toy9_config_factory(
