@@ -60,9 +60,6 @@ class ScenarioEnv:
     def __init__(self, config: ScenarioConfig,
                  min_pressure_head: float = 20.0,
                  pressure_penalty: float = 1.0):
-        if config.sensors.quality_nodes:
-            raise ConfigError(
-                "quality sensors are not supported in the control environment")
         self.min_pressure_head = _finite(min_pressure_head, "min_pressure_head")
         self.pressure_penalty = _finite(pressure_penalty, "pressure_penalty", 0.0)
         self.runtime: ScenarioRuntime = build_runtime(config)

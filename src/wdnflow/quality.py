@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeConcentrationError
 from .hydraulics import StateSeries
-from .network import Network, _finite, _positive_whole, incidence
+from .network import Incidence, Network, _finite, _positive_whole, incidence
 
 __all__ = ["QualitySettings", "QualityState", "decay", "simulate_quality",
            "SEGMENT_MERGE_DC"]
@@ -138,6 +138,17 @@ def _guard(c: float) -> float:
     return max(c, 0.0)
 
 
+def _substeps(settings: QualitySettings, inc: Incidence, step_s: int) -> int:
+    """Quality steps per hydraulic step of `step_s` seconds, once the step
+    divides it and every source is a node of `inc`."""
+    if step_s % settings.quality_time_step != 0:
+        raise ConfigError("quality_time_step_s must divide the hydraulic step")
+    for nid in settings.source_nodes:
+        if nid not in inc.node_index:
+            raise ConfigError(f"quality source '{nid}' is not a network node")
+    return step_s // settings.quality_time_step
+
+
 def simulate_quality(series: StateSeries, network: Network,
                      settings: QualitySettings) -> list[QualityState]:
     """Advect, mix and decay over the series; one QualityState per step.
@@ -152,16 +163,9 @@ def simulate_quality(series: StateSeries, network: Network,
     if series.node_ids != inc.node_ids or series.link_ids != inc.link_ids:
         raise ConfigError("the series was not solved on this network: its"
                           " node or link ids differ from the network's")
-    step_s = series.step_s
+    n_sub = _substeps(settings, inc, series.step_s)
     qdt = settings.quality_time_step
-    if step_s % qdt != 0:
-        raise ConfigError("quality_time_step must divide the hydraulic step")
-    n_sub = step_s // qdt
     k_decay = settings.decay_rate_k
-
-    for nid in settings.source_nodes:
-        if nid not in inc.node_index:
-            raise ConfigError(f"quality source '{nid}' is not a network node")
     sources = {inc.node_index[nid]: c
                for nid, c in settings.source_nodes.items()}
 

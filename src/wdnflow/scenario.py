@@ -11,8 +11,8 @@ whether it is required, and its value read off the dataclass; the reader
 checks shapes only against it, and the writer emits from it in table order.
 Every single-field value rule lives in the dataclass built from an object,
 and the reader puts the object path in front of the ConfigError that
-dataclass raises. `validate_scenario` makes the cross-field and network
-checks, calling the check of the layer that applies a rule on every run.
+dataclass raises. `validate_scenario` states the horizon and closed-pipe
+rules and calls each other rule's check in the layer that applies it.
 The dataclasses store numbers as floats (durations as whole seconds), so
 the JSON form `config_digest` hashes is canonical for every config:
 emitting, parsing and re-emitting is a fixed point.
@@ -43,7 +43,7 @@ from .uncertainty import (
     SeededStream, UncertaintyModel, apply_parameter_uncertainty, perturb_scalar,
 )
 from .quality import (
-    QualitySettings, QualityState, _whole_seconds, simulate_quality,
+    QualitySettings, QualityState, _substeps, _whole_seconds, simulate_quality,
 )
 from .scada import (
     _SENSOR_TABLE, GroundTruthRecord, RowCorruptor, RowReader, ScadaData,
@@ -335,24 +335,23 @@ def config_digest(cfg: ScenarioConfig) -> str:
 
 # ------------------------------------------------------------- validation
 
+def _quality_step(cfg: ScenarioConfig, network: Network) -> int | None:
+    """The config's quality step, else the network's when quality runs."""
+    if cfg.quality_time_step_s is None and (cfg.quality
+                                            or cfg.sensors.quality_nodes):
+        return network.options.quality_step_s
+    return cfg.quality_time_step_s
+
+
 def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     problems: list[str] = []
     if cfg.duration_s % cfg.hydraulic_time_step_s != 0:
         problems.append("duration_s must be a multiple of hydraulic_time_step_s")
-    qstep = cfg.quality_time_step_s
-    if qstep is None and (cfg.quality or cfg.sensors.quality_nodes):
-        qstep = network.options.quality_step_s
-    if qstep and cfg.hydraulic_time_step_s % qstep != 0:
-        problems.append("quality_time_step_s must divide hydraulic_time_step_s")
 
     for name, _, events in _event_lists(cfg):
         for i, e in enumerate(events):
             if e.window.end_time > cfg.duration_s:
                 problems.append(f"{name}[{i}]: window ends after duration_s")
-
-    for i, e in enumerate(cfg.leakages):
-        if e.link_id not in network.pipes:
-            problems.append(f"leakages[{i}]: '{e.link_id}' is not a pipe")
 
     def check(path: str, rule, *args) -> None:
         try:
@@ -360,6 +359,11 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
         except WdnflowError as exc:
             problems.append(f"{path}: {exc}")
 
+    for i, e in enumerate(cfg.leakages):
+        check(f"leakages[{i}]", split_pipes_for_leaks, network, [e.link_id])
+        if e.link_id in network.pipes and not network.pipes[e.link_id].open:
+            # nothing opens a pipe, so both halves of its split stay shut
+            problems.append(f"leakages[{i}]: pipe '{e.link_id}' is closed")
     layout = incidence(network)
     for i, e in enumerate(cfg.actuator_events):
         check(f"actuator_events[{i}]", _link_settings, layout,
@@ -369,11 +373,10 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     for name in ("sensor_faults", "communication_events"):
         for i, e in enumerate(getattr(cfg, name)):
             check(f"{name}[{i}]", _event_column, e, columns)
-
-    if cfg.quality is not None:
-        for nid, _ in cfg.quality.source_nodes:
-            if nid not in layout.node_index:
-                problems.append(f"quality: source node '{nid}' does not exist")
+    if qstep := _quality_step(cfg, network):
+        sources = dict(cfg.quality.source_nodes) if cfg.quality else {}
+        check("quality", _substeps, QualitySettings(
+            qstep, source_nodes=sources), layout, cfg.hydraulic_time_step_s)
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -462,8 +465,7 @@ class ScenarioRuntime:
                                    self.stream.child("param", m_idx,
                                                      "decay_rate"))
         return QualitySettings(
-            quality_time_step=cfg.quality_time_step_s
-            or self.report_network.options.quality_step_s,
+            quality_time_step=_quality_step(cfg, self.report_network),
             decay_rate_k=k, source_nodes=dict(spec.source_nodes))
 
     def truth_records(self) -> tuple[GroundTruthRecord, ...]:

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wdnflow import ConfigError, CurveFitError, bundled, hydraulics, scenario
+from wdnflow import (
+    CurveFitError, UnknownSensorRefError, bundled, hydraulics, scenario,
+)
 from wdnflow.control import (
     NO_OP,
     Action,
@@ -362,11 +364,14 @@ class TestEnvLimits:
             ScenarioEnv(pumpnet_config())
 
     def test_quality_sensors_unsupported(self, toy9_config_factory):
+        """The env reads no quality, so its reader refuses quality sensors
+        as the batch reader does without a quality simulation."""
         config = toy9_config_factory(
             sensors=SensorPlacement(pressure_nodes=("n1",),
                                     quality_nodes=("n1",)),
             quality=QualitySpec(source_nodes=(("r1", 1.0),)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(UnknownSensorRefError,
+                           match="quality sensors need a quality simulation"):
             ScenarioEnv(config)
 
 

@@ -24,9 +24,11 @@ from wdnflow.events import (
     SensorFaultEvent,
     leak_emitter_coef,
     resolve_controls,
+    split_pipes_for_leaks,
 )
 from wdnflow.hydraulics import EpsEngine
-from wdnflow.quality import simulate_quality
+from wdnflow.network import Junction, Pipe
+from wdnflow.quality import QualitySettings, simulate_quality
 from wdnflow.scada import (
     ScadaData, SensorPlacement, corrupt, extract_readings, from_csv,
 )
@@ -448,6 +450,37 @@ class TestValidation:
                                               " divide"):
             validate_scenario(config, toy9)
 
+    def test_leak_on_a_closed_pipe_is_refused(self, toy9, tmp_path,
+                                              toy9_config_factory):
+        """Nothing opens a closed pipe, so a leak on one could never flow."""
+        path = tmp_path / "closed_p3.inp"
+        path.write_text(wdnflow.inp.write_inp(replace(toy9, pipes={
+            **toy9.pipes, "p3": replace(toy9.pipes["p3"], open=False)})),
+            encoding="utf-8")
+        config = toy9_config_factory(network_path=str(path), leakages=(
+            LeakageEvent(kind="abrupt", link_id="p3", diameter=0.005,
+                         window=EventWindow(0.0, 3600.0)),))
+        with pytest.raises(ConfigError) as checked:
+            validate_scenario(config, wdnflow.inp.load_network(str(path)))
+        assert str(checked.value) == "leakages[0]: pipe 'p3' is closed"
+        with pytest.raises(ConfigError, match=r"leakages\[0\]: pipe 'p3'"):
+            run_scenario(config)
+
+    def test_reserved_leak_id_is_reported_with_its_path(
+            self, toy9, toy9_config_factory):
+        network = replace(
+            toy9, junctions={**toy9.junctions, "p3__leak": Junction(
+                "p3__leak", 6.0)},
+            pipes={**toy9.pipes, "px": Pipe("px", "n3", "p3__leak", 10.0,
+                                            0.1, 100.0)})
+        config = toy9_config_factory(leakages=(
+            LeakageEvent(kind="abrupt", link_id="p3", diameter=0.005,
+                         window=EventWindow(0.0, 3600.0)),))
+        with pytest.raises(ConfigError) as checked:
+            validate_scenario(config, network)
+        assert str(checked.value) == ("leakages[0]: reserved leak id"
+                                      " 'p3__leak' collides with the network")
+
     @pytest.mark.parametrize("kind, target, value, message", [
         ("pump_speed", "p1", 0.5, "no pump 'p1'"),
         ("pump_state", "ghost", False, "no pump 'ghost'"),
@@ -483,6 +516,19 @@ class TestValidation:
         corrupt(scada, cfg.sensor_faults, cfg.communication_events, (),
                 SeededStream(cfg.seed))
 
+    @staticmethod
+    def split_leaks(cfg, network):
+        split_pipes_for_leaks(network, [e.link_id for e in cfg.leakages])
+
+    @staticmethod
+    def run_quality(cfg, network):
+        series = EpsEngine(network, cfg.duration_s,
+                           cfg.hydraulic_time_step_s).run()
+        spec = cfg.quality or QualitySpec()
+        simulate_quality(series, network, QualitySettings(
+            cfg.quality_time_step_s or network.options.quality_step_s,
+            source_nodes=dict(spec.source_nodes)))
+
     @pytest.mark.parametrize("name, apply, path, fields", [
         ("toy9", "run_engine", "actuator_events[0]", dict(actuator_events=(
             ActuatorEvent("pump_speed", "p1", 0.5, WINDOW),))),
@@ -502,12 +548,20 @@ class TestValidation:
             sensors=SensorPlacement(pressure_nodes=("j1",)),
             communication_events=(CommunicationEvent(
                 "data_loss", WINDOW, ("pressure", "j2")),))),
+        ("pumpnet", "split_leaks", "leakages[0]", dict(
+            leakages=(LeakageEvent("abrupt", "p99", 0.005, WINDOW),))),
+        ("toy9", "run_quality", "quality", dict(
+            quality_time_step_s=7, quality=QualitySpec())),
+        ("pumpnet", "run_quality", "quality", dict(
+            quality=QualitySpec(source_nodes=(("n99", 1.0),)))),
     ], ids=["toy9-actuator", "pumpnet-actuator", "toy9-placement",
-            "pumpnet-placement", "toy9-fault", "pumpnet-communication"])
+            "pumpnet-placement", "toy9-fault", "pumpnet-communication",
+            "pumpnet-leak", "toy9-quality-step", "pumpnet-quality-source"])
     def test_message_is_the_applying_layers(self, request, name, apply,
                                             path, fields):
-        """A rule the engine, the reader or the corruptor applies on every
-        run reads the same in validate_scenario, behind the config path."""
+        """A rule the engine, the reader, the corruptor, the leak split or
+        the quality transport applies on every run reads the same in
+        validate_scenario, behind the config path."""
         network = request.getfixturevalue(name)
         cfg = ScenarioConfig(getattr(bundled, f"{name}_path")(),
                              duration_s=3600, seed=0, **fields)
