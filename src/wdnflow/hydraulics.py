@@ -59,6 +59,20 @@ is solved once. The engine builds a run's
 `StateSeries` of columns itself, stacking each distinct snapshot it met once
 and taking it per step; the series' `states` are row views, built on first
 use.
+
+On a network without tanks no snapshot depends on another, so `run` knows
+every step's inputs before its first solve. It solves the distinct
+snapshots its memo lacks up front, in one Newton batch per open-link mask
+and emitter node set, and keeps them in the memo in the order of their
+first steps; its steps are then served from the memo. A batch lays its
+rows out flat (row b's links at b m + link, its nodes at b n + node, its
+unknowns at b n_u + u and its band slots at b n_u (kd + 1) + slot), so one
+numpy call serves every row. Each row stops at its own stop rule and leaves
+the batch, its sums are taken over its own row as a lone snapshot's are,
+and its band is factored and solved by its own `dpbtrf` and `dpbtrs`
+calls, so every state, iteration count and residual equals the one-by-one
+solve's bit for bit. A single solve is a batch of one, indexed with the
+topology's own arrays.
 """
 
 from __future__ import annotations
@@ -72,6 +86,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,6 +124,8 @@ GRAD_MIN = 1e-6             # floor on link gradients (caps conductance at 1e6)
 GRAD_REVERSE = 1e8          # penalty gradient blocking reverse pump flow
 VALVE_Q_LINEAR = 1e-4       # m3/s; valve quadratic loss linearized below this
 COLD_START_FLOW = 1e-3      # m3/s
+BATCH_SIZE = 1 << 16        # per batch of snapshots, at most: their nodes
+                            # and band slots (their inputs: nodes and links)
 _LAPACK = "scipy.linalg._flapack"
 
 
@@ -414,6 +431,7 @@ class _Topology:
         for k, level in enumerate(levels):
             hops[level] = k
         self.reach = hops >= 0
+        self.unreached = np.flatnonzero(~self.reach[:self.fixed.start])
         # unreachable islands: one shared head per island (its highest
         # node), so zero-flow links stay energy-consistent
         self.island_head = np.zeros(n)
@@ -422,6 +440,7 @@ class _Topology:
 
         self.act_idx = act = np.flatnonzero(active & self.reach[inc.link_from])
         self.a_from, self.a_to = inc.link_from[act], inc.link_to[act]
+        self.ends = np.concatenate([self.a_from, self.a_to])
         # the unknowns (reached, not fixed) in reverse Cuthill-McKee order
         both = np.flatnonzero((hops[self.a_from] > 0) & (hops[self.a_to] > 0))
         order = np.array(_reverse_cuthill_mckee(n, zip(
@@ -434,6 +453,13 @@ class _Topology:
         self.pipes, self.pumps, self.valves = (np.flatnonzero(kind == k)
                                                for k in range(3))
         self.r_pipe, self.r_valve = r[self.pipes], r[self.valves]
+        # the coefficient products the linearization reads, formed once
+        self.hw_r_pipe = HW_EXP * self.r_pipe
+        self.r2_valve = 2.0 * self.r_valve
+        self.pump_links = act[self.pumps]
+        self.pump_h0, self.pump_r, self.pump_n = \
+            layout.pump_coef[self.pump_links].T
+        self.pump_n1 = self.pump_n - 1.0
         # cold start: flows leave the end nearer a source; pumps run forward
         self.q0 = np.where((kind == 1) | (hops[self.a_from] <= hops[self.a_to]),
                            COLD_START_FLOW, -COLD_START_FLOW)
@@ -482,13 +508,31 @@ class _Topology:
         total = float(demand[self.unknown].sum())
         if total == 0.0:
             return None, 0.0, head
-        solved = head.copy()
-        try:
-            q = _newton(layout, self, solved, demand, np.zeros(len(head)),
-                        speed, self.q0, 0.0)[0]
-        except NonConvergenceError:
+        solved = head[None].copy()
+        _, _, q, _, _, failed = _newton(layout, self, solved, demand[None],
+                                        np.zeros_like(solved), speed[None],
+                                        self.q0[None], (0.0,))
+        if failed:
             return None, 0.0, head
-        return q, total, solved
+        return q[0], total, solved[0]
+
+    def tiled(self, rows: int) -> _Topology | SimpleNamespace:
+        """The index arrays and per-link values the Newton iteration reads,
+        laid out flat for a batch of `rows` snapshots: row b's links sit at
+        b m + link, its nodes at b n + node, its unknowns at b n_u + u and
+        its band slots at b n_u (kd + 1) + slot, and each value repeats per
+        row. For one row, the topology itself."""
+        if rows == 1:
+            return self
+        m, n, n_u = len(self.act_idx), len(self.island_head), len(self.unknown)
+        strides = {"pipes": m, "valves": m, "pumps": m, "end_link": m,
+                   "entry_link": m, "end_node": n_u,
+                   "entry_slot": n_u * (self.kd + 1), "a_from": n, "a_to": n,
+                   "unknown": n, "end_far": n, "end_far_fixed": 0,
+                   "r_pipe": 0, "hw_r_pipe": 0, "r_valve": 0, "r2_valve": 0,
+                   "pump_n": 0, "pump_n1": 0, "end_sign": 0, "entry_sign": 0}
+        return SimpleNamespace(**{name: _tile(getattr(self, name), rows, s)
+                                  for name, s in strides.items()})
 
     def start(self, demand_arr: np.ndarray) -> np.ndarray:
         """Newton's starting flows: the reference flows scaled by the total
@@ -496,6 +540,16 @@ class _Topology:
         ratio = demand_arr[self.unknown].sum() / self.ref_demand \
             if self.ref_demand else 0.0
         return self.ref_flow * ratio if ratio > 0.0 else self.q0
+
+
+def _tile(a: np.ndarray, rows: int, stride: int) -> np.ndarray:
+    """`a` once per row, row b's copy offset by b stride; repeated when the
+    stride is 0, and `a` itself for one row."""
+    if rows == 1:
+        return a
+    if not stride:
+        return np.tile(a, rows)
+    return (np.arange(rows)[:, None] * stride + a).ravel()
 
 
 def _link_settings(inc: Incidence, controls: Controls | None) -> tuple:
@@ -538,12 +592,13 @@ def _active_mask(layout: _Layout,
     return active, speed
 
 
-def _link_linearization(topo: _Topology, q: np.ndarray, pump_a: np.ndarray,
-                        pump_b: np.ndarray, pump_n: np.ndarray):
+def _link_linearization(topo: _Topology, q: np.ndarray, pump_h: np.ndarray,
+                        pump_b: np.ndarray, pump_nb: np.ndarray):
     """Headloss h(q) and gradient dh/dq per active link, with safe floors.
 
-    A pump adds pump_a - pump_b q^pump_n of head (its fitted curve at the
-    current speed); reverse pump flow meets a steep penalty.
+    A pump adds -pump_h - pump_b q^n of head (its fitted curve at the
+    current speed; pump_nb is n pump_b); reverse pump flow meets a steep
+    penalty.
     """
     h = np.empty(len(q))
     g = np.empty(len(q))
@@ -551,16 +606,16 @@ def _link_linearization(topo: _Topology, q: np.ndarray, pump_a: np.ndarray,
     pipe = topo.pipes
     qp = q[pipe]
     absq = np.abs(qp)
-    grad = HW_EXP * topo.r_pipe * np.maximum(absq, Q_LAMINAR) ** (HW_EXP - 1.0)
+    grad = topo.hw_r_pipe * np.maximum(absq, Q_LAMINAR) ** (HW_EXP - 1.0)
     h[pipe] = np.where(absq < Q_LAMINAR, grad * qp,
-                       np.sign(qp) * topo.r_pipe * absq ** HW_EXP)
+                       np.copysign(topo.r_pipe, qp) * absq ** HW_EXP)
     g[pipe] = grad
 
     valve = topo.valves
     if valve.size:
         qv = q[valve]
         absq = np.abs(qv)
-        grad = 2.0 * topo.r_valve * np.maximum(absq, VALVE_Q_LINEAR)
+        grad = topo.r2_valve * np.maximum(absq, VALVE_Q_LINEAR)
         h[valve] = np.where(absq < VALVE_Q_LINEAR, grad * qv,
                             topo.r_valve * qv * absq)
         g[valve] = grad
@@ -569,11 +624,10 @@ def _link_linearization(topo: _Topology, q: np.ndarray, pump_a: np.ndarray,
     if pump.size:
         qu = q[pump]
         fwd = qu > 0.0
-        h[pump] = -pump_a + np.where(
-            fwd, pump_b * np.maximum(qu, 0.0) ** pump_n, GRAD_REVERSE * qu)
+        h[pump] = pump_h + np.where(fwd, pump_b * np.maximum(qu, 0.0)
+                                    ** topo.pump_n, GRAD_REVERSE * qu)
         g[pump] = np.where(
-            fwd, pump_n * pump_b * np.maximum(qu, 1e-6) ** (pump_n - 1.0),
-            GRAD_REVERSE)
+            fwd, pump_nb * np.maximum(qu, 1e-6) ** topo.pump_n1, GRAD_REVERSE)
 
     np.maximum(g, GRAD_MIN, out=g)
     return h, g
@@ -616,46 +670,120 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
     past the bound cut from the mask, and the snapshot is solved again."""
     inc = layout.inc
     n_nodes = len(inc.node_ids)
-    n_junc = len(inc.junction_ids)
     fixed_heads = np.concatenate([res_heads, layout.tank_elev + levels])
     tanks = slice(n_nodes - len(levels), n_nodes)   # tanks last
     while True:
         topo = layout.topology(active)
-        cut = ~topo.reach[:n_junc] & ((demand[:n_junc] > 0.0)
-                                      | (emit_k[:n_junc] > 0.0))
-        if cut.any():
-            i = int(np.argmax(cut))
-            jid = inc.junction_ids[i]
-            raise DisconnectedDemandError(
-                f"junction '{jid}' has demand but no open path to a reservoir"
-                " or tank" if demand[i] > 0.0 else
-                f"leak at '{jid}' has no open path to a reservoir or tank")
-        head = topo.initial_head(fixed_heads)
-        q, iterations, mass_res, energy_res = _newton(
-            layout, topo, head, demand, emit_k, speed, topo.start(demand), t)
-        balance = np.bincount(np.concatenate([topo.a_from, topo.a_to]),
-                              weights=np.concatenate([-q, q]),
-                              minlength=n_nodes)
-        tank_inflow = balance[tanks].copy()
-        flow = np.zeros(len(inc.link_ids))
-        flow[topo.act_idx] = q
-        # per node, a tank filling past its maximum or draining past its
-        # minimum; cut each link whose flow enters a filling tank or leaves a
+        _check_reached(inc, topo, demand, emit_k)
+        head = topo.initial_head(fixed_heads)[None]
+        _, iterations, q, mass_res, energy_res, failed = _newton(
+            layout, topo, head, demand[None], emit_k[None], speed[None],
+            topo.start(demand)[None], (t,))
+        if failed:
+            raise failed[0]
+        flow, tank_inflow = _flows(layout, topo, q[0])
+        # a tank filling past its maximum or draining past its minimum
+        full = (levels >= layout.tank_max) & (tank_inflow > MASS_TOL)
+        empty = (levels <= layout.tank_min) & (tank_inflow < -MASS_TOL)
+        if not (full.any() or empty.any()):
+            return _state(layout, flow, tank_inflow, head[0], demand, emit_k,
+                          levels, t, iterations[0], mass_res[0],
+                          energy_res[0])
+        # cut each link whose flow enters a filling tank or leaves a
         # draining one: each pass cuts one more link
         fill, drain = np.zeros((2, n_nodes), dtype=bool)
-        fill[tanks] = (levels >= layout.tank_max) & (tank_inflow > MASS_TOL)
-        drain[tanks] = (levels <= layout.tank_min) & (tank_inflow < -MASS_TOL)
-        if not (fill.any() or drain.any()):
-            break
+        fill[tanks], drain[tanks] = full, empty
         a, b = inc.link_from, inc.link_to
         active = active & ~(((flow > 0.0) & (fill[b] | drain[a]))
                             | ((flow < 0.0) & (fill[a] | drain[b])))
 
+
+def _solve_batch(layout: _Layout, snapshots: list[tuple]
+                 ) -> list[HydraulicState | None]:
+    """Snapshots of a network without tanks, each given as `_solve`'s
+    arguments, solved in one Newton batch per open-link mask and emitter
+    node set, split into batches of at most BATCH_SIZE nodes and band slots
+    (and at least one snapshot): per snapshot, the state `_solve` returns,
+    bit for bit, or None where `_solve` raises."""
+    out: list[HydraulicState | None] = [None] * len(snapshots)
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, active, _, _, emit_k, _, _) in enumerate(snapshots):
+        groups.setdefault((active.tobytes(), np.flatnonzero(emit_k).tobytes()),
+                          []).append(i)
+    for rows in groups.values():
+        topo = layout.topology(snapshots[rows[0]][1])
+        reached = []
+        for i in rows:
+            try:
+                _check_reached(layout.inc, topo, snapshots[i][0],
+                               snapshots[i][4])
+            except DisconnectedDemandError:
+                continue
+            reached.append(i)
+        size = max(1, BATCH_SIZE // (len(layout.inc.node_ids)
+                                     + len(topo.unknown) * (topo.kd + 1)))
+        for first in range(0, len(reached), size):
+            batch = reached[first:first + size]
+            demand, _, speed, res_heads, emit_k, levels, t = (
+                np.array(column) for column in zip(*(snapshots[i]
+                                                     for i in batch)))
+            head = np.array([topo.initial_head(r) for r in res_heads])
+            done, iterations, q, mass_res, energy_res, _ = _newton(
+                layout, topo, head, demand, emit_k, speed,
+                np.array([topo.start(d) for d in demand]), t)
+            for r, b in enumerate(done.tolist()):
+                out[batch[b]] = _state(
+                    layout, *_flows(layout, topo, q[r]), head[b], demand[b],
+                    emit_k[b], levels[b], float(t[b]), iterations[r],
+                    mass_res[r], energy_res[r])
+    return out
+
+
+def _check_reached(inc: Incidence, topo: _Topology, demand: np.ndarray,
+                   emit_k: np.ndarray) -> None:
+    """Raise DisconnectedDemandError for the first junction with demand or
+    an emitter that the topology does not reach."""
+    unreached = topo.unreached
+    if not unreached.size:
+        return
+    cut = unreached[(demand[unreached] > 0.0) | (emit_k[unreached] > 0.0)]
+    if cut.size:
+        i = int(cut[0])
+        jid = inc.junction_ids[i]
+        raise DisconnectedDemandError(
+            f"junction '{jid}' has demand but no open path to a reservoir"
+            " or tank" if demand[i] > 0.0 else
+            f"leak at '{jid}' has no open path to a reservoir or tank")
+
+
+def _flows(layout: _Layout, topo: _Topology,
+           q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each link's flow from the active-link flows, and each tank's net
+    inflow."""
+    flow = np.zeros(len(layout.inc.link_ids))
+    flow[topo.act_idx] = q
+    if not layout.tank_init.size:
+        return flow, np.zeros(0)
+    n_nodes = len(layout.inc.node_ids)
+    balance = np.bincount(topo.ends, weights=np.concatenate([-q, q]),
+                          minlength=n_nodes)
+    return flow, balance[n_nodes - len(layout.tank_init):].copy()
+
+
+def _state(layout: _Layout, flow: np.ndarray, tank_inflow: np.ndarray,
+           head: np.ndarray, demand: np.ndarray, emit_k: np.ndarray,
+           levels: np.ndarray, t: float, iterations, mass_res,
+           energy_res) -> HydraulicState:
+    """The read-only state of a converged snapshot."""
+    inc = layout.inc
+    n_junc = len(inc.junction_ids)
+    head = head.copy()
     pressure = head[:n_junc] - layout.node_elev[:n_junc]
     nodes = np.flatnonzero(emit_k)   # emitters sit at junctions
     leak_flow = dict(zip(
         [inc.node_ids[n] for n in nodes.tolist()],
-        (emit_k[nodes] * np.sqrt(np.maximum(pressure[nodes], 0.0))).tolist()))
+        (emit_k[nodes] * np.sqrt(np.maximum(pressure[nodes], 0.0))).tolist(),
+    )) if nodes.size else {}
     level_arr = levels.copy()
     demand_out = demand[:n_junc].copy()
     for arr in (flow, head, pressure, level_arr, tank_inflow, demand_out):
@@ -664,67 +792,109 @@ def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
         t=t, flow=flow, head=head, pressure_head=pressure,
         tank_level=level_arr, actual_demand=demand_out,
         tank_net_inflow=tank_inflow, leak_flow=leak_flow,
-        iterations=iterations, converged=True,
+        iterations=int(iterations), converged=True,
         mass_residual=float(mass_res), energy_residual=float(energy_res))
 
 
 def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
-            demand_arr: np.ndarray, emit_k: np.ndarray, speed: np.ndarray,
-            q: np.ndarray, t: float) -> tuple[np.ndarray, int, float, float]:
-    """Newton iteration from flows q; solves the unknown heads in place and
-    returns the active-link flows, the iteration count and the final mass
-    and energy residuals."""
-    unknown, a_from, a_to = topo.unknown, topo.a_from, topo.a_to
-    end_link, end_node, end_sign = topo.end_link, topo.end_node, topo.end_sign
-    n_u, width = len(unknown), topo.kd + 1
+            demand: np.ndarray, emit_k: np.ndarray, speed: np.ndarray,
+            q: np.ndarray, t) -> tuple:
+    """Newton iteration of a batch of snapshots on one topology. Row b of
+    head and demand (per node), emit_k (per node, nonzero at the same nodes
+    in every row), speed (per link) and q (the starting flows per active
+    link) is snapshot b, at time t[b]. Solves the unknown heads of each row
+    that converges in place. Returns the rows that converge, with their
+    iteration counts, active-link flows and final mass and energy
+    residuals, and {row: NonConvergenceError} for the rows that fail.
+
+    The rows still iterating are laid out flat, as `_Topology.tiled` lays
+    them out. Each row stops at its own stop rule and then leaves the
+    batch, so a row that fails leaves the others to converge. Row sums are
+    taken over a (rows, width) view, so each row is summed as it would be
+    alone, and each row's band is factored and solved by its own LAPACK
+    calls."""
+    rows, n = head.shape
+    m, n_u, width = len(topo.act_idx), len(topo.unknown), topo.kd + 1
     lapack = _lapack()
-    demand_u = demand_arr[unknown]
-    end_far_head = np.where(topo.end_far_fixed, head[topo.end_far], 0.0)
+    full = ix = topo.tiled(rows)
+    flat = head.reshape(-1)
+    demand_u = demand.reshape(-1)[ix.unknown]
+    far = np.where(ix.end_far_fixed, flat[ix.end_far], 0.0)
+    q = q.reshape(-1)
+    w = speed[:, topo.pump_links]
+    pump_h = -(w * w * topo.pump_h0).reshape(-1)
+    pump_b = (topo.pump_r * w ** (2.0 - topo.pump_n)).reshape(-1)
+    pump_nb = ix.pump_n * pump_b
     # emitters: one-way links to a reservoir at the junction's elevation,
     # with headloss q^2 / k^2, starting at their discharge at the reference
-    emit_nodes = np.flatnonzero(emit_k)
-    emit_u, emit_kn = topo.u_of_node[emit_nodes], emit_k[emit_nodes]
-    emit_elev, emit_k2 = layout.node_elev[emit_nodes], emit_kn * emit_kn
-    if emit_nodes.size:
-        qe = emit_kn * np.sqrt(np.maximum(topo.ref_head[emit_nodes]
-                                          - emit_elev, 0.0))
-    pump_links = topo.act_idx[topo.pumps]
-    w = speed[pump_links]
-    h0, rr, pump_n = layout.pump_coef[pump_links].T
-    pump_a, pump_b = w * w * h0, rr * w ** (2.0 - pump_n)
-    pipes, r_pipes = topo.pipes, topo.r_pipe
+    emit_nodes = np.flatnonzero(emit_k[0])
+    n_e = len(emit_nodes)
+    if n_e:
+        emit_kn = emit_k[:, emit_nodes]
+        emit_k2 = (emit_kn * emit_kn).reshape(-1)
+        qe = (emit_kn * np.sqrt(np.maximum(
+            topo.ref_head[emit_nodes] - layout.node_elev[emit_nodes],
+            0.0))).reshape(-1)
+        emit_u = _tile(topo.u_of_node[emit_nodes], rows, n_u)
+        emit_at = _tile(emit_nodes, rows, n)
+        emit_elev = _tile(layout.node_elev[emit_nodes], rows, 0)
+    live = np.arange(rows)        # the batch row of each live row
+    passed = np.zeros(rows, dtype=bool)
+    kept = []     # per stop: the rows, their counts, flows and residuals
+    failed: dict[int, NonConvergenceError] = {}
 
-    def residuals(dh: np.ndarray) -> tuple[float, float]:
-        """The largest junction mass and pipe or emitter headloss-law errors
-        of the current flows and heads."""
-        mass = np.bincount(end_node, weights=end_sign * q[end_link],
-                           minlength=n_u) - demand_u
-        qp = q[pipes]
-        energy = np.abs(dh[pipes]
-                        - np.sign(qp) * r_pipes * np.abs(qp) ** HW_EXP)
-        energy = energy.max() if pipes.size else 0.0
-        if emit_nodes.size:
+    def residuals(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per live row, the largest junction mass and pipe or emitter
+        headloss-law errors of the current flows and heads."""
+        mass = np.bincount(ix.end_node, weights=ix.end_sign * q[ix.end_link],
+                           minlength=size * n_u) - demand_u
+        qp = q[ix.pipes]
+        energy = np.maximum.reduce(np.abs(
+            dh[ix.pipes] - np.copysign(ix.r_pipe, qp) * np.abs(qp) ** HW_EXP
+        ).reshape(size, -1), axis=1, initial=0.0)
+        if n_e:
             mass[emit_u] -= qe
-            energy = max(energy, np.abs(
-                np.maximum(head[emit_nodes] - emit_elev, 0.0)
-                - np.maximum(qe, 0.0) ** 2 / emit_k2).max())
-        return np.abs(mass).max() if n_u else 0.0, energy
+            emitter = np.maximum.reduce(np.abs(
+                np.maximum(flat[emit_at] - emit_elev, 0.0)
+                - np.maximum(qe, 0.0) ** 2 / emit_k2).reshape(size, n_e),
+                axis=1)
+            # as max(energy, emitter) takes each row's larger
+            energy = np.where(emitter > energy, emitter, energy)
+        return np.maximum.reduce(np.abs(mass).reshape(size, n_u), axis=1,
+                                 initial=0.0), energy
 
-    passed = False
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        iterations += 1
-        h, g = _link_linearization(topo, q, pump_a, pump_b, pump_n)
+    def keep(done: np.ndarray, mass: np.ndarray, energy: np.ndarray) -> None:
+        """Keep the results of the live rows in done, and their heads in
+        their rows of `head`."""
+        sel = slice(None) if np.count_nonzero(done) == size else done
+        if compacted:
+            head[live[sel]] = flat.reshape(size, n)[sel]
+        rows_done = live[sel]
+        kept.append((rows_done, [step] * len(rows_done),
+                     q.reshape(size, m)[sel], mass[sel], energy[sel]))
+
+    def fail(b: int, mass: np.ndarray, energy: np.ndarray) -> None:
+        """Fail live row b with the larger of its residuals."""
+        row = int(live[b])
+        failed[row] = NonConvergenceError(step, max(mass[b], energy[b]),
+                                          t[row])
+
+    step, size, compacted = 0, rows, False
+    stopping = False    # some row passed the stop rule's test last iteration
+    while step < MAX_ITERATIONS:
+        step += 1
+        h, g = _link_linearization(ix, q, pump_h, pump_b, pump_nb)
         c = 1.0 / g
         y = q - h * c
 
-        band = np.bincount(topo.entry_slot,
-                           weights=c[topo.entry_link] * topo.entry_sign,
-                           minlength=n_u * width)
-        rhs = np.bincount(end_node, weights=end_sign * y[end_link]
-                          + c[end_link] * end_far_head, minlength=n_u) - demand_u
+        band = np.bincount(ix.entry_slot,
+                           weights=c[ix.entry_link] * ix.entry_sign,
+                           minlength=size * n_u * width)
+        rhs = np.bincount(ix.end_node, weights=ix.end_sign * y[ix.end_link]
+                          + c[ix.end_link] * far,
+                          minlength=size * n_u) - demand_u
 
-        if emit_nodes.size:
+        if n_e:
             fwd = qe > 0.0
             ce = 1.0 / np.maximum(np.where(fwd, 2.0 * qe / emit_k2,
                                            GRAD_REVERSE), GRAD_MIN)
@@ -732,37 +902,83 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
             band[emit_u * width] += ce
             rhs[emit_u] += ce * emit_elev - ye
 
-        # factor and solve in place: the transposed view is Fortran-ordered
-        factor, info = lapack.dpbtrf(band.reshape(n_u, width).T, lower=1,
-                                     overwrite_ab=1)
-        if not info:
-            rhs, info = lapack.dpbtrs(factor, rhs, lower=1, overwrite_b=1)
-        if info:
-            raise NonConvergenceError(
-                iterations, max(residuals(head[a_from] - head[a_to])), t)
-        head[unknown] = rhs
+        # factor and solve each row in place: the transposed view of a row's
+        # band is Fortran-ordered
+        bands, solved = band.reshape(size, n_u, width), rhs.reshape(size, n_u)
+        singular = []
+        for b in range(size):
+            factor, info = lapack.dpbtrf(bands[b].T, lower=1, overwrite_ab=1)
+            if not info:
+                x, info = lapack.dpbtrs(factor, solved[b], lower=1,
+                                        overwrite_b=1)
+                if x.base is not rhs:   # solved in a copy
+                    solved[b] = x
+            if info:
+                singular.append(b)
+        if singular:
+            # such a row fails at its current iterate; it keeps its heads
+            # until it leaves the batch below
+            mass, energy = residuals(flat[ix.a_from] - flat[ix.a_to])
+            for b in singular:
+                fail(b, mass, energy)
+                solved[b] = flat.reshape(size, n)[b, topo.unknown]
+            passed[singular] = False
+        flat[ix.unknown] = rhs
 
-        dh = head[a_from] - head[a_to]
+        dh = flat[ix.a_from] - flat[ix.a_to]
         q_new = y + c * dh
-        if emit_nodes.size:
-            qe = ye + ce * (head[emit_nodes] - emit_elev)
-        rel = np.abs(q_new - q).sum() / max(np.abs(q_new).sum(), FLOW_FLOOR)
+        if n_e:
+            qe = ye + ce * (flat[emit_at] - emit_elev)
+        rel = (np.add.reduce(np.abs(q_new - q).reshape(size, m), axis=1)
+               / np.maximum(np.add.reduce(np.abs(q_new).reshape(size, m),
+                                          axis=1), FLOW_FLOOR))
         q = q_new
 
         # stop rule: one full Newton step past the first converged iterate;
         # the residuals, with the updated flows and heads, are computed only
         # where the rule reads them
-        if passed:
-            mass_res, energy_res = residuals(dh)
-            break
-        if rel <= ACCURACY:
-            mass_res, energy_res = residuals(dh)
-            passed = mass_res <= MASS_TOL and energy_res <= ENERGY_TOL
+        drop, converged = None, rel <= ACCURACY
+        if stopping or np.count_nonzero(converged):
+            mass, energy = residuals(dh)
+            ok = converged & (mass <= MASS_TOL) & (energy <= ENERGY_TOL)
+            if stopping:
+                keep(passed, mass, energy)
+                drop, ok = passed, ok & ~passed
+            passed, stopping = ok, np.count_nonzero(ok)
+        if singular:
+            if drop is None:
+                drop = np.zeros(size, dtype=bool)
+            drop[singular] = True
+        if drop is not None:
+            if np.count_nonzero(drop) == size:
+                size = 0
+                break
+            stay = ~drop
+            q, flat, demand_u, far, pump_h, pump_b, pump_nb = (
+                a.reshape(size, -1)[stay].reshape(-1) for a in (
+                    q, flat, demand_u, far, pump_h, pump_b, pump_nb))
+            if n_e:
+                qe, emit_k2, emit_elev = (
+                    a.reshape(size, -1)[stay].reshape(-1)
+                    for a in (qe, emit_k2, emit_elev))
+            live, passed = live[stay], passed[stay]
+            size, compacted = len(live), True
+            ix = SimpleNamespace(**{name: a[:size * (len(a) // rows)]
+                                    for name, a in vars(full).items()})
+            if n_e:
+                emit_u, emit_at = emit_u[:size * n_e], emit_at[:size * n_e]
 
-    if not passed:
-        raise NonConvergenceError(
-            iterations, max(residuals(head[a_from] - head[a_to])), t)
-    return q, iterations, mass_res, energy_res
+    if size:
+        # at the iteration cap, a row that passed keeps its iterate and the
+        # others fail
+        mass, energy = residuals(flat[ix.a_from] - flat[ix.a_to])
+        keep(passed, mass, energy)
+        for b in np.flatnonzero(~passed).tolist():
+            fail(b, mass, energy)
+    if len(kept) != 1:    # none, or several stops: join them
+        none = (live[:0], live[:0], np.empty((0, m)), np.empty(0), np.empty(0))
+        kept = [[np.concatenate(part) for part in zip(none, *kept)]]
+    return (*kept[0], failed)
 
 
 # --- extended-period engine --------------------------------------------------
@@ -784,7 +1000,13 @@ class EpsEngine:
     levels), and a snapshot that repeats them is served the kept state's
     read-only arrays;
     `iteration_counts` histograms the Newton iterations of the snapshots
-    actually solved. The plan, the memo and the histogram outlive `reset`.
+    actually solved. On a network without tanks `run` first solves the
+    distinct snapshots the memo lacks in batches (see the module
+    docstring), with the states, histogram and `solves` of stepping. A
+    snapshot that fails in a batch is solved again by its step, so `run`
+    raises the error of its first failing step, and the snapshots that
+    converged stay kept and counted. The plan, the memo and the histogram
+    outlive `reset`.
     The memo holds the states of one episode (its steps and a preview),
     dropping the least recently used. `tank_levels` holds the current level
     per tank, in layout order, and `times` each step's t.
@@ -853,6 +1075,30 @@ class EpsEngine:
         self._input = [ids.setdefault((row.tobytes(), settings), len(ids))
                        for row, settings in zip(rows, self._settings)]
 
+    def _key(self, k: int, settings: tuple) -> tuple:
+        """The memo key of step k under these resolved override settings at
+        the current tank levels."""
+        return (self._input[k], settings, self.tank_levels.tobytes())
+
+    def _inputs(self, k: int, settings: tuple) -> tuple:
+        """`_solve`'s arguments for step k under its planned inputs, with
+        these resolved override settings beneath its planned controls, at
+        the current tank levels."""
+        layout = self.layout
+        emit_k = np.zeros(len(layout.inc.node_ids))
+        emit_k[self._emit_nodes] = self._emit[k]
+        return (layout.demand(self._mult[k]),
+                *_active_mask(layout, settings, self._settings[k]),
+                self._res[k], emit_k, self.tank_levels,
+                float(k * self.step_s))
+
+    def _solved(self, state: HydraulicState) -> None:
+        """Count a newly solved state's iterations and make room for it in
+        the memo, dropping the least recently used state."""
+        self.iteration_counts[state.iterations] += 1
+        if len(self._memo) > self.total_steps:
+            del self._memo[next(iter(self._memo))]
+
     def _recall(self, overrides: Controls | None) -> HydraulicState:
         """The current step's snapshot under its planned inputs, with the
         overrides, checked first, beneath its planned controls; solved on a
@@ -861,19 +1107,11 @@ class EpsEngine:
         if k >= self.total_steps:
             raise IndexError("simulation horizon already reached")
         settings = _link_settings(self.layout.inc, overrides)
-        key = (self._input[k], settings, self.tank_levels.tobytes())
+        key = self._key(k, settings)
         state = self._memo.pop(key, None)
         if state is None:
-            layout = self.layout
-            emit_k = np.zeros(len(layout.inc.node_ids))
-            emit_k[self._emit_nodes] = self._emit[k]
-            state = _solve(layout, layout.demand(self._mult[k]),
-                           *_active_mask(layout, settings, self._settings[k]),
-                           self._res[k], emit_k, self.tank_levels,
-                           float(k * self.step_s))
-            self.iteration_counts[state.iterations] += 1
-            if len(self._memo) > self.total_steps:
-                del self._memo[next(iter(self._memo))]
+            state = _solve(self.layout, *self._inputs(k, settings))
+            self._solved(state)
         self._memo[key] = state
         return state
 
@@ -930,9 +1168,36 @@ class EpsEngine:
                  for s in where], len(leak_ids)))
 
     def run(self) -> StateSeries:
+        """Step to the horizon and return the series of the steps taken."""
+        if not self.tank_levels.size:
+            self._solve_planned()
         for _ in range(self.total_steps):
             self._advance(self._recall(None))
         return self.series()
+
+    def _solve_planned(self) -> None:
+        """Solve the distinct planned snapshots of the steps to come that
+        the memo lacks, in one Newton batch per topology and emitter node
+        set, and keep them in the memo in the order of their first steps.
+        Only a network without tanks knows every step's inputs up front. A
+        snapshot that fails is left out; its step solves it again, so a run
+        raises the error of its first failing step."""
+        first: dict[tuple, int] = {}
+        for k in range(self.step_index, self.total_steps):
+            key = self._key(k, ())
+            if key not in self._memo:
+                first.setdefault(key, k)
+        # the inputs of at most BATCH_SIZE nodes and links at a time
+        inc, keys = self.layout.inc, list(first)
+        size = max(1, BATCH_SIZE // (len(inc.node_ids) + len(inc.link_ids)))
+        for start in range(0, len(keys), size):
+            chunk = keys[start:start + size]
+            states = _solve_batch(self.layout, [self._inputs(first[key], ())
+                                                for key in chunk])
+            for key, state in zip(chunk, states):
+                if state is not None:
+                    self._solved(state)
+                    self._memo[key] = state
 
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,

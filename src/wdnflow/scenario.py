@@ -335,12 +335,19 @@ def config_digest(cfg: ScenarioConfig) -> str:
 
 # ------------------------------------------------------------- validation
 
-def _quality_step(cfg: ScenarioConfig, network: Network) -> int | None:
-    """The config's quality step, else the network's when quality runs."""
-    if cfg.quality_time_step_s is None and (cfg.quality
-                                            or cfg.sensors.quality_nodes):
-        return network.options.quality_step_s
-    return cfg.quality_time_step_s
+def _quality_settings(cfg: ScenarioConfig,
+                      network: Network) -> QualitySettings | None:
+    """The settings of the quality the run simulates, before uncertainty:
+    the config's spec, or the default spec when only quality sensors ask
+    for quality, at the config's quality step, else the network's. None
+    when the run simulates no quality."""
+    if cfg.quality is None and not cfg.sensors.quality_nodes:
+        return None
+    spec = cfg.quality or QualitySpec()
+    step = cfg.quality_time_step_s
+    return QualitySettings(
+        network.options.quality_step_s if step is None else step,
+        spec.decay_rate_k, dict(spec.source_nodes))
 
 
 def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
@@ -373,10 +380,13 @@ def validate_scenario(cfg: ScenarioConfig, network: Network) -> None:
     for name in ("sensor_faults", "communication_events"):
         for i, e in enumerate(getattr(cfg, name)):
             check(f"{name}[{i}]", _event_column, e, columns)
-    if qstep := _quality_step(cfg, network):
-        sources = dict(cfg.quality.source_nodes) if cfg.quality else {}
-        check("quality", _substeps, QualitySettings(
-            qstep, source_nodes=sources), layout, cfg.hydraulic_time_step_s)
+    settings = _quality_settings(cfg, network)
+    if settings is None and cfg.quality_time_step_s is not None:
+        # a stated step is checked even when no quality runs
+        settings = QualitySettings(cfg.quality_time_step_s)
+    if settings is not None:
+        check("quality", _substeps, settings, layout,
+              cfg.hydraulic_time_step_s)
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -454,19 +464,16 @@ class ScenarioRuntime:
                          self.control_hook, self.emitter_hook)
 
     def quality_settings(self) -> QualitySettings | None:
-        cfg = self.config
-        if cfg.quality is None and not cfg.sensors.quality_nodes:
+        settings = _quality_settings(self.config, self.report_network)
+        if settings is None:
             return None
-        spec = cfg.quality or QualitySpec()
-        k = spec.decay_rate_k
-        for m_idx, m in enumerate(cfg.uncertainties):
+        k = settings.decay_rate_k
+        for m_idx, m in enumerate(self.config.uncertainties):
             if m.target == "decay_rate":
                 k = perturb_scalar(m, k,
                                    self.stream.child("param", m_idx,
                                                      "decay_rate"))
-        return QualitySettings(
-            quality_time_step=_quality_step(cfg, self.report_network),
-            decay_rate_k=k, source_nodes=dict(spec.source_nodes))
+        return replace(settings, decay_rate_k=k)
 
     def truth_records(self) -> tuple[GroundTruthRecord, ...]:
         return tuple(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -645,26 +646,31 @@ class TestSnapshotPurity:
     Newton start depends on the topology only, never on the snapshots
     solved before. The engine serves a
     snapshot whose inputs repeat from its memo, so this also checks those
-    hits against a fresh solve."""
+    hits against a fresh solve. Each run is both stepped with `step_once`
+    and made by `run` on a second engine, which on a network without tanks
+    solves the distinct snapshots in batches."""
 
     STATE_ARRAYS = ("flow", "head", "pressure_head", "tank_level",
                     "actual_demand", "tank_net_inflow")
 
     def assert_pure(self, network, engine, picks):
+        ran = EpsEngine(engine.network, engine.duration_s, engine.step_s,
+                        engine.control_hook, engine.emitter_hook).run().states
         inputs, states = run_recording_inputs(engine)
         for i in picks(states):
             t, demands, controls, emitters, levels = inputs[i]
             alone = solve_snapshot(replace(network), demands, controls,
                                    emitters=emitters, tank_levels=levels, t=t)
-            for name in self.STATE_ARRAYS:
-                assert getattr(alone, name).tobytes() \
-                    == getattr(states[i], name).tobytes(), (t, name)
-            assert states[i].t == t
-            assert states[i].leak_flow == alone.leak_flow, t
-            assert (states[i].iterations, states[i].mass_residual,
-                    states[i].energy_residual) == (
-                alone.iterations, alone.mass_residual,
-                alone.energy_residual), t
+            for state in (states[i], ran[i]):
+                for name in self.STATE_ARRAYS:
+                    assert getattr(alone, name).tobytes() \
+                        == getattr(state, name).tobytes(), (t, name)
+                assert state.t == t
+                assert state.leak_flow == alone.leak_flow, t
+                assert (state.iterations, state.mass_residual,
+                        state.energy_residual) == (
+                    alone.iterations, alone.mass_residual,
+                    alone.energy_residual), t
         return states
 
     def assert_hits_are_fresh(self, network, engine):
@@ -773,6 +779,180 @@ class TestSnapshotPurity:
         valve = list(net.link_ids()).index("v1")
         assert float(states[10].flow[valve]) == 0.0
         assert float(states[4].flow[valve]) != 0.0
+
+
+SERIES_COLUMNS = ("flow", "head", "pressure_head", "tank_level",
+                  "actual_demand", "tank_net_inflow", "iterations",
+                  "mass_residual", "energy_residual", "leak_flow")
+
+
+def record_batch_sizes(monkeypatch):
+    """The number of snapshots in each Newton call, as the calls are made."""
+    sizes = []
+    newton = hydraulics._newton
+
+    def spy(layout, topo, head, *args):
+        sizes.append(len(head))
+        return newton(layout, topo, head, *args)
+    monkeypatch.setattr(hydraulics, "_newton", spy)
+    return sizes
+
+
+class TestBatchEqualsStepping:
+    """On a network without tanks, `run` solves the distinct snapshots of
+    its horizon in one Newton batch per topology and emitter node set. Its
+    series equals, bit for bit, the series of the same engine stepped with
+    `step_once`, which solves one snapshot at a time."""
+
+    @staticmethod
+    def two_day_engine(network):
+        """toy9 over two days at 300 s: two incipient leaks in separate
+        windows (emitters at none, n3 or n6) and p10 closed from 10 h to
+        30 h (two topologies)."""
+        leaks = [LeakageEvent(kind="incipient", link_id=link, diameter=0.01,
+                              window=EventWindow(start, end, peak_time=peak))
+                 for link, start, end, peak in (
+                     ("p3", 6 * 3600, 14 * 3600, 12 * 3600),
+                     ("p6", 26 * 3600, 34 * 3600, 30 * 3600))]
+        junction = {"p3": "n3", "p6": "n6"}
+        shut = Controls(pipe_open={"p10": False})
+
+        def emitters(t):
+            k = {junction[e.link_id]: leak_emitter_coef(e, t) for e in leaks}
+            return {j: v for j, v in k.items() if v > 0.0} or None
+        return EpsEngine(network, duration_s=2 * 86400, step_s=300,
+                         emitter_hook=emitters,
+                         control_hook=lambda t: shut
+                         if 10 * 3600 <= t < 30 * 3600 else None)
+
+    def assert_run_equals_stepping(self, make, monkeypatch):
+        """Two engines from make(): one stepped, one run. Returns the run
+        engine and the number of snapshots in each of its Newton calls."""
+        stepped = make()
+        for _ in range(stepped.total_steps):
+            stepped.step_once()
+        expected = stepped.series()
+        sizes = record_batch_sizes(monkeypatch)
+        batched = make()
+        series = batched.run()
+        for name in SERIES_COLUMNS:
+            assert getattr(series, name).tobytes() \
+                == getattr(expected, name).tobytes(), name
+        assert series.leak_ids == expected.leak_ids
+        assert batched.iteration_counts == stepped.iteration_counts
+        assert batched.solves == stepped.solves < batched.total_steps
+        return batched, sizes
+
+    @pytest.mark.parametrize("batch_size", [None, 98])
+    def test_toy9_two_days(self, toy9, monkeypatch, batch_size):
+        # a BATCH_SIZE of 98 holds two rows of either toy9 topology: 9
+        # nodes and 8 unknowns in a band 5 or 3 wide
+        if batch_size is not None:
+            monkeypatch.setattr(hydraulics, "BATCH_SIZE", batch_size)
+        batched, sizes = self.assert_run_equals_stepping(
+            lambda: self.two_day_engine(replace(toy9)), monkeypatch)
+        assert max(sizes) == 2 if batch_size else max(sizes) > 2
+        assert batched.series().leak_ids == ("n3", "n6")
+        assert len(_layout(batched.network)._topologies) == 2
+
+    def test_grid_without_its_tank(self, monkeypatch):
+        # a pump speed window, a valve closed for 8 h and a leak
+        grid = parse_inp(grid_inp(5))
+        net = replace(grid, tanks={}, pipes={
+            pid: p for pid, p in grid.pipes.items() if pid != "pt"})
+        fast = Controls(pump_speed={"pu1": 1.2})
+        shut = Controls(valve_open={"v1": False})
+
+        def controls(t):
+            return shut if 8 * 3600 <= t < 16 * 3600 else \
+                fast if t >= 18 * 3600 else None
+        batched, sizes = self.assert_run_equals_stepping(
+            lambda: EpsEngine(replace(net), control_hook=controls,
+                              emitter_hook=lambda t: {"j002003": 1e-3}
+                              if 4 * 3600 <= t < 12 * 3600 else None),
+            monkeypatch)
+        assert max(sizes) > 1
+
+    def test_a_rerun_solves_nothing(self, toy9, monkeypatch):
+        engine = self.two_day_engine(replace(toy9))
+        first = engine.run().digest()
+        solves = engine.solves
+        sizes = record_batch_sizes(monkeypatch)
+        engine.reset()
+        assert engine.run().digest() == first
+        assert engine.solves == solves and sizes == []
+
+
+class TestBatchFailsAsStepping:
+    """A batched run raises the error a stepped run raises: that of its
+    first failing step. A snapshot that fails in the batch leaves the
+    others to converge and be kept."""
+
+    def stepped_error(self, engine, error):
+        with pytest.raises(error) as exc:
+            for _ in range(engine.total_steps):
+                engine.step_once()
+        return exc.value
+
+    def test_the_earlier_disconnection_is_raised(self, toy9):
+        # closing p4 cuts off n4 from 4 h to 6 h, closing p9 cuts off n8
+        # from 10 h to 12 h
+        def controls(t):
+            if 4 * 3600 <= t < 6 * 3600:
+                return Controls(pipe_open={"p4": False})
+            if 10 * 3600 <= t < 12 * 3600:
+                return Controls(pipe_open={"p9": False})
+            return None
+
+        def engine():
+            return EpsEngine(replace(toy9), duration_s=86400, step_s=300,
+                             control_hook=controls)
+        expected = self.stepped_error(engine(), DisconnectedDemandError)
+        with pytest.raises(DisconnectedDemandError) as exc:
+            engine().run()
+        assert str(exc.value) == str(expected)
+        assert "'n4'" in str(exc.value)
+
+    def test_nonconvergence_is_raised_as_stepping_raises(self, toy9,
+                                                         monkeypatch):
+        # without a leak a toy9 snapshot converges in 2 iterations, with
+        # the leak from 6 h to 18 h in 5. The cap is read when run is
+        # called; the topology and its reference are built before it
+        net = replace(toy9)
+        solve_snapshot(net, base_demands(net))
+
+        def engine():
+            return EpsEngine(net, duration_s=86400, step_s=300,
+                             emitter_hook=lambda t: {"n3": 2e-4}
+                             if 6 * 3600 <= t < 18 * 3600 else None)
+        stepped, batched = engine(), engine()
+        monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 3)
+        expected = self.stepped_error(stepped, NonConvergenceError)
+        with pytest.raises(NonConvergenceError) as exc:
+            batched.run()
+        assert (exc.value.t, exc.value.iterations, exc.value.residual) == (
+            expected.t, expected.iterations, expected.residual)
+        assert exc.value.t == 6 * 3600.0 and str(exc.value) == str(expected)
+        # every distinct snapshot that converges alone was kept, the hours
+        # after the leak among them
+        first = {}
+        for k, input_id in enumerate(batched._input):
+            first.setdefault(input_id, k)
+        alone = Counter()
+        for k in first.values():
+            t = k * 300.0
+            demands = {jid: j.base_demand * pattern_value(
+                net.patterns.get(j.demand_pattern_id), t,
+                net.options.pattern_step_s)
+                for jid, j in net.junctions.items()}
+            try:
+                state = solve_snapshot(net, demands, t=t,
+                                       emitters=batched.emitter_hook(t))
+            except NonConvergenceError:
+                continue
+            alone[state.iterations] += 1
+        assert batched.iteration_counts == alone
+        assert batched.solves == sum(alone.values()) > stepped.solves
 
 
 class TestPlannedHorizon:
