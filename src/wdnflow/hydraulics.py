@@ -54,30 +54,32 @@ coefficients and control set's link settings from one call of each hook
 per step, each answer read when the hook returns it. Steps
 whose planned inputs are bytewise equal share an input id. A snapshot whose
 input id, resolved override settings and tank levels repeat an earlier
-one's is served from a memo of converged states, so each distinct snapshot
-is solved once. The engine builds a run's
+one's is served from a memo of solved snapshots, its state or its error, so
+each distinct snapshot is solved once. The engine builds a run's
 `StateSeries` of columns itself, stacking each distinct snapshot it met once
 and taking it per step; the series' `states` are row views, built on first
 use.
 
-On a network without tanks no snapshot depends on another, so `run` knows
-every step's inputs before its first solve. It solves the distinct
-snapshots its memo lacks up front, in one Newton batch per open-link mask
-and emitter node set, and keeps them in the memo in the order of their
-first steps; its steps are then served from the memo. A batch lays its
-rows out flat (row b's links at b m + link, its nodes at b n + node, its
-unknowns at b n_u + u and its band slots at b n_u (kd + 1) + slot), so one
-numpy call serves every row. Each row stops at its own stop rule and leaves
-the batch, its sums are taken over its own row as a lone snapshot's are,
-and its band is factored and solved by its own `dpbtrf` and `dpbtrs`
-calls, so every state, iteration count and residual equals the one-by-one
-solve's bit for bit. A single solve is a batch of one, indexed with the
-topology's own arrays. A batch holds at most BATCH_SIZE nodes and band
-slots, and at least one row: on tankless 12 x 12 and 24 x 24 grids over
-two days at 300 s with a leak (264 distinct snapshots, one BLAS thread)
-that bound ran as fast as any, while one batch per topology ran up to
-1.35x slower and on 24 x 24 raised peak RSS by 158 MB against 29 MB, as
-a row's band alone takes 115 KB there.
+Every solve goes through one function, which solves its snapshots in one
+Newton batch per open-link mask and emitter node set and runs the status
+loop over them: each snapshot that the tank rule above cuts a link from is
+solved again in the next pass's batches, and each that fails keeps its
+DisconnectedDemandError or NonConvergenceError as its result. A batch lays
+its rows out flat (row b's links at b m + link, its nodes at b n + node,
+its unknowns at b n_u + u and its band slots at b n_u (kd + 1) + slot), so
+one numpy call serves every row. Each row stops at its own stop rule and
+leaves the batch, its sums are taken over its own row, and its band is
+factored and solved by its own `dpbtrf` and `dpbtrs` calls, so every
+state, iteration count and residual is the same alone as among others,
+bit for bit. A lone snapshot is a batch of one, indexed with the
+topology's own arrays. On a network without tanks no snapshot depends on
+another, so `run` solves the distinct snapshots its memo lacks up front,
+in one call. A batch holds at most BATCH_SIZE nodes and band slots, and
+at least one row: on tankless 12 x 12 and 24 x 24 grids over two days at
+300 s with a leak (264 distinct snapshots, one BLAS thread) that bound
+ran as fast as any, while one batch per topology ran up to 1.35x slower
+and on 24 x 24 raised peak RSS by 158 MB against 29 MB, as a row's band
+alone takes 115 KB there.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ from .errors import (
     DisconnectedDemandError,
     NonConvergenceError,
     UnknownTargetError,
+    WdnflowError,
 )
 from .network import (
     Curve, Incidence, Network, Pattern, _compiled, _finite, _node_height,
@@ -512,13 +515,12 @@ class _Topology:
         total = float(demand[self.unknown].sum())
         if total == 0.0:
             return None, 0.0, head
-        solved = head[None].copy()
-        _, _, q, _, _, failed = _newton(layout, self, solved, demand[None],
-                                        np.zeros_like(solved), speed[None],
-                                        self.q0[None], (0.0,))
-        if failed:
+        result, = _newton(layout, self, head[None].copy(), demand[None],
+                          np.zeros((1, len(head))), speed[None],
+                          self.q0[None], (0.0,))
+        if isinstance(result, WdnflowError):
             return None, 0.0, head
-        return q[0], total, solved[0]
+        return result[1], total, result[2]
 
     def tiled(self, rows: int) -> _Topology | SimpleNamespace:
         """The index arrays and per-link values the Newton iteration reads,
@@ -660,125 +662,126 @@ def solve_snapshot(network: Network, demands: dict[str, float],
     levels = _scatter(layout.tank_init.copy(), layout.tank_index,
                       tank_levels or {}, "tank", "tank level")
     mask = _active_mask(layout, _link_settings(layout.inc, controls))
-    return _solve(layout, demand, *mask,
-                  layout.reservoir_heads(t), layout.emitter_k(emitters or {}),
-                  levels, t)
-
-
-def _solve(layout: _Layout, demand: np.ndarray, active: np.ndarray,
-           speed: np.ndarray, res_heads: np.ndarray, emit_k: np.ndarray,
-           levels: np.ndarray, t: float) -> HydraulicState:
-    """The snapshot of these per-node demands and emitter coefficients,
-    open-link mask, pump speeds, reservoir heads and tank levels. A tank at
-    a bound that the solution keeps pushing against has the links pushing it
-    past the bound cut from the mask, and the snapshot is solved again."""
-    inc = layout.inc
-    n_nodes = len(inc.node_ids)
-    fixed_heads = np.concatenate([res_heads, layout.tank_elev + levels])
-    tanks = slice(n_nodes - len(levels), n_nodes)   # tanks last
-    while True:
-        topo = layout.topology(active)
-        _check_reached(inc, topo, demand, emit_k)
-        head = topo.initial_head(fixed_heads)[None]
-        _, iterations, q, mass_res, energy_res, failed = _newton(
-            layout, topo, head, demand[None], emit_k[None], speed[None],
-            topo.start(demand)[None], (t,))
-        if failed:
-            raise failed[0]
-        flow, tank_inflow = _flows(layout, topo, q[0])
-        # a tank filling past its maximum or draining past its minimum
-        full = (levels >= layout.tank_max) & (tank_inflow > MASS_TOL)
-        empty = (levels <= layout.tank_min) & (tank_inflow < -MASS_TOL)
-        if not (full.any() or empty.any()):
-            return _state(layout, flow, tank_inflow, head[0], demand, emit_k,
-                          levels, t, iterations[0], mass_res[0],
-                          energy_res[0])
-        # cut each link whose flow enters a filling tank or leaves a
-        # draining one: each pass cuts one more link
-        fill, drain = np.zeros((2, n_nodes), dtype=bool)
-        fill[tanks], drain[tanks] = full, empty
-        a, b = inc.link_from, inc.link_to
-        active = active & ~(((flow > 0.0) & (fill[b] | drain[a]))
-                            | ((flow < 0.0) & (fill[a] | drain[b])))
+    state, = _solve_batch(layout, [(
+        demand, *mask, layout.reservoir_heads(t),
+        layout.emitter_k(emitters or {}), levels, t)])
+    if isinstance(state, WdnflowError):
+        raise state
+    return state
 
 
 def _solve_batch(layout: _Layout, snapshots: list[tuple]
-                 ) -> list[HydraulicState | None]:
-    """Snapshots of a network without tanks, each given as `_solve`'s
-    arguments, solved in one Newton batch per open-link mask and emitter
-    node set, split into batches of at most BATCH_SIZE nodes and band slots
-    (and at least one snapshot): per snapshot, the state `_solve` returns,
-    bit for bit, or None where `_solve` raises."""
-    out: list[HydraulicState | None] = [None] * len(snapshots)
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, active, _, _, emit_k, _, _) in enumerate(snapshots):
-        groups.setdefault((active.tobytes(), np.flatnonzero(emit_k).tobytes()),
-                          []).append(i)
-    for rows in groups.values():
-        topo = layout.topology(snapshots[rows[0]][1])
-        reached = []
-        for i in rows:
-            try:
-                _check_reached(layout.inc, topo, snapshots[i][0],
-                               snapshots[i][4])
-            except DisconnectedDemandError:
-                continue
-            reached.append(i)
-        size = max(1, BATCH_SIZE // (len(layout.inc.node_ids)
-                                     + len(topo.unknown) * (topo.kd + 1)))
-        for first in range(0, len(reached), size):
-            batch = reached[first:first + size]
-            demand, _, speed, res_heads, emit_k, levels, t = (
-                np.array(column) for column in zip(*(snapshots[i]
-                                                     for i in batch)))
-            head = np.array([topo.initial_head(r) for r in res_heads])
-            done, iterations, q, mass_res, energy_res, _ = _newton(
-                layout, topo, head, demand, emit_k, speed,
-                np.array([topo.start(d) for d in demand]), t)
-            for r, b in enumerate(done.tolist()):
-                out[batch[b]] = _state(
-                    layout, *_flows(layout, topo, q[r]), head[b], demand[b],
-                    emit_k[b], levels[b], float(t[b]), iterations[r],
-                    mass_res[r], energy_res[r])
+                 ) -> list[HydraulicState | WdnflowError]:
+    """Snapshots, each given as its per-node demands, open-link mask, pump
+    speeds, reservoir heads, per-node emitter coefficients, tank levels and
+    t, solved in one Newton batch per open-link mask and emitter node set,
+    split into batches of at most BATCH_SIZE nodes and band slots (and at
+    least one snapshot). Per snapshot: its state, or the
+    DisconnectedDemandError or NonConvergenceError its solve meets. A
+    snapshot that the status rule cuts a link from is solved again in the
+    next pass, so it meets the same masks alone as among others."""
+    inc = layout.inc
+    snapshots = list(snapshots)   # a cut gives a snapshot its next mask
+    out: list = [None] * len(snapshots)
+    todo = range(len(snapshots))
+    while todo:
+        groups: dict[tuple, list[int]] = {}   # a lone snapshot needs no key
+        for i in todo:
+            groups.setdefault(len(todo) > 1 and (
+                snapshots[i][1].tobytes(),
+                np.flatnonzero(snapshots[i][4]).tobytes()), []).append(i)
+        todo = []
+        for rows in groups.values():
+            topo = layout.topology(snapshots[rows[0]][1])
+            for i in rows:
+                out[i] = _disconnected(inc, topo, snapshots[i][0],
+                                       snapshots[i][4])
+            reached = [i for i in rows if out[i] is None]
+            size = max(1, BATCH_SIZE // (len(inc.node_ids)
+                                         + len(topo.unknown) * (topo.kd + 1)))
+            for first in range(0, len(reached), size):
+                ids = reached[first:first + size]
+                batch = [snapshots[i] for i in ids]
+                head = _rows([topo.initial_head(np.concatenate(
+                    [s[3], layout.tank_elev + s[5]])) for s in batch])
+                results = _newton(
+                    layout, topo, head, _rows([s[0] for s in batch]),
+                    _rows([s[4] for s in batch]), _rows([s[2] for s in batch]),
+                    _rows([topo.start(s[0]) for s in batch]),
+                    [s[6] for s in batch])
+                for i, snapshot, result in zip(ids, batch, results):
+                    if isinstance(result, WdnflowError):
+                        out[i] = result
+                        continue
+                    flow, tank_inflow, cut = _status(
+                        layout, topo, snapshot[1], snapshot[5], result[1])
+                    if cut is None:
+                        out[i] = _state(layout, snapshot, flow, tank_inflow,
+                                        result)
+                    else:
+                        snapshots[i] = (snapshot[0], cut, *snapshot[2:])
+                        todo.append(i)
     return out
 
 
-def _check_reached(inc: Incidence, topo: _Topology, demand: np.ndarray,
-                   emit_k: np.ndarray) -> None:
-    """Raise DisconnectedDemandError for the first junction with demand or
-    an emitter that the topology does not reach."""
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as the rows of one array; for a single array, a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _disconnected(inc: Incidence, topo: _Topology, demand: np.ndarray,
+                  emit_k: np.ndarray) -> DisconnectedDemandError | None:
+    """The DisconnectedDemandError of the first junction with demand or an
+    emitter that the topology does not reach; None when it reaches all."""
     unreached = topo.unreached
     if not unreached.size:
-        return
+        return None
     cut = unreached[(demand[unreached] > 0.0) | (emit_k[unreached] > 0.0)]
-    if cut.size:
-        i = int(cut[0])
-        jid = inc.junction_ids[i]
-        raise DisconnectedDemandError(
-            f"junction '{jid}' has demand but no open path to a reservoir"
-            " or tank" if demand[i] > 0.0 else
-            f"leak at '{jid}' has no open path to a reservoir or tank")
+    if not cut.size:
+        return None
+    i = int(cut[0])
+    jid = inc.junction_ids[i]
+    return DisconnectedDemandError(
+        f"junction '{jid}' has demand but no open path to a reservoir"
+        " or tank" if demand[i] > 0.0 else
+        f"leak at '{jid}' has no open path to a reservoir or tank")
 
 
-def _flows(layout: _Layout, topo: _Topology,
-           q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each link's flow from the active-link flows, and each tank's net
-    inflow."""
-    flow = np.zeros(len(layout.inc.link_ids))
+def _status(layout: _Layout, topo: _Topology, active: np.ndarray,
+            levels: np.ndarray, q: np.ndarray) -> tuple:
+    """Each link's flow and each tank's net inflow from the active-link
+    flows of a converged snapshot, and the status rule's open-link mask for
+    its next solve: None when no tank at a bound is pushed past it, else
+    the mask without each link whose flow enters a filling tank or leaves
+    a draining one, so each pass cuts one more link."""
+    inc = layout.inc
+    flow = np.zeros(len(inc.link_ids))
     flow[topo.act_idx] = q
-    if not layout.tank_init.size:
-        return flow, np.zeros(0)
-    n_nodes = len(layout.inc.node_ids)
-    balance = np.bincount(topo.ends, weights=np.concatenate([-q, q]),
-                          minlength=n_nodes)
-    return flow, balance[n_nodes - len(layout.tank_init):].copy()
+    if not levels.size:
+        return flow, np.zeros(0), None
+    n_nodes = len(inc.node_ids)
+    tanks = slice(n_nodes - len(levels), n_nodes)   # tanks last
+    tank_inflow = np.bincount(topo.ends, weights=np.concatenate([-q, q]),
+                              minlength=n_nodes)[tanks].copy()
+    # a tank filling past its maximum or draining past its minimum
+    full = (levels >= layout.tank_max) & (tank_inflow > MASS_TOL)
+    empty = (levels <= layout.tank_min) & (tank_inflow < -MASS_TOL)
+    if not (full.any() or empty.any()):
+        return flow, tank_inflow, None
+    fill, drain = np.zeros((2, n_nodes), dtype=bool)
+    fill[tanks], drain[tanks] = full, empty
+    a, b = inc.link_from, inc.link_to
+    return flow, tank_inflow, active & ~(
+        ((flow > 0.0) & (fill[b] | drain[a]))
+        | ((flow < 0.0) & (fill[a] | drain[b])))
 
 
-def _state(layout: _Layout, flow: np.ndarray, tank_inflow: np.ndarray,
-           head: np.ndarray, demand: np.ndarray, emit_k: np.ndarray,
-           levels: np.ndarray, t: float, iterations, mass_res,
-           energy_res) -> HydraulicState:
-    """The read-only state of a converged snapshot."""
+def _state(layout: _Layout, snapshot: tuple, flow: np.ndarray,
+           tank_inflow: np.ndarray, result: tuple) -> HydraulicState:
+    """The read-only state of a converged snapshot, given as `_solve_batch`
+    takes it, from its flows and `_newton`'s result."""
+    demand, _, _, _, emit_k, levels, t = snapshot
+    iterations, _, head, mass_res, energy_res = result
     inc = layout.inc
     n_junc = len(inc.junction_ids)
     head = head.copy()
@@ -796,8 +799,8 @@ def _state(layout: _Layout, flow: np.ndarray, tank_inflow: np.ndarray,
         t=t, flow=flow, head=head, pressure_head=pressure,
         tank_level=level_arr, actual_demand=demand_out,
         tank_net_inflow=tank_inflow, leak_flow=leak_flow,
-        iterations=int(iterations), converged=True,
-        mass_residual=float(mass_res), energy_residual=float(energy_res))
+        iterations=iterations, converged=True, mass_residual=mass_res,
+        energy_residual=energy_res)
 
 
 def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
@@ -806,10 +809,9 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
     """Newton iteration of a batch of snapshots on one topology. Row b of
     head and demand (per node), emit_k (per node, nonzero at the same nodes
     in every row), speed (per link) and q (the starting flows per active
-    link) is snapshot b, at time t[b]. Solves the unknown heads of each row
-    that converges in place. Returns the rows that converge, with their
-    iteration counts, active-link flows and final mass and energy
-    residuals, and {row: NonConvergenceError} for the rows that fail.
+    link) is snapshot b, at time t[b]; head is overwritten. Returns per row
+    its iteration count, active-link flows, heads and final mass and energy
+    residuals where it converges, else its NonConvergenceError.
 
     The rows still iterating are laid out flat, as `_Topology.tiled` lays
     them out. Each row stops at its own stop rule and then leaves the
@@ -844,8 +846,7 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
         emit_elev = _tile(layout.node_elev[emit_nodes], rows, 0)
     live = np.arange(rows)        # the batch row of each live row
     passed = np.zeros(rows, dtype=bool)
-    kept = []     # per stop: the rows, their counts, flows and residuals
-    failed: dict[int, NonConvergenceError] = {}
+    out: list = [None] * rows
 
     def residuals(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per live row, the largest junction mass and pipe or emitter
@@ -868,22 +869,21 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
                                  initial=0.0), energy
 
     def keep(done: np.ndarray, mass: np.ndarray, energy: np.ndarray) -> None:
-        """Keep the results of the live rows in done, and their heads in
-        their rows of `head`."""
+        """Keep the results of the live rows in done; they leave the batch
+        before its arrays change again."""
         sel = slice(None) if np.count_nonzero(done) == size else done
-        if compacted:
-            head[live[sel]] = flat.reshape(size, n)[sel]
-        rows_done = live[sel]
-        kept.append((rows_done, [step] * len(rows_done),
-                     q.reshape(size, m)[sel], mass[sel], energy[sel]))
+        for b, flows, heads, mass_b, energy_b in zip(
+                live[sel].tolist(), q.reshape(size, m)[sel],
+                flat.reshape(size, n)[sel], mass[sel].tolist(),
+                energy[sel].tolist()):
+            out[b] = (step, flows, heads, mass_b, energy_b)
 
     def fail(b: int, mass: np.ndarray, energy: np.ndarray) -> None:
         """Fail live row b with the larger of its residuals."""
         row = int(live[b])
-        failed[row] = NonConvergenceError(step, max(mass[b], energy[b]),
-                                          t[row])
+        out[row] = NonConvergenceError(step, max(mass[b], energy[b]), t[row])
 
-    step, size, compacted = 0, rows, False
+    step, size = 0, rows
     stopping = False    # some row passed the stop rule's test last iteration
     while step < MAX_ITERATIONS:
         step += 1
@@ -966,7 +966,7 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
                     a.reshape(size, -1)[stay].reshape(-1)
                     for a in (qe, emit_k2, emit_elev))
             live, passed = live[stay], passed[stay]
-            size, compacted = len(live), True
+            size = len(live)
             ix = SimpleNamespace(**{name: a[:size * (len(a) // rows)]
                                     for name, a in vars(full).items()})
             if n_e:
@@ -979,10 +979,7 @@ def _newton(layout: _Layout, topo: _Topology, head: np.ndarray,
         keep(passed, mass, energy)
         for b in np.flatnonzero(~passed).tolist():
             fail(b, mass, energy)
-    if len(kept) != 1:    # none, or several stops: join them
-        none = (live[:0], live[:0], np.empty((0, m)), np.empty(0), np.empty(0))
-        kept = [[np.concatenate(part) for part in zip(none, *kept)]]
-    return (*kept[0], failed)
+    return out
 
 
 # --- extended-period engine --------------------------------------------------
@@ -1000,19 +997,18 @@ class EpsEngine:
     add overrides beneath the step's planned controls; the plan takes every
     setting of each link it names, dropping any override on that link.
 
-    Converged states are kept by (input id, override link settings, tank
-    levels), and a snapshot that repeats them is served the kept state's
-    read-only arrays;
-    `iteration_counts` histograms the Newton iterations of the snapshots
-    actually solved. On a network without tanks `run` first solves the
-    distinct snapshots the memo lacks in batches (see the module
-    docstring), with the states of stepping, and in a run that converges
-    its histogram and `solves` too. A snapshot that fails in a batch is
-    solved again by its step, so `run` raises the error of its first
-    failing step; the batches have by then solved and counted the
-    snapshots of later steps, and those stay kept and counted. The plan,
-    the memo and the histogram outlive `reset`.
-    The memo holds the states of one episode (its steps and a preview),
+    Solved snapshots are kept by (input id, override link settings, tank
+    levels): one that repeats a converged snapshot is served the kept
+    state's read-only arrays, one that repeats a failed snapshot raises its
+    kept error. `iteration_counts` histograms the Newton iterations of the
+    snapshots actually solved. Every solve runs the status loop. On a
+    network without tanks `run` first solves the distinct snapshots the
+    memo lacks in batches (see the module docstring), with the states of
+    stepping, and in a run that converges its histogram and `solves` too.
+    It raises the kept error of its first failing step when it reaches
+    that step; by then it has solved and counted later steps' snapshots.
+    The plan, the memo and the histogram outlive `reset`.
+    The memo holds the snapshots of one episode (its steps and a preview),
     dropping the least recently used. `tank_levels` holds the current level
     per tank, in layout order, and `times` each step's t.
     """
@@ -1036,7 +1032,7 @@ class EpsEngine:
         self.control_hook = control_hook
         self.emitter_hook = emitter_hook
         self._plan()
-        self._memo: dict[tuple, HydraulicState] = {}
+        self._memo: dict[tuple, HydraulicState | WdnflowError] = {}
         self.iteration_counts: Counter[int] = Counter()
         self.reset()
 
@@ -1086,7 +1082,7 @@ class EpsEngine:
         return (self._input[k], settings, self.tank_levels.tobytes())
 
     def _inputs(self, k: int, settings: tuple) -> tuple:
-        """`_solve`'s arguments for step k under its planned inputs, with
+        """`_solve_batch`'s snapshot of step k under its planned inputs, with
         these resolved override settings beneath its planned controls, at
         the current tank levels."""
         layout = self.layout
@@ -1097,17 +1093,20 @@ class EpsEngine:
                 self._res[k], emit_k, self.tank_levels,
                 float(k * self.step_s))
 
-    def _solved(self, state: HydraulicState) -> None:
-        """Count a newly solved state's iterations and make room for it in
-        the memo, dropping the least recently used state."""
-        self.iteration_counts[state.iterations] += 1
+    def _solved(self, state: HydraulicState | WdnflowError) -> None:
+        """Count a newly solved state's iterations (an error counts none)
+        and make room for it in the memo, dropping the least recently
+        used."""
+        if not isinstance(state, WdnflowError):
+            self.iteration_counts[state.iterations] += 1
         if len(self._memo) > self.total_steps:
             del self._memo[next(iter(self._memo))]
 
     def _recall(self, overrides: Controls | None) -> HydraulicState:
         """The current step's snapshot under its planned inputs, with the
         overrides, checked first, beneath its planned controls; solved on a
-        memo miss. A rejected override leaves no trace."""
+        memo miss, and its error raised where it fails. A rejected override
+        leaves no trace."""
         k = self.step_index
         if k >= self.total_steps:
             raise IndexError("simulation horizon already reached")
@@ -1115,9 +1114,11 @@ class EpsEngine:
         key = self._key(k, settings)
         state = self._memo.pop(key, None)
         if state is None:
-            state = _solve(self.layout, *self._inputs(k, settings))
+            state, = _solve_batch(self.layout, [self._inputs(k, settings)])
             self._solved(state)
         self._memo[key] = state
+        if isinstance(state, WdnflowError):
+            raise state
         return state
 
     def _advance(self, state: HydraulicState) -> None:
@@ -1183,10 +1184,9 @@ class EpsEngine:
     def _solve_planned(self) -> None:
         """Solve the distinct planned snapshots of the steps to come that
         the memo lacks, in one Newton batch per topology and emitter node
-        set, and keep them in the memo in the order of their first steps.
-        Only a network without tanks knows every step's inputs up front. A
-        snapshot that fails is left out; its step solves it again, so a run
-        raises the error of its first failing step."""
+        set, and keep them, or their errors, in the memo in the order of
+        their first steps. Only a network without tanks knows every step's
+        inputs up front."""
         first: dict[tuple, int] = {}
         for k in range(self.step_index, self.total_steps):
             key = self._key(k, ())
@@ -1195,9 +1195,8 @@ class EpsEngine:
         states = _solve_batch(self.layout, [self._inputs(k, ())
                                             for k in first.values()])
         for key, state in zip(first, states):
-            if state is not None:
-                self._solved(state)
-                self._memo[key] = state
+            self._solved(state)
+            self._memo[key] = state
 
 
 def simulate_hydraulics(network: Network, *, duration_s: int | None = None,

@@ -6,9 +6,15 @@ half-width is 12, with its tank closed at its maximum for most of the run.
 Any change to the solver's arithmetic, the run's bookkeeping, the reading
 extraction or the corruption shows here as a changed hash. A change that
 means to move these bytes must say so and update the pins with a reason.
+
+The benchmark workloads' output digests and the scale-curve digests are
+pinned in files under scripts/, each written by its script; one test here
+recomputes their seed-3 and side-10/32 lines with those scripts.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +26,7 @@ from wdnflow.scada import SensorPlacement, to_csv, truth_to_csv
 from wdnflow.scenario import ScenarioConfig, run_scenario
 from wdnflow.uncertainty import UncertaintyModel
 
-from test_hydraulics import grid_inp
+from test_hydraulics import grid_inp, run_python
 
 HOUR = 3600.0
 NOISE = (UncertaintyModel(kind="gauss_rel", target="sensor_noise",
@@ -143,3 +149,30 @@ def test_grid_bytes_with_a_closed_tank_are_pinned(seed, tmp_path):
            sha(truth_to_csv(result.scada.ground_truth)),
            series.digest())
     assert got == GRID_GOLDEN[seed]
+
+
+# every benchmark workload at seed 3 and the scale curve's pinned sides, in
+# one process, by the functions that write each pin file's lines
+PINNED_DIGESTS = """
+import json, sys
+sys.path[:0] = [sys.argv[1]]
+import output_digests, scale_curve
+root = output_digests.ROOT
+print(json.dumps({
+    "workloads": [output_digests.one(root, name, 3)
+                  for name in output_digests.WORKLOADS],
+    "scale": [{"side": side, "digest": scale_curve.one(root, side, 2, 3)[
+        "digest"]} for side in (10, 32)]}))
+"""
+
+
+def test_workload_and_scale_curve_digests_are_pinned():
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+
+    def lines(name):
+        return [json.loads(line)
+                for line in (scripts / name).read_text().splitlines()]
+    got = json.loads(run_python(PINNED_DIGESTS, scripts))
+    assert got["workloads"] == [line for line in lines("output_digests.jsonl")
+                                if line["seed"] == 3]
+    assert got["scale"] == lines("scale_curve_digests.jsonl")

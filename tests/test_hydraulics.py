@@ -391,33 +391,43 @@ class TestRandomSnapshots:
     demand multipliers from 0 to 10, random pump speeds and pump and valve
     states, tanks at a level bound or their initial level, and up to three
     emitters with k up to 100. Each converges within its tolerances or
-    raises DisconnectedDemandError."""
+    raises DisconnectedDemandError. Solved again as one batch per network,
+    each snapshot equals its lone solve."""
+
+    @staticmethod
+    def networks(toy9, pumpnet):
+        return [toy9, pumpnet] + [parse_inp(grid_inp(s)) for s in (3, 4, 5)]
+
+    @staticmethod
+    def draws(net, rng, count=80):
+        """count random snapshots of net, each as the arguments and keyword
+        arguments of `solve_snapshot`."""
+        junctions = sorted(net.junctions)
+        for _ in range(count):
+            controls = Controls(
+                pump_running={p: bool(rng.integers(2)) for p in net.pumps},
+                pump_speed={p: float(rng.choice([0.0, 0.5, 1.0, 1.5]))
+                            for p in net.pumps},
+                valve_open={v: bool(rng.integers(2)) for v in net.valves})
+            levels = {tid: float(rng.choice([t.min_level, t.init_level,
+                                             t.max_level]))
+                      for tid, t in net.tanks.items()}
+            size = rng.integers(min(4, len(junctions) + 1))
+            emitters = {str(j): float(rng.choice(
+                [0.0, 10.0 ** rng.uniform(-4.0, 2.0)]))
+                for j in rng.choice(junctions, size, replace=False)}
+            demands = base_demands(
+                net, float(rng.choice([0.0, 0.5, 1.0, 3.0, 10.0])))
+            yield (net, demands, controls), {"emitters": emitters,
+                                             "tank_levels": levels}
 
     def test_every_snapshot_converges_or_is_disconnected(self, toy9, pumpnet):
         rng = np.random.default_rng(17)
         solved = leaky = 0
-        for net in [toy9, pumpnet] + [parse_inp(grid_inp(s))
-                                      for s in (3, 4, 5)]:
-            junctions = sorted(net.junctions)
-            for _ in range(80):
-                controls = Controls(
-                    pump_running={p: bool(rng.integers(2)) for p in net.pumps},
-                    pump_speed={p: float(rng.choice([0.0, 0.5, 1.0, 1.5]))
-                                for p in net.pumps},
-                    valve_open={v: bool(rng.integers(2)) for v in net.valves})
-                levels = {tid: float(rng.choice([t.min_level, t.init_level,
-                                                 t.max_level]))
-                          for tid, t in net.tanks.items()}
-                size = rng.integers(min(4, len(junctions) + 1))
-                emitters = {str(j): float(rng.choice(
-                    [0.0, 10.0 ** rng.uniform(-4.0, 2.0)]))
-                    for j in rng.choice(junctions, size, replace=False)}
-                demands = base_demands(
-                    net, float(rng.choice([0.0, 0.5, 1.0, 3.0, 10.0])))
+        for net in self.networks(toy9, pumpnet):
+            for args, kw in self.draws(net, rng):
                 try:
-                    state = solve_snapshot(net, demands, controls,
-                                           emitters=emitters,
-                                           tank_levels=levels)
+                    state = solve_snapshot(*args, **kw)
                 except DisconnectedDemandError:
                     continue
                 assert state.mass_residual <= MASS_TOL
@@ -425,6 +435,61 @@ class TestRandomSnapshots:
                 solved += 1
                 leaky += any(q > 0.0 for q in state.leak_flow.values())
         assert solved > 300 and leaky > 150
+
+    def test_one_batch_equals_the_lone_solves(self, toy9, pumpnet,
+                                              monkeypatch):
+        # the draws above, then each reproducer of
+        # TestPumpAgainstAClosedNetwork amid 20 draws of its grid: one
+        # `_solve_batch` call per network solves them all again, tanks at
+        # their bounds, disconnected rows and rows that fail among them
+        rng = np.random.default_rng(17)
+        cases = [(net, list(self.draws(net, rng)))
+                 for net in self.networks(toy9, pumpnet)]
+        for side in (9, 10, 12):
+            net = parse_inp(grid_inp(side))
+            rows = list(self.draws(net, rng, 20))
+            rows.insert(10, TestPumpAgainstAClosedNetwork.inputs(net))
+            cases.append((net, rows))
+        batch = hydraulics._solve_batch
+        kinds, passes = Counter(), 0
+        for net, rows in cases:
+            snapshots, alone = [], []
+
+            def spy(layout, solved, seen=snapshots):
+                seen.extend(solved)
+                return batch(layout, solved)
+            monkeypatch.setattr(hydraulics, "_solve_batch", spy)
+            for args, kw in rows:
+                try:
+                    alone.append(solve_snapshot(*args, **kw))
+                except (DisconnectedDemandError, NonConvergenceError) as exc:
+                    alone.append(exc)
+            monkeypatch.undo()
+            sizes = record_batch_sizes(monkeypatch)
+            together = batch(_layout(net), snapshots)
+            monkeypatch.undo()
+            for lone, row in zip(alone, together, strict=True):
+                kinds[type(lone).__name__] += 1
+                assert type(row) is type(lone)
+                if isinstance(lone, NonConvergenceError):
+                    assert (row.iterations, row.residual, row.t) == (
+                        lone.iterations, lone.residual, lone.t)
+                    assert type(row.t) is float
+                if isinstance(lone, WdnflowError):
+                    assert str(row) == str(lone)
+                    continue
+                for name in TestSnapshotPurity.STATE_ARRAYS:
+                    assert getattr(row, name).tobytes() \
+                        == getattr(lone, name).tobytes(), name
+                assert (row.t, row.leak_flow, row.iterations,
+                        row.mass_residual, row.energy_residual) == (
+                    lone.t, lone.leak_flow, lone.iterations,
+                    lone.mass_residual, lone.energy_residual)
+            # rows solved again after the status rule cut a tank's link
+            passes += sum(sizes) - sum(
+                not isinstance(r, DisconnectedDemandError) for r in together)
+        assert kinds["NonConvergenceError"] >= 2
+        assert kinds["DisconnectedDemandError"] > 20 and passes > 20
 
 
 class TestPumpAgainstAClosedNetwork:
@@ -436,12 +501,16 @@ class TestPumpAgainstAClosedNetwork:
     flip; grid_inp(9) converges today after 91 of the 100 iterations."""
 
     @staticmethod
-    def solve(side):
-        net = parse_inp(grid_inp(side))
-        return solve_snapshot(
-            net, base_demands(net, 0.0),
-            Controls(pump_speed={"pu1": 1.5}, valve_open={"v1": False}),
-            tank_levels={"t1": 9.0})
+    def inputs(net):
+        """The arguments and keyword arguments of `solve_snapshot`."""
+        return (net, base_demands(net, 0.0), Controls(
+            pump_speed={"pu1": 1.5}, valve_open={"v1": False})), {
+                "tank_levels": {"t1": 9.0}}
+
+    @classmethod
+    def solve(cls, side):
+        args, kw = cls.inputs(parse_inp(grid_inp(side)))
+        return solve_snapshot(*args, **kw)
 
     @pytest.mark.parametrize("side", [
         9,
@@ -885,14 +954,23 @@ class TestBatchEqualsStepping:
 
 class TestBatchFailsAsStepping:
     """A batched run raises the error a stepped run raises: that of its
-    first failing step. A snapshot that fails in the batch leaves the
-    others to converge and be kept."""
+    first failing step, kept from the batch and raised when the run reaches
+    that step, so it has taken the stepped run's steps. A snapshot that
+    fails in the batch leaves the others to converge and be kept."""
 
     def stepped_error(self, engine, error):
         with pytest.raises(error) as exc:
             for _ in range(engine.total_steps):
                 engine.step_once()
         return exc.value
+
+    @staticmethod
+    def assert_stopped_as_stepping(batched, stepped):
+        assert batched.step_index == stepped.step_index > 0
+        ran, expected = batched.series(), stepped.series()
+        for name in SERIES_COLUMNS:
+            assert getattr(ran, name).tobytes() \
+                == getattr(expected, name).tobytes(), name
 
     def test_the_earlier_disconnection_is_raised(self, toy9):
         # closing p4 cuts off n4 from 4 h to 6 h, closing p9 cuts off n8
@@ -907,11 +985,13 @@ class TestBatchFailsAsStepping:
         def engine():
             return EpsEngine(replace(toy9), duration_s=86400, step_s=300,
                              control_hook=controls)
-        expected = self.stepped_error(engine(), DisconnectedDemandError)
+        stepped, batched = engine(), engine()
+        expected = self.stepped_error(stepped, DisconnectedDemandError)
         with pytest.raises(DisconnectedDemandError) as exc:
-            engine().run()
+            batched.run()
         assert str(exc.value) == str(expected)
         assert "'n4'" in str(exc.value)
+        self.assert_stopped_as_stepping(batched, stepped)
 
     def test_nonconvergence_is_raised_as_stepping_raises(self, toy9,
                                                          monkeypatch):
@@ -928,8 +1008,10 @@ class TestBatchFailsAsStepping:
         stepped, batched = engine(), engine()
         monkeypatch.setattr("wdnflow.hydraulics.MAX_ITERATIONS", 3)
         expected = self.stepped_error(stepped, NonConvergenceError)
+        sizes = record_batch_sizes(monkeypatch)
         with pytest.raises(NonConvergenceError) as exc:
             batched.run()
+        handed = sum(sizes)
         assert (exc.value.t, exc.value.iterations, exc.value.residual) == (
             expected.t, expected.iterations, expected.residual)
         assert exc.value.t == 6 * 3600.0 and str(exc.value) == str(expected)
@@ -953,6 +1035,10 @@ class TestBatchFailsAsStepping:
             alone[state.iterations] += 1
         assert batched.iteration_counts == alone
         assert batched.solves == sum(alone.values()) > stepped.solves
+        # each distinct snapshot went to Newton once: the failing one is
+        # not solved again by its step
+        assert handed == len(first)
+        self.assert_stopped_as_stepping(batched, stepped)
 
 
 class TestPlannedHorizon:
